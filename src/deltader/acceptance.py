@@ -22,6 +22,7 @@ from typing import Callable, List, Tuple
 from . import algebras
 from .algebras import AlgebraSpec, BasisKey, E, F, bracket, bracket_vec
 from .dersolve import (
+    HALF,
     check_delta_derivation,
     compare_families,
     derivation_pairs,
@@ -50,7 +51,6 @@ from .operators import (
     window_from_ranges,
 )
 
-HALF = Fraction(1, 2)
 QUARTER = Fraction(1, 4)
 
 # Interior margins certified by criterion 3; computed via the solver oracle

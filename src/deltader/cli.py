@@ -14,7 +14,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 from typing import List, Optional
 
@@ -27,6 +26,7 @@ from .acceptance import (
 )
 from .algebras import AlgebraSpec, E, KeyOutOfDomain
 from .dersolve import (
+    HALF,
     check_delta_derivation,
     compare_families,
     derivation_pairs,
@@ -60,8 +60,6 @@ from .operators import (
     materialize,
     window_from_ranges,
 )
-
-HALF = Fraction(1, 2)
 
 TSV_HEADER = "algebra\ta\tb\t|I|\t|O|\tdimSolved\tdimInterior"
 
@@ -298,6 +296,14 @@ def _cmd_two_local(args) -> int:
     return 0 if feasible == len(reports) else 1
 
 
+def _serialize_witness(witness) -> Optional[dict]:
+    """A violation witness as pair and residual; None when there is none."""
+    if witness is None:
+        return None
+    (k1, k2), residual = witness
+    return {"pair": [str(k1), str(k2)], "residual": format_element(residual)}
+
+
 def _cmd_counterexamples(args) -> int:
     name = args.algebra or "thin"
     if name == "thin":
@@ -308,14 +314,8 @@ def _cmd_counterexamples(args) -> int:
         y = SparseVec({E(1): -1, E(2): 1})
         additivity = certify_nonadditive(ThinNabla(), x, y)
         results = {
-            "probeWitness": {
-                "pair": [str(k) for k in probe[0]],
-                "residual": format_element(probe[1]),
-            },
-            "firstWitness": {
-                "pair": [str(k) for k in first[0]],
-                "residual": format_element(first[1]),
-            },
+            "probeWitness": _serialize_witness(probe),
+            "firstWitness": _serialize_witness(first),
             "nonadditivity": {
                 "x": format_element(x),
                 "y": format_element(y),
@@ -333,10 +333,7 @@ def _cmd_counterexamples(args) -> int:
         sample = deterministic_sample(w.keys)
         reports = check_local(SolvDeltaBar(), family, sample)
         results = {
-            "witness": {
-                "pair": [str(k) for k in witness[0]],
-                "residual": format_element(witness[1]),
-            },
+            "witness": _serialize_witness(witness),
             "locallyFeasibleOnSample": all(r.feasible for r in reports),
             "sampleSize": len(reports),
         }

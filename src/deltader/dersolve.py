@@ -68,13 +68,6 @@ class FamilyBasis:
     def __len__(self) -> int:
         return len(self.basis)
 
-    def coefficient_vectors(self) -> List[SparseVec]:
-        col_index = {col: i for i, col in enumerate(self.window.columns())}
-        return [m.as_vector(col_index) for m in self.basis]
-
-    def evaluate_all(self, x: SparseVec) -> List[SparseVec]:
-        return [m.evaluate(x) for m in self.basis]
-
 
 @dataclass(frozen=True)
 class ComparisonReport:
@@ -160,6 +153,11 @@ def find_violation_witness(
     return None
 
 
+def _int_if_integral(value: Fraction):
+    """The Fraction as an int when its denominator is 1, else unchanged."""
+    return value.numerator if value.denominator == 1 else value
+
+
 def assemble(alg: AlgebraSpec, delta, w: Window) -> ConstraintSystem:
     """Constraint matrix whose nullspace is the windowed delta-derivation space.
 
@@ -167,31 +165,55 @@ def assemble(alg: AlgebraSpec, delta, w: Window) -> ConstraintSystem:
     (pair, reachable coordinate) in canonical order. Unknown images are zero
     outside O by fiat, but equations are still imposed on every reachable
     coordinate.
+
+    With ``delta = num/den`` each row is ``den`` times the equation, i.e.
+    ``den*phi([x, y]) - num*([phi(x), y] + [x, phi(y)])``: the nullspace is
+    unchanged and the entries are ints whenever the structure constants are.
     """
     delta = as_scalar(delta)
+    num, den = delta.numerator, delta.denominator
     columns = w.columns()
     unknown_index = {col: i for i, col in enumerate(columns)}
     pair_list = tuple(derivation_pairs(alg, w.keys))
-    rows: List[Dict[int, Fraction]] = []
+    out_keys = w.out_keys
+    # Column of (k, out_keys[j]) is first_col[k] + j. Coordinates are
+    # (kind, index) tuples, which hash fast and sort like their keys.
+    first_col = {k: i * len(out_keys) for i, k in enumerate(w.keys)}
+    coords = [(o.kind, o.index) for o in out_keys]
+
+    def scaled(v: SparseVec, factor) -> list:
+        return [((r.kind, r.index), _int_if_integral(factor * t)) for r, t in v.items()]
+
+    # -num*[o, k] and -num*[k, o] over the output keys o, bracketed once per
+    # input key k that needs them rather than once per pair.
+    seconds = {k2 for _, k2 in pair_list}
+    firsts = {k1 for k1, _ in pair_list}
+    o_k = {k: [scaled(bracket(alg, o, k), -num) for o in out_keys] for k in seconds}
+    k_o = {k: [scaled(bracket(alg, k, o), -num) for o in out_keys] for k in firsts}
+
+    rows: List[Dict[int, object]] = []
     for k1, k2 in pair_list:
-        coord_rows: Dict[BasisKey, Dict[int, Fraction]] = {}
-
-        def put(coord: BasisKey, col: Tuple[BasisKey, BasisKey], value: Fraction):
-            row = coord_rows.setdefault(coord, {})
-            idx = unknown_index[col]
-            row[idx] = row.get(idx, Fraction(0)) + value
-
-        bv = bracket(alg, k1, k2)
-        for s, cs in bv.items():
-            for out_k in w.out_keys:
-                put(out_k, (s, out_k), cs)
-        for out_k in w.out_keys:
-            for r, t in bracket(alg, out_k, k2).items():
-                put(r, (k1, out_k), -delta * t)
-            for r, t in bracket(alg, k1, out_k).items():
-                put(r, (k2, out_k), -delta * t)
-        for coord in sorted(coord_rows):
-            row = {c: v for c, v in coord_rows[coord].items() if v}
+        at: Dict[tuple, Dict[int, object]] = {}
+        for s, cs in bracket(alg, k1, k2).items():
+            cs = _int_if_integral(den * cs)
+            col = first_col[s]
+            for coord in coords:
+                at.setdefault(coord, {})[col] = cs
+                col += 1
+        col1, col2 = first_col[k1], first_col[k2]
+        # [phi(k1), k2] puts -num*[o, k2] in column (k1, o) and
+        # [k1, phi(k2)] puts -num*[k1, o] in column (k2, o).
+        for at_k1, at_k2 in zip(o_k[k2], k_o[k1]):
+            for coord, t in at_k1:
+                row = at.setdefault(coord, {})
+                row[col1] = row.get(col1, 0) + t
+            for coord, t in at_k2:
+                row = at.setdefault(coord, {})
+                row[col2] = row.get(col2, 0) + t
+            col1 += 1
+            col2 += 1
+        for coord in sorted(at):
+            row = {c: v for c, v in at[coord].items() if v}
             if row:
                 rows.append(row)
     matrix = RatMatrix.from_rows(rows, len(columns))

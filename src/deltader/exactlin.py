@@ -1,15 +1,21 @@
 """Exact rational sparse linear algebra.
 
-Vectors and matrices are stored sparsely with ``fractions.Fraction`` entries,
-so every result below is exact: reduced row echelon form, nullspace bases,
-feasibility of ``A x = b`` with Farkas-style infeasibility certificates, and
-span membership. No floating point is used anywhere.
+Vectors are stored sparsely with ``fractions.Fraction`` entries, matrices
+with exact rational entries (``int`` or ``Fraction``), so every result below
+is exact: reduced row echelon form, nullspace bases, feasibility of
+``A x = b`` with Farkas-style infeasibility certificates, and span
+membership. No floating point is used anywhere.
+
+Elimination is fraction-free: each row enters as a primitive integer row and
+is reduced by integer row operations; ``Fraction`` appears only when the
+reduced row echelon form is read off, once per pivot row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional
 
 Scalar = Fraction
@@ -128,13 +134,13 @@ class SparseVec:
         return f"SparseVec({{{body}}})"
 
 
-def vec(entries: Optional[Mapping] = None) -> SparseVec:
-    return SparseVec(entries)
-
-
 @dataclass(frozen=True)
 class RatMatrix:
-    """Sparse rational matrix: rows are column->Scalar maps."""
+    """Sparse rational matrix: rows are column -> exact rational maps.
+
+    Entries are ``int`` or ``Fraction``; ints are kept as they are, so an
+    integer matrix costs no ``Fraction`` arithmetic.
+    """
 
     rows: tuple
     ncols: int
@@ -147,7 +153,8 @@ class RatMatrix:
             for c, v in row.items():
                 if not 0 <= c < ncols:
                     raise ValueError(f"column index {c} outside 0..{ncols - 1}")
-                v = as_scalar(v)
+                if type(v) is not int:
+                    v = as_scalar(v)
                 if v:
                     cleaned[c] = v
             packed.append(cleaned)
@@ -156,9 +163,6 @@ class RatMatrix:
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def row_vectors(self) -> list:
-        return [SparseVec(r) for r in self.rows]
 
     def apply(self, x: SparseVec) -> SparseVec:
         """Matrix-vector product; x is indexed by column, result by row."""
@@ -174,52 +178,113 @@ class RatMatrix:
         return SparseVec(out)
 
 
-def _reduce_row(row: dict, pivots: dict) -> dict:
-    """Eliminate all pivot columns from ``row`` (row is mutated and returned)."""
+def _primitive(row: Mapping) -> dict:
+    """The nonzero exact row as a new dict of coprime ints.
+
+    Scaling a row by a nonzero rational changes neither its span nor its
+    pivot, so the kernel below works on these rows alone.
+    """
+    try:
+        g = gcd(*row.values())
+    except TypeError:  # a Fraction entry: clear the denominators first
+        den = lcm(*[v.denominator for v in row.values()])
+        row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+        g = gcd(*row.values())
+    return dict(row) if g == 1 else {c: v // g for c, v in row.items()}
+
+
+def _eliminate(row: dict, prow: dict, col) -> dict:
+    """Clear column ``col`` of the int row ``row`` with the int row ``prow``.
+
+    The step is ``row <- a*row - b*prow`` with ``a/b`` the ratio of the two
+    entries at ``col`` in lowest terms, after which the row's content (the
+    gcd of its entries) is divided out. Like Bareiss's fraction-free
+    elimination (Math. Comp. 22, 1968) this keeps every entry an integer,
+    and dividing by the content keeps them small. ``row`` may be mutated.
+    """
+    a = prow[col]
+    b = row[col]
+    if a != 1:
+        g = gcd(a, b)
+        if g != 1:
+            a //= g
+            b //= g
+        if a != 1:
+            row = {c: a * v for c, v in row.items()}
+    for c, v in prow.items():
+        nv = row.get(c, 0) - b * v
+        if nv:
+            row[c] = nv
+        else:
+            del row[c]
+    if row:
+        g = gcd(*row.values())
+        if g != 1:
+            row = {c: v // g for c, v in row.items()}
+    return row
+
+
+def _reduce(row: dict, pivots: dict) -> dict:
+    """What is left of the int row ``row`` (mutated) once every pivot column
+    of the echelon form ``pivots`` is eliminated from it."""
     while row:
         lead = min(row)
         prow = pivots.get(lead)
         if prow is None:
-            return row
-        f = row[lead]
-        for c, v in prow.items():
-            nv = row.get(c, ZERO) - f * v
-            if nv:
-                row[c] = nv
-            else:
-                row.pop(c, None)
+            break
+        row = _eliminate(row, prow, lead)
     return row
 
 
+def _insert(row: dict, pivots: dict) -> bool:
+    """Add the primitive int row ``row`` to the echelon form ``pivots``
+    (pivot col -> int row leading there with a positive entry); True if the
+    row space grew.
+
+    Of two rows leading in the same column the shorter one is kept as the
+    pivot and the other is reduced by it, so that pivot rows stay sparse and
+    their entries small.
+    """
+    while row:
+        lead = min(row)
+        prow = pivots.get(lead)
+        if prow is None or len(row) < len(prow):
+            pivots[lead] = row if row[lead] > 0 else {c: -v for c, v in row.items()}
+            if prow is None:
+                return True
+            row = prow
+        row = _eliminate(row, pivots[lead], lead)
+    return False
+
+
 def _forward_eliminate(rows: Iterable[Mapping]) -> dict:
-    """Gaussian elimination; returns pivot-col -> normalized row dict."""
+    """Echelon form; returns pivot-col -> int row leading there."""
     pivots: dict = {}
     for row in rows:
-        row = _reduce_row(dict(row), pivots)
         if row:
-            lead = min(row)
-            f = row[lead]
-            pivots[lead] = {c: v / f for c, v in row.items()}
+            _insert(_primitive(row), pivots)
     return pivots
 
 
-def _back_eliminate(pivots: dict) -> dict:
-    cols = sorted(pivots)
-    for p in reversed(cols):
-        prow = pivots[p]
-        for q in cols:
-            if q >= p:
-                break
-            qrow = pivots[q]
-            f = qrow.get(p)
-            if f:
-                for c, v in prow.items():
-                    nv = qrow.get(c, ZERO) - f * v
-                    if nv:
-                        qrow[c] = nv
-                    else:
-                        qrow.pop(c, None)
-    return pivots
+def _rref_rows(pivots: dict) -> dict:
+    """Reduced rows of an echelon form: pivot-col -> Fraction row, pivot 1.
+
+    Works through the pivots in decreasing order. Every row below the
+    current one is already reduced, so it is nonzero only at its own pivot
+    and at free columns, and clearing one pivot column of the current row
+    brings in free columns alone: one pass over the row's own entries
+    suffices. The division to ``Fraction`` happens once per row, at the end.
+    """
+    reduced: dict = {}
+    out: dict = {}
+    for p in sorted(pivots, reverse=True):
+        row = dict(pivots[p])
+        for q in [c for c in row if c != p and c in reduced]:
+            row = _eliminate(row, reduced[q], q)
+        reduced[p] = row
+        lead = row[p]
+        out[p] = {c: Fraction(v, lead) for c, v in row.items()}
+    return out
 
 
 def rref(matrix: RatMatrix) -> tuple:
@@ -227,13 +292,13 @@ def rref(matrix: RatMatrix) -> tuple:
 
     The output has the same shape as the input, zero rows collected at the
     bottom. Pivots are the lowest-index nonzero column of each row, so the
-    result is the (unique) canonical RREF.
+    result is the (unique) canonical RREF, with ``Fraction`` entries.
     """
-    pivots = _back_eliminate(_forward_eliminate(matrix.rows))
-    ordered = [dict(pivots[c]) for c in sorted(pivots)]
+    reduced = _rref_rows(_forward_eliminate(matrix.rows))
+    ordered = [reduced[c] for c in sorted(reduced)]
     rank = len(ordered)
     ordered.extend({} for _ in range(matrix.nrows - rank))
-    return RatMatrix.from_rows(ordered, matrix.ncols), rank
+    return RatMatrix(tuple(ordered), matrix.ncols), rank
 
 
 def rank(matrix: RatMatrix) -> int:
@@ -246,18 +311,13 @@ def nullspace(matrix: RatMatrix) -> list:
     Vectors are emitted in increasing free-column order; each has entry 1 at
     its free column, making the basis canonical for a fixed column order.
     """
-    pivots = _back_eliminate(_forward_eliminate(matrix.rows))
-    basis = []
-    for free in range(matrix.ncols):
-        if free in pivots:
-            continue
-        v = {free: ONE}
-        for p, prow in pivots.items():
-            coeff = prow.get(free)
-            if coeff:
-                v[p] = -coeff
-        basis.append(SparseVec(v))
-    return basis
+    reduced = _rref_rows(_forward_eliminate(matrix.rows))
+    basis = {free: {free: ONE} for free in range(matrix.ncols) if free not in reduced}
+    for p, prow in reduced.items():
+        for c, v in prow.items():
+            if c != p:
+                basis[c][p] = -v
+    return [SparseVec(basis[free]) for free in sorted(basis)]
 
 
 @dataclass(frozen=True)
@@ -292,7 +352,7 @@ def solve_feasible(matrix: RatMatrix, b: SparseVec) -> LinearSolveResult:
             lead = min(work)
             prow = pivots.get(lead)
             if prow is None:
-                f = work[lead]
+                f = as_scalar(work[lead])
                 pivots[lead] = {c: v / f for c, v in work.items()}
                 transforms[lead] = {r: v / f for r, v in t.items()}
                 break
@@ -311,12 +371,18 @@ def solve_feasible(matrix: RatMatrix, b: SparseVec) -> LinearSolveResult:
                     t.pop(r, None)
         if aug_col in pivots:
             return LinearSolveResult(False, certificate=SparseVec(transforms[aug_col]))
-    _back_eliminate(pivots)
+    # Back-substitution with every free unknown at 0: x_p is the entry of
+    # pivot row p in the reduced echelon form's augmented column.
     solution = {}
-    for p, prow in pivots.items():
-        rhs = prow.get(aug_col)
-        if rhs:
-            solution[p] = rhs
+    for p in sorted(pivots, reverse=True):
+        x = ZERO
+        for c, v in pivots[p].items():
+            if c == aug_col:
+                x += v
+            elif c != p and c in solution:
+                x -= v * solution[c]
+        if x:
+            solution[p] = x
     return LinearSolveResult(True, solution=SparseVec(solution))
 
 
@@ -325,27 +391,19 @@ class RowSpace:
 
     def __init__(self, vectors: Iterable[SparseVec] = ()):
         self._pivots: dict = {}
-        self._dim = 0
         for v in vectors:
             self.add(v)
 
     @property
     def dim(self) -> int:
-        return self._dim
+        return len(self._pivots)
 
     def add(self, v: SparseVec) -> bool:
         """Insert v; returns True if it enlarged the space."""
-        row = _reduce_row(dict(v.entries), self._pivots)
-        if not row:
-            return False
-        lead = min(row)
-        f = row[lead]
-        self._pivots[lead] = {c: x / f for c, x in row.items()}
-        self._dim += 1
-        return True
+        return bool(v) and _insert(_primitive(v._entries), self._pivots)
 
     def contains(self, v: SparseVec) -> bool:
-        return not _reduce_row(dict(v.entries), self._pivots)
+        return not v or not _reduce(_primitive(v._entries), self._pivots)
 
 
 def in_span(v: SparseVec, basis: Iterable[SparseVec]) -> bool:
@@ -356,18 +414,3 @@ def in_span(v: SparseVec, basis: Iterable[SparseVec]) -> bool:
 def span_dim(vectors: Iterable[SparseVec]) -> int:
     return RowSpace(vectors).dim
 
-
-def combination_for(v: SparseVec, basis: list) -> Optional[SparseVec]:
-    """Coefficients c with sum(c_k * basis_k) = v, or None.
-
-    The returned vector is indexed by basis position.
-    """
-    keys = sorted(set(v.support()).union(*(b.support() for b in basis)))
-    key_row = {k: i for i, k in enumerate(keys)}
-    rows = [{} for _ in keys]
-    for j, bvec in enumerate(basis):
-        for k, val in bvec.entries.items():
-            rows[key_row[k]][j] = val
-    rhs = SparseVec({key_row[k]: val for k, val in v.entries.items()})
-    result = solve_feasible(RatMatrix.from_rows(rows, len(basis)), rhs)
-    return result.solution if result.feasible else None

@@ -44,15 +44,19 @@ _TERM = re.compile(
 )
 
 
+def _rational(text: str, position: int) -> Fraction:
+    """Fraction of a ``p/q`` or integer literal; a zero denominator is a ParseError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}", position) from None
+
+
 def parse_scalar(text: str) -> Fraction:
     text = text.strip()
     if not _RATIONAL.fullmatch(text):
         raise ParseError(f"not a rational: {text!r}", 0)
-    return Fraction(text)
-
-
-def format_scalar(value: Fraction) -> str:
-    return str(value)
+    return _rational(text, 0)
 
 
 def parse_range(text: str) -> Tuple[int, int]:
@@ -81,7 +85,7 @@ def parse_element(text: str) -> SparseVec:
             raise ParseError("leading + not allowed", pos)
         if not first and sign is None:
             raise ParseError("missing + or - between terms", pos)
-        coef = Fraction(m.group("coef")) if m.group("coef") else Fraction(1)
+        coef = _rational(m.group("coef"), m.start("coef")) if m.group("coef") else Fraction(1)
         if sign == "-":
             coef = -coef
         key = BasisKey(m.group("kind"), int(m.group("index")))

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from deltader import cli
 from deltader.cli import main
 
 
@@ -148,6 +149,17 @@ class TestCounterexamplesCommand:
         assert results["witness"] == {"pair": ["e1", "e2"], "residual": "1/2*e2"}
         assert results["locallyFeasibleOnSample"] is True
 
+    @pytest.mark.parametrize(
+        "algebra, fields", [("thin", ("probeWitness", "firstWitness")), ("solv", ("witness",))]
+    )
+    def test_missing_witness_is_a_property_failure(self, tmp_path, monkeypatch, algebra, fields):
+        monkeypatch.setattr(cli, "find_violation_witness", lambda *args: None)
+        out = tmp_path / "r.json"
+        code = main(["counterexamples", "--algebra", algebra, "--json", str(out)])
+        assert code == 1
+        results = read_json(out)["results"]
+        assert all(results[f] is None for f in fields)
+
 
 class TestConfigAndErrors:
     def test_config_file_with_flag_precedence(self, tmp_path):
@@ -177,6 +189,13 @@ class TestConfigAndErrors:
              "--map", "thin-delta", "--x", "e1+"]
         )
         assert code == 2
+
+    def test_zero_denominator_is_usage_error(self, capsys):
+        code = main(
+            ["solve", "--algebra", "wab", "--a", "1/0", "--b", "0", "--in", "-2..2"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: zero denominator")
 
     def test_bad_range(self):
         assert main(["solve", "--algebra", "wittz", "--in", "oops"]) == 2

@@ -15,9 +15,10 @@ from deltader.dersolve import (
     expected_family,
     find_violation_witness,
     interior_input_keys,
+    residual_at,
     solve_half_derivations,
 )
-from deltader.exactlin import SparseVec, in_span, nullspace
+from deltader.exactlin import RatMatrix, SparseVec, in_span, nullspace
 from deltader.operators import (
     ShiftOp,
     SolvDeltaBar,
@@ -63,6 +64,38 @@ class TestAssemble:
         system = assemble(solv_abelian(), HALF, w)
         family = solve_half_derivations(solv_abelian(), w)
         assert len(nullspace(system.matrix)) == len(family)
+
+    @pytest.mark.parametrize(
+        "alg, in_range, out_range",
+        [(witt_z(), (-3, 3), (-9, 9)), (thin(), (1, 10), (1, 14))],
+    )
+    def test_rows_are_ints(self, alg, in_range, out_range):
+        system = assemble(alg, HALF, window_from_ranges(alg, in_range, out_range))
+        assert system.matrix.nrows > 0
+        assert all(type(v) is int for row in system.matrix.rows for v in row.values())
+
+    @pytest.mark.parametrize(
+        "alg, delta, in_range, out_range",
+        [
+            (witt_z(), Fraction(2, 3), (-2, 2), (-6, 6)),
+            (thin(), Fraction(-3, 2), (1, 5), (1, 7)),
+            (wab(Fraction(1, 2), -1), Fraction(1), (-1, 1), (-2, 2)),
+            (wab(Fraction(2, 3), Fraction(1, 3)), HALF, (-1, 1), (-2, 2)),
+        ],
+    )
+    def test_nullspace_matches_residual_equations(self, alg, delta, in_range, out_range):
+        # Scaling rows by delta's denominator must leave the solution space
+        # exactly that of the residual equations evaluated unit map by unit map.
+        w = window_from_ranges(alg, in_range, out_range)
+        system = assemble(alg, delta, w)
+        rows = {}
+        for j, (in_key, out_key) in enumerate(w.columns()):
+            unit = WindowedMap(w, {k: SparseVec({out_key: 1} if k == in_key else {}) for k in w.keys})
+            for pair in system.pair_list:
+                for coord, value in residual_at(alg, unit, delta, *pair).entries.items():
+                    rows.setdefault((pair, coord), {})[j] = value
+        reference = RatMatrix.from_rows(rows.values(), len(w.columns()))
+        assert nullspace(system.matrix) == nullspace(reference)
 
 
 class TestCheckDeltaDerivation:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from deltader.exactlin import (
     RatMatrix,
+    RowSpace,
     SparseVec,
     in_span,
     nullspace,
@@ -153,6 +154,109 @@ class TestInSpan:
 
     def test_scaled_member(self):
         assert in_span(SparseVec({0: 2, 1: 4}), [SparseVec({0: 1, 1: 2})])
+
+
+# Exact entries as the kernel receives them: plain ints and Fractions, with 0.
+ENTRIES = (0, 0, 1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4))
+
+
+@st.composite
+def exact_matrices(draw):
+    nrows = draw(st.integers(1, 6))
+    ncols = draw(st.integers(1, 6))
+    cell = st.sampled_from(ENTRIES)
+    grid = [[draw(cell) for _ in range(ncols)] for _ in range(nrows)]
+    return grid, ncols
+
+
+def from_grid(grid, ncols):
+    return RatMatrix.from_rows([{j: v for j, v in enumerate(row)} for row in grid], ncols)
+
+
+def gauss_jordan(grid, ncols):
+    """Dense reference RREF over Fraction: (nonzero rows, pivot columns)."""
+    m = [[Fraction(v) for v in row] for row in grid]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        found = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if found is None:
+            continue
+        m[r], m[found] = m[found], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
+
+
+def all_fractions(values):
+    return all(type(v) is Fraction for v in values)
+
+
+class TestKernelAgainstDenseReference:
+    @given(exact_matrices())
+    @settings(max_examples=200)
+    def test_rref_rank_nullspace(self, case):
+        grid, ncols = case
+        matrix = from_grid(grid, ncols)
+        ref_rows, ref_pivots = gauss_jordan(grid, ncols)
+
+        reduced, rk = rref(matrix)
+        assert rk == rank(matrix) == len(ref_pivots)
+        assert as_dense(reduced)[:rk] == ref_rows
+        assert all(not row for row in reduced.rows[rk:])
+        assert all(all_fractions(row.values()) for row in reduced.rows)
+
+        expected = []
+        for free in (c for c in range(ncols) if c not in ref_pivots):
+            v = {free: Fraction(1)}
+            for row, p in zip(ref_rows, ref_pivots):
+                if row[free]:
+                    v[p] = -row[free]
+            expected.append(SparseVec(v))
+        basis = nullspace(matrix)
+        assert basis == expected
+        assert all(all_fractions(v.entries.values()) for v in basis)
+
+    @given(exact_matrices(), st.lists(st.sampled_from(ENTRIES), min_size=6, max_size=6))
+    @settings(max_examples=200)
+    def test_row_space_membership(self, case, probe):
+        grid, ncols = case
+        x = probe[:ncols]
+        space = RowSpace(SparseVec(dict(enumerate(row))) for row in grid)
+        _, ref_pivots = gauss_jordan(grid, ncols)
+        _, with_x = gauss_jordan(grid + [x], ncols)
+        assert space.dim == len(ref_pivots)
+        assert space.contains(SparseVec(dict(enumerate(x)))) == (len(with_x) == len(ref_pivots))
+        for row in grid:
+            assert space.contains(SparseVec(dict(enumerate(row))))
+
+    @given(
+        st.lists(
+            st.lists(st.integers(min_value=-4, max_value=4), min_size=4, max_size=4),
+            min_size=1,
+            max_size=6,
+        ),
+        st.lists(st.integers(min_value=-4, max_value=4), min_size=6, max_size=6),
+    )
+    @settings(max_examples=100)
+    def test_solve_feasible_on_int_entries(self, grid, rhs):
+        a = from_grid(grid, 4)
+        assert all(type(v) is int for row in a.rows for v in row.values())
+        b = SparseVec({i: rhs[i] for i in range(len(grid))})
+        res = solve_feasible(a, b)
+        if res.feasible:
+            assert all_fractions(res.solution.entries.values())
+            assert a.apply(res.solution) == b
+        else:
+            u = res.certificate
+            assert all_fractions(u.entries.values())
+            for col in range(a.ncols):
+                assert sum(u.get(i) * a.rows[i].get(col, 0) for i in range(a.nrows)) == 0
+            assert u.dot(b) != 0
 
 
 class TestSparseVec:

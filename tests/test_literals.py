@@ -139,6 +139,13 @@ class TestScalarsAndRanges:
         with pytest.raises(ParseError):
             parse_scalar("1.5")
 
+    def test_zero_denominator(self):
+        with pytest.raises(ParseError):
+            parse_scalar("1/0")
+        with pytest.raises(ParseError) as exc:
+            parse_element("e1 + 3/0*e2")
+        assert exc.value.position == 5
+
     def test_range(self):
         assert parse_range("-3..3") == (-3, 3)
         assert parse_range("1..8") == (1, 8)
