@@ -1,9 +1,11 @@
 """Bundled verification suite.
 
 Each criterion function returns a CriterionResult with per-check details;
-``run_all`` executes all ten. The interior margins and the infeasible
-scan sets below were computed once with the exact solver oracle and are
-frozen here; the suite validates them on every run.
+``run_all`` executes all ten inside one ``solve_scope``, so each (algebra,
+window) is solved once per run. Criterion 1 checks the bracket axioms on the
+structure constants themselves (``algebras.bracket_term``). The interior
+margins and the infeasible scan sets below were computed once with the exact
+solver oracle and are frozen here; the suite validates them on every run.
 
 Criterion 6 pins the non-additivity right-hand side to ``e2``. Exact
 evaluation of the probe map gives ``2*e2``, so that single check reports
@@ -15,14 +17,17 @@ from __future__ import annotations
 
 import itertools
 import random
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from . import algebras
-from .algebras import AlgebraSpec, BasisKey, E, F, bracket, bracket_vec
+from .algebras import AlgebraSpec, BasisKey, E, F, bracket_term
 from .dersolve import (
     HALF,
+    FamilyBasis,
     check_delta_derivation,
     compare_families,
     derivation_pairs,
@@ -126,13 +131,77 @@ class _Checks:
         self.details.append(text)
 
 
-def _jacobi_defect(alg: AlgebraSpec, k1, k2, k3) -> SparseVec:
-    u = lambda k: SparseVec({k: 1})
-    return (
-        bracket_vec(alg, u(k1), bracket(alg, k2, k3))
-        + bracket_vec(alg, u(k2), bracket(alg, k3, k1))
-        + bracket_vec(alg, u(k3), bracket(alg, k1, k2))
-    )
+# The solve memo of the running verification, keyed by (algebra, window);
+# None outside a ``solve_scope``.
+_SOLVES: ContextVar[Optional[Dict[Tuple[AlgebraSpec, Window], FamilyBasis]]] = ContextVar(
+    "solves", default=None
+)
+
+
+@contextmanager
+def solve_scope():
+    """Solve each (algebra, window) at most once inside the block.
+
+    ``run_all`` opens one per run; a scope opened inside another shares the
+    outer memo. The memo is dropped when the outermost scope closes, and a
+    criterion called outside any scope solves every window itself.
+    """
+    if _SOLVES.get() is not None:
+        yield
+        return
+    token = _SOLVES.set({})
+    try:
+        yield
+    finally:
+        _SOLVES.reset(token)
+
+
+def _solve(alg: AlgebraSpec, w: Window) -> FamilyBasis:
+    """``solve_half_derivations(alg, w)``, once per solve scope."""
+    memo = _SOLVES.get()
+    if memo is None:
+        return solve_half_derivations(alg, w)
+    family = memo.get((alg, w))
+    if family is None:
+        family = memo[(alg, w)] = solve_half_derivations(alg, w)
+    return family
+
+
+class _Terms(dict):
+    """``bracket_term`` of key pairs of one algebra, each computed once."""
+
+    def __init__(self, alg: AlgebraSpec):
+        super().__init__()
+        self.alg = alg
+
+    def __missing__(self, pair):
+        term = self[pair] = bracket_term(self.alg, *pair)
+        return term
+
+
+def _jacobi_defect(terms: _Terms, k1, k2, k3) -> dict:
+    """[k1,[k2,k3]] + [k2,[k3,k1]] + [k3,[k1,k2]] as key -> exact sum.
+
+    Each summand is a product ``c_inner * c_outer`` of two structure
+    constants on one output key; zero sums are kept, not dropped.
+    """
+    defect: dict = {}
+    for x, y, z in ((k1, k2, k3), (k2, k3, k1), (k3, k1, k2)):
+        inner = terms[y, z]
+        if inner is None:
+            continue
+        outer = terms[x, inner[0]]
+        if outer is not None:
+            key = outer[0]
+            defect[key] = defect.get(key, 0) + inner[1] * outer[1]
+    return defect
+
+
+def _antisymmetric(t12, t21) -> bool:
+    """True iff the terms of [k1, k2] and [k2, k1] sum to zero."""
+    if t12 is None or t21 is None:
+        return t12 is t21
+    return t12[0] == t21[0] and t12[1] == -t21[1]
 
 
 def _axiom_box(alg: AlgebraSpec, quick: bool) -> List[BasisKey]:
@@ -153,15 +222,14 @@ def _axiom_box(alg: AlgebraSpec, quick: bool) -> List[BasisKey]:
 
 def _bracket_axioms(alg: AlgebraSpec, quick: bool) -> Tuple[bool, bool]:
     keys = _axiom_box(alg, quick)
+    terms = _Terms(alg)
     antisym = all(
-        (bracket(alg, k1, k2) + bracket(alg, k2, k1)).is_zero()
-        for k1 in keys
-        for k2 in keys
+        _antisymmetric(terms[k1, k2], terms[k2, k1]) for k1 in keys for k2 in keys
     )
     # Antisymmetry makes the Jacobi defect alternating, so unordered triples
     # cover all ordered ones.
     jacobi = all(
-        _jacobi_defect(alg, *trip).is_zero()
+        not any(_jacobi_defect(terms, *trip).values())
         for trip in itertools.combinations_with_replacement(keys, 3)
     )
     return antisym, jacobi
@@ -190,7 +258,7 @@ def criterion_1(quick: bool = False) -> CriterionResult:
 
 def _shift_containment(alg: AlgebraSpec, ranges, checks: _Checks) -> None:
     w = window_from_ranges(alg, *ranges)
-    solved = solve_half_derivations(alg, w)
+    solved = _solve(alg, w)
     family = expected_family(alg, w)
     pairs = derivation_pairs(alg, w.keys)
     residuals_clean = all(
@@ -230,7 +298,7 @@ def criterion_3(quick: bool = False) -> CriterionResult:
         ranges = windows[alg.name]
         margin = INTERIOR_MARGINS[alg.name]
         w = window_from_ranges(alg, *ranges)
-        solved = solve_half_derivations(alg, w)
+        solved = _solve(alg, w)
         family = expected_family(alg, w)
         report = compare_families(solved, family, margin)
         checks.expect(
@@ -248,7 +316,7 @@ def wab_dimension_sweep(quick: bool = False) -> List[dict]:
     for b in range(-3, 4):
         alg = algebras.wab(0, b)
         w = window_from_ranges(alg, *windows["wab"])
-        solved = solve_half_derivations(alg, w)
+        solved = _solve(alg, w)
         family = expected_family(alg, w)
         report = compare_families(solved, family, INTERIOR_MARGINS["wab"])
         rows.append(
@@ -325,7 +393,7 @@ def criterion_5(quick: bool = False) -> CriterionResult:
     )
     windows = acceptance_windows(quick)
     w = window_from_ranges(alg, *windows["thin"])
-    family = solve_half_derivations(alg, w)
+    family = _solve(alg, w)
     sample = thin_local_sample(w)
     checks.expect(len(sample) >= 25, f"sample size {len(sample)} >= 25")
     reports = check_local(delta_map, family, sample)
@@ -380,7 +448,7 @@ def criterion_6(quick: bool = False) -> CriterionResult:
     alg = algebras.thin()
     windows = acceptance_windows(quick)
     w = window_from_ranges(alg, *windows["thin"])
-    family = solve_half_derivations(alg, w)
+    family = _solve(alg, w)
     grid = thin_two_local_grid()
     checks.expect(len(grid) >= 20, f"grid size {len(grid)} >= 20")
     feasible = all(two_local_feasible_at(nabla, gx, gy, family).feasible for gx, gy in grid)
@@ -393,7 +461,7 @@ def criterion_7(quick: bool = False) -> CriterionResult:
     alg = algebras.solv_abelian()
     windows = acceptance_windows(quick)
     w = window_from_ranges(alg, *windows["solv"])
-    solved = solve_half_derivations(alg, w)
+    solved = _solve(alg, w)
     family = expected_family(alg, w)
     report = compare_families(solved, family, INTERIOR_MARGINS["solv"])
     checks.expect(
@@ -426,7 +494,7 @@ def criterion_8(quick: bool = False) -> CriterionResult:
     wz = algebras.witt_z()
     ranges = ((-4, 4), (-8, 8)) if quick else ((-6, 6), (-10, 10))
     w = window_from_ranges(wz, *ranges)
-    family = solve_half_derivations(wz, w)
+    family = _solve(wz, w)
     reports = zero_propagation_scan(wz, SparseVec({E(1): 1}), 0, ZERO_PROPAGATION_INFEASIBLE_C, family)
     infeasible = tuple(int(r.c) for r in reports if not r.feasible)
     checks.expect(
@@ -439,7 +507,7 @@ def criterion_8(quick: bool = False) -> CriterionResult:
     wa = algebras.wab(0, -1)
     windows = acceptance_windows(quick)
     ww = window_from_ranges(wa, *windows["wab"])
-    wfam = solve_half_derivations(wa, ww)
+    wfam = _solve(wa, ww)
     scan = wab_f_scan(wa, SparseVec({F(1): 1}), 0, wfam)
     checks.expect(not scan.feasible, "f-line probe with value f_{m+1} infeasible")
     zero_scan = wab_f_scan(wa, SparseVec(), 0, wfam)
@@ -513,4 +581,5 @@ CRITERIA: List[Callable[[bool], CriterionResult]] = [
 
 
 def run_all(quick: bool = False) -> List[CriterionResult]:
-    return [fn(quick) for fn in CRITERIA]
+    with solve_scope():
+        return [fn(quick) for fn in CRITERIA]

@@ -1,8 +1,8 @@
 """Catalogue of basis-indexed graded Lie algebras.
 
 Each algebra is presented through an index-domain predicate plus a structure
-constant rule for brackets of basis elements e_i (and f_i for the semidirect
-product family). Supported algebras:
+constant rule, ``bracket_term``, for brackets of basis elements e_i (and f_i
+for the semidirect product family). Supported algebras:
 
 * ``wittz``     two-sided Witt algebra, [e_i, e_j] = (j - i) e_{i+j}, i in Z
 * ``wittpos``   positive Witt subalgebra, indices i >= 1
@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
-from .exactlin import SparseVec, as_scalar
+from .exactlin import Scalar, SparseVec, as_scalar, int_if_integral
 
 WITT_Z = "wittz"
 WITT_POS = "wittpos"
@@ -121,49 +121,60 @@ def _require_in_domain(alg: AlgebraSpec, key: BasisKey) -> None:
         raise KeyOutOfDomain(f"{key} is not a basis key of {alg.label()}")
 
 
-def bracket(alg: AlgebraSpec, k1: BasisKey, k2: BasisKey) -> SparseVec:
-    """Exact bracket [k1, k2] of two basis keys as a sparse vector.
+def bracket_term(alg: AlgebraSpec, k1: BasisKey, k2: BasisKey) -> Optional[Tuple[BasisKey, Scalar]]:
+    """Structure constant of [k1, k2] as ``(key, coeff)``, or None when it vanishes.
 
-    All catalogued algebras are closed under bracket, so results never leave
-    the domain; out-of-domain inputs raise KeyOutOfDomain.
+    Every catalogued bracket of two basis keys is a single monomial, so this
+    is the whole definition of each algebra; ``bracket`` and ``bracket_vec``
+    wrap it. Coefficients are ints whenever they are integral. The catalogued
+    algebras are closed under bracket, so results never leave the domain;
+    out-of-domain inputs raise KeyOutOfDomain.
     """
     _require_in_domain(alg, k1)
     _require_in_domain(alg, k2)
     i, j = k1.index, k2.index
     if alg.name in (WITT_Z, WITT_POS, WITT_ONE_SIDED):
-        coeff = Fraction(j - i)
-        return SparseVec({E(i + j): coeff}) if coeff else SparseVec()
+        return (E(i + j), j - i) if i != j else None
     if alg.name == WAB:
         if k1.kind == "e" and k2.kind == "e":
-            coeff = Fraction(i - j)
-            return SparseVec({E(i + j): coeff}) if coeff else SparseVec()
+            return (E(i + j), i - j) if i != j else None
         if k1.kind == "e" and k2.kind == "f":
             coeff = -(j + alg.a + alg.b * i)
-            return SparseVec({F(i + j): coeff}) if coeff else SparseVec()
-        if k1.kind == "f" and k2.kind == "e":
+        elif k1.kind == "f" and k2.kind == "e":
             coeff = i + alg.a + alg.b * j
-            return SparseVec({F(i + j): coeff}) if coeff else SparseVec()
-        return SparseVec()  # [f, f] = 0
+        else:
+            return None  # [f, f] = 0
+        return (F(i + j), int_if_integral(coeff)) if coeff else None
     if alg.name == THIN:
         if i == 1 and j >= 2:
-            return SparseVec({E(j + 1): 1})
+            return E(j + 1), 1
         if j == 1 and i >= 2:
-            return SparseVec({E(i + 1): -1})
-        return SparseVec()
+            return E(i + 1), -1
+        return None
     # solvable with abelian radical
     if i == 1 and j >= 2:
-        return SparseVec({E(j): 1})
+        return E(j), 1
     if j == 1 and i >= 2:
-        return SparseVec({E(i): -1})
-    return SparseVec()
+        return E(i), -1
+    return None
+
+
+def bracket(alg: AlgebraSpec, k1: BasisKey, k2: BasisKey) -> SparseVec:
+    """Exact bracket [k1, k2] of two basis keys as a sparse vector."""
+    term = bracket_term(alg, k1, k2)
+    if term is None:
+        return SparseVec()
+    key, coeff = term
+    return SparseVec({key: coeff})
 
 
 def bracket_vec(alg: AlgebraSpec, v: SparseVec, w: SparseVec) -> SparseVec:
     """Bilinear extension of ``bracket`` to sparse vectors."""
-    out = SparseVec()
+    out: dict = {}
     for k1, c1 in v.items():
         for k2, c2 in w.items():
-            term = bracket(alg, k1, k2)
-            if term:
-                out = out + term.scaled(c1 * c2)
-    return out
+            term = bracket_term(alg, k1, k2)
+            if term is not None:
+                key, coeff = term
+                out[key] = out.get(key, 0) + coeff * c1 * c2
+    return SparseVec(out)

@@ -21,6 +21,7 @@ from . import algebras
 from .acceptance import (
     INTERIOR_MARGINS,
     run_all,
+    solve_scope,
     thin_two_local_grid,
     wab_dimension_sweep,
 )
@@ -71,8 +72,12 @@ class CliError(Exception):
 def _read_config(path: Optional[str]) -> dict:
     if not path:
         return {}
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot read config {path}: {exc}") from None
     config = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -83,13 +88,54 @@ def _read_config(path: Optional[str]) -> dict:
     return config
 
 
-def _merge_config(args: argparse.Namespace, config: dict) -> None:
-    """Fill unset flags from the config file; flags always win."""
-    aliases = {"in": "in_range", "out": "out_range"}
-    for key, value in config.items():
-        attr = aliases.get(key, key.replace("-", "_"))
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, value)
+_SWITCH_VALUES = {"true": True, "false": False}
+
+
+def _config_actions(parser: argparse.ArgumentParser) -> dict:
+    """Config key -> argparse action of a subcommand.
+
+    A key is an option's name without its dashes (``in``, ``json``) or its
+    destination (``in_range``, ``json_path``); ``-`` and ``_`` are alike.
+    """
+    actions = {}
+    for action in parser._actions:
+        if not action.option_strings or action.dest in ("help", "config"):
+            continue
+        for name in [action.dest] + [opt.lstrip("-") for opt in action.option_strings]:
+            actions[name.replace("-", "_")] = action
+    return actions
+
+
+def _merge_config(args: argparse.Namespace, config: dict, parser: argparse.ArgumentParser) -> None:
+    """Fill unset flags from the config file; flags always win.
+
+    Keys must name an option of the subcommand, and values go through the
+    option's type and choices as a flag's would; anything else is a CliError.
+    """
+    actions = _config_actions(parser)
+    for key, text in config.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise CliError(
+                f"unknown config key {key!r} for {args.command}; "
+                f"expected one of {', '.join(sorted(actions))}"
+            )
+        if action.nargs == 0:  # a switch such as --quick
+            on = _SWITCH_VALUES.get(text.lower())
+            if on is None:
+                raise CliError(f"config key {key!r}: expected true or false, got {text!r}")
+            setattr(args, action.dest, getattr(args, action.dest) or on)
+            continue
+        try:
+            value = action.type(text) if action.type else text
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            raise CliError(f"config key {key!r}: invalid value {text!r}") from None
+        if action.choices is not None and value not in action.choices:
+            raise CliError(
+                f"config key {key!r}: {text!r} is not one of {', '.join(action.choices)}"
+            )
+        if getattr(args, action.dest) is None:
+            setattr(args, action.dest, value)
 
 
 def _algebra_from(args) -> AlgebraSpec:
@@ -346,7 +392,11 @@ def _cmd_counterexamples(args) -> int:
 
 
 def _cmd_verify_all(args) -> int:
-    results = run_all(quick=args.quick)
+    # One solve scope for the suite and the TSV sweep: the sweep reuses the
+    # suite's wab solves.
+    with solve_scope():
+        results = run_all(quick=args.quick)
+        sweep = wab_dimension_sweep(args.quick) if args.tsv_path else None
     for r in results:
         print(r.line())
         if not r.passed:
@@ -367,9 +417,9 @@ def _cmd_verify_all(args) -> int:
         "allPassed": all(r.passed for r in results),
     }
     _write_report(args, "verify-all", {"quick": args.quick}, payload)
-    if args.tsv_path:
+    if sweep is not None:
         lines = [TSV_HEADER]
-        for row in wab_dimension_sweep(args.quick):
+        for row in sweep:
             lines.append(
                 "\t".join(
                     [
@@ -444,6 +494,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[command]
+
+
 _VALUE_FLAGS = {"--in", "--out", "--a", "--b", "--x", "--y", "--delta", "--margin"}
 
 
@@ -470,7 +525,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     started = time.monotonic()
     try:
         if getattr(args, "config", None):
-            _merge_config(args, _read_config(args.config))
+            _merge_config(args, _read_config(args.config), _subparser(parser, args.command))
         code = args.func(args)
     except (CliError, ParseError, KeyOutOfDomain, WindowTooSmall, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

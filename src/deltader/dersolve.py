@@ -21,12 +21,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebras import AlgebraSpec, BasisKey, E, F, bracket, bracket_vec
+from .algebras import AlgebraSpec, BasisKey, bracket, bracket_term, bracket_vec
 from .exactlin import (
     RatMatrix,
     RowSpace,
     SparseVec,
     as_scalar,
+    int_if_integral,
     nullspace,
     span_dim,
 )
@@ -92,7 +93,8 @@ def derivation_pairs(alg: AlgebraSpec, in_keys: Sequence[BasisKey]) -> List[Tupl
     key_set = set(keys)
     pairs = []
     for k1, k2 in itertools.combinations(keys, 2):
-        if set(bracket(alg, k1, k2).support()) <= key_set:
+        term = bracket_term(alg, k1, k2)
+        if term is None or term[0] in key_set:
             pairs.append((k1, k2))
     return pairs
 
@@ -153,11 +155,6 @@ def find_violation_witness(
     return None
 
 
-def _int_if_integral(value: Fraction):
-    """The Fraction as an int when its denominator is 1, else unchanged."""
-    return value.numerator if value.denominator == 1 else value
-
-
 def assemble(alg: AlgebraSpec, delta, w: Window) -> ConstraintSystem:
     """Constraint matrix whose nullspace is the windowed delta-derivation space.
 
@@ -181,21 +178,27 @@ def assemble(alg: AlgebraSpec, delta, w: Window) -> ConstraintSystem:
     first_col = {k: i * len(out_keys) for i, k in enumerate(w.keys)}
     coords = [(o.kind, o.index) for o in out_keys]
 
-    def scaled(v: SparseVec, factor) -> list:
-        return [((r.kind, r.index), _int_if_integral(factor * t)) for r, t in v.items()]
+    def scaled(term, factor):
+        """A bracket term times ``factor`` as (coordinate, int or Fraction)."""
+        if term is None:
+            return None
+        key, coeff = term
+        return (key.kind, key.index), int_if_integral(factor * coeff)
 
     # -num*[o, k] and -num*[k, o] over the output keys o, bracketed once per
     # input key k that needs them rather than once per pair.
     seconds = {k2 for _, k2 in pair_list}
     firsts = {k1 for k1, _ in pair_list}
-    o_k = {k: [scaled(bracket(alg, o, k), -num) for o in out_keys] for k in seconds}
-    k_o = {k: [scaled(bracket(alg, k, o), -num) for o in out_keys] for k in firsts}
+    o_k = {k: [scaled(bracket_term(alg, o, k), -num) for o in out_keys] for k in seconds}
+    k_o = {k: [scaled(bracket_term(alg, k, o), -num) for o in out_keys] for k in firsts}
 
     rows: List[Dict[int, object]] = []
     for k1, k2 in pair_list:
         at: Dict[tuple, Dict[int, object]] = {}
-        for s, cs in bracket(alg, k1, k2).items():
-            cs = _int_if_integral(den * cs)
+        term = bracket_term(alg, k1, k2)
+        if term is not None:
+            s, cs = term
+            cs = int_if_integral(den * cs)
             col = first_col[s]
             for coord in coords:
                 at.setdefault(coord, {})[col] = cs
@@ -204,10 +207,12 @@ def assemble(alg: AlgebraSpec, delta, w: Window) -> ConstraintSystem:
         # [phi(k1), k2] puts -num*[o, k2] in column (k1, o) and
         # [k1, phi(k2)] puts -num*[k1, o] in column (k2, o).
         for at_k1, at_k2 in zip(o_k[k2], k_o[k1]):
-            for coord, t in at_k1:
+            if at_k1 is not None:
+                coord, t = at_k1
                 row = at.setdefault(coord, {})
                 row[col1] = row.get(col1, 0) + t
-            for coord, t in at_k2:
+            if at_k2 is not None:
+                coord, t = at_k2
                 row = at.setdefault(coord, {})
                 row[col2] = row.get(col2, 0) + t
             col1 += 1
@@ -328,13 +333,10 @@ def compare_families(
             offending.append(("expected", m))
 
     inner = interior_input_keys(w, interior_margin)
-    restricted_solved = [m.restricted(inner) for m in solved.basis]
-    restricted_expected = [m.restricted(inner) for m in expected.basis]
-    inner_window = Window(inner, w.out_keys)
-    inner_cols = {col: i for i, col in enumerate(inner_window.columns())}
-    expected_space = RowSpace(m.as_vector(inner_cols) for m in restricted_expected)
+    inner_cols = {col: i for i, col in enumerate(Window(inner, w.out_keys).columns())}
+    expected_space = RowSpace(m.as_vector(inner_cols, inner) for m in expected.basis)
     solved_interior_contained = True
-    restricted_vecs = [m.as_vector(inner_cols) for m in restricted_solved]
+    restricted_vecs = [m.as_vector(inner_cols, inner) for m in solved.basis]
     for original, v in zip(solved.basis, restricted_vecs):
         if not expected_space.contains(v):
             solved_interior_contained = False

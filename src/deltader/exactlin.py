@@ -35,6 +35,11 @@ def as_scalar(value) -> Fraction:
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
+def int_if_integral(value):
+    """An exact scalar as an int when its denominator is 1, else unchanged."""
+    return value.numerator if value.denominator == 1 else value
+
+
 class SparseVec:
     """Finitely supported map key -> nonzero Scalar.
 

@@ -37,6 +37,7 @@ class ParseError(ValueError):
 
 
 _RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
+_INTEGER = re.compile(r"[+-]?\d+")
 _TERM = re.compile(
     r"\s*(?P<sign>[+-])?\s*"
     r"(?:(?P<coef>\d+(?:/\d+)?)\s*\*?\s*)?"
@@ -122,6 +123,13 @@ def _parse_list(text: str) -> tuple:
     return tuple(parse_scalar(p) for p in body.split(","))
 
 
+def _parse_int(text: str) -> int:
+    text = text.strip()
+    if not _INTEGER.fullmatch(text):
+        raise ParseError(f"not an integer: {text!r}", 0)
+    return int(text)
+
+
 def _parse_int_map(text: str) -> dict:
     text = text.strip()
     if not (text.startswith("{") and text.endswith("}")):
@@ -134,8 +142,24 @@ def _parse_int_map(text: str) -> dict:
         if ":" not in part:
             raise ParseError(f"expected t:v entry: {part!r}", 0)
         t, v = part.split(":", 1)
-        out[int(t.strip())] = parse_scalar(v)
+        out[_parse_int(t)] = parse_scalar(v)
     return out
+
+
+def _parse_fields(body: str, sep: str, names: Tuple[str, ...]) -> dict:
+    """``name=value`` fields separated by ``sep``; only the given names."""
+    fields = {}
+    for part in body.split(sep):
+        if not part:
+            continue
+        if "=" not in part:
+            raise ParseError(f"expected name=value field: {part!r}", 0)
+        name, value = part.split("=", 1)
+        name = name.strip()
+        if name not in names:
+            raise ParseError(f"unknown field {name!r}; expected one of {', '.join(names)}", 0)
+        fields[name] = value
+    return fields
 
 
 def parse_operator(text: str, alg: AlgebraSpec = None):
@@ -151,23 +175,26 @@ def parse_operator(text: str, alg: AlgebraSpec = None):
         raise ParseError(f"unknown operator literal: {text!r}", 0)
     head, body = text.split(":", 1)
     if head == "shift":
-        fields = dict(p.split("=", 1) for p in body.split(","))
-        t = int(fields.get("t", "0"))
+        fields = _parse_fields(body, ",", ("t", "w"))
+        t = _parse_int(fields.get("t", "0"))
         w = parse_scalar(fields.get("w", "1"))
         if alg is not None and alg.name in ("wittz", "wittpos", "witt1"):
-            return ShiftOp(t, w, alg)
+            try:
+                return ShiftOp(t, w, alg)
+            except ValueError as exc:
+                raise ParseError(str(exc), 0) from None
         return ShiftOp(t, w)
-    sections = dict(
-        part.split("=", 1) for part in body.split(";") if part
-    )
     if head == "thin":
+        sections = _parse_fields(body, ";", ("a", "b"))
         return ThinHalfDer(
             alpha=_parse_list(sections.get("a", "[]")),
             beta=_parse_list(sections.get("b", "[]")),
         )
     if head == "solv":
+        sections = _parse_fields(body, ";", ("a",))
         return SolvHalfDer(alpha=_parse_list(sections.get("a", "[]")))
     if head == "wab":
+        sections = _parse_fields(body, ";", ("a", "b"))
         return WabHalfDer(
             alpha=_parse_int_map(sections.get("a", "{}")),
             beta=_parse_int_map(sections.get("b", "{}")),

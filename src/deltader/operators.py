@@ -131,11 +131,15 @@ class WindowedMap:
             out = out + self.value_at(k).scaled(c)
         return out
 
-    def as_vector(self, column_index: Mapping) -> SparseVec:
-        """Flatten to a coefficient vector over (input, output) column indices."""
+    def as_vector(self, column_index: Mapping, keys: Optional[Sequence[BasisKey]] = None) -> SparseVec:
+        """Flatten to a coefficient vector over (input, output) column indices.
+
+        With ``keys`` only the images of those input keys are flattened, which
+        is the vector of the restriction to them without building it.
+        """
         flat = {}
-        for i, img in self.image.items():
-            for k, c in img.entries.items():
+        for i in self.image if keys is None else keys:
+            for k, c in self.image[i].entries.items():
                 flat[column_index[(i, k)]] = c
         return SparseVec(flat)
 

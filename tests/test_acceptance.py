@@ -7,6 +7,7 @@ prints and the failing-check message).
 """
 
 from deltader import acceptance
+from deltader.algebras import E
 
 
 def _run(criterion):
@@ -55,3 +56,74 @@ def test_criterion_9_separating_point_injectivity():
 
 def test_criterion_10_commutator_quarter_derivations():
     _run(acceptance.criterion_10)
+
+
+def _flip_sign(monkeypatch, alg_name, pairs):
+    """Criterion 1 sees the structure constant of each key pair negated on one algebra."""
+    original = acceptance.bracket_term
+
+    def mutated(alg, k1, k2):
+        term = original(alg, k1, k2)
+        if alg.name == alg_name and (k1, k2) in pairs and term is not None:
+            return term[0], -term[1]
+        return term
+
+    monkeypatch.setattr(acceptance, "bracket_term", mutated)
+
+
+def test_criterion_1_catches_a_broken_antisymmetry(monkeypatch):
+    _flip_sign(monkeypatch, "wittz", {(E(1), E(2))})
+    result = acceptance.criterion_1(quick=True)
+    assert not result.passed
+    assert "wittz antisymmetry: FAILED" in result.details
+    assert "wittpos antisymmetry: ok" in result.details
+
+
+def test_criterion_1_catches_a_broken_jacobi_identity(monkeypatch):
+    # negating both orders keeps antisymmetry; Jacobi fails at (e1, e2, e-3)
+    _flip_sign(monkeypatch, "wittz", {(E(1), E(2)), (E(2), E(1))})
+    result = acceptance.criterion_1(quick=True)
+    assert not result.passed
+    assert "wittz antisymmetry: ok" in result.details
+    assert "wittz jacobi: FAILED" in result.details
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    original = acceptance.solve_half_derivations
+
+    def counted(alg, w):
+        calls.append((alg, w))
+        return original(alg, w)
+
+    monkeypatch.setattr(acceptance, "solve_half_derivations", counted)
+    return calls
+
+
+def test_run_all_solves_each_window_once_per_run(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    for _ in range(2):
+        calls.clear()
+        results = acceptance.run_all()
+        assert len(calls) == 13
+        assert len(set(calls)) == 13
+        assert [r.passed for r in results] == [n != 6 for n in range(1, 11)]
+
+
+def test_criterion_called_alone_is_uncached(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    with acceptance.solve_scope():
+        acceptance.criterion_2()
+    calls.clear()
+    _run(acceptance.criterion_3)
+    assert len(calls) == 7
+
+
+def test_nested_scopes_share_one_memo(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    with acceptance.solve_scope():
+        acceptance.criterion_7()
+        with acceptance.solve_scope():
+            acceptance.criterion_7()
+        acceptance.criterion_7()
+    assert len(calls) == 1

@@ -13,6 +13,7 @@ from deltader.algebras import (
     F,
     KeyOutOfDomain,
     bracket,
+    bracket_term,
     bracket_vec,
     in_domain,
     solv_abelian,
@@ -169,3 +170,68 @@ class TestSpecValidation:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             AlgebraSpec("virasoro")
+
+
+def _domain_key(alg, kind, index):
+    """A key of ``alg`` built from arbitrary draws: f only on wab, shifted into the domain."""
+    if alg.name != "wab":
+        kind = "e"
+    low = {"wittpos": 1, "thin": 1, "solv": 1, "witt1": -1}.get(alg.name)
+    if low is not None:
+        index = low + abs(index)
+    return E(index) if kind == "e" else F(index)
+
+
+keys_of = st.tuples(st.sampled_from("ef"), st.integers(-12, 12))
+
+
+class TestBracketTerm:
+    """``bracket_term`` holds the structure constants; the vector forms wrap it."""
+
+    @given(
+        alg=st.sampled_from(ALL_PARAMLESS + WAB_SAMPLES),
+        k1=keys_of,
+        k2=keys_of,
+        coeffs=st.lists(
+            st.fractions(min_value=-3, max_value=3, max_denominator=4), min_size=4, max_size=4
+        ),
+    )
+    @settings(max_examples=300)
+    def test_term_bracket_and_bracket_vec_agree(self, alg, k1, k2, coeffs):
+        k1, k2 = _domain_key(alg, *k1), _domain_key(alg, *k2)
+        term = bracket_term(alg, k1, k2)
+        if term is None:
+            assert bracket(alg, k1, k2).is_zero()
+        else:
+            key, coeff = term
+            assert coeff != 0
+            assert type(coeff) is int or coeff.denominator != 1
+            assert bracket(alg, k1, k2) == SparseVec({key: coeff})
+        u1, u2 = SparseVec({k1: 1}), SparseVec({k2: 1})
+        assert bracket_vec(alg, u1, u2) == bracket(alg, k1, k2)
+        # bilinearity over two-term vectors, against term-by-term brackets
+        k3, k4 = _domain_key(alg, "e", k1.index + 1), _domain_key(alg, "f", k2.index - 1)
+        v = SparseVec({k1: coeffs[0], k3: coeffs[1]})
+        w = SparseVec({k2: coeffs[2], k4: coeffs[3]})
+        expected = SparseVec()
+        for a, ca in v.items():
+            for b, cb in w.items():
+                expected = expected + bracket(alg, a, b).scaled(ca * cb)
+        assert bracket_vec(alg, v, w) == expected
+
+    def test_witt_coefficients_are_ints(self):
+        assert bracket_term(witt_z(), E(2), E(5)) == (E(7), 3)
+        assert type(bracket_term(witt_z(), E(2), E(5))[1]) is int
+        assert bracket_term(witt_z(), E(4), E(4)) is None
+
+    def test_wab_coefficients_exact(self):
+        assert bracket_term(wab(Fraction(1, 2), -1), E(1), F(2)) == (F(3), Fraction(-3, 2))
+        key, coeff = bracket_term(wab(1, -1), E(2), F(3))
+        assert (key, coeff, type(coeff)) == (F(5), -2, int)
+        assert bracket_term(wab(0, 0), F(2), F(5)) is None
+
+    def test_term_rejects_out_of_domain(self):
+        with pytest.raises(KeyOutOfDomain):
+            bracket_term(witt_pos(), E(0), E(1))
+        with pytest.raises(KeyOutOfDomain):
+            bracket_term(solv_abelian(), E(1), F(1))

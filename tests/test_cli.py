@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from deltader import cli
+from deltader import acceptance, cli
 from deltader.cli import main
 
 
@@ -95,6 +95,17 @@ class TestCheckMapCommand:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("literal", ["shift:t", "shift:t=x", "thin:a", "wab:a={x:1}"])
+    def test_malformed_operator_is_usage_error(self, literal, capsys):
+        code = main(
+            ["check-map", "--algebra", "wittz", "--in", "-3..3", "--out", "-6..6",
+             "--map", literal]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestLocalCommands:
     def test_local_single_element(self, tmp_path):
@@ -177,6 +188,48 @@ class TestConfigAndErrors:
         assert code == 0
         assert read_json(out2)["inputsEcho"]["out"] == "-6..6"
 
+    def _solve_with_config(self, tmp_path, extra):
+        config = tmp_path / "run.cfg"
+        config.write_text("algebra=wittz\nin=-3..3\nout=-8..8\n" + extra)
+        out = tmp_path / "r.json"
+        return main(["solve", "--config", str(config), "--json", str(out)]), out
+
+    def test_config_value_goes_through_the_option_type(self, tmp_path):
+        code, out = self._solve_with_config(tmp_path, "margin=2\n")
+        assert code == 0
+        assert read_json(out)["results"]["interiorMargin"] == 2
+
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ("algebar=thin", "'algebar'"),
+            ("margin=two", "'margin'"),
+            ("config=other.cfg", "'config'"),
+        ],
+    )
+    def test_bad_config_key_or_value_is_usage_error(self, tmp_path, capsys, line, named):
+        code, _ = self._solve_with_config(tmp_path, line + "\n")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
+
+    def test_config_choice_is_checked(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("algebra=virasoro\nin=1..3\n")
+        assert main(["solve", "--config", str(config)]) == 2
+        assert "'algebra'" in capsys.readouterr().err
+
+    def test_config_switch(self, tmp_path):
+        parser = cli.build_parser()
+        args = parser.parse_args(["verify-all"])
+        cli._merge_config(args, {"quick": "true"}, cli._subparser(parser, "verify-all"))
+        assert args.quick is True
+        with pytest.raises(cli.CliError):
+            cli._merge_config(args, {"quick": "maybe"}, cli._subparser(parser, "verify-all"))
+
+    def test_unreadable_config_is_usage_error(self, tmp_path):
+        assert main(["solve", "--config", str(tmp_path)]) == 2
+
     def test_missing_algebra_is_usage_error(self):
         assert main(["solve", "--in", "1..3"]) == 2
 
@@ -222,3 +275,28 @@ class TestVerifyAllCommand:
         assert sum(1 for line in lines if line.startswith(("PASS", "FAIL"))) == 10
         sweep = tsv.read_text().strip().split("\n")
         assert len(sweep) == 8  # header + 7 b-values
+
+    def test_tsv_sweep_reuses_the_suite_solves(self, tmp_path, monkeypatch):
+        calls = []
+        original = acceptance.solve_half_derivations
+
+        def counted(alg, w):
+            calls.append((alg, w))
+            return original(alg, w)
+
+        monkeypatch.setattr(acceptance, "solve_half_derivations", counted)
+        tsv = tmp_path / "sweep.tsv"
+        code = main(["verify-all", "--quick", "--tsv", str(tsv)])
+        assert code == 1
+        assert len(calls) == len(set(calls)) == 13
+        # the same bytes as the sweep run on its own, outside any solve scope
+        rows = acceptance.wab_dimension_sweep(quick=True)
+        assert len(calls) == 13 + 7
+        lines = [cli.TSV_HEADER] + [
+            "\t".join(
+                str(row[f])
+                for f in ("algebra", "a", "b", "in_size", "out_size", "dim_solved", "dim_interior")
+            )
+            for row in rows
+        ]
+        assert tsv.read_text() == "\n".join(lines) + "\n"

@@ -125,6 +125,32 @@ class TestOperatorLiterals:
         for text in ("thin-delta", "solv-deltabar", "thin-nabla"):
             assert format_operator(parse_operator(text)) == text
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "shift:t",
+            "shift:t=x",
+            "shift:t=1.5",
+            "shift:q=1",
+            "thin:a",
+            "thin:c=[1]",
+            "solv:a=[1];b=[2]",
+            "wab:a={x:1}",
+            "wab:a={1:x}",
+        ],
+    )
+    def test_malformed_fields_are_parse_errors(self, text):
+        with pytest.raises(ParseError):
+            parse_operator(text, witt_z())
+
+    def test_blank_after_separator_is_accepted(self):
+        assert parse_operator("wab:a={1:1};") == WabHalfDer(alpha={1: 1})
+        assert parse_operator("shift:t=2, w=3/4", witt_z()) == ShiftOp(2, Fraction(3, 4), witt_z())
+
+    def test_inadmissible_shift_is_a_parse_error(self):
+        with pytest.raises(ParseError):
+            parse_operator("shift:t=-1,w=1", witt_pos())
+
     def test_unknown_rejected(self):
         with pytest.raises(ParseError):
             parse_operator("bogus:a=[1]")
