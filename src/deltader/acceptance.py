@@ -546,9 +546,10 @@ def criterion_10(quick: bool = False) -> CriterionResult:
     else:
         inner_ranges, outer_ranges = ((-4, 4), (-8, 8)), ((-8, 8), (-12, 12))
 
-    def random_member(ranges):
-        w = window_from_ranges(wz, *ranges)
-        fam = expected_family(wz, w)
+    inner_family = expected_family(wz, window_from_ranges(wz, *inner_ranges))
+    outer_family = expected_family(wz, window_from_ranges(wz, *outer_ranges))
+
+    def random_member(fam):
         member = fam.basis[0].scaled(0)
         for b in fam.basis:
             member = member + b.scaled(Fraction(rng.randint(-3, 3), rng.choice([1, 2])))
@@ -556,8 +557,8 @@ def criterion_10(quick: bool = False) -> CriterionResult:
 
     all_clean = True
     for _ in range(10):
-        inner = random_member(inner_ranges)
-        outer = random_member(outer_ranges)
+        inner = random_member(inner_family)
+        outer = random_member(outer_family)
         comm = commutator(outer, inner)
         pairs = derivation_pairs(wz, comm.window.keys)
         if check_delta_derivation(wz, comm, QUARTER, pairs):

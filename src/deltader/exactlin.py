@@ -7,8 +7,10 @@ is exact: reduced row echelon form, nullspace bases, feasibility of
 membership. No floating point is used anywhere.
 
 Elimination is fraction-free: each row enters as a primitive integer row and
-is reduced by integer row operations; ``Fraction`` appears only when the
-reduced row echelon form is read off, once per pivot row.
+is reduced by integer row operations by one kernel, which serves echelon
+forms, nullspaces, span membership and feasibility alike. ``Fraction``
+appears only when a result is read off by back-substitution: once per pivot
+row of a reduced row echelon form, once per unknown of a solution.
 """
 
 from __future__ import annotations
@@ -330,7 +332,7 @@ class LinearSolveResult:
     """Outcome of ``solve_feasible``: a solution or a Farkas certificate.
 
     When infeasible, ``certificate`` is a row combination u (indexed by row)
-    with u.A = 0 and u.b != 0.
+    with u.A = 0 and u.b = 1.
     """
 
     feasible: bool
@@ -338,57 +340,58 @@ class LinearSolveResult:
     certificate: Optional[SparseVec] = None
 
 
+def _particular_solution(rows: Iterable[Mapping], rhs: Mapping, ncols: int) -> Optional[dict]:
+    """The solution of ``rows x = rhs`` with every free unknown at 0, as
+    col -> nonzero Fraction, or None when the system is inconsistent.
+
+    Each augmented row ``row | rhs_i`` enters the shared kernel as a primitive
+    int row. The augmented column ``ncols`` comes last, so it leads a row
+    only when the system is inconsistent. The pivot columns are then the
+    column rank profile of ``[A|b]``, which fixes the solution. It is read
+    off by back-substitution in decreasing pivot order: with the free
+    unknowns at 0, a pivot row reduced by the rows below it keeps only its
+    pivot and augmented entries, so each unknown costs one ``Fraction``.
+    """
+    aug = ncols
+    pivots: dict = {}
+    for i, row in enumerate(rows):
+        bi = rhs.get(i)
+        if bi:
+            row = dict(row)
+            row[aug] = bi
+        if row:
+            _insert(_primitive(row), pivots)
+            if aug in pivots:
+                return None
+    reduced: dict = {}
+    solution = {}
+    for p in sorted(pivots, reverse=True):
+        row = {c: v for c, v in pivots[p].items() if c == p or c == aug or c in reduced}
+        for q in [c for c in row if c != p and c != aug]:
+            row = _eliminate(row, reduced[q], q)
+        reduced[p] = row
+        if aug in row:
+            solution[p] = Fraction(row[aug], row[p])
+    return solution
+
+
 def solve_feasible(matrix: RatMatrix, b: SparseVec) -> LinearSolveResult:
     """Solve A x = b exactly, or certify infeasibility.
 
-    Row-reduces the augmented system while tracking the row transform, so an
-    inconsistent reduced row directly yields a left-nullspace witness.
+    A feasible system returns its solution with every free unknown at 0.
+    Otherwise, by the Fredholm alternative, ``A^T u = 0, b.u = 1`` is
+    feasible, and its solution is the Farkas certificate.
     """
-    aug_col = matrix.ncols
-    pivots: dict = {}
-    transforms: dict = {}
+    solution = _particular_solution(matrix.rows, b._entries, matrix.ncols)
+    if solution is not None:
+        return LinearSolveResult(True, solution=SparseVec(solution))
+    columns = [{} for _ in range(matrix.ncols)]
     for i, row in enumerate(matrix.rows):
-        work = dict(row)
-        bi = b.get(i)
-        if bi:
-            work[aug_col] = bi
-        t = {i: ONE}
-        while work:
-            lead = min(work)
-            prow = pivots.get(lead)
-            if prow is None:
-                f = as_scalar(work[lead])
-                pivots[lead] = {c: v / f for c, v in work.items()}
-                transforms[lead] = {r: v / f for r, v in t.items()}
-                break
-            f = work[lead]
-            for c, v in prow.items():
-                nv = work.get(c, ZERO) - f * v
-                if nv:
-                    work[c] = nv
-                else:
-                    work.pop(c, None)
-            for r, v in transforms[lead].items():
-                nv = t.get(r, ZERO) - f * v
-                if nv:
-                    t[r] = nv
-                else:
-                    t.pop(r, None)
-        if aug_col in pivots:
-            return LinearSolveResult(False, certificate=SparseVec(transforms[aug_col]))
-    # Back-substitution with every free unknown at 0: x_p is the entry of
-    # pivot row p in the reduced echelon form's augmented column.
-    solution = {}
-    for p in sorted(pivots, reverse=True):
-        x = ZERO
-        for c, v in pivots[p].items():
-            if c == aug_col:
-                x += v
-            elif c != p and c in solution:
-                x -= v * solution[c]
-        if x:
-            solution[p] = x
-    return LinearSolveResult(True, solution=SparseVec(solution))
+        for c, v in row.items():
+            columns[c][i] = v
+    columns.append({i: v for i, v in b._entries.items() if i < matrix.nrows})
+    u = _particular_solution(columns, {matrix.ncols: 1}, matrix.nrows)
+    return LinearSolveResult(False, certificate=SparseVec(u))
 
 
 class RowSpace:

@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from typing import Tuple
 
-from .algebras import BasisKey, E, F
+from .algebras import SOLV_ABELIAN, THIN, WAB, WITT_ONE_SIDED, WITT_POS, WITT_Z, BasisKey, E, F
 from .exactlin import SparseVec
 from .operators import (
     ShiftOp,
@@ -162,9 +162,31 @@ def _parse_fields(body: str, sep: str, names: Tuple[str, ...]) -> dict:
     return fields
 
 
+# The algebras each operator literal is defined on, by literal head.
+_OPERATOR_ALGEBRAS = {
+    "shift": (WITT_Z, WITT_POS, WITT_ONE_SIDED),
+    "thin": (THIN,),
+    "thin-delta": (THIN,),
+    "thin-nabla": (THIN,),
+    "solv": (SOLV_ABELIAN,),
+    "solv-deltabar": (SOLV_ABELIAN,),
+    "wab": (WAB,),
+}
+
+
 def parse_operator(text: str, alg: AlgebraSpec = None):
-    """Parse an operator literal; the algebra contextualizes shift operators."""
+    """Parse an operator literal.
+
+    With an algebra, a literal defined on other algebras is a ParseError, and
+    shift operators are built on that algebra.
+    """
     text = text.strip()
+    head = text.split(":", 1)[0]
+    allowed = _OPERATOR_ALGEBRAS.get(head)
+    if alg is not None and allowed is not None and alg.name not in allowed:
+        raise ParseError(
+            f"{head} operators are defined on {', '.join(allowed)}, not on {alg.label()}", 0
+        )
     if text == "thin-delta":
         return ThinLocalDelta()
     if text == "solv-deltabar":
@@ -178,7 +200,7 @@ def parse_operator(text: str, alg: AlgebraSpec = None):
         fields = _parse_fields(body, ",", ("t", "w"))
         t = _parse_int(fields.get("t", "0"))
         w = parse_scalar(fields.get("w", "1"))
-        if alg is not None and alg.name in ("wittz", "wittpos", "witt1"):
+        if alg is not None:
             try:
                 return ShiftOp(t, w, alg)
             except ValueError as exc:

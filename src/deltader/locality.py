@@ -17,7 +17,7 @@ from typing import List, Optional, Sequence
 from .algebras import AlgebraSpec, BasisKey, E, F
 from .dersolve import FamilyBasis
 from .exactlin import RatMatrix, SparseVec, as_scalar, solve_feasible
-from .operators import WindowTooSmall, evaluate
+from .operators import WindowedMap, WindowTooSmall, evaluate
 
 
 @dataclass(frozen=True)
@@ -54,40 +54,41 @@ def _window_guard(family: FamilyBasis, *elements: SparseVec) -> None:
             raise WindowTooSmall(f"element uses {sorted(missing)} outside the family window")
 
 
-def _match_system(images: List[List[SparseVec]], targets: List[SparseVec]):
-    """Feasibility of sum_k c_k * images[k] = targets, stacked over blocks.
+def _match_system(basis: Sequence[WindowedMap], points: Sequence[SparseVec], targets: Sequence[SparseVec]):
+    """Feasibility of sum_k c_k * basis[k](points[j]) = targets[j] for every j
+    with one parameter vector c.
 
-    images[k] is the list of per-block values of the k-th basis map; blocks
-    share the single parameter vector c.
+    There is one row per (point, output key). Rows are read straight from the
+    tabulated images: basis[k](z) at key o is sum_i z_i * basis[k](e_i)[o].
     """
-    rows = {}
-    nblocks = len(targets)
-    for block in range(nblocks):
-        for k, per_block in enumerate(images):
-            for key, val in per_block[block].entries.items():
-                rows.setdefault((block, key), {})[k] = val
-    coords = sorted(rows)
-    coord_index = {c: i for i, c in enumerate(coords)}
-    matrix_rows = [rows[c] for c in coords]
+    rows: dict = {}
+    for j, z in enumerate(points):
+        terms = z._entries.items()
+        for k, m in enumerate(basis):
+            image = m.image
+            for key, zc in terms:
+                for o, v in image[key]._entries.items():
+                    row = rows.get((j, o))
+                    if row is None:
+                        rows[(j, o)] = row = {}
+                    prev = row.get(k)
+                    row[k] = zc * v if prev is None else prev + zc * v
     rhs = {}
-    for block, target in enumerate(targets):
-        for key, val in target.entries.items():
-            coord = (block, key)
-            if coord not in coord_index:
-                coord_index[coord] = len(matrix_rows)
-                matrix_rows.append({})
-            rhs[coord_index[coord]] = val
-    matrix = RatMatrix.from_rows(matrix_rows, len(images))
-    return solve_feasible(matrix, SparseVec(rhs))
+    for j, target in enumerate(targets):
+        for o, v in target._entries.items():
+            rows.setdefault((j, o), {})
+            rhs[(j, o)] = v
+    coords = list(rows)
+    matrix = RatMatrix(tuple({k: v for k, v in rows[c].items() if v} for c in coords), len(basis))
+    b = SparseVec({i: rhs[c] for i, c in enumerate(coords) if c in rhs})
+    return solve_feasible(matrix, b)
 
 
 def local_feasible_at(candidate, x: SparseVec, family: FamilyBasis) -> LocalReport:
     """Solve sum_k c_k B_k(x) = candidate(x) for the family maps B_k."""
     _window_guard(family, x)
-    target = evaluate(candidate, x)
-    images = [[m.evaluate(x)] for m in family.basis]
-    result = _match_system(images, [target])
-    return LocalReport(x, result.feasible, result.solution if result.feasible else None)
+    result = _match_system(family.basis, [x], [evaluate(candidate, x)])
+    return LocalReport(x, result.feasible, result.solution)
 
 
 def check_local(candidate, family: FamilyBasis, elements: Sequence[SparseVec]) -> List[LocalReport]:
@@ -99,9 +100,8 @@ def two_local_feasible_at(candidate, x: SparseVec, y: SparseVec, family: FamilyB
     """One parameter vector across the joint system at x and y."""
     _window_guard(family, x, y)
     targets = [evaluate(candidate, x), evaluate(candidate, y)]
-    images = [[m.evaluate(x), m.evaluate(y)] for m in family.basis]
-    result = _match_system(images, targets)
-    return TwoLocalReport(x, y, result.feasible, result.solution if result.feasible else None)
+    result = _match_system(family.basis, [x, y], targets)
+    return TwoLocalReport(x, y, result.feasible, result.solution)
 
 
 @dataclass(frozen=True)
@@ -133,13 +133,11 @@ def zero_propagation_scan(
     e_m = SparseVec({E(m): 1})
     e_next = SparseVec({E(m + 1): 1})
     _window_guard(family, e_m, e_next)
-    at_m = [b.evaluate(e_m) for b in family.basis]
-    at_next = [b.evaluate(e_next) for b in family.basis]
     reports = []
     for c in c_values:
         c = as_scalar(c)
-        images = [[nx - am.scaled(c)] for nx, am in zip(at_next, at_m)]
-        result = _match_system(images, [candidate_value_at_next])
+        probe = SparseVec({E(m + 1): 1, E(m): -c})
+        result = _match_system(family.basis, [probe], [candidate_value_at_next])
         reports.append(PropagationReport(c, result.feasible, result.solution))
     return reports
 
@@ -169,8 +167,7 @@ def wab_f_scan(
     k = q_hi - p_lo + m + 1
     probe = SparseVec({F(m): 1, E(m): 1, E(k): 1})
     _window_guard(family, probe)
-    images = [[b.evaluate(probe)] for b in family.basis]
-    result = _match_system(images, [candidate_value_at_fm])
+    result = _match_system(family.basis, [probe], [candidate_value_at_fm])
     return LocalReport(probe, result.feasible, result.solution)
 
 

@@ -102,6 +102,15 @@ def window_from_ranges(
     return window(expand(*in_range), expand(*out_range))
 
 
+def _extend_linearly(value_at, v: SparseVec) -> SparseVec:
+    """sum_k v_k * value_at(k), accumulated in one dict."""
+    out: dict = {}
+    for k, c in v._entries.items():
+        for key, value in value_at(k)._entries.items():
+            out[key] = out.get(key, 0) + c * value
+    return SparseVec(out)
+
+
 @dataclass(frozen=True)
 class WindowedMap:
     """A linear map given by images of the input-window keys."""
@@ -126,10 +135,7 @@ class WindowedMap:
             raise KeyOutsideWindow(f"{key} outside input window") from None
 
     def evaluate(self, v: SparseVec) -> SparseVec:
-        out = SparseVec()
-        for k, c in v.items():
-            out = out + self.value_at(k).scaled(c)
-        return out
+        return _extend_linearly(self.value_at, v)
 
     def as_vector(self, column_index: Mapping, keys: Optional[Sequence[BasisKey]] = None) -> SparseVec:
         """Flatten to a coefficient vector over (input, output) column indices.
@@ -371,10 +377,7 @@ def evaluate(op, v: SparseVec) -> SparseVec:
     whole = getattr(op, "evaluate", None)
     if whole is not None:
         return whole(v)
-    out = SparseVec()
-    for k, c in v.items():
-        out = out + op.value_at(k).scaled(c)
-    return out
+    return _extend_linearly(op.value_at, v)
 
 
 def materialize(op, w: Window) -> WindowedMap:

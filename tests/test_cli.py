@@ -1,8 +1,12 @@
 """End-to-end CLI behaviour: reports, exit codes, determinism."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltader import acceptance, cli
 from deltader.cli import main
@@ -105,6 +109,27 @@ class TestCheckMapCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["check-map", "local", "two-local"])
+    @pytest.mark.parametrize(
+        "algebra, literal",
+        [
+            (["wab", "--a", "0", "--b", "-1"], "shift:t=1"),
+            (["thin"], "shift:t=1"),
+            (["wittz"], "thin-delta"),
+            (["wittz"], "wab:a={0:1}"),
+            (["solv"], "thin:a=[1]"),
+        ],
+    )
+    def test_operator_on_another_algebra_is_usage_error(self, command, algebra, literal, capsys):
+        if algebra[0] in ("wab", "wittz"):
+            window = ["--in", "-3..3", "--out", "-6..6"]
+        else:
+            window = ["--in", "1..5", "--out", "1..7"]
+        code = main([command, "--algebra", *algebra, *window, "--map", literal])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "operators are defined on" in err
 
 
 class TestLocalCommands:
@@ -300,3 +325,63 @@ class TestVerifyAllCommand:
             for row in rows
         ]
         assert tsv.read_text() == "\n".join(lines) + "\n"
+
+
+# (algebra flags, window flags, operator literals and elements that fit them);
+# the windows are small enough that every solve takes milliseconds.
+ALGEBRA_CASES = [
+    (["wittz"], ["--in", "-3..3", "--out", "-6..6"], ["shift:t=1", "shift:t=-1,w=2"], ["e0", "e-3+2*e3"]),
+    (["wittpos"], ["--in", "1..5", "--out", "1..8"], ["shift:t=0,w=1/2", "shift:t=2"], ["e1", "e2-e5"]),
+    (["witt1"], ["--in", "-1..4", "--out", "-1..7"], ["shift:t=1"], ["e-1", "e0+1/2*e4"]),
+    (
+        ["wab", "--a", "0", "--b", "-1"],
+        ["--in", "-2..2", "--out", "-4..4"],
+        ["wab:a={0:1};b={0:1}", "wab:a={-1:2}"],
+        ["e0+f1", "-f-2", "e1+e2+f0"],
+    ),
+    (["thin"], ["--in", "1..6", "--out", "1..9"], ["thin-delta", "thin-nabla", "thin:a=[1,0,2];b=[0,5]"], ["e1+e3", "e2"]),
+    (["solv"], ["--in", "1..5", "--out", "1..5"], ["solv-deltabar", "solv:a=[2,0,3]"], ["e1+e2", "3*e4"]),
+]
+ANY_MAPS = [m for case in ALGEBRA_CASES for m in case[2]]
+BAD_MAPS = [
+    "", "bogus", "shift:t", "shift:t=x", "shift:q=1", "shift:t=1,w=1/0", "thin:a",
+    "thin:a=[1,", "wab:a={x:1}", "wab:a={1:1/0}", "thin-delta:", "solv:a=[1];a=[2]",
+]
+ANY_ELEMENTS = ["e1", "-e2+1/2*f1", "3/4*e-1 - f2", "f0", "e100", "0*e2", "2*e1-e2"]
+BAD_ELEMENTS = ["", "e1+", "x", "1/0*e1", "++e1", "e", "e1 e2", "-", "f"]
+LITERAL_TEXT = st.text(alphabet="efshitwab-:=,;{}[]0123456789/+* ", max_size=14)
+
+
+@st.composite
+def locality_argv(draw):
+    """argv for check-map, local or two-local with drawn --map/--x/--y literals,
+    well-formed for the algebra, well-formed for another one, or malformed."""
+    command = draw(st.sampled_from(["check-map", "local", "two-local"]))
+    algebra, window, maps, elements = draw(st.sampled_from(ALGEBRA_CASES))
+    literal = st.one_of(
+        st.sampled_from(maps), st.sampled_from(ANY_MAPS), st.sampled_from(BAD_MAPS), LITERAL_TEXT
+    )
+    argv = [command, "--algebra", *algebra, *window, "--map", draw(literal)]
+    element = st.one_of(
+        st.sampled_from(elements), st.sampled_from(ANY_ELEMENTS), st.sampled_from(BAD_ELEMENTS), LITERAL_TEXT
+    )
+    flags = {"check-map": (), "local": ("--x",), "two-local": ("--x", "--y")}[command]
+    for flag in flags:
+        if draw(st.booleans()):
+            argv += [flag, draw(element)]
+    return argv
+
+
+@given(locality_argv())
+@settings(max_examples=80, deadline=None)
+def test_locality_commands_hold_the_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith(("error: ", "usage: ")), argv

@@ -259,6 +259,31 @@ class TestKernelAgainstDenseReference:
             assert u.dot(b) != 0
 
 
+    @given(exact_matrices(), st.lists(st.sampled_from(ENTRIES), min_size=6, max_size=6))
+    @settings(max_examples=200)
+    def test_solve_feasible_is_the_free_at_zero_solution(self, case, rhs):
+        grid, ncols = case
+        rhs = rhs[: len(grid)]
+        a = from_grid(grid, ncols)
+        b = SparseVec(dict(enumerate(rhs)))
+        ref_rows, ref_pivots = gauss_jordan([row + [bi] for row, bi in zip(grid, rhs)], ncols + 1)
+        res = solve_feasible(a, b)
+        assert res.feasible == (ncols not in ref_pivots)
+        if res.feasible:
+            # every free unknown at 0, each pivot unknown read off the RREF
+            expected = {p: row[ncols] for row, p in zip(ref_rows, ref_pivots)}
+            assert res.solution == SparseVec(expected)
+            assert all_fractions(res.solution.entries.values())
+            assert res.certificate is None
+        else:
+            u = res.certificate
+            assert res.solution is None
+            assert all_fractions(u.entries.values())
+            for col in range(ncols):
+                assert sum(u.get(i) * Fraction(row[col]) for i, row in enumerate(grid)) == 0
+            assert u.dot(b) != 0
+
+
 class TestSparseVec:
     def test_drops_zeros(self):
         v = SparseVec({0: 0, 1: 2})

@@ -3,6 +3,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from deltader.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -37,11 +39,39 @@ def test_verify_all_report_and_sweep_match_golden(tmp_path):
     assert tsv.read_bytes() == (DATA / "golden_verify_all_sweep.tsv").read_bytes()
 
 
+LOCALITY_GOLDENS = [
+    (
+        "golden_local_thin_delta.json",
+        ["local", "--algebra", "thin", "--in", "1..10", "--out", "1..14", "--map", "thin-delta"],
+    ),
+    (
+        "golden_two_local_thin_nabla.json",
+        ["two-local", "--algebra", "thin", "--in", "1..10", "--out", "1..14", "--map", "thin-nabla"],
+    ),
+    (
+        "golden_two_local_wab.json",
+        ["two-local", "--algebra", "wab", "--a", "0", "--b", "-1", "--in", "-3..3", "--out", "-6..6",
+         "--map", "wab:a={0:1};b={0:1}"],
+    ),
+]
+
+
+@pytest.mark.parametrize("name, argv", LOCALITY_GOLDENS, ids=[n for n, _ in LOCALITY_GOLDENS])
+def test_locality_report_matches_golden(tmp_path, name, argv):
+    code, got = run_to_bytes(tmp_path, argv)
+    assert code == 0
+    assert got == (DATA / name).read_bytes()
+    results = json.loads(got)["results"]
+    points = results.get("elements") or results["pairs"]
+    assert all(p["params"] is not None for p in points)
+
+
 def test_goldens_are_valid_reports():
     for name in (
         "golden_solve_solv.json",
         "golden_counterexamples_thin.json",
         "golden_verify_all.json",
+        *(n for n, _ in LOCALITY_GOLDENS),
     ):
         report = json.loads((DATA / name).read_text())
         assert report["schemaVersion"] == "1"

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltader import locality
 from deltader.algebras import E, F, solv_abelian, thin, wab, witt_pos, witt_z
 from deltader.dersolve import expected_family, solve_half_derivations
-from deltader.exactlin import SparseVec
+from deltader.exactlin import SparseVec, solve_feasible
 from deltader.locality import (
     certify_nonadditive,
     check_local,
@@ -199,6 +200,86 @@ class TestWabFScan:
         alg, w, family = wab_family
         with pytest.raises(ValueError):
             wab_f_scan(alg, SparseVec({E(0): 1}), 0, family)
+
+
+@pytest.fixture
+def checked_solves(monkeypatch):
+    """Every system locality solves, with an exact check of each answer."""
+    seen = []
+
+    def checked(matrix, b):
+        result = solve_feasible(matrix, b)
+        if result.feasible:
+            assert matrix.apply(result.solution) == b
+        else:
+            u = result.certificate
+            for col in range(matrix.ncols):
+                assert sum(u.get(i) * row.get(col, 0) for i, row in enumerate(matrix.rows)) == 0
+            assert u.dot(b) != 0
+        seen.append(result.feasible)
+        return result
+
+    monkeypatch.setattr(locality, "solve_feasible", checked)
+    return seen
+
+
+def _params(report):
+    return None if report.params is None else report.params.entries
+
+
+class TestScansMatchRecordedAnswers:
+    """Scan verdicts and params pinned as exact values; every answer's
+    solution or Farkas certificate is checked against its system."""
+
+    def test_zero_propagation_scan(self, checked_solves):
+        alg = witt_z()
+        family = solve_half_derivations(alg, window_from_ranges(alg, (-4, 4), (-6, 6)))
+        q = Fraction
+        cases = [
+            ({}, (1, 2, q(1, 2), -3), [{}, {}, {}, {}]),
+            ({E(1): 1}, (1, 2, q(1, 2), -3), [None, None, None, None]),
+            ({E(1): q(-1, 2), E(2): 1}, (1, 2, q(1, 2), -3), [None, None, {3: 1}, None]),
+            ({E(0): -1, E(1): 1}, (1, 2, q(1, 2), -3), [{2: 1}, None, None, None]),
+            (
+                {E(-1): -4, E(0): 2, E(1): -1, E(2): q(1, 2)},
+                (2, 1, 3),
+                [{1: 2, 3: q(1, 2)}, None, None],
+            ),
+            (
+                {E(-2): q(-1, 2), E(-1): 1, E(2): q(3, 2), E(3): -3},
+                (q(1, 2), 1, 3),
+                [{0: 1, 4: -3}, None, None],
+            ),
+            (
+                {E(-2): 1, E(-1): 2, E(0): 2, E(1): 2, E(2): 2, E(3): 1},
+                (-1, 1, 3),
+                [{0: 1, 1: 1, 2: 1, 3: 1, 4: 1}, None, None],
+            ),
+        ]
+        for value, cs, expected in cases:
+            reports = zero_propagation_scan(alg, SparseVec(value), 0, cs, family)
+            assert [r.c for r in reports] == list(cs)
+            assert [r.feasible for r in reports] == [e is not None for e in expected]
+            assert [_params(r) for r in reports] == expected
+        assert checked_solves.count(False) == 16
+
+    def test_wab_f_scan(self, wab_family, checked_solves):
+        alg, w, family = wab_family
+        q = Fraction
+        cases = [
+            (0, {}, {F(0): 1, E(0): 1, E(1): 1}, {}),
+            (0, {F(1): 1}, {F(0): 1, E(0): 1, E(1): 1}, None),
+            (0, {F(0): 3}, {F(0): 1, E(0): 1, E(1): 1}, None),
+            (0, {F(0): 1, F(1): 2}, {F(0): 1, E(0): 1, E(2): 1}, None),
+            (1, {F(1): 1, F(2): 1}, {F(1): 1, E(1): 1, E(3): 1}, None),
+            (-1, {F(-1): q(1, 2), F(0): q(1, 2)}, {F(-1): 1, E(-1): 1, E(1): 1}, None),
+        ]
+        for m, value, probe, expected in cases:
+            report = wab_f_scan(alg, SparseVec(value), m, family)
+            assert report.element == SparseVec(probe)
+            assert report.feasible == (expected is not None)
+            assert _params(report) == expected
+        assert checked_solves.count(False) == 5
 
 
 class TestNonadditivity:
