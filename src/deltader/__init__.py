@@ -9,6 +9,7 @@ from .algebras import (
     KeyOutOfDomain,
     bracket,
     bracket_vec,
+    degree,
     in_domain,
     solv_abelian,
     thin,

@@ -127,9 +127,6 @@ class _Checks:
             self.ok = False
         return condition
 
-    def note(self, text: str) -> None:
-        self.details.append(text)
-
 
 # The solve memo of the running verification, keyed by (algebra, window);
 # None outside a ``solve_scope``.

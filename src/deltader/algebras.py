@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .exactlin import Scalar, SparseVec, as_scalar, int_if_integral
 
@@ -35,12 +35,12 @@ class KeyOutOfDomain(Exception):
     """A basis key falls outside the algebra's index domain."""
 
 
-@dataclass(frozen=True, order=True)
-class BasisKey:
+class BasisKey(NamedTuple):
     """Tagged basis index: kind 'e' or 'f', integer index.
 
     Ordering is the canonical one used everywhere: all e-keys before all
-    f-keys, then by index.
+    f-keys, then by index. As a tuple, its hash, equality and ordering run
+    in C; it equals the plain tuple ``(kind, index)``.
     """
 
     kind: str
@@ -114,6 +114,17 @@ def in_domain(alg: AlgebraSpec, key: BasisKey) -> bool:
     if alg.name == WITT_ONE_SIDED:
         return key.index >= -1
     return key.index >= 1  # wittpos, thin, solv
+
+
+def degree(alg: AlgebraSpec, key: BasisKey) -> int:
+    """Degree of a basis key in the algebra's grading, deg [x, y] = deg x + deg y.
+
+    The index on every algebra but ``solv``, where [e_1, e_i] = e_i forces
+    degree 0 at e_1 and degree 1 on the abelian radical.
+    """
+    if alg.name == SOLV_ABELIAN:
+        return 0 if key.index == 1 else 1
+    return key.index
 
 
 def _require_in_domain(alg: AlgebraSpec, key: BasisKey) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebras import AlgebraSpec, BasisKey, bracket, bracket_term, bracket_vec
+from .algebras import AlgebraSpec, BasisKey, bracket, bracket_term, bracket_vec, degree
 from .exactlin import (
     RatMatrix,
     RowSpace,
@@ -158,14 +158,20 @@ def find_violation_witness(
 def assemble(alg: AlgebraSpec, delta, w: Window) -> ConstraintSystem:
     """Constraint matrix whose nullspace is the windowed delta-derivation space.
 
-    One unknown per (input key, output key) coefficient; rows are indexed by
-    (pair, reachable coordinate) in canonical order. Unknown images are zero
-    outside O by fiat, but equations are still imposed on every reachable
-    coordinate.
+    One unknown per (input key, output key) coefficient; one row per (pair,
+    reachable coordinate). Unknown images are zero outside O by fiat, but
+    equations are still imposed on every reachable coordinate.
 
     With ``delta = num/den`` each row is ``den`` times the equation, i.e.
     ``den*phi([x, y]) - num*([phi(x), y] + [x, phi(y)])``: the nullspace is
     unchanged and the entries are ints whenever the structure constants are.
+
+    Every catalogued algebra is graded, so the row of (x, y) at coordinate
+    z only touches unknowns (k, o) of shift deg o - deg k = deg z - deg x -
+    deg y. Rows are emitted block by block, one block per shift in
+    increasing order, recorded as ``matrix.blocks``; within a block, pairs
+    come in order of ``min(|deg x|, |deg y|)`` so that the pairs with a
+    generator come first, and then in canonical order.
     """
     delta = as_scalar(delta)
     num, den = delta.numerator, delta.denominator
@@ -173,17 +179,18 @@ def assemble(alg: AlgebraSpec, delta, w: Window) -> ConstraintSystem:
     unknown_index = {col: i for i, col in enumerate(columns)}
     pair_list = tuple(derivation_pairs(alg, w.keys))
     out_keys = w.out_keys
-    # Column of (k, out_keys[j]) is first_col[k] + j. Coordinates are
-    # (kind, index) tuples, which hash fast and sort like their keys.
+    # Column of (k, out_keys[j]) is first_col[k] + j; its shift is shift[col].
     first_col = {k: i * len(out_keys) for i, k in enumerate(w.keys)}
-    coords = [(o.kind, o.index) for o in out_keys]
+    deg = {k: degree(alg, k) for k in out_keys}
+    shift = [deg[o] - deg[k] for k in w.keys for o in out_keys]
+    by_shift: Dict[int, list] = {t: [] for t in sorted(set(shift))}
 
     def scaled(term, factor):
         """A bracket term times ``factor`` as (coordinate, int or Fraction)."""
         if term is None:
             return None
         key, coeff = term
-        return (key.kind, key.index), int_if_integral(factor * coeff)
+        return key, int_if_integral(factor * coeff)
 
     # -num*[o, k] and -num*[k, o] over the output keys o, bracketed once per
     # input key k that needs them rather than once per pair.
@@ -192,17 +199,13 @@ def assemble(alg: AlgebraSpec, delta, w: Window) -> ConstraintSystem:
     o_k = {k: [scaled(bracket_term(alg, o, k), -num) for o in out_keys] for k in seconds}
     k_o = {k: [scaled(bracket_term(alg, k, o), -num) for o in out_keys] for k in firsts}
 
-    rows: List[Dict[int, object]] = []
-    for k1, k2 in pair_list:
-        at: Dict[tuple, Dict[int, object]] = {}
+    for k1, k2 in sorted(pair_list, key=lambda p: min(abs(deg[p[0]]), abs(deg[p[1]]))):
+        at: Dict[BasisKey, Dict[int, object]] = {}
         term = bracket_term(alg, k1, k2)
         if term is not None:
             s, cs = term
             cs = int_if_integral(den * cs)
-            col = first_col[s]
-            for coord in coords:
-                at.setdefault(coord, {})[col] = cs
-                col += 1
+            at = {coord: {col: cs} for col, coord in enumerate(out_keys, first_col[s])}
         col1, col2 = first_col[k1], first_col[k2]
         # [phi(k1), k2] puts -num*[o, k2] in column (k1, o) and
         # [k1, phi(k2)] puts -num*[k1, o] in column (k2, o).
@@ -218,10 +221,20 @@ def assemble(alg: AlgebraSpec, delta, w: Window) -> ConstraintSystem:
             col1 += 1
             col2 += 1
         for coord in sorted(at):
-            row = {c: v for c, v in at[coord].items() if v}
+            row = at[coord]
+            if not all(row.values()):
+                row = {c: v for c, v in row.items() if v}
             if row:
-                rows.append(row)
-    matrix = RatMatrix.from_rows(rows, len(columns))
+                by_shift[shift[next(iter(row))]].append(row)
+    block_columns: Dict[int, list] = {t: [] for t in by_shift}
+    for col, t in enumerate(shift):
+        block_columns[t].append(col)
+    rows: List[Dict[int, object]] = []
+    blocks = []
+    for t, block_rows in by_shift.items():
+        blocks.append((tuple(block_columns[t]), len(rows), len(rows) + len(block_rows)))
+        rows.extend(block_rows)
+    matrix = RatMatrix.from_rows(rows, len(columns), tuple(blocks))
     return ConstraintSystem(w, delta, unknown_index, matrix, pair_list)
 
 

@@ -17,7 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Mapping, Optional
 
 Scalar = Fraction
@@ -141,31 +143,76 @@ class SparseVec:
         return f"SparseVec({{{body}}})"
 
 
+def _is_clean(values) -> bool:
+    """True iff every value is a nonzero int or Fraction."""
+    return set(map(type, values)) <= {int, Fraction} and all(values)
+
+
+def _exact_row(row: Mapping) -> dict:
+    """The row as a dict of nonzero exact scalars: itself when it already is
+    one, else a cleaned copy."""
+    if type(row) is dict and _is_clean(row.values()):
+        return row
+    cleaned = {}
+    for c, v in row.items():
+        if type(v) is not int:
+            v = as_scalar(v)
+        if v:
+            cleaned[c] = v
+    return cleaned
+
+
 @dataclass(frozen=True)
 class RatMatrix:
     """Sparse rational matrix: rows are column -> exact rational maps.
 
     Entries are ``int`` or ``Fraction``; ints are kept as they are, so an
     integer matrix costs no ``Fraction`` arithmetic.
+
+    ``blocks`` optionally declares a block-diagonal structure, one
+    ``(columns, start, stop)`` per block: ``rows[start:stop]`` are supported
+    in ``columns``, the blocks cover the rows in order and every column
+    exactly once. Empty means a single block of all rows and columns.
     """
 
     rows: tuple
     ncols: int
+    blocks: tuple = ()
 
     @staticmethod
-    def from_rows(rows: Iterable[Mapping], ncols: int) -> "RatMatrix":
+    def from_rows(rows: Iterable[Mapping], ncols: int, blocks: tuple = ()) -> "RatMatrix":
+        """A checked matrix: every row inside its block's columns (so inside
+        ``0..ncols-1``), the blocks a partition of the rows and columns.
+
+        A row that already is a dict of nonzero ints and Fractions is kept
+        as it is; any other row is copied with exact entries and its zeros
+        dropped.
+        """
+        rows = list(rows)
+        spans = blocks or ((range(ncols), 0, len(rows)),)
+        if sorted(c for columns, _, _ in spans for c in columns) != list(range(ncols)):
+            raise ValueError(f"blocks must cover the columns 0..{ncols - 1} once each")
         packed = []
-        for row in rows:
-            cleaned = {}
-            for c, v in row.items():
-                if not 0 <= c < ncols:
-                    raise ValueError(f"column index {c} outside 0..{ncols - 1}")
-                if type(v) is not int:
-                    v = as_scalar(v)
-                if v:
-                    cleaned[c] = v
-            packed.append(cleaned)
-        return RatMatrix(tuple(packed), ncols)
+        for columns, start, stop in spans:
+            if start != len(packed) or not start <= stop <= len(rows):
+                raise ValueError("blocks must cover the rows in order")
+            block = rows[start:stop]
+            allowed = set(columns)
+            if not allowed.issuperset(chain.from_iterable(block)):
+                i, c = next(
+                    (i, c) for i, row in enumerate(block, start) for c in row if c not in allowed
+                )
+                raise ValueError(f"column index {c} of row {i} outside its block")
+            # One check of a whole block costs far less than one per row.
+            if set(map(type, block)) <= {dict} and _is_clean(
+                list(chain.from_iterable(map(dict.values, block)))
+            ):
+                packed.extend(block)
+            else:
+                packed.extend(map(_exact_row, block))
+        if len(packed) != len(rows):
+            raise ValueError("blocks must cover the rows in order")
+        return RatMatrix(tuple(packed), ncols, tuple(blocks))
 
     @property
     def nrows(self) -> int:
@@ -312,18 +359,67 @@ def rank(matrix: RatMatrix) -> int:
     return len(_forward_eliminate(matrix.rows))
 
 
+# A block whose nullity is at most this tests each further row against its
+# null vectors before inserting it.
+TESTED_NULLITY = 2
+
+
+def _null_vectors(pivots: dict, columns) -> dict:
+    """Free column -> canonical null vector (entry 1 there) of the echelon
+    form ``pivots``, whose rows are supported in ``columns``."""
+    reduced = _rref_rows(pivots)
+    basis = {free: {free: ONE} for free in columns if free not in reduced}
+    for p, prow in reduced.items():
+        for c, v in prow.items():
+            if c != p:
+                basis[c][p] = -v
+    return basis
+
+
+def _block_nullspace(rows, columns) -> dict:
+    """``_null_vectors`` of the row space of ``rows``, all supported in ``columns``.
+
+    Rows enter the echelon form one by one, and reading stops once its rank
+    equals the number of columns. Once the nullity is at most
+    ``TESTED_NULLITY``, a row is first dotted with the current null vectors,
+    made primitive: a row orthogonal to all of them lies in
+    ``(U^perp)^perp = U``, the span of the rows so far, and is skipped. Any
+    other row enlarges the span, so it is inserted and the null vectors are
+    recomputed, at most ``TESTED_NULLITY`` times. The row space, and with it
+    the canonical RREF and the null vectors, is that of all the rows.
+    """
+    width = len(columns)
+    zeros = dict.fromkeys(columns, 0)
+    pivots: dict = {}
+    null = None
+    for row in rows:
+        if width - len(pivots) > TESTED_NULLITY:
+            if row:
+                _insert(_primitive(row), pivots)
+            continue
+        if null is None:
+            null = _null_vectors(pivots, columns)
+            # dense over the block's columns, so a dot product needs no default
+            probes = [{**zeros, **_primitive(v)} for v in null.values()]
+        if any(sum(map(mul, row.values(), map(p.__getitem__, row))) for p in probes):
+            _insert(_primitive(row), pivots)
+            if len(pivots) == width:
+                return {}
+            null = None
+    return _null_vectors(pivots, columns) if null is None else null
+
+
 def nullspace(matrix: RatMatrix) -> list:
     """Basis of the right nullspace, one SparseVec per free column.
 
     Vectors are emitted in increasing free-column order; each has entry 1 at
     its free column, making the basis canonical for a fixed column order.
+    Each block of ``matrix.blocks`` is solved alone: the canonical RREF of a
+    block-diagonal matrix is the union of its blocks' RREFs.
     """
-    reduced = _rref_rows(_forward_eliminate(matrix.rows))
-    basis = {free: {free: ONE} for free in range(matrix.ncols) if free not in reduced}
-    for p, prow in reduced.items():
-        for c, v in prow.items():
-            if c != p:
-                basis[c][p] = -v
+    basis: dict = {}
+    for columns, start, stop in matrix.blocks or ((range(matrix.ncols), 0, matrix.nrows),):
+        basis.update(_block_nullspace(matrix.rows[start:stop], columns))
     return [SparseVec(basis[free]) for free in sorted(basis)]
 
 

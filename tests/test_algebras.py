@@ -15,6 +15,7 @@ from deltader.algebras import (
     bracket,
     bracket_term,
     bracket_vec,
+    degree,
     in_domain,
     solv_abelian,
     thin,
@@ -23,10 +24,12 @@ from deltader.algebras import (
     witt_pos,
     witt_z,
 )
+from deltader.acceptance import WAB_ACCEPTANCE_PARAMS
 from deltader.exactlin import SparseVec
 
 ALL_PARAMLESS = [witt_z(), witt_pos(), witt_one_sided(), thin(), solv_abelian()]
 WAB_SAMPLES = [wab(0, 0), wab(1, -1), wab(Fraction(1, 2), -1), wab(0, 2)]
+ACCEPTANCE_ALGEBRAS = ALL_PARAMLESS + [wab(a, b) for a, b in WAB_ACCEPTANCE_PARAMS]
 
 
 class TestDomains:
@@ -145,6 +148,33 @@ class TestGrading:
 
     def test_thin_step(self):
         assert bracket(thin(), E(1), E(9)).support() == [E(10)]
+
+
+    def test_degrees(self):
+        assert degree(witt_z(), E(-3)) == -3
+        assert degree(wab(0, 1), F(4)) == 4
+        assert degree(thin(), E(7)) == 7
+        # [e1, e_i] = e_i: the index is no grading of solv
+        assert [degree(solv_abelian(), E(i)) for i in (1, 2, 9)] == [0, 1, 1]
+
+    @given(
+        alg=st.one_of(
+            st.sampled_from(ACCEPTANCE_ALGEBRAS),
+            st.builds(
+                wab,
+                st.fractions(min_value=-3, max_value=3, max_denominator=5),
+                st.fractions(min_value=-3, max_value=3, max_denominator=5),
+            ),
+        ),
+        k1=st.tuples(st.sampled_from("ef"), st.integers(-12, 12)),
+        k2=st.tuples(st.sampled_from("ef"), st.integers(-12, 12)),
+    )
+    @settings(max_examples=400)
+    def test_bracket_adds_degrees(self, alg, k1, k2):
+        k1, k2 = _domain_key(alg, *k1), _domain_key(alg, *k2)
+        term = bracket_term(alg, k1, k2)
+        if term is not None:
+            assert degree(alg, term[0]) == degree(alg, k1) + degree(alg, k2)
 
 
 class TestBracketVec:

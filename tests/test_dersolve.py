@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltader.algebras import E, F, solv_abelian, thin, wab, witt_one_sided, witt_z
+from deltader.algebras import E, F, degree, solv_abelian, thin, wab, witt_one_sided, witt_pos, witt_z
 from deltader.dersolve import (
     assemble,
     check_delta_derivation,
@@ -96,6 +96,39 @@ class TestAssemble:
                     rows.setdefault((pair, coord), {})[j] = value
         reference = RatMatrix.from_rows(rows.values(), len(w.columns()))
         assert nullspace(system.matrix) == nullspace(reference)
+
+
+    @pytest.mark.parametrize(
+        "alg, delta, in_range, out_range",
+        [
+            (witt_z(), HALF, (-4, 4), (-12, 12)),
+            (witt_pos(), Fraction(2), (1, 6), (1, 11)),
+            (witt_one_sided(), HALF, (-1, 5), (-1, 10)),
+            (wab(Fraction(2, 3), -1), HALF, (-3, 3), (-6, 6)),
+            (wab(Fraction(1, 2), Fraction(1, 3)), Fraction(-1), (-2, 2), (-4, 4)),
+            (thin(), HALF, (1, 10), (1, 14)),
+            (solv_abelian(), Fraction(3), (1, 8), (1, 8)),
+        ],
+    )
+    def test_blocks_partition_rows_and_columns_by_shift(self, alg, delta, in_range, out_range):
+        w = window_from_ranges(alg, in_range, out_range)
+        system = assemble(alg, delta, w)
+        matrix = system.matrix
+        columns = w.columns()
+        covered_rows, covered_cols, shifts = [], [], []
+        for block_cols, start, stop in matrix.blocks:
+            covered_rows.extend(range(start, stop))
+            covered_cols.extend(block_cols)
+            (t,) = {degree(alg, o) - degree(alg, k) for k, o in (columns[c] for c in block_cols)}
+            shifts.append(t)
+            for row in matrix.rows[start:stop]:
+                assert set(row) <= set(block_cols)
+        assert covered_rows == list(range(matrix.nrows))
+        assert sorted(covered_cols) == list(range(matrix.ncols))
+        assert shifts == sorted(set(shifts))
+        # the pair list keeps its canonical order; the rows alone are reordered
+        assert list(system.pair_list) == derivation_pairs(alg, w.keys)
+        assert nullspace(matrix) == nullspace(RatMatrix.from_rows(matrix.rows, matrix.ncols))
 
 
 class TestCheckDeltaDerivation:

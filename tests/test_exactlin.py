@@ -2,9 +2,11 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltader import exactlin
 from deltader.exactlin import (
     RatMatrix,
     RowSpace,
@@ -192,6 +194,19 @@ def gauss_jordan(grid, ncols):
     return m[: len(pivots)], pivots
 
 
+def reference_nullspace(grid, ncols):
+    """Canonical nullspace basis read off the dense reference RREF."""
+    ref_rows, ref_pivots = gauss_jordan(grid, ncols)
+    expected = []
+    for free in (c for c in range(ncols) if c not in ref_pivots):
+        v = {free: Fraction(1)}
+        for row, p in zip(ref_rows, ref_pivots):
+            if row[free]:
+                v[p] = -row[free]
+        expected.append(SparseVec(v))
+    return expected
+
+
 def all_fractions(values):
     return all(type(v) is Fraction for v in values)
 
@@ -210,15 +225,8 @@ class TestKernelAgainstDenseReference:
         assert all(not row for row in reduced.rows[rk:])
         assert all(all_fractions(row.values()) for row in reduced.rows)
 
-        expected = []
-        for free in (c for c in range(ncols) if c not in ref_pivots):
-            v = {free: Fraction(1)}
-            for row, p in zip(ref_rows, ref_pivots):
-                if row[free]:
-                    v[p] = -row[free]
-            expected.append(SparseVec(v))
         basis = nullspace(matrix)
-        assert basis == expected
+        assert basis == reference_nullspace(grid, ncols)
         assert all(all_fractions(v.entries.values()) for v in basis)
 
     @given(exact_matrices(), st.lists(st.sampled_from(ENTRIES), min_size=6, max_size=6))
@@ -282,6 +290,113 @@ class TestKernelAgainstDenseReference:
             for col in range(ncols):
                 assert sum(u.get(i) * Fraction(row[col]) for i, row in enumerate(grid)) == 0
             assert u.dot(b) != 0
+
+
+@st.composite
+def block_diagonal_matrices(draw):
+    """(rows, ncols, blocks) of a block-diagonal matrix with interleaved columns.
+
+    Each block starts with a few random rows. Then independent rows,
+    unitriangular in a random order of the block's columns, arrive one by
+    one, with random combinations of the rows so far between them: so
+    independent and dependent rows alike also arrive once the nullity is 2
+    or less, and after full rank.
+    """
+    widths = draw(st.lists(st.integers(0, 5), min_size=1, max_size=4))
+    ncols = sum(widths)
+    order = draw(st.permutations(range(ncols)))
+    cell = st.sampled_from(ENTRIES)
+    rows, blocks = [], []
+    for width in widths:
+        columns = order[:width]
+        order = order[width:]
+        block = [{c: draw(cell) for c in columns} for _ in range(draw(st.integers(0, 2)))]
+        lead = draw(st.permutations(columns))
+        for i in range(draw(st.integers(0, width))):
+            block.append({lead[i]: 1, **{c: draw(cell) for c in lead[i + 1 :]}})
+            for _ in range(draw(st.integers(0, 2))):
+                r1, r2 = draw(st.sampled_from(block)), draw(st.sampled_from(block))
+                a, b = draw(cell), draw(cell)
+                block.append({c: a * r1.get(c, 0) + b * r2.get(c, 0) for c in columns})
+        blocks.append((tuple(sorted(columns)), len(rows), len(rows) + len(block)))
+        rows.extend(block)
+    return rows, ncols, tuple(blocks)
+
+
+class TestBlockNullspace:
+    @given(block_diagonal_matrices())
+    @settings(max_examples=300)
+    def test_matches_dense_reference(self, case):
+        rows, ncols, blocks = case
+        grid = [[row.get(c, 0) for c in range(ncols)] for row in rows]
+        expected = reference_nullspace(grid, ncols)
+        assert nullspace(RatMatrix.from_rows(rows, ncols, blocks)) == expected
+        assert nullspace(RatMatrix.from_rows(rows, ncols)) == expected
+
+    def test_independent_rows_after_nullity_two(self):
+        # columns 0..4: three rows leave nullity 2, then each independent row
+        # follows a dependent one
+        rows = [
+            {0: 1, 3: 2},
+            {1: 1, 4: -1},
+            {2: 3, 3: 1},
+            {0: 2, 1: 1, 3: 4, 4: -1},  # row 0 doubled plus row 1
+            {3: 1, 4: 1},
+            {0: 1, 3: 3, 4: 1},  # row 0 plus row 4
+            {0: 1, 4: 5},
+            {0: 7, 1: 7},
+        ]
+        m = RatMatrix.from_rows(rows, 5)
+        assert nullspace(m) == []
+        assert nullspace(RatMatrix.from_rows(rows[:5], 5)) == reference_nullspace(
+            [[r.get(c, 0) for c in range(5)] for r in rows[:5]], 5
+        )
+
+    def test_rows_past_full_rank_or_in_the_span_are_not_inserted(self, monkeypatch):
+        inserted = []
+        real_insert = exactlin._insert
+
+        def counting_insert(row, pivots):
+            inserted.append(row)
+            return real_insert(row, pivots)
+
+        monkeypatch.setattr(exactlin, "_insert", counting_insert)
+        # block (0, 2, 4) reaches full rank after three rows; block (1, 3, 5, 6)
+        # keeps nullity 1 after three rows, and the later rows lie in their span
+        full = [{0: 1}, {2: 1, 4: 1}, {4: 2}] + [{0: i, 2: 1, 4: -i} for i in range(20)]
+        span = [{1: 1, 3: 1}, {3: 1, 5: 2}, {5: 1, 6: -1}]
+        span += [{1: i, 3: i + 1, 5: 4, 6: -2} for i in range(20)]  # i*r0 + r1 + 2*r2
+        blocks = (((0, 2, 4), 0, len(full)), ((1, 3, 5, 6), len(full), len(full) + len(span)))
+        m = RatMatrix.from_rows(full + span, 7, blocks)
+        assert nullspace(m) == [SparseVec({1: 2, 3: -2, 5: 1, 6: 1})]
+        assert len(inserted) == 6
+
+
+class TestFromRows:
+    def test_clean_rows_are_kept(self):
+        clean, exact = {0: 1, 2: -3}, {1: Fraction(1, 2), 2: 4}
+        m = RatMatrix.from_rows([clean, exact], 3)
+        assert m.rows[0] is clean and m.rows[1] is exact
+        m = RatMatrix.from_rows([clean, {1: Fraction(4, 2), 2: 0}, {0: "1/2"}, exact], 3)
+        assert m.rows[0] is clean and m.rows[3] is exact
+        assert m.rows[1] == {1: 2} and type(m.rows[1][1]) is Fraction
+        assert m.rows[2] == {0: Fraction(1, 2)}
+
+    @pytest.mark.parametrize(
+        "rows, ncols, blocks",
+        [
+            ([{3: 1}], 3, ()),
+            ([{-1: 1}], 3, ()),
+            ([{0: 1, 1: 1}], 2, (((0,), 0, 1), ((1,), 1, 1))),  # row leaves its block
+            ([{0: 1}], 2, (((0,), 0, 1),)),  # column 1 in no block
+            ([{0: 1}], 2, (((0, 1), 0, 1), ((1,), 1, 1))),  # column 1 twice
+            ([{0: 1}, {1: 1}], 2, (((0,), 0, 1), ((1,), 0, 2))),  # rows overlap
+            ([{0: 1}, {1: 1}], 2, (((0,), 0, 1), ((1,), 1, 1))),  # last row in no block
+        ],
+    )
+    def test_rejects(self, rows, ncols, blocks):
+        with pytest.raises(ValueError):
+            RatMatrix.from_rows(rows, ncols, blocks)
 
 
 class TestSparseVec:

@@ -16,12 +16,29 @@ def run_to_bytes(tmp_path, argv):
     return code, out.read_bytes()
 
 
-def test_solve_report_matches_golden(tmp_path):
-    code, got = run_to_bytes(
-        tmp_path, ["solve", "--algebra", "solv", "--in", "1..3", "--out", "1..4"]
-    )
+SOLVE_GOLDENS = [
+    ("golden_solve_solv.json", ["--algebra", "solv", "--in", "1..3", "--out", "1..4"]),
+    ("golden_solve_wittz.json", ["--algebra", "wittz", "--in", "-4..4", "--out", "-12..12"]),
+    ("golden_solve_wittpos.json", ["--algebra", "wittpos", "--in", "1..9", "--out", "1..17"]),
+    ("golden_solve_witt1.json", ["--algebra", "witt1", "--in", "-1..7", "--out", "-1..15"]),
+    # nullity-2 blocks that mix e->e and e->f maps
+    (
+        "golden_solve_wab_2_3_m1.json",
+        ["--algebra", "wab", "--a", "2/3", "--b", "-1", "--in", "-3..3", "--out", "-6..6"],
+    ),
+    (
+        "golden_solve_wab_0_0.json",
+        ["--algebra", "wab", "--a", "0", "--b", "0", "--in", "-3..3", "--out", "-6..6"],
+    ),
+    ("golden_solve_thin.json", ["--algebra", "thin", "--in", "1..10", "--out", "1..14"]),
+]
+
+
+@pytest.mark.parametrize("name, argv", SOLVE_GOLDENS, ids=[n for n, _ in SOLVE_GOLDENS])
+def test_solve_report_matches_golden(tmp_path, name, argv):
+    code, got = run_to_bytes(tmp_path, ["solve", *argv])
     assert code == 0
-    assert got == (DATA / "golden_solve_solv.json").read_bytes()
+    assert got == (DATA / name).read_bytes()
 
 
 def test_counterexamples_report_matches_golden(tmp_path):
@@ -68,7 +85,7 @@ def test_locality_report_matches_golden(tmp_path, name, argv):
 
 def test_goldens_are_valid_reports():
     for name in (
-        "golden_solve_solv.json",
+        *(n for n, _ in SOLVE_GOLDENS),
         "golden_counterexamples_thin.json",
         "golden_verify_all.json",
         *(n for n, _ in LOCALITY_GOLDENS),
