@@ -29,6 +29,7 @@ from .dersolve import (
     expected_family,
     find_violation_witness,
     interior_input_keys,
+    solve_derivations,
     solve_half_derivations,
 )
 from .exactlin import (

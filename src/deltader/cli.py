@@ -306,6 +306,17 @@ def _cmd_local(args) -> int:
     return 0 if feasible == len(reports) else 1
 
 
+def _default_two_local_pairs(alg: AlgebraSpec, w):
+    """The thin grid of criterion 6 when every element of it lies in the
+    input window, else 20 consecutive pairs of the window's sample."""
+    if alg.name == "thin":
+        grid = thin_two_local_grid()
+        if all(w.key_set().issuperset(v.support()) for pair in grid for v in pair):
+            return grid
+    sample = deterministic_sample(w.keys)
+    return list(zip(sample[:-1], sample[1:]))[:20]
+
+
 def _cmd_two_local(args) -> int:
     alg = _algebra_from(args)
     if args.map is None:
@@ -316,11 +327,8 @@ def _cmd_two_local(args) -> int:
         raise CliError("provide both --x and --y, or neither")
     if args.x is not None:
         pairs = [(parse_element(args.x), parse_element(args.y))]
-    elif alg.name == "thin":
-        pairs = thin_two_local_grid()
     else:
-        sample = deterministic_sample(w.keys)
-        pairs = list(zip(sample[:-1], sample[1:]))[:20]
+        pairs = _default_two_local_pairs(alg, w)
     reports = [two_local_feasible_at(candidate, x, y, family) for x, y in pairs]
     results = {
         "candidate": format_operator(candidate),

@@ -19,6 +19,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebras import AlgebraSpec, BasisKey, bracket, bracket_term, bracket_vec, degree
@@ -28,7 +30,7 @@ from .exactlin import (
     SparseVec,
     as_scalar,
     int_if_integral,
-    nullspace,
+    nullspace_by_blocks,
     span_dim,
 )
 from .operators import (
@@ -155,6 +157,138 @@ def find_violation_witness(
     return None
 
 
+class _GradedEquations:
+    """The delta-derivation equations of a window, one graded block at a time.
+
+    Every catalogued algebra is graded, so the equation of the pair (x, y)
+    at coordinate z only touches unknowns (k, o) of shift deg o - deg k =
+    deg z - deg x - deg y. Block ``t`` holds the unknowns of shift ``t``.
+    Its units are the pairs with an equation there, ordered by ``min(|deg
+    x|, |deg y|)`` (pairs with a generator first) and then canonically; a
+    unit's rows are its equations at the coordinates of degree ``t + deg x +
+    deg y``, in increasing order.
+
+    With ``delta = num/den`` the equation of (x, y) at z is ``den`` times
+    the condition, ``den*phi([x, y]) - num*([phi(x), y] + [x, phi(y)])`` at
+    z, so the entries are ints whenever the structure constants are. It is
+    read from tables of the structure constants, built once:
+    ``-num*[o, y]`` and ``-num*[x, o]`` over the output keys o, grouped by
+    deg o, for every key y and x of a pair, and ``den*[x, y]`` for every
+    pair. A unit's rows are built by ``rows`` and evaluated on vectors by
+    ``residuals``, which builds no row.
+    """
+
+    def __init__(self, alg: AlgebraSpec, delta: Fraction, w: Window, integral: bool = False):
+        """With ``integral``, every equation is also scaled by the lcm of the
+        denominators of the structure constants, so every entry is an int."""
+        num, den = delta.numerator, delta.denominator
+        out_keys = w.out_keys
+        self.pair_list = tuple(derivation_pairs(alg, w.keys))
+        # [phi(x), y] puts -num*[o, y] in column (x, o) and [x, phi(y)]
+        # puts -num*[x, o] in column (y, o), for every output key o.
+        seconds = dict.fromkeys(k for _, k in self.pair_list)
+        firsts = dict.fromkeys(k for k, _ in self.pair_list)
+        o_k = {k: [bracket_term(alg, o, k) for o in out_keys] for k in seconds}
+        k_o = {k: [bracket_term(alg, k, o) for o in out_keys] for k in firsts}
+        brackets = {pair: bracket_term(alg, *pair) for pair in self.pair_list}
+        terms = [term for table in (*o_k.values(), *k_o.values()) for term in table if term]
+        terms += [term for term in brackets.values() if term]
+
+        # Coordinates of each degree, the ``slot`` of each among them.
+        coordinates = sorted(set(out_keys).union(z for z, _ in terms))
+        deg = {z: degree(alg, z) for z in coordinates}
+        slot: Dict[BasisKey, int] = {}
+        self.width: Dict[int, int] = {}
+        for z in coordinates:
+            slot[z] = self.width.get(deg[z], 0)
+            self.width[deg[z]] = slot[z] + 1
+
+        def graded(z, *keys):
+            if deg[z] != sum(deg[k] for k in keys):
+                raise ValueError(f"degree is not a grading of {alg.label()} at {list(keys)}")
+            return z
+
+        scale = lcm(*(c.denominator for _, c in terms)) if integral else 1
+        factor = -num * scale
+
+        def grouped(k, table):
+            """deg o -> [(j, slot of z, factor*c)] over the o = out_keys[j] with table[j] = (z, c)."""
+            groups: Dict[int, list] = {}
+            for j, (o, term) in enumerate(zip(out_keys, table)):
+                if term is not None and factor:
+                    z, c = term
+                    entry = (j, slot[graded(z, o, k)], int_if_integral(factor * c))
+                    groups.setdefault(deg[o], []).append(entry)
+            return groups
+
+        o_k = {k: grouped(k, table) for k, table in o_k.items()}
+        k_o = {k: grouped(k, table) for k, table in k_o.items()}
+        self.out_at: Dict[int, list] = {}
+        for j, o in enumerate(out_keys):
+            self.out_at.setdefault(deg[o], []).append((j, slot[o]))
+        # Column of (k, out_keys[j]) is first_col[k] + j.
+        first_col = {k: i * len(out_keys) for i, k in enumerate(w.keys)}
+        self.shifts = [deg[o] - deg[k] for k in w.keys for o in out_keys]
+        self.units: Dict[int, list] = {t: [] for t in sorted(set(self.shifts))}
+        for k1, k2 in sorted(self.pair_list, key=lambda p: min(abs(deg[p[0]]), abs(deg[p[1]]))):
+            d1, d2 = deg[k1], deg[k2]
+            touched = {d - d1 for d in o_k[k2]}.union(d - d2 for d in k_o[k1])
+            s_col = cs = None
+            if brackets[k1, k2] is not None:
+                s, cs = brackets[k1, k2]
+                s_col, cs = first_col[graded(s, k1, k2)], int_if_integral(den * scale * cs)
+                touched.update(d - d1 - d2 for d in self.out_at)
+            unit = (o_k[k2], k_o[k1], d1, d2, first_col[k1], first_col[k2], s_col, cs)
+            for t in touched:
+                self.units[t].append(unit)
+
+    def rows(self, t: int, unit) -> list:
+        """The unit's nonzero rows in block t, by increasing coordinate."""
+        o_k, k_o, d1, d2, col1, col2, s_col, cs = unit
+        d = t + d1 + d2
+        at: List[dict] = [{} for _ in range(self.width[d])]
+        if s_col is not None:
+            for j, i in self.out_at.get(d, ()):
+                at[i][s_col + j] = cs
+        for base, group in ((col1, o_k.get(t + d1, ())), (col2, k_o.get(t + d2, ()))):
+            for j, i, c in group:
+                row = at[i]
+                row[base + j] = row.get(base + j, 0) + c
+        return [
+            row if all(row.values()) else {c: v for c, v in row.items() if v}
+            for row in at
+            if any(row.values())
+        ]
+
+    def residuals(self, t: int, unit, probes) -> list:
+        """For each probe, the values of the unit's rows in block t on it."""
+        o_k, k_o, d1, d2, col1, col2, s_col, cs = unit
+        d = t + d1 + d2
+        out = self.out_at.get(d, ()) if s_col is not None else ()
+        group1 = o_k.get(t + d1, ())
+        group2 = k_o.get(t + d2, ())
+        width = self.width[d]
+        values = []
+        for p in probes:
+            r = [0] * width
+            for j, i in out:
+                r[i] += cs * p[s_col + j]
+            for j, i, c in group1:
+                r[i] += c * p[col1 + j]
+            for j, i, c in group2:
+                r[i] += c * p[col2 + j]
+            values.append(r)
+        return values
+
+    def blocks(self):
+        """``(columns, units, rows, residuals)`` of every block, by increasing shift."""
+        columns: Dict[int, list] = {t: [] for t in self.units}
+        for col, t in enumerate(self.shifts):
+            columns[t].append(col)
+        for t, units in self.units.items():
+            yield tuple(columns[t]), units, partial(self.rows, t), partial(self.residuals, t)
+
+
 def assemble(alg: AlgebraSpec, delta, w: Window) -> ConstraintSystem:
     """Constraint matrix whose nullspace is the windowed delta-derivation space.
 
@@ -162,100 +296,58 @@ def assemble(alg: AlgebraSpec, delta, w: Window) -> ConstraintSystem:
     reachable coordinate). Unknown images are zero outside O by fiat, but
     equations are still imposed on every reachable coordinate.
 
-    With ``delta = num/den`` each row is ``den`` times the equation, i.e.
-    ``den*phi([x, y]) - num*([phi(x), y] + [x, phi(y)])``: the nullspace is
-    unchanged and the entries are ints whenever the structure constants are.
-
-    Every catalogued algebra is graded, so the row of (x, y) at coordinate
-    z only touches unknowns (k, o) of shift deg o - deg k = deg z - deg x -
-    deg y. Rows are emitted block by block, one block per shift in
-    increasing order, recorded as ``matrix.blocks``; within a block, pairs
-    come in order of ``min(|deg x|, |deg y|)`` so that the pairs with a
-    generator come first, and then in canonical order.
+    The rows are every block's equations from ``_GradedEquations``, built in
+    full: block by block in increasing shift, recorded as ``matrix.blocks``,
+    and in each block pair by pair. ``solve_derivations`` asks the same
+    generator for rows only while a block's nullity is above
+    ``TESTED_NULLITY`` and certifies the remaining pairs from the tables, so
+    it never builds this matrix; ``nullspace(assemble(...).matrix)`` is its
+    basis.
     """
     delta = as_scalar(delta)
-    num, den = delta.numerator, delta.denominator
-    columns = w.columns()
-    unknown_index = {col: i for i, col in enumerate(columns)}
-    pair_list = tuple(derivation_pairs(alg, w.keys))
-    out_keys = w.out_keys
-    # Column of (k, out_keys[j]) is first_col[k] + j; its shift is shift[col].
-    first_col = {k: i * len(out_keys) for i, k in enumerate(w.keys)}
-    deg = {k: degree(alg, k) for k in out_keys}
-    shift = [deg[o] - deg[k] for k in w.keys for o in out_keys]
-    by_shift: Dict[int, list] = {t: [] for t in sorted(set(shift))}
-
-    def scaled(term, factor):
-        """A bracket term times ``factor`` as (coordinate, int or Fraction)."""
-        if term is None:
-            return None
-        key, coeff = term
-        return key, int_if_integral(factor * coeff)
-
-    # -num*[o, k] and -num*[k, o] over the output keys o, bracketed once per
-    # input key k that needs them rather than once per pair.
-    seconds = {k2 for _, k2 in pair_list}
-    firsts = {k1 for k1, _ in pair_list}
-    o_k = {k: [scaled(bracket_term(alg, o, k), -num) for o in out_keys] for k in seconds}
-    k_o = {k: [scaled(bracket_term(alg, k, o), -num) for o in out_keys] for k in firsts}
-
-    for k1, k2 in sorted(pair_list, key=lambda p: min(abs(deg[p[0]]), abs(deg[p[1]]))):
-        at: Dict[BasisKey, Dict[int, object]] = {}
-        term = bracket_term(alg, k1, k2)
-        if term is not None:
-            s, cs = term
-            cs = int_if_integral(den * cs)
-            at = {coord: {col: cs} for col, coord in enumerate(out_keys, first_col[s])}
-        col1, col2 = first_col[k1], first_col[k2]
-        # [phi(k1), k2] puts -num*[o, k2] in column (k1, o) and
-        # [k1, phi(k2)] puts -num*[k1, o] in column (k2, o).
-        for at_k1, at_k2 in zip(o_k[k2], k_o[k1]):
-            if at_k1 is not None:
-                coord, t = at_k1
-                row = at.setdefault(coord, {})
-                row[col1] = row.get(col1, 0) + t
-            if at_k2 is not None:
-                coord, t = at_k2
-                row = at.setdefault(coord, {})
-                row[col2] = row.get(col2, 0) + t
-            col1 += 1
-            col2 += 1
-        for coord in sorted(at):
-            row = at[coord]
-            if not all(row.values()):
-                row = {c: v for c, v in row.items() if v}
-            if row:
-                by_shift[shift[next(iter(row))]].append(row)
-    block_columns: Dict[int, list] = {t: [] for t in by_shift}
-    for col, t in enumerate(shift):
-        block_columns[t].append(col)
+    equations = _GradedEquations(alg, delta, w)
     rows: List[Dict[int, object]] = []
     blocks = []
-    for t, block_rows in by_shift.items():
-        blocks.append((tuple(block_columns[t]), len(rows), len(rows) + len(block_rows)))
-        rows.extend(block_rows)
+    for columns, units, build, _ in equations.blocks():
+        start = len(rows)
+        for unit in units:
+            rows.extend(build(unit))
+        blocks.append((columns, start, len(rows)))
+    columns = w.columns()
     matrix = RatMatrix.from_rows(rows, len(columns), tuple(blocks))
-    return ConstraintSystem(w, delta, unknown_index, matrix, pair_list)
+    unknown_index = {col: i for i, col in enumerate(columns)}
+    return ConstraintSystem(w, delta, unknown_index, matrix, equations.pair_list)
 
 
-def _maps_from_nullspace(system: ConstraintSystem) -> List[WindowedMap]:
-    columns = system.window.columns()
+def _maps_from_vectors(w: Window, vectors) -> List[WindowedMap]:
+    columns = w.columns()
     maps = []
-    for v in nullspace(system.matrix):
-        images: Dict[BasisKey, Dict[BasisKey, Fraction]] = {k: {} for k in system.window.keys}
+    for v in vectors:
+        images: Dict[BasisKey, Dict[BasisKey, Fraction]] = {k: {} for k in w.keys}
         for col, value in v.entries.items():
             in_key, out_key = columns[col]
             images[in_key][out_key] = value
-        maps.append(
-            WindowedMap(system.window, {k: SparseVec(img) for k, img in images.items()})
-        )
+        maps.append(WindowedMap(w, {k: SparseVec(img) for k, img in images.items()}))
     return maps
 
 
+def solve_derivations(alg: AlgebraSpec, w: Window, delta) -> FamilyBasis:
+    """Windowed space of delta-derivations, solved block by block on demand.
+
+    The basis is ``nullspace(assemble(alg, delta, w).matrix)``, solved
+    without building that matrix: ``exactlin.nullspace_by_blocks`` asks each
+    block for the rows of a pair while the block's nullity is above
+    ``TESTED_NULLITY`` and, after that, only for the pair's residuals on the
+    block's null vectors, read straight from the structure-constant tables.
+    """
+    equations = _GradedEquations(alg, as_scalar(delta), w, integral=True)
+    vectors = nullspace_by_blocks(equations.blocks())
+    return FamilyBasis(w, tuple(_maps_from_vectors(w, vectors)))
+
+
 def solve_half_derivations(alg: AlgebraSpec, w: Window) -> FamilyBasis:
-    """Windowed space of half-derivations: nullspace of the assembled system."""
-    system = assemble(alg, HALF, w)
-    return FamilyBasis(w, tuple(_maps_from_nullspace(system)))
+    """Windowed space of half-derivations: ``solve_derivations`` at delta = 1/2."""
+    return solve_derivations(alg, w, HALF)
 
 
 def _index_bounds(keys: Sequence[BasisKey], kind: str) -> Optional[Tuple[int, int]]:

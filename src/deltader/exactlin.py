@@ -25,7 +25,6 @@ from typing import Iterable, Mapping, Optional
 Scalar = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def as_scalar(value) -> Fraction:
@@ -320,25 +319,34 @@ def _forward_eliminate(rows: Iterable[Mapping]) -> dict:
     return pivots
 
 
-def _rref_rows(pivots: dict) -> dict:
-    """Reduced rows of an echelon form: pivot-col -> Fraction row, pivot 1.
+def _reduced_rows(pivots: dict) -> dict:
+    """Reduced rows of an echelon form: pivot-col -> int row, zero at every
+    other pivot column.
 
     Works through the pivots in decreasing order. Every row below the
     current one is already reduced, so it is nonzero only at its own pivot
     and at free columns, and clearing one pivot column of the current row
     brings in free columns alone: one pass over the row's own entries
-    suffices. The division to ``Fraction`` happens once per row, at the end.
+    suffices.
     """
     reduced: dict = {}
-    out: dict = {}
     for p in sorted(pivots, reverse=True):
         row = dict(pivots[p])
         for q in [c for c in row if c != p and c in reduced]:
             row = _eliminate(row, reduced[q], q)
         reduced[p] = row
-        lead = row[p]
-        out[p] = {c: Fraction(v, lead) for c, v in row.items()}
-    return out
+    return reduced
+
+
+def _rref_rows(pivots: dict) -> dict:
+    """Reduced rows of an echelon form: pivot-col -> Fraction row, pivot 1.
+
+    The division to ``Fraction`` happens once per entry, at the end.
+    """
+    return {
+        p: {c: Fraction(v, row[p]) for c, v in row.items()}
+        for p, row in _reduced_rows(pivots).items()
+    }
 
 
 def rref(matrix: RatMatrix) -> tuple:
@@ -359,68 +367,128 @@ def rank(matrix: RatMatrix) -> int:
     return len(_forward_eliminate(matrix.rows))
 
 
-# A block whose nullity is at most this tests each further row against its
-# null vectors before inserting it.
+# Once a block's nullity is at most this, each further unit of its rows is
+# tested against the block's null vectors instead of being inserted.
 TESTED_NULLITY = 2
 
 
-def _null_vectors(pivots: dict, columns) -> dict:
-    """Free column -> canonical null vector (entry 1 there) of the echelon
-    form ``pivots``, whose rows are supported in ``columns``."""
-    reduced = _rref_rows(pivots)
-    basis = {free: {free: ONE} for free in columns if free not in reduced}
-    for p, prow in reduced.items():
-        for c, v in prow.items():
-            if c != p:
-                basis[c][p] = -v
-    return basis
+def _content_free(v: dict) -> dict:
+    """The int vector ``v`` divided by the gcd of its entries."""
+    g = gcd(*v.values())
+    return v if g == 1 else {c: x // g for c, x in v.items()}
 
 
-def _block_nullspace(rows, columns) -> dict:
-    """``_null_vectors`` of the row space of ``rows``, all supported in ``columns``.
+def _integer_null_vectors(pivots: dict, columns) -> list:
+    """The canonical null vectors of the echelon form ``pivots``, whose rows
+    are supported in ``columns``, one per free column, with their
+    denominators cleared: primitive int vectors, dense over
+    ``columns``, read off the integer reduced rows without a ``Fraction``."""
+    reduced = _reduced_rows(pivots)
+    vectors = []
+    for free in columns:
+        if free not in reduced:
+            rows = [(p, row) for p, row in reduced.items() if free in row]
+            scale = lcm(*(row[p] for p, row in rows))
+            v = dict.fromkeys(columns, 0)
+            v[free] = scale
+            for p, row in rows:
+                v[p] = -row[free] * (scale // row[p])
+            vectors.append(_content_free(v))
+    return vectors
 
-    Rows enter the echelon form one by one, and reading stops once its rank
-    equals the number of columns. Once the nullity is at most
-    ``TESTED_NULLITY``, a row is first dotted with the current null vectors,
-    made primitive: a row orthogonal to all of them lies in
-    ``(U^perp)^perp = U``, the span of the rows so far, and is skipped. Any
-    other row enlarges the span, so it is inserted and the null vectors are
-    recomputed, at most ``TESTED_NULLITY`` times. The row space, and with it
-    the canonical RREF and the null vectors, is that of all the rows.
+
+def _combined(vectors: list, coeffs: dict) -> dict:
+    """The primitive int vector ``sum(coeffs[i] * vectors[i])`` of int vectors
+    dense over the same columns."""
+    terms = list(zip(coeffs.values(), vectors))
+    return _content_free({col: sum(c * v[col] for c, v in terms) for col in vectors[0]})
+
+
+def _canonical_null_vectors(vectors: list) -> dict:
+    """Free column -> canonical null vector (``Fraction`` entries, 1 at the
+    free column) of the row space whose null space the int vectors
+    ``vectors`` span.
+
+    The canonical null vector of free column ``f`` is 1 at ``f``, 0 at every
+    other free column and nonzero only at pivot columns below ``f``: these
+    vectors are the reduced echelon form of the null space with the column
+    order reversed. The shared kernel computes it on negated columns.
+    """
+    reduced = _rref_rows(_forward_eliminate({-c: x for c, x in v.items() if x} for v in vectors))
+    return {-p: {-c: x for c, x in sorted(row.items())} for p, row in reduced.items()}
+
+
+def _block_nullspace(units, columns, rows, residuals) -> dict:
+    """``_canonical_null_vectors`` of the rows of one block, supported in
+    ``columns``.
+
+    The rows come in units. ``rows(unit)`` builds a unit's rows, and
+    ``residuals(unit, probes)`` evaluates them on vectors without building
+    them: for each probe, the list of the rows' dot products with it.
+
+    While the nullity is above ``TESTED_NULLITY``, every unit's rows enter
+    the echelon form. After that no row is built. The probes are primitive
+    int vectors spanning the null space of the rows so far, and each unit is
+    tested by its residuals on them. A unit orthogonal to every probe lies
+    in ``(U^perp)^perp = U``, the span of the rows so far, and changes
+    nothing. Any other unit cuts the null space down to the combinations of
+    the probes that its rows annihilate, ``U * null(R)`` for its residual
+    matrix ``R``, so the probes are recombined; no echelon form is updated.
+    Reading stops when no probe is left, at full rank. The null space is
+    that of all the rows, and the canonical basis is read off it at the end.
     """
     width = len(columns)
-    zeros = dict.fromkeys(columns, 0)
     pivots: dict = {}
-    null = None
-    for row in rows:
-        if width - len(pivots) > TESTED_NULLITY:
-            if row:
-                _insert(_primitive(row), pivots)
-            continue
-        if null is None:
-            null = _null_vectors(pivots, columns)
-            # dense over the block's columns, so a dot product needs no default
-            probes = [{**zeros, **_primitive(v)} for v in null.values()]
-        if any(sum(map(mul, row.values(), map(p.__getitem__, row))) for p in probes):
+    units = iter(units)
+    for unit in units:
+        for row in rows(unit):
             _insert(_primitive(row), pivots)
-            if len(pivots) == width:
-                return {}
-            null = None
-    return _null_vectors(pivots, columns) if null is None else null
+        if width - len(pivots) <= TESTED_NULLITY:
+            break
+    probes = _integer_null_vectors(pivots, columns)
+    for unit in units:
+        if not probes:
+            break
+        values = residuals(unit, probes)
+        if any(map(any, values)):
+            cut = _forward_eliminate({i: x for i, x in enumerate(r) if x} for r in zip(*values))
+            probes = [_combined(probes, c) for c in _integer_null_vectors(cut, range(len(probes)))]
+    return _canonical_null_vectors(probes)
 
 
-def nullspace(matrix: RatMatrix) -> list:
-    """Basis of the right nullspace, one SparseVec per free column.
+def _matrix_rows(row) -> tuple:
+    """A matrix row as a unit of ``_block_nullspace``."""
+    return (row,) if row else ()
+
+
+def _matrix_residuals(row, probes) -> list:
+    return [[sum(map(mul, row.values(), map(p.__getitem__, row)))] for p in probes]
+
+
+def nullspace_by_blocks(blocks: Iterable) -> list:
+    """Basis of the null space of a block-diagonal system given block by
+    block, as ``(columns, units, rows, residuals)`` for ``_block_nullspace``.
 
     Vectors are emitted in increasing free-column order; each has entry 1 at
     its free column, making the basis canonical for a fixed column order.
-    Each block of ``matrix.blocks`` is solved alone: the canonical RREF of a
-    block-diagonal matrix is the union of its blocks' RREFs.
+    The canonical RREF of a block-diagonal matrix is the union of its
+    blocks' RREFs, so each block is solved alone.
     """
     basis: dict = {}
-    for columns, start, stop in matrix.blocks or ((range(matrix.ncols), 0, matrix.nrows),):
-        basis.update(_block_nullspace(matrix.rows[start:stop], columns))
+    for columns, units, rows, residuals in blocks:
+        basis.update(_block_nullspace(units, columns, rows, residuals))
     return [SparseVec(basis[free]) for free in sorted(basis)]
+
+
+def nullspace(matrix: RatMatrix) -> list:
+    """Basis of the right nullspace, one SparseVec per free column, as in
+    ``nullspace_by_blocks``; each row of each block of ``matrix.blocks`` is a
+    unit of its own."""
+    spans = matrix.blocks or ((range(matrix.ncols), 0, matrix.nrows),)
+    return nullspace_by_blocks(
+        (columns, matrix.rows[start:stop], _matrix_rows, _matrix_residuals)
+        for columns, start, stop in spans
+    )
 
 
 @dataclass(frozen=True)

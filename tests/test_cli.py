@@ -165,6 +165,18 @@ class TestLocalCommands:
         )
         assert code == 0
 
+    def test_two_local_default_pairs_on_a_window_narrower_than_the_grid(self, tmp_path):
+        # the criterion 6 grid uses e1..e10; on 1..6 the pairs come from the window
+        out = tmp_path / "r.json"
+        code = main(
+            ["two-local", "--algebra", "thin", "--in", "1..6", "--out", "1..9",
+             "--map", "thin-nabla", "--json", str(out)]
+        )
+        assert code == 0
+        pairs = read_json(out)["results"]["pairs"]
+        assert len(pairs) == 20 and all(p["feasible"] for p in pairs)
+        assert pairs[0] == {"x": "e1", "y": "e2", "feasible": True, "params": pairs[0]["params"]}
+
 
 class TestCounterexamplesCommand:
     def test_thin_report(self, tmp_path):
@@ -372,9 +384,9 @@ def locality_argv(draw):
     return argv
 
 
-@given(locality_argv())
-@settings(max_examples=80, deadline=None)
-def test_locality_commands_hold_the_exit_code_contract(argv):
+def run_contract(argv):
+    """Exit code and stderr of ``main(argv)``, checked against the exit-code
+    contract: 0, 1 or 2, no traceback, and a usage error says so first."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -385,3 +397,54 @@ def test_locality_commands_hold_the_exit_code_contract(argv):
     assert "Traceback" not in out.getvalue() + err.getvalue()
     if code == 2:
         assert err.getvalue().startswith(("error: ", "usage: ")), argv
+    return code, err.getvalue()
+
+
+@given(locality_argv())
+@settings(max_examples=80, deadline=None)
+def test_locality_commands_hold_the_exit_code_contract(argv):
+    code, err = run_contract(argv)
+    own_maps = next(case[2] for case in ALGEBRA_CASES if case[0][0] == argv[2])
+    literal = argv[argv.index("--map") + 1]
+    defaults = "--x" not in argv and "--y" not in argv
+    if argv[0] in ("local", "two-local") and literal in own_maps and defaults:
+        # the default elements always fit the window
+        assert code != 2, (argv, err)
+
+
+INDEX = st.integers(-4, 7)
+INDEX_RANGE = st.builds(lambda i, j: f"{min(i, j)}..{max(i, j)}", INDEX, INDEX)
+RANGE_TEXT = st.one_of(
+    INDEX_RANGE,
+    INDEX_RANGE,
+    st.builds("{}..{}".format, INDEX, INDEX),  # reversed ones too
+    st.sampled_from(["", "..", "3..", "..3", "1..1", "2...4", "a..b", "1.5..3", "--1..2"]),
+    st.text(alphabet="0123456789.-+ e", max_size=6),
+)
+SCALAR_TEXT = st.one_of(
+    st.builds(str, st.fractions(min_value=-3, max_value=3, max_denominator=4)),
+    st.sampled_from(["0", "-1", "1/2", "2/3", "-3/2", "1/0", "0/0", "1/-2", "x", "", "1e3", " 1"]),
+    st.text(alphabet="0123456789/-.x ", max_size=5),
+)
+
+
+@st.composite
+def solve_argv(draw):
+    """argv for solve with drawn --algebra, --a/--b literals and --in/--out
+    ranges: valid, reversed, empty or malformed. --a and --b mostly come
+    with wab alone, so that most draws reach the solver."""
+    algebra = draw(st.sampled_from(["wittz", "wittpos", "witt1", "wab", "thin", "solv", "witt"]))
+    argv = ["solve", "--algebra", algebra]
+    for flag in ("--a", "--b"):
+        if draw(st.integers(0, 7)) < (7 if algebra == "wab" else 1):
+            argv += [flag, draw(SCALAR_TEXT)]
+    for flag in ("--in", "--out"):
+        if draw(st.integers(0, 7)):
+            argv += [flag, draw(RANGE_TEXT)]
+    return argv
+
+
+@given(solve_argv())
+@settings(max_examples=120, deadline=None)
+def test_solve_holds_the_exit_code_contract(argv):
+    run_contract(argv)

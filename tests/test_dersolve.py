@@ -16,6 +16,7 @@ from deltader.dersolve import (
     find_violation_witness,
     interior_input_keys,
     residual_at,
+    solve_derivations,
     solve_half_derivations,
 )
 from deltader.exactlin import RatMatrix, SparseVec, in_span, nullspace
@@ -32,6 +33,37 @@ from deltader.operators import (
 )
 
 HALF = Fraction(1, 2)
+
+
+def residual_reference(alg, delta, w, pairs):
+    """The equations rebuilt from ``residual_at``, unit map by unit map."""
+    rows = {}
+    for j, (in_key, out_key) in enumerate(w.columns()):
+        unit = WindowedMap(w, {k: SparseVec({out_key: 1} if k == in_key else {}) for k in w.keys})
+        for pair in pairs:
+            for coord, value in residual_at(alg, unit, delta, *pair).entries.items():
+                rows.setdefault((pair, coord), {})[j] = value
+    return RatMatrix.from_rows(rows.values(), len(w.columns()))
+
+
+def assert_block_major_by_shift(alg, system):
+    """Rows come block by block in increasing shift, each inside its block,
+    the blocks cover every row and column once, the pair list is canonical."""
+    matrix = system.matrix
+    columns = system.window.columns()
+    covered_rows, covered_cols, shifts = [], [], []
+    for block_cols, start, stop in matrix.blocks:
+        covered_rows.extend(range(start, stop))
+        covered_cols.extend(block_cols)
+        (t,) = {degree(alg, o) - degree(alg, k) for k, o in (columns[c] for c in block_cols)}
+        shifts.append(t)
+        for row in matrix.rows[start:stop]:
+            assert set(row) <= set(block_cols)
+    assert covered_rows == list(range(matrix.nrows))
+    assert sorted(covered_cols) == list(range(matrix.ncols))
+    assert shifts == sorted(set(shifts))
+    # the pair list keeps its canonical order; the rows alone are reordered
+    assert list(system.pair_list) == derivation_pairs(alg, system.window.keys)
 
 
 class TestDerivationPairs:
@@ -88,13 +120,7 @@ class TestAssemble:
         # exactly that of the residual equations evaluated unit map by unit map.
         w = window_from_ranges(alg, in_range, out_range)
         system = assemble(alg, delta, w)
-        rows = {}
-        for j, (in_key, out_key) in enumerate(w.columns()):
-            unit = WindowedMap(w, {k: SparseVec({out_key: 1} if k == in_key else {}) for k in w.keys})
-            for pair in system.pair_list:
-                for coord, value in residual_at(alg, unit, delta, *pair).entries.items():
-                    rows.setdefault((pair, coord), {})[j] = value
-        reference = RatMatrix.from_rows(rows.values(), len(w.columns()))
+        reference = residual_reference(alg, delta, w, system.pair_list)
         assert nullspace(system.matrix) == nullspace(reference)
 
 
@@ -113,22 +139,44 @@ class TestAssemble:
     def test_blocks_partition_rows_and_columns_by_shift(self, alg, delta, in_range, out_range):
         w = window_from_ranges(alg, in_range, out_range)
         system = assemble(alg, delta, w)
+        assert_block_major_by_shift(alg, system)
         matrix = system.matrix
-        columns = w.columns()
-        covered_rows, covered_cols, shifts = [], [], []
-        for block_cols, start, stop in matrix.blocks:
-            covered_rows.extend(range(start, stop))
-            covered_cols.extend(block_cols)
-            (t,) = {degree(alg, o) - degree(alg, k) for k, o in (columns[c] for c in block_cols)}
-            shifts.append(t)
-            for row in matrix.rows[start:stop]:
-                assert set(row) <= set(block_cols)
-        assert covered_rows == list(range(matrix.nrows))
-        assert sorted(covered_cols) == list(range(matrix.ncols))
-        assert shifts == sorted(set(shifts))
-        # the pair list keeps its canonical order; the rows alone are reordered
-        assert list(system.pair_list) == derivation_pairs(alg, w.keys)
         assert nullspace(matrix) == nullspace(RatMatrix.from_rows(matrix.rows, matrix.ncols))
+
+
+@st.composite
+def algebra_windows(draw):
+    """(algebra, input range, output range): all six algebras, small windows
+    with single-key and in == out ones among them."""
+    alg = draw(
+        st.sampled_from(
+            [witt_z(), witt_pos(), witt_one_sided(), thin(), solv_abelian()]
+            + [wab(a, b) for a in (0, HALF, Fraction(2, 3)) for b in (-1, 0, Fraction(1, 3))]
+        )
+    )
+    low = {"wittz": -3, "wab": -2, "witt1": -1}.get(alg.name, 1)
+    lo = draw(st.integers(low, low + 3))
+    hi = draw(st.integers(lo, lo + (1 if alg.name == "wab" else 3)))
+    below = draw(st.integers(0, 2))
+    above = draw(st.integers(0, 2))
+    return alg, (lo, hi), (max(low, lo - below), hi + above)
+
+
+DELTAS = st.sampled_from([HALF, Fraction(1), Fraction(-1), Fraction(2, 3), Fraction(3)])
+
+
+class TestLazySolve:
+    @given(algebra_windows(), DELTAS)
+    @settings(max_examples=60, deadline=None)
+    def test_matches_assembled_and_residual_systems(self, case, delta):
+        alg, in_range, out_range = case
+        w = window_from_ranges(alg, in_range, out_range)
+        system = assemble(alg, delta, w)
+        columns = {col: i for i, col in enumerate(w.columns())}
+        solved = [m.as_vector(columns) for m in solve_derivations(alg, w, delta).basis]
+        assert solved == nullspace(system.matrix)
+        assert solved == nullspace(residual_reference(alg, delta, w, system.pair_list))
+        assert_block_major_by_shift(alg, system)
 
 
 class TestCheckDeltaDerivation:

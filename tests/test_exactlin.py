@@ -353,14 +353,19 @@ class TestBlockNullspace:
         )
 
     def test_rows_past_full_rank_or_in_the_span_are_not_inserted(self, monkeypatch):
-        inserted = []
-        real_insert = exactlin._insert
+        built, tested = [], []
+        real_rows, real_residuals = exactlin._matrix_rows, exactlin._matrix_residuals
 
-        def counting_insert(row, pivots):
-            inserted.append(row)
-            return real_insert(row, pivots)
+        def counting_rows(row):
+            built.append(row)
+            return real_rows(row)
 
-        monkeypatch.setattr(exactlin, "_insert", counting_insert)
+        def counting_residuals(row, probes):
+            tested.append(row)
+            return real_residuals(row, probes)
+
+        monkeypatch.setattr(exactlin, "_matrix_rows", counting_rows)
+        monkeypatch.setattr(exactlin, "_matrix_residuals", counting_residuals)
         # block (0, 2, 4) reaches full rank after three rows; block (1, 3, 5, 6)
         # keeps nullity 1 after three rows, and the later rows lie in their span
         full = [{0: 1}, {2: 1, 4: 1}, {4: 2}] + [{0: i, 2: 1, 4: -i} for i in range(20)]
@@ -369,7 +374,11 @@ class TestBlockNullspace:
         blocks = (((0, 2, 4), 0, len(full)), ((1, 3, 5, 6), len(full), len(full) + len(span)))
         m = RatMatrix.from_rows(full + span, 7, blocks)
         assert nullspace(m) == [SparseVec({1: 2, 3: -2, 5: 1, 6: 1})]
-        assert len(inserted) == 6
+        # rows are inserted only while the nullity is above 2; after that each
+        # row is tested against the null vectors, and none past full rank is read
+        rows = m.rows  # as packed: zero entries dropped
+        assert built == [rows[0], rows[len(full)], rows[len(full) + 1]]
+        assert tested == list(rows[1:3] + rows[len(full) + 2 :])
 
 
 class TestFromRows:
