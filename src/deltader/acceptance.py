@@ -3,9 +3,11 @@
 Each criterion function returns a CriterionResult with per-check details;
 ``run_all`` executes all ten inside one ``solve_scope``, so each (algebra,
 window) is solved once per run. Criterion 1 checks the bracket axioms on the
-structure constants themselves (``algebras.bracket_term``). The interior
-margins and the infeasible scan sets below were computed once with the exact
-solver oracle and are frozen here; the suite validates them on every run.
+structure constants themselves (``algebras.bracket_term``). Each algebra's
+axiom box, windows and interior margin live in its catalogue record
+(``algebras.AlgebraRecord``); those margins and the infeasible scan sets below
+were computed once with the exact solver oracle and are frozen; the suite
+validates them on every run.
 
 Criterion 6 pins the non-additivity right-hand side to ``e2``. Exact
 evaluation of the probe map gives ``2*e2``, so that single check reports
@@ -24,7 +26,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import algebras
-from .algebras import AlgebraSpec, BasisKey, E, F, bracket_term
+from .algebras import AlgebraSpec, E, F, bracket_term
 from .dersolve import (
     HALF,
     FamilyBasis,
@@ -58,17 +60,6 @@ from .operators import (
 
 QUARTER = Fraction(1, 4)
 
-# Interior margins certified by criterion 3; computed via the solver oracle
-# on the acceptance windows below. Adjust only together with the windows.
-INTERIOR_MARGINS = {
-    "wittz": 0,
-    "wittpos": 0,
-    "witt1": 0,
-    "wab": 0,
-    "thin": 0,
-    "solv": 0,
-}
-
 # Scan values certified by criterion 8 (computed with the feasibility oracle).
 ZERO_PROPAGATION_INFEASIBLE_C = tuple(range(1, 11))
 
@@ -80,25 +71,9 @@ WAB_ACCEPTANCE_PARAMS = (
 )
 
 
-def acceptance_windows(quick: bool = False) -> dict:
-    """Window table used by the suite (smaller ranges in quick mode)."""
-    if quick:
-        return {
-            "wittz": ((-3, 3), (-8, 8)),
-            "wittpos": ((1, 7), (1, 12)),
-            "witt1": ((-1, 5), (-1, 10)),
-            "wab": ((-2, 2), (-4, 4)),
-            "thin": ((1, 10), (1, 12)),
-            "solv": ((1, 6), (1, 6)),
-        }
-    return {
-        "wittz": ((-4, 4), (-12, 12)),
-        "wittpos": ((1, 9), (1, 17)),
-        "witt1": ((-1, 7), (-1, 15)),
-        "wab": ((-3, 3), (-6, 6)),
-        "thin": ((1, 10), (1, 14)),
-        "solv": ((1, 8), (1, 8)),
-    }
+def acceptance_window(alg: AlgebraSpec, quick: bool = False) -> Window:
+    """The suite's window on ``alg``, from its record (smaller in quick mode)."""
+    return window_from_ranges(alg, *alg.record.windows[quick])
 
 
 @dataclass(frozen=True)
@@ -201,24 +176,8 @@ def _antisymmetric(t12, t21) -> bool:
     return t12[0] == t21[0] and t12[1] == -t21[1]
 
 
-def _axiom_box(alg: AlgebraSpec, quick: bool) -> List[BasisKey]:
-    hi = 8 if not quick else 4
-    if alg.name in ("wittz",):
-        idx = range(-hi, hi + 1)
-    elif alg.name == "wab":
-        idx = range(-hi, hi + 1)
-    elif alg.name == "witt1":
-        idx = range(-1, 2 * hi)
-    else:  # wittpos, thin, solv
-        idx = range(1, 2 * hi + 1)
-    keys = [E(i) for i in idx]
-    if alg.name == "wab":
-        keys += [F(i) for i in idx]
-    return keys
-
-
 def _bracket_axioms(alg: AlgebraSpec, quick: bool) -> Tuple[bool, bool]:
-    keys = _axiom_box(alg, quick)
+    keys = window_from_ranges(alg, alg.record.axiom_box[quick]).keys
     terms = _Terms(alg)
     antisym = all(
         _antisymmetric(terms[k1, k2], terms[k2, k1]) for k1 in keys for k2 in keys
@@ -234,27 +193,22 @@ def _bracket_axioms(alg: AlgebraSpec, quick: bool) -> Tuple[bool, bool]:
 
 def criterion_1(quick: bool = False) -> CriterionResult:
     checks = _Checks()
-    plain = [
+    catalogue = [
         algebras.witt_z(),
         algebras.witt_pos(),
         algebras.witt_one_sided(),
         algebras.thin(),
         algebras.solv_abelian(),
-    ]
-    for alg in plain:
-        antisym, jacobi = _bracket_axioms(alg, quick)
-        checks.expect(antisym, f"{alg.label()} antisymmetry")
-        checks.expect(jacobi, f"{alg.label()} jacobi")
-    for a, b in WAB_ACCEPTANCE_PARAMS:
-        alg = algebras.wab(a, b)
+    ] + [algebras.wab(a, b) for a, b in WAB_ACCEPTANCE_PARAMS]
+    for alg in catalogue:
         antisym, jacobi = _bracket_axioms(alg, quick)
         checks.expect(antisym, f"{alg.label()} antisymmetry")
         checks.expect(jacobi, f"{alg.label()} jacobi")
     return CriterionResult(1, "bracket axioms (antisymmetry and Jacobi)", checks.ok, tuple(checks.details))
 
 
-def _shift_containment(alg: AlgebraSpec, ranges, checks: _Checks) -> None:
-    w = window_from_ranges(alg, *ranges)
+def _shift_containment(alg: AlgebraSpec, quick: bool, checks: _Checks) -> None:
+    w = acceptance_window(alg, quick)
     solved = _solve(alg, w)
     family = expected_family(alg, w)
     pairs = derivation_pairs(alg, w.keys)
@@ -272,16 +226,13 @@ def _shift_containment(alg: AlgebraSpec, ranges, checks: _Checks) -> None:
 
 def criterion_2(quick: bool = False) -> CriterionResult:
     checks = _Checks()
-    windows = acceptance_windows(quick)
-    _shift_containment(algebras.witt_z(), windows["wittz"], checks)
-    _shift_containment(algebras.witt_pos(), windows["wittpos"], checks)
-    _shift_containment(algebras.witt_one_sided(), windows["witt1"], checks)
+    for alg in (algebras.witt_z(), algebras.witt_pos(), algebras.witt_one_sided()):
+        _shift_containment(alg, quick, checks)
     return CriterionResult(2, "shift containment on Witt-family windows", checks.ok, tuple(checks.details))
 
 
 def criterion_3(quick: bool = False) -> CriterionResult:
     checks = _Checks()
-    windows = acceptance_windows(quick)
     catalogue = [
         algebras.witt_z(),
         algebras.witt_pos(),
@@ -292,9 +243,8 @@ def criterion_3(quick: bool = False) -> CriterionResult:
         algebras.solv_abelian(),
     ]
     for alg in catalogue:
-        ranges = windows[alg.name]
-        margin = INTERIOR_MARGINS[alg.name]
-        w = window_from_ranges(alg, *ranges)
+        margin = alg.record.margin
+        w = acceptance_window(alg, quick)
         solved = _solve(alg, w)
         family = expected_family(alg, w)
         report = compare_families(solved, family, margin)
@@ -308,14 +258,13 @@ def criterion_3(quick: bool = False) -> CriterionResult:
 
 def wab_dimension_sweep(quick: bool = False) -> List[dict]:
     """One solve per integer b in -3..3 at a = 0; used by criterion 4 and the TSV sweep."""
-    windows = acceptance_windows(quick)
     rows = []
     for b in range(-3, 4):
         alg = algebras.wab(0, b)
-        w = window_from_ranges(alg, *windows["wab"])
+        w = acceptance_window(alg, quick)
         solved = _solve(alg, w)
         family = expected_family(alg, w)
-        report = compare_families(solved, family, INTERIOR_MARGINS["wab"])
+        report = compare_families(solved, family, alg.record.margin)
         rows.append(
             {
                 "algebra": "wab",
@@ -388,8 +337,7 @@ def criterion_5(quick: bool = False) -> CriterionResult:
         early == ((E(1), E(2)), SparseVec({E(3): HALF})),
         "full scan of e1..e8 finds the earlier witness (e1,e2) with (1/2)e3",
     )
-    windows = acceptance_windows(quick)
-    w = window_from_ranges(alg, *windows["thin"])
+    w = acceptance_window(alg, quick)
     family = _solve(alg, w)
     sample = thin_local_sample(w)
     checks.expect(len(sample) >= 25, f"sample size {len(sample)} >= 25")
@@ -443,8 +391,7 @@ def criterion_6(quick: bool = False) -> CriterionResult:
         f"rhs is e2 exactly (exact evaluation gives {witness.rhs})",
     )
     alg = algebras.thin()
-    windows = acceptance_windows(quick)
-    w = window_from_ranges(alg, *windows["thin"])
+    w = acceptance_window(alg, quick)
     family = _solve(alg, w)
     grid = thin_two_local_grid()
     checks.expect(len(grid) >= 20, f"grid size {len(grid)} >= 20")
@@ -456,11 +403,10 @@ def criterion_6(quick: bool = False) -> CriterionResult:
 def criterion_7(quick: bool = False) -> CriterionResult:
     checks = _Checks()
     alg = algebras.solv_abelian()
-    windows = acceptance_windows(quick)
-    w = window_from_ranges(alg, *windows["solv"])
+    w = acceptance_window(alg, quick)
     solved = _solve(alg, w)
     family = expected_family(alg, w)
-    report = compare_families(solved, family, INTERIOR_MARGINS["solv"])
+    report = compare_families(solved, family, alg.record.margin)
     checks.expect(
         report.expected_contained and report.solved_interior_contained,
         f"interior comparison certifies the unit-vector family (dim {report.dim_solved})",
@@ -502,8 +448,7 @@ def criterion_8(quick: bool = False) -> CriterionResult:
     zero_reports = zero_propagation_scan(wz, SparseVec(), 0, (1, 2, 3), family)
     checks.expect(all(r.feasible for r in zero_reports), "value 0 feasible for every c")
     wa = algebras.wab(0, -1)
-    windows = acceptance_windows(quick)
-    ww = window_from_ranges(wa, *windows["wab"])
+    ww = acceptance_window(wa, quick)
     wfam = _solve(wa, ww)
     scan = wab_f_scan(wa, SparseVec({F(1): 1}), 0, wfam)
     checks.expect(not scan.feasible, "f-line probe with value f_{m+1} infeasible")
@@ -514,17 +459,16 @@ def criterion_8(quick: bool = False) -> CriterionResult:
 
 def criterion_9(quick: bool = False) -> CriterionResult:
     checks = _Checks()
-    windows = acceptance_windows(quick)
     cases = [
-        (algebras.witt_z(), windows["wittz"], E(0)),
-        (algebras.witt_pos(), windows["wittpos"], E(1)),
-        (algebras.witt_one_sided(), windows["witt1"], E(1)),
-        (algebras.wab(0, -1), windows["wab"], E(0)),
-        (algebras.wab(0, 0), windows["wab"], E(0)),
-        (algebras.solv_abelian(), windows["solv"], E(1)),
+        (algebras.witt_z(), E(0)),
+        (algebras.witt_pos(), E(1)),
+        (algebras.witt_one_sided(), E(1)),
+        (algebras.wab(0, -1), E(0)),
+        (algebras.wab(0, 0), E(0)),
+        (algebras.solv_abelian(), E(1)),
     ]
-    for alg, ranges, k0 in cases:
-        w = window_from_ranges(alg, *ranges)
+    for alg, k0 in cases:
+        w = acceptance_window(alg, quick)
         family = expected_family(alg, w)
         values = [m.evaluate(SparseVec({k0: 1})) for m in family.basis]
         checks.expect(

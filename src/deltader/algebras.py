@@ -1,8 +1,9 @@
 """Catalogue of basis-indexed graded Lie algebras.
 
-Each algebra is presented through an index-domain predicate plus a structure
-constant rule, ``bracket_term``, for brackets of basis elements e_i (and f_i
-for the semidirect product family). Supported algebras:
+Each algebra is one ``AlgebraRecord``: its index domain, its structure
+constant rule for brackets of basis elements e_i (and f_i for the semidirect
+product family), its grading, the operator literals defined on it and the
+verification suite's frozen windows and margin. Supported algebras:
 
 * ``wittz``     two-sided Witt algebra, [e_i, e_j] = (j - i) e_{i+j}, i in Z
 * ``wittpos``   positive Witt subalgebra, indices i >= 1
@@ -15,20 +16,12 @@ for the semidirect product family). Supported algebras:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Optional, Tuple
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional, Tuple
 
 from .exactlin import Scalar, SparseVec, as_scalar, int_if_integral
-
-WITT_Z = "wittz"
-WITT_POS = "wittpos"
-WITT_ONE_SIDED = "witt1"
-WAB = "wab"
-THIN = "thin"
-SOLV_ABELIAN = "solv"
-
-ALGEBRA_NAMES = (WITT_Z, WITT_POS, WITT_ONE_SIDED, WAB, THIN, SOLV_ABELIAN)
 
 
 class KeyOutOfDomain(Exception):
@@ -58,6 +51,112 @@ def F(i: int) -> BasisKey:
     return BasisKey("f", i)
 
 
+Term = Optional[Tuple[BasisKey, Scalar]]
+Range = Tuple[int, int]
+
+
+def _witt_rule(alg: "AlgebraSpec", k1: BasisKey, k2: BasisKey) -> Term:
+    i, j = k1.index, k2.index
+    return (E(i + j), j - i) if i != j else None
+
+
+def _wab_rule(alg: "AlgebraSpec", k1: BasisKey, k2: BasisKey) -> Term:
+    i, j = k1.index, k2.index
+    if k1.kind == "e" and k2.kind == "e":
+        return (E(i + j), i - j) if i != j else None
+    if k1.kind == "e" and k2.kind == "f":
+        coeff = -(j + alg.a + alg.b * i)
+    elif k1.kind == "f" and k2.kind == "e":
+        coeff = i + alg.a + alg.b * j
+    else:
+        return None  # [f, f] = 0
+    return (F(i + j), int_if_integral(coeff)) if coeff else None
+
+
+def _thin_rule(alg: "AlgebraSpec", k1: BasisKey, k2: BasisKey) -> Term:
+    i, j = k1.index, k2.index
+    if i == 1 and j >= 2:
+        return E(j + 1), 1
+    if j == 1 and i >= 2:
+        return E(i + 1), -1
+    return None
+
+
+def _solv_rule(alg: "AlgebraSpec", k1: BasisKey, k2: BasisKey) -> Term:
+    i, j = k1.index, k2.index
+    if i == 1 and j >= 2:
+        return E(j), 1
+    if j == 1 and i >= 2:
+        return E(i), -1
+    return None
+
+
+def _solv_degree(key: BasisKey) -> int:
+    return 0 if key.index == 1 else 1
+
+
+class AlgebraRecord(NamedTuple):
+    """Everything the engine knows about one catalogued algebra.
+
+    Basis keys have a kind in ``lines`` (``e``, or ``e`` and ``f``) and an
+    index of at least ``floor`` (None: any). ``rule(alg, k1, k2)`` is the
+    structure constant ``bracket_term`` returns, reading ``alg.a`` and
+    ``alg.b`` on a ``parametric`` algebra; ``degree(key)`` is the grading.
+    ``least_shift`` bounds the shifts of ``ShiftOp`` and of the Witt expected
+    family from below (None: unbounded). ``heads`` are the operator-literal
+    heads defined on the algebra; the first names its closed-form
+    half-derivation family. The verification suite's constants are (full,
+    quick) pairs indexed by ``quick``: criterion 1's ``axiom_box`` index range
+    and the (input, output) index ranges of the ``windows``. ``margin`` is
+    the interior margin criterion 3 certifies on those windows, computed once
+    with the exact solver oracle and frozen; change it only with the windows.
+    """
+
+    name: str
+    floor: Optional[int]
+    rule: Callable[["AlgebraSpec", BasisKey, BasisKey], Term]
+    heads: Tuple[str, ...]
+    axiom_box: Tuple[Range, Range]
+    windows: Tuple[Tuple[Range, Range], Tuple[Range, Range]]
+    margin: int
+    lines: Tuple[str, ...] = ("e",)
+    parametric: bool = False
+    degree: Callable[[BasisKey], int] = attrgetter("index")
+    least_shift: Optional[int] = None
+
+
+CATALOGUE = (
+    AlgebraRecord(
+        "wittz", floor=None, rule=_witt_rule, heads=("shift",),
+        axiom_box=((-8, 8), (-4, 4)), windows=(((-4, 4), (-12, 12)), ((-3, 3), (-8, 8))), margin=0,
+    ),
+    AlgebraRecord(
+        "wittpos", floor=1, rule=_witt_rule, heads=("shift",), least_shift=0,
+        axiom_box=((1, 16), (1, 8)), windows=(((1, 9), (1, 17)), ((1, 7), (1, 12))), margin=0,
+    ),
+    AlgebraRecord(
+        "witt1", floor=-1, rule=_witt_rule, heads=("shift",), least_shift=0,
+        axiom_box=((-1, 15), (-1, 7)), windows=(((-1, 7), (-1, 15)), ((-1, 5), (-1, 10))), margin=0,
+    ),
+    AlgebraRecord(
+        "wab", floor=None, lines=("e", "f"), parametric=True, rule=_wab_rule, heads=("wab",),
+        axiom_box=((-8, 8), (-4, 4)), windows=(((-3, 3), (-6, 6)), ((-2, 2), (-4, 4))), margin=0,
+    ),
+    AlgebraRecord(
+        "thin", floor=1, rule=_thin_rule, heads=("thin", "thin-delta", "thin-nabla"),
+        axiom_box=((1, 16), (1, 8)), windows=(((1, 10), (1, 14)), ((1, 10), (1, 12))), margin=0,
+    ),
+    AlgebraRecord(
+        "solv", floor=1, rule=_solv_rule, degree=_solv_degree, heads=("solv", "solv-deltabar"),
+        axiom_box=((1, 16), (1, 8)), windows=(((1, 8), (1, 8)), ((1, 6), (1, 6))), margin=0,
+    ),
+)
+
+ALGEBRA_NAMES = tuple(record.name for record in CATALOGUE)
+
+_RECORDS = {record.name: record for record in CATALOGUE}
+
+
 @dataclass(frozen=True)
 class AlgebraSpec:
     """An algebra from the catalogue, with exact rational parameters for W(a,b)."""
@@ -65,55 +164,53 @@ class AlgebraSpec:
     name: str
     a: Optional[Fraction] = None
     b: Optional[Fraction] = None
+    record: AlgebraRecord = field(init=False, repr=False, compare=False)  # resolved once
 
     def __post_init__(self):
-        if self.name not in ALGEBRA_NAMES:
+        record = _RECORDS.get(self.name)
+        if record is None:
             raise ValueError(f"unknown algebra {self.name!r}")
-        if self.name == WAB:
+        if record.parametric:
             if self.a is None or self.b is None:
-                raise ValueError("wab requires parameters a and b")
+                raise ValueError(f"{self.name} requires parameters a and b")
         elif self.a is not None or self.b is not None:
             raise ValueError(f"{self.name} takes no parameters")
+        object.__setattr__(self, "record", record)
 
     def label(self) -> str:
-        if self.name == WAB:
-            return f"wab(a={self.a},b={self.b})"
+        if self.record.parametric:
+            return f"{self.name}(a={self.a},b={self.b})"
         return self.name
 
 
 def witt_z() -> AlgebraSpec:
-    return AlgebraSpec(WITT_Z)
+    return AlgebraSpec("wittz")
 
 
 def witt_pos() -> AlgebraSpec:
-    return AlgebraSpec(WITT_POS)
+    return AlgebraSpec("wittpos")
 
 
 def witt_one_sided() -> AlgebraSpec:
-    return AlgebraSpec(WITT_ONE_SIDED)
+    return AlgebraSpec("witt1")
 
 
 def wab(a, b) -> AlgebraSpec:
-    return AlgebraSpec(WAB, as_scalar(a), as_scalar(b))
+    return AlgebraSpec("wab", as_scalar(a), as_scalar(b))
 
 
 def thin() -> AlgebraSpec:
-    return AlgebraSpec(THIN)
+    return AlgebraSpec("thin")
 
 
 def solv_abelian() -> AlgebraSpec:
-    return AlgebraSpec(SOLV_ABELIAN)
+    return AlgebraSpec("solv")
 
 
 def in_domain(alg: AlgebraSpec, key: BasisKey) -> bool:
     """True iff key is a basis key of the algebra."""
-    if key.kind == "f":
-        return alg.name == WAB
-    if alg.name in (WITT_Z, WAB):
-        return True
-    if alg.name == WITT_ONE_SIDED:
-        return key.index >= -1
-    return key.index >= 1  # wittpos, thin, solv
+    record = alg.record
+    return key.kind in record.lines and (record.floor is None or key.index >= record.floor)
 
 
 def degree(alg: AlgebraSpec, key: BasisKey) -> int:
@@ -122,52 +219,22 @@ def degree(alg: AlgebraSpec, key: BasisKey) -> int:
     The index on every algebra but ``solv``, where [e_1, e_i] = e_i forces
     degree 0 at e_1 and degree 1 on the abelian radical.
     """
-    if alg.name == SOLV_ABELIAN:
-        return 0 if key.index == 1 else 1
-    return key.index
+    return alg.record.degree(key)
 
 
-def _require_in_domain(alg: AlgebraSpec, key: BasisKey) -> None:
-    if not in_domain(alg, key):
-        raise KeyOutOfDomain(f"{key} is not a basis key of {alg.label()}")
-
-
-def bracket_term(alg: AlgebraSpec, k1: BasisKey, k2: BasisKey) -> Optional[Tuple[BasisKey, Scalar]]:
+def bracket_term(alg: AlgebraSpec, k1: BasisKey, k2: BasisKey) -> Term:
     """Structure constant of [k1, k2] as ``(key, coeff)``, or None when it vanishes.
 
-    Every catalogued bracket of two basis keys is a single monomial, so this
-    is the whole definition of each algebra; ``bracket`` and ``bracket_vec``
-    wrap it. Coefficients are ints whenever they are integral. The catalogued
-    algebras are closed under bracket, so results never leave the domain;
-    out-of-domain inputs raise KeyOutOfDomain.
+    Every catalogued bracket of two basis keys is a single monomial, so the
+    record's rule is the whole definition of each algebra; ``bracket`` and
+    ``bracket_vec`` wrap this. Coefficients are ints whenever they are
+    integral. The catalogued algebras are closed under bracket, so results
+    never leave the domain; out-of-domain inputs raise KeyOutOfDomain.
     """
-    _require_in_domain(alg, k1)
-    _require_in_domain(alg, k2)
-    i, j = k1.index, k2.index
-    if alg.name in (WITT_Z, WITT_POS, WITT_ONE_SIDED):
-        return (E(i + j), j - i) if i != j else None
-    if alg.name == WAB:
-        if k1.kind == "e" and k2.kind == "e":
-            return (E(i + j), i - j) if i != j else None
-        if k1.kind == "e" and k2.kind == "f":
-            coeff = -(j + alg.a + alg.b * i)
-        elif k1.kind == "f" and k2.kind == "e":
-            coeff = i + alg.a + alg.b * j
-        else:
-            return None  # [f, f] = 0
-        return (F(i + j), int_if_integral(coeff)) if coeff else None
-    if alg.name == THIN:
-        if i == 1 and j >= 2:
-            return E(j + 1), 1
-        if j == 1 and i >= 2:
-            return E(i + 1), -1
-        return None
-    # solvable with abelian radical
-    if i == 1 and j >= 2:
-        return E(j), 1
-    if j == 1 and i >= 2:
-        return E(i), -1
-    return None
+    for key in (k1, k2):
+        if not in_domain(alg, key):
+            raise KeyOutOfDomain(f"{key} is not a basis key of {alg.label()}")
+    return alg.record.rule(alg, k1, k2)
 
 
 def bracket(alg: AlgebraSpec, k1: BasisKey, k2: BasisKey) -> SparseVec:

@@ -18,13 +18,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import algebras
-from .acceptance import (
-    INTERIOR_MARGINS,
-    run_all,
-    solve_scope,
-    thin_two_local_grid,
-    wab_dimension_sweep,
-)
+from .acceptance import run_all, solve_scope, thin_two_local_grid, wab_dimension_sweep
 from .algebras import AlgebraSpec, E, KeyOutOfDomain
 from .dersolve import (
     HALF,
@@ -186,7 +180,7 @@ def _echo_inputs(args, alg: Optional[AlgebraSpec] = None) -> dict:
     inputs = {}
     if alg is not None:
         inputs["algebra"] = alg.name
-        if alg.name == "wab":
+        if alg.record.parametric:
             inputs["a"] = str(alg.a)
             inputs["b"] = str(alg.b)
     for field in ("in_range", "out_range", "map", "x", "y", "delta"):
@@ -199,7 +193,9 @@ def _echo_inputs(args, alg: Optional[AlgebraSpec] = None) -> dict:
 def _cmd_solve(args) -> int:
     alg = _algebra_from(args)
     w = _window_from(args, alg)
-    margin = args.margin if args.margin is not None else INTERIOR_MARGINS[alg.name]
+    margin = args.margin if args.margin is not None else alg.record.margin
+    if margin < 0:
+        raise CliError(f"--margin must be >= 0, got {margin}")
     solved = solve_half_derivations(alg, w)
     family = expected_family(alg, w)
     report = compare_families(solved, family, margin)
@@ -309,7 +305,7 @@ def _cmd_local(args) -> int:
 def _default_two_local_pairs(alg: AlgebraSpec, w):
     """The thin grid of criterion 6 when every element of it lies in the
     input window, else 20 consecutive pairs of the window's sample."""
-    if alg.name == "thin":
+    if alg == algebras.thin():
         grid = thin_two_local_grid()
         if all(w.key_set().issuperset(v.support()) for pair in grid for v in pair):
             return grid
@@ -535,7 +531,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if getattr(args, "config", None):
             _merge_config(args, _read_config(args.config), _subparser(parser, args.command))
         code = args.func(args)
-    except (CliError, ParseError, KeyOutOfDomain, WindowTooSmall, FileNotFoundError) as exc:
+    except (CliError, ParseError, KeyOutOfDomain, WindowTooSmall, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = int((time.monotonic() - started) * 1000)

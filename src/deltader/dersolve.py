@@ -357,37 +357,47 @@ def _index_bounds(keys: Sequence[BasisKey], kind: str) -> Optional[Tuple[int, in
     return min(indices), max(indices)
 
 
+def _shift_generators(alg: AlgebraSpec, in_e, out_e) -> list:
+    t_lo = out_e[0] - in_e[1]
+    if alg.record.least_shift is not None:
+        t_lo = max(t_lo, alg.record.least_shift)
+    return [ShiftOp(t, Fraction(1), alg) for t in range(t_lo, out_e[1] - in_e[0] + 1)]
+
+
+def _wab_generators(alg: AlgebraSpec, in_e, out_e) -> list:
+    if alg.b != -1:
+        return [WabHalfDer(alpha={0: 1})]
+    shifts = range(out_e[0] - in_e[1], out_e[1] - in_e[0] + 1)
+    return [WabHalfDer(alpha={t: 1}) for t in shifts] + [WabHalfDer(beta={t: 1}) for t in shifts]
+
+
+def _thin_generators(alg: AlgebraSpec, in_e, out_e) -> list:
+    alphas = [ThinHalfDer(alpha=tuple([0] * (k - 1) + [1])) for k in range(1, out_e[1] + 1)]
+    return alphas + [ThinHalfDer(beta=tuple([0] * (i - 2) + [1])) for i in range(2, out_e[1] + 1)]
+
+
+def _solv_generators(alg: AlgebraSpec, in_e, out_e) -> list:
+    return [SolvHalfDer(alpha=tuple([0] * (k - 1) + [1])) for k in range(1, out_e[1] + 1)]
+
+
+# Closed-form half-derivation generators by operator head, ``record.heads[0]``.
+_GENERATORS = {
+    "shift": _shift_generators,
+    "wab": _wab_generators,
+    "thin": _thin_generators,
+    "solv": _solv_generators,
+}
+
+
 def expected_family(alg: AlgebraSpec, w: Window) -> FamilyBasis:
     """Materializations of the closed-form generators that fit the window.
 
-    Witt family: shifts (t >= 0 on one-sided domains). Thin: unit alpha and
-    beta generators. Solvable: unit alpha generators. W(a, b): shift and
+    Witt family: shifts (t >= the record's ``least_shift``). Thin: unit alpha
+    and beta generators. Solvable: unit alpha generators. W(a, b): shift and
     e->f generators for b = -1, the identity alone otherwise.
     """
-    in_e = _index_bounds(w.keys, "e")
-    out_e = _index_bounds(w.out_keys, "e")
-    candidates = []
-    if alg.name in ("wittz", "wittpos", "witt1"):
-        t_lo = out_e[0] - in_e[1]
-        t_hi = out_e[1] - in_e[0]
-        if alg.name in ("wittpos", "witt1"):
-            t_lo = max(t_lo, 0)
-        candidates = [ShiftOp(t, Fraction(1), alg) for t in range(t_lo, t_hi + 1)]
-    elif alg.name == "wab":
-        if alg.b == -1:
-            t_lo = out_e[0] - in_e[1]
-            t_hi = out_e[1] - in_e[0]
-            candidates = [WabHalfDer(alpha={t: 1}) for t in range(t_lo, t_hi + 1)]
-            candidates += [WabHalfDer(beta={t: 1}) for t in range(t_lo, t_hi + 1)]
-        else:
-            candidates = [WabHalfDer(alpha={0: 1})]
-    elif alg.name == "thin":
-        candidates = [ThinHalfDer(alpha=tuple([0] * (k - 1) + [1])) for k in range(1, out_e[1] + 1)]
-        candidates += [
-            ThinHalfDer(beta=tuple([0] * (i - 2) + [1])) for i in range(2, out_e[1] + 1)
-        ]
-    elif alg.name == "solv":
-        candidates = [SolvHalfDer(alpha=tuple([0] * (k - 1) + [1])) for k in range(1, out_e[1] + 1)]
+    generators = _GENERATORS[alg.record.heads[0]]
+    candidates = generators(alg, _index_bounds(w.keys, "e"), _index_bounds(w.out_keys, "e"))
     basis = []
     for op in candidates:
         try:

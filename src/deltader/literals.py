@@ -14,7 +14,7 @@ import re
 from fractions import Fraction
 from typing import Tuple
 
-from .algebras import SOLV_ABELIAN, THIN, WAB, WITT_ONE_SIDED, WITT_POS, WITT_Z, BasisKey, E, F
+from .algebras import CATALOGUE, AlgebraSpec, BasisKey
 from .exactlin import SparseVec
 from .operators import (
     ShiftOp,
@@ -25,7 +25,6 @@ from .operators import (
     ThinNabla,
     WabHalfDer,
 )
-from .algebras import AlgebraSpec
 
 
 class ParseError(ValueError):
@@ -162,28 +161,17 @@ def _parse_fields(body: str, sep: str, names: Tuple[str, ...]) -> dict:
     return fields
 
 
-# The algebras each operator literal is defined on, by literal head.
-_OPERATOR_ALGEBRAS = {
-    "shift": (WITT_Z, WITT_POS, WITT_ONE_SIDED),
-    "thin": (THIN,),
-    "thin-delta": (THIN,),
-    "thin-nabla": (THIN,),
-    "solv": (SOLV_ABELIAN,),
-    "solv-deltabar": (SOLV_ABELIAN,),
-    "wab": (WAB,),
-}
-
-
 def parse_operator(text: str, alg: AlgebraSpec = None):
     """Parse an operator literal.
 
-    With an algebra, a literal defined on other algebras is a ParseError, and
-    shift operators are built on that algebra.
+    With an algebra, a literal defined only on other algebras (by their
+    ``record.heads``) is a ParseError, and shift operators are built on that
+    algebra.
     """
     text = text.strip()
     head = text.split(":", 1)[0]
-    allowed = _OPERATOR_ALGEBRAS.get(head)
-    if alg is not None and allowed is not None and alg.name not in allowed:
+    allowed = [record.name for record in CATALOGUE if head in record.heads]
+    if alg is not None and allowed and head not in alg.record.heads:
         raise ParseError(
             f"{head} operators are defined on {', '.join(allowed)}, not on {alg.label()}", 0
         )

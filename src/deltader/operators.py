@@ -16,16 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
-from .algebras import (
-    WITT_ONE_SIDED,
-    WITT_POS,
-    WITT_Z,
-    AlgebraSpec,
-    BasisKey,
-    E,
-    F,
-    in_domain,
-)
+from .algebras import AlgebraSpec, BasisKey, E, F, in_domain, witt_z
 from .exactlin import SparseVec, as_scalar
 
 
@@ -82,8 +73,8 @@ def window_from_ranges(
 ) -> Window:
     """Build a window from inclusive index ranges.
 
-    For ``wab`` both the e-line and the f-line get the range; other algebras
-    get e-keys only. Raises ValueError if a bound leaves the algebra's domain.
+    Every basis line of the algebra gets the range: the e-line, and the
+    f-line on ``wab``. Raises ValueError if a bound leaves the algebra's domain.
     """
     if out_range is None:
         out_range = in_range
@@ -91,9 +82,7 @@ def window_from_ranges(
     def expand(lo: int, hi: int) -> list:
         if lo > hi:
             raise ValueError(f"empty index range {lo}..{hi}")
-        keys = [E(i) for i in range(lo, hi + 1)]
-        if alg.name == "wab":
-            keys += [F(i) for i in range(lo, hi + 1)]
+        keys = [BasisKey(kind, i) for kind in alg.record.lines for i in range(lo, hi + 1)]
         for k in keys:
             if not in_domain(alg, k):
                 raise ValueError(f"{k} outside the domain of {alg.label()}")
@@ -213,18 +202,19 @@ class ShiftOp:
     """e_i -> weight * e_{i+t} on a Witt-family algebra.
 
     One-sided domains only admit t >= 0 (negative shifts leave the domain),
-    which the constructor enforces.
+    which the constructor enforces from the algebra's ``least_shift``.
     """
 
     t: int
     weight: Fraction
-    algebra: AlgebraSpec = field(default_factory=lambda: AlgebraSpec(WITT_Z))
+    algebra: AlgebraSpec = field(default_factory=witt_z)
 
     def __post_init__(self):
         object.__setattr__(self, "weight", as_scalar(self.weight))
-        if self.algebra.name not in (WITT_Z, WITT_POS, WITT_ONE_SIDED):
+        record = self.algebra.record
+        if "shift" not in record.heads:
             raise ValueError("shift operators are defined on the Witt family only")
-        if self.algebra.name in (WITT_POS, WITT_ONE_SIDED) and self.t < 0:
+        if record.least_shift is not None and self.t < record.least_shift:
             raise ValueError(f"negative shift t={self.t} not admissible on {self.algebra.name}")
 
     def value_at(self, key: BasisKey) -> SparseVec:

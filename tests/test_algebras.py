@@ -1,13 +1,18 @@
 """Algebra catalogue: index domains, brackets, antisymmetry, Jacobi, grading."""
 
+import ast
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deltader
 from deltader.algebras import (
+    ALGEBRA_NAMES,
+    CATALOGUE,
     AlgebraSpec,
     E,
     F,
@@ -24,12 +29,35 @@ from deltader.algebras import (
     witt_pos,
     witt_z,
 )
-from deltader.acceptance import WAB_ACCEPTANCE_PARAMS
+from deltader.acceptance import WAB_ACCEPTANCE_PARAMS, acceptance_window
 from deltader.exactlin import SparseVec
+from deltader.literals import ParseError, parse_operator
+from deltader.operators import window_from_ranges
 
 ALL_PARAMLESS = [witt_z(), witt_pos(), witt_one_sided(), thin(), solv_abelian()]
 WAB_SAMPLES = [wab(0, 0), wab(1, -1), wab(Fraction(1, 2), -1), wab(0, 2)]
 ACCEPTANCE_ALGEBRAS = ALL_PARAMLESS + [wab(a, b) for a, b in WAB_ACCEPTANCE_PARAMS]
+ONE_PER_RECORD = [witt_z(), witt_pos(), witt_one_sided(), wab(0, -1), thin(), solv_abelian()]
+
+# The algebras each operator-literal head is defined on, and a literal per head.
+DEFINED_ON = {
+    "shift": ("wittz", "wittpos", "witt1"),
+    "wab": ("wab",),
+    "thin": ("thin",),
+    "thin-delta": ("thin",),
+    "thin-nabla": ("thin",),
+    "solv": ("solv",),
+    "solv-deltabar": ("solv",),
+}
+HEAD_LITERALS = {
+    "shift": "shift:t=1,w=2",
+    "wab": "wab:a={0:1};b={1:1}",
+    "thin": "thin:a=[1];b=[0,2]",
+    "thin-delta": "thin-delta",
+    "thin-nabla": "thin-nabla",
+    "solv": "solv:a=[1,2]",
+    "solv-deltabar": "solv-deltabar",
+}
 
 
 class TestDomains:
@@ -265,3 +293,92 @@ class TestBracketTerm:
             bracket_term(witt_pos(), E(0), E(1))
         with pytest.raises(KeyOutOfDomain):
             bracket_term(solv_abelian(), E(1), F(1))
+
+
+def _name_dispatch_lines(source):
+    """Lines that compare a ``.name`` (==, !=, in, not in) or subscript by one."""
+
+    def is_name(node):
+        return isinstance(node, ast.Attribute) and node.attr == "name"
+
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            dispatch_ops = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+            if any(isinstance(op, dispatch_ops) for op in node.ops) and any(
+                is_name(x) for x in (node.left, *node.comparators)
+            ):
+                yield node.lineno
+        elif isinstance(node, ast.Subscript) and any(is_name(x) for x in ast.walk(node.slice)):
+            yield node.lineno
+
+
+class TestCatalogueRecords:
+    """Each algebra is one ``AlgebraRecord``; other modules read it, not the name."""
+
+    @pytest.mark.parametrize(
+        "source, dispatches",
+        [
+            ('if alg.name == "wab": pass', True),
+            ('ok = "thin" != spec.name', True),
+            ('ok = alg.name in ("wittz", "wab")', True),
+            ("margin = MARGINS[alg.name]", True),
+            ('print(f"{alg.name}: ok", alg.name)', False),
+            ('inputs["algebra"] = alg.name', False),
+            ("row = [alg.name, str(alg.a)]", False),
+        ],
+    )
+    def test_the_guard_sees_name_dispatch(self, source, dispatches):
+        assert bool(list(_name_dispatch_lines(source))) == dispatches
+
+    @pytest.mark.parametrize(
+        "path",
+        sorted(p for p in Path(deltader.__file__).parent.glob("*.py") if p.name != "algebras.py"),
+        ids=lambda p: p.name,
+    )
+    def test_no_module_outside_the_catalogue_dispatches_on_the_name(self, path):
+        assert list(_name_dispatch_lines(path.read_text())) == [], path.name
+
+    def test_one_record_per_algebra_name(self):
+        assert ALGEBRA_NAMES == ("wittz", "wittpos", "witt1", "wab", "thin", "solv")
+        assert tuple(record.name for record in CATALOGUE) == ALGEBRA_NAMES
+        for alg in ALL_PARAMLESS + WAB_SAMPLES:
+            assert alg.record is CATALOGUE[ALGEBRA_NAMES.index(alg.name)]
+
+    @pytest.mark.parametrize("alg", ONE_PER_RECORD, ids=lambda a: a.name)
+    def test_suite_windows_and_axiom_box_lie_in_the_domain(self, alg):
+        reference = set(box_keys(alg, radius=20))
+        record = alg.record
+        for quick in (False, True):
+            assert set(acceptance_window(alg, quick).out_keys) <= reference
+            assert set(window_from_ranges(alg, record.axiom_box[quick]).keys) <= reference
+        assert record.margin >= 0
+
+    @pytest.mark.parametrize("alg", ONE_PER_RECORD, ids=lambda a: a.name)
+    def test_operator_heads_parse_on_their_algebra_only(self, alg):
+        assert set(alg.record.heads) == {h for h, names in DEFINED_ON.items() if alg.name in names}
+        for head, literal in HEAD_LITERALS.items():
+            if alg.name in DEFINED_ON[head]:
+                parse_operator(literal, alg)
+                continue
+            with pytest.raises(ParseError) as err:
+                parse_operator(literal, alg)
+            assert str(err.value) == (
+                f"{head} operators are defined on {', '.join(DEFINED_ON[head])}, "
+                f"not on {alg.label()} (at position 0)"
+            )
+
+    @pytest.mark.parametrize("alg", ONE_PER_RECORD, ids=lambda a: a.name)
+    def test_bracket_term_rejects_keys_outside_the_record(self, alg):
+        floor = alg.record.floor
+        outside = [] if floor is None else [E(floor - 1)]
+        inside = E(1 if floor is None else floor)
+        assert inside in box_keys(alg, radius=20)
+        if "f" not in alg.record.lines:
+            outside.append(F(inside.index))
+        assert outside or alg.name == "wab"
+        for key in outside:
+            assert not in_domain(alg, key) and key not in box_keys(alg, radius=20)
+            for pair in ((key, inside), (inside, key)):
+                with pytest.raises(KeyOutOfDomain) as err:
+                    bracket_term(alg, *pair)
+                assert str(err.value) == f"{key} is not a basis key of {alg.label()}"

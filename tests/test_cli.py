@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -236,6 +239,18 @@ class TestConfigAndErrors:
         assert code == 0
         assert read_json(out)["results"]["interiorMargin"] == 2
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_margin_is_usage_error(self, tmp_path, capsys, source):
+        if source == "flag":
+            out = tmp_path / "r.json"
+            argv = ["solve", "--algebra", "wittz", "--in", "-2..2", "--margin", "-1"]
+            code = main(argv + ["--json", str(out)])
+        else:
+            code, out = self._solve_with_config(tmp_path, "margin=-1\n")
+        assert code == 2
+        assert capsys.readouterr().err == "error: --margin must be >= 0, got -1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "line, named",
         [
@@ -266,6 +281,13 @@ class TestConfigAndErrors:
 
     def test_unreadable_config_is_usage_error(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("flag", ["--json", "--tsv"])
+    def test_unwritable_output_path_is_usage_error(self, tmp_path, capsys, flag):
+        code = main(["solve", "--algebra", "wittz", "--in", "-2..2", flag, str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err
 
     def test_missing_algebra_is_usage_error(self):
         assert main(["solve", "--in", "1..3"]) == 2
@@ -384,19 +406,53 @@ def locality_argv(draw):
     return argv
 
 
-def run_contract(argv):
+def records_a_failed_property(report):
+    """True iff the JSON report records a property that failed."""
+    results = report["results"]
+    command = report["command"]
+    if command == "solve":
+        return not (results["expectedContained"] and results["solvedInteriorContained"])
+    if command == "check-map":
+        return bool(results["violations"])
+    if command in ("local", "two-local"):
+        return not results["allFeasible"]
+    if command == "verify-all":
+        return not results["allPassed"]
+    if "probeWitness" in results:  # counterexamples on thin
+        witnesses = (results["probeWitness"], results["firstWitness"])
+        return None in witnesses or not results["nonadditivity"]["nonadditive"]
+    return results["witness"] is None or not results["locallyFeasibleOnSample"]
+
+
+def run_contract(argv, config=None):
     """Exit code and stderr of ``main(argv)``, checked against the exit-code
-    contract: 0, 1 or 2, no traceback, and a usage error says so first."""
+    contract: 0, 1 or 2, no traceback, a usage error says so first, and exit 1
+    only when the report records a failed property.
+
+    It runs in a fresh working directory with ``--json`` there, and with
+    ``config`` as the text of a ``--config`` file when given.
+    """
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp, "report.json")
+        if config is not None:
+            Path(tmp, "run.cfg").write_text(config)
+            argv = argv + ["--config", str(Path(tmp, "run.cfg"))]
+        os.chdir(tmp)
         try:
-            code = main(argv)
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv + ["--json", str(report)])
         except SystemExit as exc:  # argparse usage errors
             code = exc.code
-    assert code in (0, 1, 2), (argv, code)
-    assert "Traceback" not in out.getvalue() + err.getvalue()
-    if code == 2:
-        assert err.getvalue().startswith(("error: ", "usage: ")), argv
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2), (argv, config, code)
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+        if code == 2:
+            assert err.getvalue().startswith(("error: ", "usage: ")), (argv, config)
+        else:
+            assert records_a_failed_property(json.loads(report.read_text())) == (code == 1)
     return code, err.getvalue()
 
 
@@ -448,3 +504,95 @@ def solve_argv(draw):
 @settings(max_examples=120, deadline=None)
 def test_solve_holds_the_exit_code_contract(argv):
     run_contract(argv)
+
+
+ALGEBRA_TEXT = st.sampled_from(["wittz", "wittpos", "witt1", "wab", "thin", "solv", "witt", ""])
+
+
+@st.composite
+def counterexamples_argv(draw):
+    """argv for counterexamples: any --algebra or none, --a/--b literals or none."""
+    argv = ["counterexamples"]
+    if draw(st.integers(0, 5)):
+        argv += ["--algebra", draw(ALGEBRA_TEXT)]
+    for flag in ("--a", "--b"):
+        if not draw(st.integers(0, 3)):
+            argv += [flag, draw(SCALAR_TEXT)]
+    return argv
+
+
+@given(counterexamples_argv())
+@settings(max_examples=30, deadline=None)
+def test_counterexamples_holds_the_exit_code_contract(argv):
+    code, err = run_contract(argv)
+    if "--algebra" in argv and argv[argv.index("--algebra") + 1] not in ("thin", "solv"):
+        assert code == 2, (argv, err)
+
+
+# Config keys: option names and destinations of the subcommands, spelled
+# with - or _, in other cases, and keys no subcommand has.
+CONFIG_KEYS = [
+    "algebra", "a", "b", "in", "in_range", "out", "out-range", "map", "x", "y", "delta",
+    "margin", "quick", "tsv", "tsv_path", "json", "config", "Algebra", "algebar", "", "help",
+]
+CONFIG_KEY_TEXT = st.text(alphabet="abimnx_- ", min_size=1, max_size=5)
+PATH_KEYS = ("tsv", "tsv_path", "json")
+# Paths stay relative, inside the run's own working directory.
+PATH_TEXT = st.one_of(
+    st.sampled_from(["out.tsv", ".", "missing/dir/out.tsv", "a b"]),
+    st.text(alphabet="abc.-_ ", max_size=6),
+)
+CONFIG_VALUE = st.one_of(
+    ALGEBRA_TEXT,
+    RANGE_TEXT,
+    SCALAR_TEXT,
+    st.sampled_from(ANY_MAPS + BAD_MAPS + ANY_ELEMENTS + BAD_ELEMENTS),
+    st.sampled_from(["true", "false", "TRUE", "yes", "-1", "0", "2", "-0", "1e3"]),
+    LITERAL_TEXT,
+)
+
+
+def as_config_lines(flags):
+    """``key=value`` lines for argv flags ``[--key, value, ...]``."""
+    return [f"{flag.lstrip('-')}={value}" for flag, value in zip(flags[::2], flags[1::2])]
+
+
+@st.composite
+def config_text(draw, command):
+    """A config file for ``command``: key=value lines with drawn keys and
+    values, mostly on top of valid lines for a drawn algebra, plus comments
+    and bad lines."""
+    lines = []
+    if command != "verify-all" and draw(st.integers(0, 3)):
+        algebra, window, maps, elements = draw(st.sampled_from(ALGEBRA_CASES))
+        lines += [f"algebra={algebra[0]}"] + as_config_lines(algebra[1:])
+        if command != "counterexamples":
+            lines += as_config_lines(window)
+        if command in ("check-map", "local", "two-local"):
+            lines.append(f"map={draw(st.sampled_from(maps))}")
+    for _ in range(draw(st.integers(0, 3))):
+        key = draw(st.one_of(st.sampled_from(CONFIG_KEYS), CONFIG_KEY_TEXT))
+        value = draw(PATH_TEXT if key in PATH_KEYS else CONFIG_VALUE)
+        line = st.sampled_from([f"{key}={value}", f" {key} = {value} ", f"{key}:{value}"])
+        lines.append(draw(line))
+    lines += draw(st.lists(st.sampled_from(["# comment", "", "  ", "=", "novalue"]), max_size=2))
+    return "\n".join(draw(st.permutations(lines))) + "\n"
+
+
+@st.composite
+def config_argv(draw):
+    command = draw(st.sampled_from(["solve", "check-map", "local", "two-local", "counterexamples"]))
+    return [command], draw(config_text(command))
+
+
+@given(config_argv())
+@settings(max_examples=80, deadline=None)
+def test_config_files_hold_the_exit_code_contract(argv_and_config):
+    run_contract(*argv_and_config)
+
+
+@given(tsv=st.one_of(st.none(), PATH_TEXT), config=st.one_of(st.none(), config_text("verify-all")))
+@settings(max_examples=5, deadline=None)
+def test_verify_all_quick_holds_the_exit_code_contract(tsv, config):
+    argv = ["verify-all", "--quick"] + ([] if tsv is None else ["--tsv", tsv])
+    run_contract(argv, config)
