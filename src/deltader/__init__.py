@@ -37,9 +37,7 @@ from .exactlin import (
     RatMatrix,
     Scalar,
     SparseVec,
-    in_span,
     nullspace,
-    rref,
     solve_feasible,
 )
 from .locality import (

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from pathlib import Path
@@ -159,6 +160,26 @@ def _window_from(args, alg: AlgebraSpec):
         raise CliError(str(exc)) from None
 
 
+def _check_outputs(args) -> None:
+    """Raise CliError unless every ``--json``/``--tsv`` path can be written,
+    before any is, so that a command exiting 2 leaves no report behind."""
+    for path in filter(None, (getattr(args, "json_path", None), getattr(args, "tsv_path", None))):
+        target = Path(path)
+        if target.is_dir():
+            raise CliError(f"cannot write {path}: Is a directory")
+        if not target.parent.is_dir():
+            raise CliError(f"cannot write {path}: No such directory {str(target.parent)!r}")
+        if not os.access(target if target.exists() else target.parent, os.W_OK):
+            raise CliError(f"cannot write {path}: Permission denied")
+
+
+def _tsv_text(rows) -> str:
+    """The dimensions TSV: one row per (algebra, a, b, |I|, |O|, dimSolved,
+    dimInterior), with ``-`` for a parameter the algebra lacks."""
+    lines = [TSV_HEADER] + ["\t".join("-" if c is None else str(c) for c in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
 def _serialize_map(m: WindowedMap) -> dict:
     return {str(k): format_element(m.image[k]) for k in m.window.keys}
 
@@ -212,18 +233,8 @@ def _cmd_solve(args) -> int:
     }
     _write_report(args, "solve", _echo_inputs(args, alg), results)
     if args.tsv_path:
-        row = "\t".join(
-            [
-                alg.name,
-                str(alg.a) if alg.a is not None else "-",
-                str(alg.b) if alg.b is not None else "-",
-                str(len(w.keys)),
-                str(len(w.out_keys)),
-                str(report.dim_solved),
-                str(report.dim_interior),
-            ]
-        )
-        Path(args.tsv_path).write_text(TSV_HEADER + "\n" + row + "\n")
+        sizes = (len(w.keys), len(w.out_keys), report.dim_solved, report.dim_interior)
+        Path(args.tsv_path).write_text(_tsv_text([(alg.name, alg.a, alg.b, *sizes)]))
     ok = report.expected_contained and report.solved_interior_contained
     print(
         f"{alg.label()}: dimSolved={report.dim_solved} dimExpected={report.dim_expected} "
@@ -422,30 +433,18 @@ def _cmd_verify_all(args) -> int:
     }
     _write_report(args, "verify-all", {"quick": args.quick}, payload)
     if sweep is not None:
-        lines = [TSV_HEADER]
-        for row in sweep:
-            lines.append(
-                "\t".join(
-                    [
-                        row["algebra"],
-                        str(row["a"]),
-                        str(row["b"]),
-                        str(row["in_size"]),
-                        str(row["out_size"]),
-                        str(row["dim_solved"]),
-                        str(row["dim_interior"]),
-                    ]
-                )
-            )
-        Path(args.tsv_path).write_text("\n".join(lines) + "\n")
+        columns = ("algebra", "a", "b", "in_size", "out_size", "dim_solved", "dim_interior")
+        Path(args.tsv_path).write_text(_tsv_text([row[c] for c in columns] for row in sweep))
     return 0 if payload["allPassed"] else 1
 
 
 def _add_common(parser: argparse.ArgumentParser, window: bool = True) -> None:
+    """``--algebra``, ``--config`` and ``--json``; with ``window``, also the
+    wab parameters ``--a``/``--b`` and the window ``--in``/``--out``."""
     parser.add_argument("--algebra", choices=list(algebras.ALGEBRA_NAMES))
-    parser.add_argument("--a", help="rational parameter a (wab only)")
-    parser.add_argument("--b", help="rational parameter b (wab only)")
     if window:
+        parser.add_argument("--a", help="rational parameter a (wab only)")
+        parser.add_argument("--b", help="rational parameter b (wab only)")
         parser.add_argument("--in", dest="in_range", metavar="LO..HI")
         parser.add_argument("--out", dest="out_range", metavar="LO..HI")
     parser.add_argument("--config", help="flat key=value config file; flags override")
@@ -530,6 +529,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if getattr(args, "config", None):
             _merge_config(args, _read_config(args.config), _subparser(parser, args.command))
+        _check_outputs(args)
         code = args.func(args)
     except (CliError, ParseError, KeyOutOfDomain, WindowTooSmall, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,8 +55,6 @@ class ConstraintSystem:
     """Linearized delta-derivation conditions on a window."""
 
     window: Window
-    delta: Fraction
-    unknown_index: Dict[Tuple[BasisKey, BasisKey], int]
     matrix: RatMatrix
     pair_list: Tuple[Tuple[BasisKey, BasisKey], ...]
 
@@ -174,13 +172,13 @@ class _GradedEquations:
     read from tables of the structure constants, built once:
     ``-num*[o, y]`` and ``-num*[x, o]`` over the output keys o, grouped by
     deg o, for every key y and x of a pair, and ``den*[x, y]`` for every
-    pair. A unit's rows are built by ``rows`` and evaluated on vectors by
-    ``residuals``, which builds no row.
+    pair. Every equation is further scaled by the lcm of the denominators of
+    the structure constants, so every entry is an int. A unit's rows are
+    built by ``rows`` and evaluated on vectors by ``residuals``, which builds
+    no row.
     """
 
-    def __init__(self, alg: AlgebraSpec, delta: Fraction, w: Window, integral: bool = False):
-        """With ``integral``, every equation is also scaled by the lcm of the
-        denominators of the structure constants, so every entry is an int."""
+    def __init__(self, alg: AlgebraSpec, delta: Fraction, w: Window):
         num, den = delta.numerator, delta.denominator
         out_keys = w.out_keys
         self.pair_list = tuple(derivation_pairs(alg, w.keys))
@@ -208,7 +206,7 @@ class _GradedEquations:
                 raise ValueError(f"degree is not a grading of {alg.label()} at {list(keys)}")
             return z
 
-        scale = lcm(*(c.denominator for _, c in terms)) if integral else 1
+        scale = lcm(*(c.denominator for _, c in terms))
         factor = -num * scale
 
         def grouped(k, table):
@@ -297,26 +295,20 @@ def assemble(alg: AlgebraSpec, delta, w: Window) -> ConstraintSystem:
     equations are still imposed on every reachable coordinate.
 
     The rows are every block's equations from ``_GradedEquations``, built in
-    full: block by block in increasing shift, recorded as ``matrix.blocks``,
-    and in each block pair by pair. ``solve_derivations`` asks the same
-    generator for rows only while a block's nullity is above
-    ``TESTED_NULLITY`` and certifies the remaining pairs from the tables, so
-    it never builds this matrix; ``nullspace(assemble(...).matrix)`` is its
-    basis.
+    full: block by block in increasing shift, and in each block pair by pair.
+    ``solve_derivations`` asks the same generator for rows only while a
+    block's nullity is above ``TESTED_NULLITY`` and certifies the remaining
+    pairs from the tables, so it never builds this matrix;
+    ``nullspace(assemble(...).matrix)`` solves it in one elimination and is
+    its basis. Column ``i`` is the unknown ``w.columns()[i]``.
     """
-    delta = as_scalar(delta)
-    equations = _GradedEquations(alg, delta, w)
-    rows: List[Dict[int, object]] = []
-    blocks = []
-    for columns, units, build, _ in equations.blocks():
-        start = len(rows)
+    equations = _GradedEquations(alg, as_scalar(delta), w)
+    rows: List[Dict[int, int]] = []
+    for _, units, build, _ in equations.blocks():
         for unit in units:
             rows.extend(build(unit))
-        blocks.append((columns, start, len(rows)))
-    columns = w.columns()
-    matrix = RatMatrix.from_rows(rows, len(columns), tuple(blocks))
-    unknown_index = {col: i for i, col in enumerate(columns)}
-    return ConstraintSystem(w, delta, unknown_index, matrix, equations.pair_list)
+    matrix = RatMatrix.from_rows(rows, len(w.columns()))
+    return ConstraintSystem(w, matrix, equations.pair_list)
 
 
 def _maps_from_vectors(w: Window, vectors) -> List[WindowedMap]:
@@ -340,7 +332,7 @@ def solve_derivations(alg: AlgebraSpec, w: Window, delta) -> FamilyBasis:
     ``TESTED_NULLITY`` and, after that, only for the pair's residuals on the
     block's null vectors, read straight from the structure-constant tables.
     """
-    equations = _GradedEquations(alg, as_scalar(delta), w, integral=True)
+    equations = _GradedEquations(alg, as_scalar(delta), w)
     vectors = nullspace_by_blocks(equations.blocks())
     return FamilyBasis(w, tuple(_maps_from_vectors(w, vectors)))
 

@@ -2,9 +2,9 @@
 
 Vectors are stored sparsely with ``fractions.Fraction`` entries, matrices
 with exact rational entries (``int`` or ``Fraction``), so every result below
-is exact: reduced row echelon form, nullspace bases, feasibility of
-``A x = b`` with Farkas-style infeasibility certificates, and span
-membership. No floating point is used anywhere.
+is exact: nullspace bases, feasibility of ``A x = b`` with Farkas-style
+infeasibility certificates, and span membership. No floating point is used
+anywhere.
 
 Elimination is fraction-free: each row enters as a primitive integer row and
 is reduced by integer row operations by one kernel, which serves echelon
@@ -167,51 +167,30 @@ class RatMatrix:
 
     Entries are ``int`` or ``Fraction``; ints are kept as they are, so an
     integer matrix costs no ``Fraction`` arithmetic.
-
-    ``blocks`` optionally declares a block-diagonal structure, one
-    ``(columns, start, stop)`` per block: ``rows[start:stop]`` are supported
-    in ``columns``, the blocks cover the rows in order and every column
-    exactly once. Empty means a single block of all rows and columns.
     """
 
     rows: tuple
     ncols: int
-    blocks: tuple = ()
 
     @staticmethod
-    def from_rows(rows: Iterable[Mapping], ncols: int, blocks: tuple = ()) -> "RatMatrix":
-        """A checked matrix: every row inside its block's columns (so inside
-        ``0..ncols-1``), the blocks a partition of the rows and columns.
+    def from_rows(rows: Iterable[Mapping], ncols: int) -> "RatMatrix":
+        """A checked matrix: every row inside the columns ``0..ncols-1``.
 
         A row that already is a dict of nonzero ints and Fractions is kept
         as it is; any other row is copied with exact entries and its zeros
         dropped.
         """
         rows = list(rows)
-        spans = blocks or ((range(ncols), 0, len(rows)),)
-        if sorted(c for columns, _, _ in spans for c in columns) != list(range(ncols)):
-            raise ValueError(f"blocks must cover the columns 0..{ncols - 1} once each")
-        packed = []
-        for columns, start, stop in spans:
-            if start != len(packed) or not start <= stop <= len(rows):
-                raise ValueError("blocks must cover the rows in order")
-            block = rows[start:stop]
-            allowed = set(columns)
-            if not allowed.issuperset(chain.from_iterable(block)):
-                i, c = next(
-                    (i, c) for i, row in enumerate(block, start) for c in row if c not in allowed
-                )
-                raise ValueError(f"column index {c} of row {i} outside its block")
-            # One check of a whole block costs far less than one per row.
-            if set(map(type, block)) <= {dict} and _is_clean(
-                list(chain.from_iterable(map(dict.values, block)))
-            ):
-                packed.extend(block)
-            else:
-                packed.extend(map(_exact_row, block))
-        if len(packed) != len(rows):
-            raise ValueError("blocks must cover the rows in order")
-        return RatMatrix(tuple(packed), ncols, tuple(blocks))
+        allowed = set(range(ncols))
+        if not allowed.issuperset(chain.from_iterable(rows)):
+            i, c = next((i, c) for i, row in enumerate(rows) for c in row if c not in allowed)
+            raise ValueError(f"column index {c} of row {i} outside 0..{ncols - 1}")
+        # One check of all the rows costs far less than one per row.
+        if set(map(type, rows)) <= {dict} and _is_clean(
+            list(chain.from_iterable(map(dict.values, rows)))
+        ):
+            return RatMatrix(tuple(rows), ncols)
+        return RatMatrix(tuple(map(_exact_row, rows)), ncols)
 
     @property
     def nrows(self) -> int:
@@ -349,24 +328,6 @@ def _rref_rows(pivots: dict) -> dict:
     }
 
 
-def rref(matrix: RatMatrix) -> tuple:
-    """Reduced row echelon form. Returns (RatMatrix, rank).
-
-    The output has the same shape as the input, zero rows collected at the
-    bottom. Pivots are the lowest-index nonzero column of each row, so the
-    result is the (unique) canonical RREF, with ``Fraction`` entries.
-    """
-    reduced = _rref_rows(_forward_eliminate(matrix.rows))
-    ordered = [reduced[c] for c in sorted(reduced)]
-    rank = len(ordered)
-    ordered.extend({} for _ in range(matrix.nrows - rank))
-    return RatMatrix(tuple(ordered), matrix.ncols), rank
-
-
-def rank(matrix: RatMatrix) -> int:
-    return len(_forward_eliminate(matrix.rows))
-
-
 # Once a block's nullity is at most this, each further unit of its rows is
 # tested against the block's null vectors instead of being inserted.
 TESTED_NULLITY = 2
@@ -482,12 +443,10 @@ def nullspace_by_blocks(blocks: Iterable) -> list:
 
 def nullspace(matrix: RatMatrix) -> list:
     """Basis of the right nullspace, one SparseVec per free column, as in
-    ``nullspace_by_blocks``; each row of each block of ``matrix.blocks`` is a
+    ``nullspace_by_blocks``: the whole matrix solved as one block, each row a
     unit of its own."""
-    spans = matrix.blocks or ((range(matrix.ncols), 0, matrix.nrows),)
     return nullspace_by_blocks(
-        (columns, matrix.rows[start:stop], _matrix_rows, _matrix_residuals)
-        for columns, start, stop in spans
+        [(range(matrix.ncols), matrix.rows, _matrix_rows, _matrix_residuals)]
     )
 
 
@@ -576,11 +535,6 @@ class RowSpace:
 
     def contains(self, v: SparseVec) -> bool:
         return not v or not _reduce(_primitive(v._entries), self._pivots)
-
-
-def in_span(v: SparseVec, basis: Iterable[SparseVec]) -> bool:
-    """True iff v is an exact rational combination of the basis vectors."""
-    return RowSpace(basis).contains(v)
 
 
 def span_dim(vectors: Iterable[SparseVec]) -> int:

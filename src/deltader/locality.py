@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
-from .algebras import AlgebraSpec, BasisKey, E, F
+from .algebras import BasisKey, E, F
 from .dersolve import FamilyBasis
 from .exactlin import RatMatrix, SparseVec, as_scalar, solve_feasible
 from .operators import WindowedMap, WindowTooSmall, evaluate
@@ -112,7 +112,6 @@ class PropagationReport:
 
 
 def zero_propagation_scan(
-    alg: AlgebraSpec,
     candidate_value_at_next: SparseVec,
     m: int,
     c_values: Sequence,
@@ -143,7 +142,6 @@ def zero_propagation_scan(
 
 
 def wab_f_scan(
-    alg: AlgebraSpec,
     candidate_value_at_fm: SparseVec,
     m: int,
     family: FamilyBasis,

@@ -211,6 +211,22 @@ class TestCounterexamplesCommand:
         results = read_json(out)["results"]
         assert all(results[f] is None for f in fields)
 
+    @pytest.mark.parametrize("flag", ["--a", "--b"])
+    def test_wab_parameter_flags_are_usage_errors(self, capsys, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["counterexamples", "--algebra", "thin", flag, "x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: ")
+
+    @pytest.mark.parametrize("line", ["a=1", "b=1"])
+    def test_wab_parameter_config_keys_are_usage_errors(self, tmp_path, capsys, line):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"algebra=thin\n{line}\n")
+        out = tmp_path / "r.json"
+        assert main(["counterexamples", "--config", str(config), "--json", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: unknown config key {line[0]!r}")
+        assert not out.exists()
+
 
 class TestConfigAndErrors:
     def test_config_file_with_flag_precedence(self, tmp_path):
@@ -288,6 +304,17 @@ class TestConfigAndErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Is a directory" in err
+
+    @pytest.mark.parametrize(
+        "command", [["solve", "--algebra", "wittz", "--in", "-2..2"], ["verify-all", "--quick"]]
+    )
+    @pytest.mark.parametrize("bad", [".", "missing/dims.tsv"])
+    def test_usage_error_leaves_no_report(self, tmp_path, capsys, command, bad):
+        out = tmp_path / "r.json"
+        code = main(command + ["--json", str(out), "--tsv", str(tmp_path / bad)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+        assert not out.exists()
 
     def test_missing_algebra_is_usage_error(self):
         assert main(["solve", "--in", "1..3"]) == 2
@@ -526,6 +553,8 @@ def counterexamples_argv(draw):
 def test_counterexamples_holds_the_exit_code_contract(argv):
     code, err = run_contract(argv)
     if "--algebra" in argv and argv[argv.index("--algebra") + 1] not in ("thin", "solv"):
+        assert code == 2, (argv, err)
+    if "--a" in argv or "--b" in argv:  # counterexamples takes no wab parameters
         assert code == 2, (argv, err)
 
 

@@ -1,4 +1,4 @@
-"""Exact linear algebra: echelon form, nullspace, feasibility, span."""
+"""Exact linear algebra: nullspace, feasibility, span."""
 
 from fractions import Fraction
 
@@ -11,10 +11,8 @@ from deltader.exactlin import (
     RatMatrix,
     RowSpace,
     SparseVec,
-    in_span,
     nullspace,
-    rank,
-    rref,
+    nullspace_by_blocks,
     solve_feasible,
     span_dim,
 )
@@ -26,45 +24,6 @@ def dense(rows, ncols=None):
         {j: Fraction(v) for j, v in enumerate(row) if v} for row in rows
     ]
     return RatMatrix.from_rows(packed, ncols)
-
-
-def as_dense(matrix):
-    return [
-        [matrix.rows[i].get(j, Fraction(0)) for j in range(matrix.ncols)]
-        for i in range(matrix.nrows)
-    ]
-
-
-class TestRref:
-    def test_identity_fixed(self):
-        m = dense([[1, 0], [0, 1]])
-        r, rk = rref(m)
-        assert as_dense(r) == as_dense(m)
-        assert rk == 2
-
-    def test_zero_fixed(self):
-        m = dense([[0, 0], [0, 0]])
-        r, rk = rref(m)
-        assert as_dense(r) == as_dense(m)
-        assert rk == 0
-
-    def test_dependent_rows_collapse(self):
-        m = dense([[1, 2], [2, 4]])
-        r, rk = rref(m)
-        assert rk == 1
-        assert as_dense(r) == [[1, 2], [0, 0]]
-
-    def test_normalizes_and_orders_pivots(self):
-        m = dense([[0, 0, 3, 6], [2, 4, 0, 2]])
-        r, _ = rref(m)
-        assert as_dense(r) == [[1, 2, 0, 1], [0, 0, 1, 2]]
-
-    def test_idempotent(self):
-        m = dense([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
-        once, rk1 = rref(m)
-        twice, rk2 = rref(once)
-        assert as_dense(once) == as_dense(twice)
-        assert rk1 == rk2 == 2
 
 
 small_matrix = st.builds(
@@ -93,7 +52,7 @@ class TestNullspace:
     @settings(max_examples=60)
     def test_rank_nullity_and_membership(self, m):
         vs = nullspace(m)
-        assert rank(m) + len(vs) == m.ncols
+        assert span_dim(SparseVec(row) for row in m.rows) + len(vs) == m.ncols
         for v in vs:
             assert m.apply(v).is_zero()
         assert span_dim(vs) == len(vs)
@@ -146,16 +105,16 @@ class TestSolveFeasible:
             assert u.dot(b) != 0
 
 
-class TestInSpan:
+class TestRowSpace:
     def test_zero_always(self):
-        assert in_span(SparseVec(), [SparseVec({0: 1})])
-        assert in_span(SparseVec(), [])
+        assert RowSpace([SparseVec({0: 1})]).contains(SparseVec())
+        assert RowSpace().contains(SparseVec())
 
     def test_outside(self):
-        assert not in_span(SparseVec({0: 1, 1: 1}), [SparseVec({0: 1})])
+        assert not RowSpace([SparseVec({0: 1})]).contains(SparseVec({0: 1, 1: 1}))
 
     def test_scaled_member(self):
-        assert in_span(SparseVec({0: 2, 1: 4}), [SparseVec({0: 1, 1: 2})])
+        assert RowSpace([SparseVec({0: 1, 1: 2})]).contains(SparseVec({0: 2, 1: 4}))
 
 
 # Exact entries as the kernel receives them: plain ints and Fractions, with 0.
@@ -214,16 +173,11 @@ def all_fractions(values):
 class TestKernelAgainstDenseReference:
     @given(exact_matrices())
     @settings(max_examples=200)
-    def test_rref_rank_nullspace(self, case):
+    def test_rank_nullspace(self, case):
         grid, ncols = case
         matrix = from_grid(grid, ncols)
-        ref_rows, ref_pivots = gauss_jordan(grid, ncols)
-
-        reduced, rk = rref(matrix)
-        assert rk == rank(matrix) == len(ref_pivots)
-        assert as_dense(reduced)[:rk] == ref_rows
-        assert all(not row for row in reduced.rows[rk:])
-        assert all(all_fractions(row.values()) for row in reduced.rows)
+        _, ref_pivots = gauss_jordan(grid, ncols)
+        assert span_dim(SparseVec(row) for row in matrix.rows) == len(ref_pivots)
 
         basis = nullspace(matrix)
         assert basis == reference_nullspace(grid, ncols)
@@ -294,7 +248,9 @@ class TestKernelAgainstDenseReference:
 
 @st.composite
 def block_diagonal_matrices(draw):
-    """(rows, ncols, blocks) of a block-diagonal matrix with interleaved columns.
+    """(rows, ncols, blocks) of a block-diagonal matrix with interleaved columns,
+    one ``(columns, start, stop)`` per block: ``rows[start:stop]`` are
+    supported in ``columns``.
 
     Each block starts with a few random rows. Then independent rows,
     unitriangular in a random order of the block's columns, arrive one by
@@ -323,6 +279,15 @@ def block_diagonal_matrices(draw):
     return rows, ncols, tuple(blocks)
 
 
+def by_blocks(rows, blocks):
+    """``nullspace_by_blocks`` of the packed ``rows`` in the given blocks,
+    each row a unit of its own as in ``nullspace``."""
+    return nullspace_by_blocks(
+        (columns, rows[start:stop], exactlin._matrix_rows, exactlin._matrix_residuals)
+        for columns, start, stop in blocks
+    )
+
+
 class TestBlockNullspace:
     @given(block_diagonal_matrices())
     @settings(max_examples=300)
@@ -330,8 +295,9 @@ class TestBlockNullspace:
         rows, ncols, blocks = case
         grid = [[row.get(c, 0) for c in range(ncols)] for row in rows]
         expected = reference_nullspace(grid, ncols)
-        assert nullspace(RatMatrix.from_rows(rows, ncols, blocks)) == expected
-        assert nullspace(RatMatrix.from_rows(rows, ncols)) == expected
+        matrix = RatMatrix.from_rows(rows, ncols)
+        assert by_blocks(matrix.rows, blocks) == expected
+        assert nullspace(matrix) == expected
 
     def test_independent_rows_after_nullity_two(self):
         # columns 0..4: three rows leave nullity 2, then each independent row
@@ -372,11 +338,10 @@ class TestBlockNullspace:
         span = [{1: 1, 3: 1}, {3: 1, 5: 2}, {5: 1, 6: -1}]
         span += [{1: i, 3: i + 1, 5: 4, 6: -2} for i in range(20)]  # i*r0 + r1 + 2*r2
         blocks = (((0, 2, 4), 0, len(full)), ((1, 3, 5, 6), len(full), len(full) + len(span)))
-        m = RatMatrix.from_rows(full + span, 7, blocks)
-        assert nullspace(m) == [SparseVec({1: 2, 3: -2, 5: 1, 6: 1})]
+        rows = RatMatrix.from_rows(full + span, 7).rows  # as packed: zero entries dropped
+        assert by_blocks(rows, blocks) == [SparseVec({1: 2, 3: -2, 5: 1, 6: 1})]
         # rows are inserted only while the nullity is above 2; after that each
         # row is tested against the null vectors, and none past full rank is read
-        rows = m.rows  # as packed: zero entries dropped
         assert built == [rows[0], rows[len(full)], rows[len(full) + 1]]
         assert tested == list(rows[1:3] + rows[len(full) + 2 :])
 
@@ -391,21 +356,10 @@ class TestFromRows:
         assert m.rows[1] == {1: 2} and type(m.rows[1][1]) is Fraction
         assert m.rows[2] == {0: Fraction(1, 2)}
 
-    @pytest.mark.parametrize(
-        "rows, ncols, blocks",
-        [
-            ([{3: 1}], 3, ()),
-            ([{-1: 1}], 3, ()),
-            ([{0: 1, 1: 1}], 2, (((0,), 0, 1), ((1,), 1, 1))),  # row leaves its block
-            ([{0: 1}], 2, (((0,), 0, 1),)),  # column 1 in no block
-            ([{0: 1}], 2, (((0, 1), 0, 1), ((1,), 1, 1))),  # column 1 twice
-            ([{0: 1}, {1: 1}], 2, (((0,), 0, 1), ((1,), 0, 2))),  # rows overlap
-            ([{0: 1}, {1: 1}], 2, (((0,), 0, 1), ((1,), 1, 1))),  # last row in no block
-        ],
-    )
-    def test_rejects(self, rows, ncols, blocks):
+    @pytest.mark.parametrize("rows, ncols", [([{3: 1}], 3), ([{-1: 1}], 3)])
+    def test_rejects(self, rows, ncols):
         with pytest.raises(ValueError):
-            RatMatrix.from_rows(rows, ncols, blocks)
+            RatMatrix.from_rows(rows, ncols)
 
 
 class TestSparseVec:

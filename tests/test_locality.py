@@ -163,43 +163,43 @@ class TestZeroPropagationScan:
         alg = witt_z()
         w = window_from_ranges(alg, (-4, 4), (-6, 6))
         family = solve_half_derivations(alg, w)
-        reports = zero_propagation_scan(alg, SparseVec(), 0, (1, 2, 3), family)
+        reports = zero_propagation_scan(SparseVec(), 0, (1, 2, 3), family)
         assert all(r.feasible for r in reports)
 
     def test_wittz_value_e1_infeasible_for_all_c(self):
         alg = witt_z()
         w = window_from_ranges(alg, (-6, 6), (-10, 10))
         family = solve_half_derivations(alg, w)
-        reports = zero_propagation_scan(alg, SparseVec({E(1): 1}), 0, range(1, 11), family)
+        reports = zero_propagation_scan(SparseVec({E(1): 1}), 0, range(1, 11), family)
         assert [r.feasible for r in reports] == [False] * 10
 
     def test_wittpos_analogue(self):
         alg = witt_pos()
         w = window_from_ranges(alg, (1, 9), (1, 13))
         family = solve_half_derivations(alg, w)
-        reports = zero_propagation_scan(alg, SparseVec({E(2): 1}), 1, range(1, 8), family)
+        reports = zero_propagation_scan(SparseVec({E(2): 1}), 1, range(1, 8), family)
         assert not any(r.feasible for r in reports)
 
 
 class TestWabFScan:
     def test_zero_value_feasible(self, wab_family):
         alg, w, family = wab_family
-        assert wab_f_scan(alg, SparseVec(), 0, family).feasible
+        assert wab_f_scan(SparseVec(), 0, family).feasible
 
     def test_shifted_f_value_infeasible(self, wab_family):
         alg, w, family = wab_family
-        report = wab_f_scan(alg, SparseVec({F(1): 1}), 0, family)
+        report = wab_f_scan(SparseVec({F(1): 1}), 0, family)
         assert not report.feasible
         assert report.element == SparseVec({F(0): 1, E(0): 1, E(1): 1})
 
     def test_scaled_f_value_infeasible(self, wab_family):
         alg, w, family = wab_family
-        assert not wab_f_scan(alg, SparseVec({F(0): 3}), 0, family).feasible
+        assert not wab_f_scan(SparseVec({F(0): 3}), 0, family).feasible
 
     def test_rejects_e_support(self, wab_family):
         alg, w, family = wab_family
         with pytest.raises(ValueError):
-            wab_f_scan(alg, SparseVec({E(0): 1}), 0, family)
+            wab_f_scan(SparseVec({E(0): 1}), 0, family)
 
 
 @pytest.fixture
@@ -257,7 +257,7 @@ class TestScansMatchRecordedAnswers:
             ),
         ]
         for value, cs, expected in cases:
-            reports = zero_propagation_scan(alg, SparseVec(value), 0, cs, family)
+            reports = zero_propagation_scan(SparseVec(value), 0, cs, family)
             assert [r.c for r in reports] == list(cs)
             assert [r.feasible for r in reports] == [e is not None for e in expected]
             assert [_params(r) for r in reports] == expected
@@ -275,7 +275,7 @@ class TestScansMatchRecordedAnswers:
             (-1, {F(-1): q(1, 2), F(0): q(1, 2)}, {F(-1): 1, E(-1): 1, E(1): 1}, None),
         ]
         for m, value, probe, expected in cases:
-            report = wab_f_scan(alg, SparseVec(value), m, family)
+            report = wab_f_scan(SparseVec(value), m, family)
             assert report.element == SparseVec(probe)
             assert report.feasible == (expected is not None)
             assert _params(report) == expected
@@ -339,13 +339,13 @@ class TestWindowGuards:
         w = window_from_ranges(alg, (-2, 2), (-4, 4))
         family = solve_half_derivations(alg, w)
         with pytest.raises(WindowTooSmall):
-            zero_propagation_scan(alg, SparseVec(), 2, (1,), family)
+            zero_propagation_scan(SparseVec(), 2, (1,), family)
 
     def test_wab_scan_needs_probe_in_window(self, wab_family):
         alg, w, family = wab_family
         # support spread q'-p' = 6 puts the probe key e7 outside the window
         with pytest.raises(WindowTooSmall):
-            wab_f_scan(alg, SparseVec({F(-3): 1, F(3): 1}), 0, family)
+            wab_f_scan(SparseVec({F(-3): 1, F(3): 1}), 0, family)
 
 
 class TestDeterministicSample:
