@@ -43,7 +43,6 @@ from .exactlin import (
 from .locality import (
     AdditivityWitness,
     LocalReport,
-    TwoLocalReport,
     certify_nonadditive,
     check_local,
     deterministic_sample,

@@ -435,7 +435,7 @@ def criterion_8(quick: bool = False) -> CriterionResult:
     w = window_from_ranges(wz, *ranges)
     family = _solve(wz, w)
     reports = zero_propagation_scan(SparseVec({E(1): 1}), 0, ZERO_PROPAGATION_INFEASIBLE_C, family)
-    infeasible = tuple(int(r.c) for r in reports if not r.feasible)
+    infeasible = tuple(c for c, r in zip(ZERO_PROPAGATION_INFEASIBLE_C, reports) if not r.feasible)
     checks.expect(
         infeasible == ZERO_PROPAGATION_INFEASIBLE_C,
         f"infeasible c-set is the frozen 1..10, got {infeasible}",

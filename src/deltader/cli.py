@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from typing import List, Optional
 
@@ -64,9 +65,7 @@ class CliError(Exception):
     """Configuration problem surfaced with exit code 2."""
 
 
-def _read_config(path: Optional[str]) -> dict:
-    if not path:
-        return {}
+def _read_config(path: str) -> dict:
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -153,7 +152,7 @@ def _window_from(args, alg: AlgebraSpec):
     if args.in_range is None:
         raise CliError("--in lo..hi is required")
     in_range = parse_range(args.in_range)
-    out_range = parse_range(args.out_range) if args.out_range else in_range
+    out_range = parse_range(args.out_range) if args.out_range is not None else in_range
     try:
         return window_from_ranges(alg, in_range, out_range)
     except ValueError as exc:
@@ -163,7 +162,9 @@ def _window_from(args, alg: AlgebraSpec):
 def _check_outputs(args) -> None:
     """Raise CliError unless every ``--json``/``--tsv`` path can be written,
     before any is, so that a command exiting 2 leaves no report behind."""
-    for path in filter(None, (getattr(args, "json_path", None), getattr(args, "tsv_path", None))):
+    for path in (getattr(args, "json_path", None), getattr(args, "tsv_path", None)):
+        if path is None:
+            continue
         target = Path(path)
         if target.is_dir():
             raise CliError(f"cannot write {path}: Is a directory")
@@ -192,7 +193,7 @@ def _write_report(args, command: str, inputs: dict, results: dict) -> dict:
         "results": results,
         "timing": 0,
     }
-    if getattr(args, "json_path", None):
+    if getattr(args, "json_path", None) is not None:
         Path(args.json_path).write_text(json.dumps(report, indent=2) + "\n")
     return report
 
@@ -232,7 +233,7 @@ def _cmd_solve(args) -> int:
         "basis": [_serialize_map(m) for m in solved.basis],
     }
     _write_report(args, "solve", _echo_inputs(args, alg), results)
-    if args.tsv_path:
+    if args.tsv_path is not None:
         sizes = (len(w.keys), len(w.out_keys), report.dim_solved, report.dim_interior)
         Path(args.tsv_path).write_text(_tsv_text([(alg.name, alg.a, alg.b, *sizes)]))
     ok = report.expected_contained and report.solved_interior_contained
@@ -249,7 +250,7 @@ def _cmd_check_map(args) -> int:
     if args.map is None:
         raise CliError("--map <operator literal> is required")
     op = parse_operator(args.map, alg)
-    delta = parse_scalar(args.delta) if args.delta else HALF
+    delta = parse_scalar(args.delta) if args.delta is not None else HALF
     if isinstance(op, ThinNabla):
         raise CliError("thin-nabla is nonlinear; use the two-local command")
     try:
@@ -299,7 +300,7 @@ def _cmd_local(args) -> int:
         "familyDim": len(family),
         "elements": [
             {
-                "element": format_element(r.element),
+                "element": format_element(r.points[0]),
                 "feasible": r.feasible,
                 "params": _serialize_params(r.params),
             }
@@ -342,8 +343,8 @@ def _cmd_two_local(args) -> int:
         "familyDim": len(family),
         "pairs": [
             {
-                "x": format_element(r.x),
-                "y": format_element(r.y),
+                "x": format_element(r.points[0]),
+                "y": format_element(r.points[1]),
                 "feasible": r.feasible,
                 "params": _serialize_params(r.params),
             }
@@ -411,7 +412,7 @@ def _cmd_verify_all(args) -> int:
     # suite's wab solves.
     with solve_scope():
         results = run_all(quick=args.quick)
-        sweep = wab_dimension_sweep(args.quick) if args.tsv_path else None
+        sweep = wab_dimension_sweep(args.quick) if args.tsv_path is not None else None
     for r in results:
         print(r.line())
         if not r.passed:
@@ -455,39 +456,41 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deltader",
         description="Exact delta-derivation spaces of graded Lie algebras on index windows",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    add_parser = partial(sub.add_parser, allow_abbrev=False)  # flags are taken as spelled
 
-    p = sub.add_parser("solve", help="solve the windowed half-derivation space")
+    p = add_parser("solve", help="solve the windowed half-derivation space")
     _add_common(p)
     p.add_argument("--margin", type=int, help="interior margin (default: frozen per-algebra value)")
     p.add_argument("--tsv", dest="tsv_path", help="write a dimensions TSV row here")
     p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("check-map", help="check an operator for the delta-derivation law")
+    p = add_parser("check-map", help="check an operator for the delta-derivation law")
     _add_common(p)
     p.add_argument("--map", help="operator literal")
     p.add_argument("--delta", help="rational delta (default 1/2)")
     p.set_defaults(func=_cmd_check_map)
 
-    p = sub.add_parser("local", help="pointwise feasibility against the solved family")
+    p = add_parser("local", help="pointwise feasibility against the solved family")
     _add_common(p)
     p.add_argument("--map", help="candidate operator literal")
     p.add_argument("--x", help="element literal (default: deterministic sample)")
     p.set_defaults(func=_cmd_local)
 
-    p = sub.add_parser("two-local", help="pairwise feasibility against the solved family")
+    p = add_parser("two-local", help="pairwise feasibility against the solved family")
     _add_common(p)
     p.add_argument("--map", help="candidate operator literal")
     p.add_argument("--x", help="first element literal")
     p.add_argument("--y", help="second element literal")
     p.set_defaults(func=_cmd_two_local)
 
-    p = sub.add_parser("counterexamples", help="certify the catalogued counterexamples")
+    p = add_parser("counterexamples", help="certify the catalogued counterexamples")
     _add_common(p, window=False)
     p.set_defaults(func=_cmd_counterexamples)
 
-    p = sub.add_parser("verify-all", help="run the bundled verification suite")
+    p = add_parser("verify-all", help="run the bundled verification suite")
     p.add_argument("--quick", action="store_true", help="smaller windows")
     p.add_argument("--config", help="flat key=value config file; flags override")
     p.add_argument("--json", dest="json_path", help="write the JSON report here")
@@ -527,7 +530,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(_canonicalize_argv(list(argv)))
     started = time.monotonic()
     try:
-        if getattr(args, "config", None):
+        if getattr(args, "config", None) is not None:
             _merge_config(args, _read_config(args.config), _subparser(parser, args.command))
         _check_outputs(args)
         code = args.func(args)

@@ -140,19 +140,10 @@ def find_violation_witness(
     delta,
     search_keys: Sequence[BasisKey],
 ) -> Optional[Tuple[Tuple[BasisKey, BasisKey], SparseVec]]:
-    """First pair (in canonical order) of search keys with nonzero residual.
-
-    Pairs whose residual cannot be evaluated on the candidate's window are
-    skipped; closed-form operators are evaluable everywhere.
-    """
-    for k1, k2 in itertools.combinations(sorted(set(search_keys)), 2):
-        try:
-            residual = residual_at(alg, candidate, delta, k1, k2)
-        except KeyOutsideWindow:
-            continue
-        if residual:
-            return (k1, k2), residual
-    return None
+    """First pair (in canonical order) of search keys with nonzero residual."""
+    pairs = list(itertools.combinations(sorted(set(search_keys)), 2))
+    violations = check_delta_derivation(alg, candidate, delta, pairs)
+    return violations[0] if violations else None
 
 
 class _GradedEquations:
@@ -427,7 +418,8 @@ def compare_families(
     if solved.window != expected.window:
         raise ValueError("families must share a window")
     w = solved.window
-    col_index = {col: i for i, col in enumerate(w.columns())}
+    columns = w.columns()
+    col_index = {col: i for i, col in enumerate(columns)}
     solved_vecs = [m.as_vector(col_index) for m in solved.basis]
     expected_vecs = [m.as_vector(col_index) for m in expected.basis]
 
@@ -439,11 +431,15 @@ def compare_families(
             expected_contained = False
             offending.append(("expected", m))
 
-    inner = interior_input_keys(w, interior_margin)
-    inner_cols = {col: i for i, col in enumerate(Window(inner, w.out_keys).columns())}
-    expected_space = RowSpace(m.as_vector(inner_cols, inner) for m in expected.basis)
+    inner = set(interior_input_keys(w, interior_margin))
+    inner_cols = {i for i, (k, _) in enumerate(columns) if k in inner}
+
+    def interior(v: SparseVec) -> SparseVec:
+        return SparseVec({i: c for i, c in v.entries.items() if i in inner_cols})
+
+    expected_space = RowSpace(map(interior, expected_vecs))
     solved_interior_contained = True
-    restricted_vecs = [m.as_vector(inner_cols, inner) for m in solved.basis]
+    restricted_vecs = list(map(interior, solved_vecs))
     for original, v in zip(solved.basis, restricted_vecs):
         if not expected_space.contains(v):
             solved_interior_contained = False

@@ -68,9 +68,6 @@ class SparseVec:
     def get(self, key) -> Fraction:
         return self._entries.get(key, ZERO)
 
-    def __getitem__(self, key) -> Fraction:
-        return self._entries.get(key, ZERO)
-
     def __contains__(self, key) -> bool:
         return key in self._entries
 
@@ -86,16 +83,10 @@ class SparseVec:
     def __bool__(self) -> bool:
         return bool(self._entries)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SparseVec):
             return NotImplemented
         return self._entries == other._entries
-
-    def __hash__(self):
-        return hash(frozenset(self._entries.items()))
 
     def __add__(self, other: "SparseVec") -> "SparseVec":
         out = dict(self._entries)
@@ -119,12 +110,6 @@ class SparseVec:
             return SparseVec()
         return SparseVec({k: factor * v for k, v in self._entries.items()})
 
-    def __rmul__(self, factor) -> "SparseVec":
-        return self.scaled(factor)
-
-    def __mul__(self, factor) -> "SparseVec":
-        return self.scaled(factor)
-
     def dot(self, other: "SparseVec") -> Fraction:
         if len(other._entries) < len(self._entries):
             self, other = other, self
@@ -142,16 +127,9 @@ class SparseVec:
         return f"SparseVec({{{body}}})"
 
 
-def _is_clean(values) -> bool:
-    """True iff every value is a nonzero int or Fraction."""
-    return set(map(type, values)) <= {int, Fraction} and all(values)
-
-
 def _exact_row(row: Mapping) -> dict:
-    """The row as a dict of nonzero exact scalars: itself when it already is
-    one, else a cleaned copy."""
-    if type(row) is dict and _is_clean(row.values()):
-        return row
+    """The row as a new dict of its nonzero entries: ints are kept, any other
+    value goes through ``as_scalar``."""
     cleaned = {}
     for c, v in row.items():
         if type(v) is not int:
@@ -174,22 +152,13 @@ class RatMatrix:
 
     @staticmethod
     def from_rows(rows: Iterable[Mapping], ncols: int) -> "RatMatrix":
-        """A checked matrix: every row inside the columns ``0..ncols-1``.
-
-        A row that already is a dict of nonzero ints and Fractions is kept
-        as it is; any other row is copied with exact entries and its zeros
-        dropped.
-        """
+        """A checked matrix: every row inside the columns ``0..ncols-1``,
+        copied by ``_exact_row``."""
         rows = list(rows)
         allowed = set(range(ncols))
         if not allowed.issuperset(chain.from_iterable(rows)):
             i, c = next((i, c) for i, row in enumerate(rows) for c in row if c not in allowed)
             raise ValueError(f"column index {c} of row {i} outside 0..{ncols - 1}")
-        # One check of all the rows costs far less than one per row.
-        if set(map(type, rows)) <= {dict} and _is_clean(
-            list(chain.from_iterable(map(dict.values, rows)))
-        ):
-            return RatMatrix(tuple(rows), ncols)
         return RatMatrix(tuple(map(_exact_row, rows)), ncols)
 
     @property

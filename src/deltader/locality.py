@@ -12,7 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from .algebras import BasisKey, E, F
 from .dersolve import FamilyBasis
@@ -22,19 +22,9 @@ from .operators import WindowedMap, WindowTooSmall, evaluate
 
 @dataclass(frozen=True)
 class LocalReport:
-    """Feasibility of matching the candidate at one element."""
+    """Feasibility of matching the candidate at all points with one family member."""
 
-    element: SparseVec
-    feasible: bool
-    params: Optional[SparseVec] = None
-
-
-@dataclass(frozen=True)
-class TwoLocalReport:
-    """Feasibility of matching the candidate at two elements with one member."""
-
-    x: SparseVec
-    y: SparseVec
+    points: Tuple[SparseVec, ...]
     feasible: bool
     params: Optional[SparseVec] = None
 
@@ -88,7 +78,7 @@ def local_feasible_at(candidate, x: SparseVec, family: FamilyBasis) -> LocalRepo
     """Solve sum_k c_k B_k(x) = candidate(x) for the family maps B_k."""
     _window_guard(family, x)
     result = _match_system(family.basis, [x], [evaluate(candidate, x)])
-    return LocalReport(x, result.feasible, result.solution)
+    return LocalReport((x,), result.feasible, result.solution)
 
 
 def check_local(candidate, family: FamilyBasis, elements: Sequence[SparseVec]) -> List[LocalReport]:
@@ -96,19 +86,14 @@ def check_local(candidate, family: FamilyBasis, elements: Sequence[SparseVec]) -
     return [local_feasible_at(candidate, x, family) for x in elements]
 
 
-def two_local_feasible_at(candidate, x: SparseVec, y: SparseVec, family: FamilyBasis) -> TwoLocalReport:
+def two_local_feasible_at(
+    candidate, x: SparseVec, y: SparseVec, family: FamilyBasis
+) -> LocalReport:
     """One parameter vector across the joint system at x and y."""
     _window_guard(family, x, y)
     targets = [evaluate(candidate, x), evaluate(candidate, y)]
     result = _match_system(family.basis, [x, y], targets)
-    return TwoLocalReport(x, y, result.feasible, result.solution)
-
-
-@dataclass(frozen=True)
-class PropagationReport:
-    c: Fraction
-    feasible: bool
-    params: Optional[SparseVec] = None
+    return LocalReport((x, y), result.feasible, result.solution)
 
 
 def zero_propagation_scan(
@@ -116,9 +101,9 @@ def zero_propagation_scan(
     m: int,
     c_values: Sequence,
     family: FamilyBasis,
-) -> List[PropagationReport]:
-    """Feasibility of a single family member matching a map that kills e_m and
-    sends e_{m+1} to the given value, probed at e_{m+1} - c*e_m per c.
+) -> List[LocalReport]:
+    """Feasibility, per c in order, of a single family member matching a map
+    that kills e_m and sends e_{m+1} to the given value, probed at e_{m+1} - c*e_m.
 
     A linear map with those two values sends e_{m+1} - c*e_m to the same
     value for every c, so the scan asks, per c, whether
@@ -137,7 +122,7 @@ def zero_propagation_scan(
         c = as_scalar(c)
         probe = SparseVec({E(m + 1): 1, E(m): -c})
         result = _match_system(family.basis, [probe], [candidate_value_at_next])
-        reports.append(PropagationReport(c, result.feasible, result.solution))
+        reports.append(LocalReport((probe,), result.feasible, result.solution))
     return reports
 
 
@@ -166,7 +151,7 @@ def wab_f_scan(
     probe = SparseVec({F(m): 1, E(m): 1, E(k): 1})
     _window_guard(family, probe)
     result = _match_system(family.basis, [probe], [candidate_value_at_fm])
-    return LocalReport(probe, result.feasible, result.solution)
+    return LocalReport((probe,), result.feasible, result.solution)
 
 
 def certify_nonadditive(candidate, x: SparseVec, y: SparseVec) -> AdditivityWitness:
@@ -176,22 +161,23 @@ def certify_nonadditive(candidate, x: SparseVec, y: SparseVec) -> AdditivityWitn
     return AdditivityWitness(lhs != rhs, lhs, rhs)
 
 
-def deterministic_sample(
-    window_keys: Sequence[BasisKey],
-    pair_box: int = 6,
-    extra_terms: int = 5,
-    seed: int = 2024,
-) -> List[SparseVec]:
+# The shape of ``deterministic_sample``, which the locality goldens pin.
+SAMPLE_PAIR_BOX = 6
+SAMPLE_EXTRA_TERMS = 5
+SAMPLE_SEED = 2024
+
+
+def deterministic_sample(window_keys: Sequence[BasisKey]) -> List[SparseVec]:
     """Reproducible sample: every window key, pairwise sums in a sub-box, and
     a seeded batch of 3-term combinations with small coefficients."""
     keys = sorted(window_keys)
     sample = [SparseVec({k: 1}) for k in keys]
-    box = keys[:pair_box]
+    box = keys[:SAMPLE_PAIR_BOX]
     for k1, k2 in itertools.combinations(box, 2):
         sample.append(SparseVec({k1: 1, k2: 1}))
-    rng = random.Random(seed)
+    rng = random.Random(SAMPLE_SEED)
     coeffs = [Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3)]
-    for _ in range(extra_terms):
+    for _ in range(SAMPLE_EXTRA_TERMS):
         chosen = rng.sample(keys, min(3, len(keys)))
         sample.append(SparseVec({k: rng.choice(coeffs) for k in chosen}))
     return sample

@@ -24,8 +24,8 @@ class KeyOutsideWindow(Exception):
     """A WindowedMap was evaluated at a key outside its input window."""
 
 
-class SupportOverflow(Exception):
-    """Materializing an operator produced support outside the output window."""
+class SupportOverflow(ValueError):
+    """A WindowedMap was given an image outside its output window."""
 
 
 class WindowTooSmall(Exception):
@@ -113,8 +113,11 @@ class WindowedMap:
             raise ValueError("image must be defined exactly on the input window")
         out = self.window.out_key_set()
         for k, v in img.items():
-            if not set(v.support()) <= out:
-                raise ValueError(f"image of {k} escapes the output window")
+            escaped = v._entries.keys() - out
+            if escaped:
+                raise SupportOverflow(
+                    f"image of {k} reaches {sorted(escaped)} outside the output window"
+                )
         object.__setattr__(self, "image", img)
 
     def value_at(self, key: BasisKey) -> SparseVec:
@@ -126,14 +129,10 @@ class WindowedMap:
     def evaluate(self, v: SparseVec) -> SparseVec:
         return _extend_linearly(self.value_at, v)
 
-    def as_vector(self, column_index: Mapping, keys: Optional[Sequence[BasisKey]] = None) -> SparseVec:
-        """Flatten to a coefficient vector over (input, output) column indices.
-
-        With ``keys`` only the images of those input keys are flattened, which
-        is the vector of the restriction to them without building it.
-        """
+    def as_vector(self, column_index: Mapping) -> SparseVec:
+        """Flatten to a coefficient vector over (input, output) column indices."""
         flat = {}
-        for i in self.image if keys is None else keys:
+        for i in self.image:
             for k, c in self.image[i].entries.items():
                 flat[column_index[(i, k)]] = c
         return SparseVec(flat)
@@ -378,14 +377,4 @@ def materialize(op, w: Window) -> WindowedMap:
     """
     if isinstance(op, ThinNabla):
         raise TypeError("a nonlinear map cannot be tabulated as a WindowedMap")
-    out_set = w.out_key_set()
-    image = {}
-    for k in w.keys:
-        img = op.value_at(k)
-        escaped = set(img.support()) - out_set
-        if escaped:
-            raise SupportOverflow(
-                f"image of {k} reaches {sorted(escaped)} outside the output window"
-            )
-        image[k] = img
-    return WindowedMap(w, image)
+    return WindowedMap(w, {k: op.value_at(k) for k in w.keys})

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: reports, exit codes, determinism."""
 
+import argparse
 import io
 import json
 import os
@@ -343,6 +344,110 @@ class TestConfigAndErrors:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+# A run of each subcommand that sets every option taking a value, except
+# --config and --json, which the tests add; --quick is added to verify-all.
+WAB_RUN = {"algebra": "wab", "a": "0", "b": "-1", "in": "-2..2", "out": "-4..4"}
+VALID_RUNS = {
+    "solve": {**WAB_RUN, "margin": "1", "tsv": "dims.tsv"},
+    "check-map": {**WAB_RUN, "map": "wab:a={0:1}", "delta": "1/2"},
+    "local": {**WAB_RUN, "map": "wab:a={0:1}", "x": "e0+f1"},
+    "two-local": {**WAB_RUN, "map": "wab:a={0:1}", "x": "e0+f1", "y": "e1"},
+    "counterexamples": {"algebra": "thin"},
+    "verify-all": {"tsv": "dims.tsv"},
+}
+
+
+def value_options(command):
+    """The options of ``command`` that take a value, without their dashes."""
+    parser = cli._subparser(cli.build_parser(), command)
+    actions = [a for a in parser._actions if a.option_strings and a.nargs != 0]
+    return sorted(a.option_strings[0][2:] for a in actions)
+
+
+def run_with(tmp_path, monkeypatch, command, flags, config=None):
+    """Exit code of ``command`` run in ``tmp_path`` with ``--name value`` for
+    each of ``flags`` and, when given, a ``--config`` file of ``config``."""
+    monkeypatch.chdir(tmp_path)
+    argv = [command] + (["--quick"] if command == "verify-all" else [])
+    for name, value in flags.items():
+        argv += [f"--{name}", value]
+    if config is not None:
+        Path("run.cfg").write_text(config)
+        argv += ["--config", "run.cfg"]
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        return exc.code
+
+
+# Every value option of every subcommand, empty, as a flag and as a config
+# key; a config file naming another one is already an unknown key.
+EMPTY_VALUE_CASES = [
+    (command, option, source)
+    for command in sorted(VALID_RUNS)
+    for option in value_options(command)
+    for source in ("flag", "config")
+    if (option, source) != ("config", "config")
+]
+
+
+class TestEmptyValues:
+    @pytest.mark.parametrize("command", sorted(VALID_RUNS))
+    def test_valid_runs_cover_every_value_option(self, tmp_path, monkeypatch, command):
+        assert value_options(command) == sorted({*VALID_RUNS[command], "config", "json"})
+        flags = {**VALID_RUNS[command], "json": "r.json"}
+        assert run_with(tmp_path, monkeypatch, command, flags, config="") in (0, 1)
+        assert (tmp_path / "r.json").exists()
+        assert "tsv" not in flags or (tmp_path / "dims.tsv").exists()
+
+    @pytest.mark.parametrize("command, option, source", EMPTY_VALUE_CASES)
+    def test_empty_value_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, command, option, source
+    ):
+        flags = {**VALID_RUNS[command], "json": "r.json"}
+        if source == "flag":
+            code = run_with(tmp_path, monkeypatch, command, {**flags, option: ""})
+        else:
+            flags.pop(option)
+            code = run_with(tmp_path, monkeypatch, command, flags, config=f"{option}=\n")
+        assert code == 2
+        assert capsys.readouterr().err.startswith(("error: ", "usage: "))
+        assert {p.name for p in tmp_path.iterdir()} <= {"run.cfg"}
+
+
+class TestFlagSpelling:
+    @pytest.mark.parametrize(
+        "argv, prefix",
+        [
+            (["counterexamples", "--a", "thin"], "--a"),
+            (["solve", "--algebra", "wittz", "--in", "-2..2", "--marg", "3"], "--marg"),
+        ],
+    )
+    def test_prefix_is_an_unrecognized_flag(self, capsys, argv, prefix):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: " + prefix in err
+
+    def test_no_parser_accepts_a_prefix(self, capsys):
+        parser = cli.build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        # the top-level parser is checked with a valid command after the prefix
+        parsers = [(parser, [], ["verify-all"])]
+        parsers += [(p, [command], []) for command, p in sub.choices.items()]
+        for p, before, after in parsers:
+            for action in p._actions:
+                for flag in action.option_strings:
+                    if len(flag) > 3:  # --a has no prefix but --
+                        value = [] if action.nargs == 0 else ["1"]
+                        with pytest.raises(SystemExit) as exc:
+                            parser.parse_args(before + [flag[:-1]] + value + after)
+                        assert exc.value.code == 2
+                        err = capsys.readouterr().err
+                        assert f"unrecognized arguments: {flag[:-1]}" in err, (before, flag)
 
 
 class TestVerifyAllCommand:

@@ -19,7 +19,7 @@ from deltader.dersolve import (
     solve_derivations,
     solve_half_derivations,
 )
-from deltader.exactlin import RatMatrix, RowSpace, SparseVec, nullspace
+from deltader.exactlin import RatMatrix, RowSpace, SparseVec, nullspace, span_dim
 from deltader.operators import (
     ShiftOp,
     SolvDeltaBar,
@@ -139,9 +139,11 @@ class TestAssemble:
 
 
 @st.composite
-def algebra_windows(draw):
+def algebra_windows(draw, wide=False):
     """(algebra, input range, output range): all six algebras, small windows
-    with single-key and in == out ones among them."""
+    with single-key and in == out ones among them. With ``wide``, input
+    windows reach 8 keys per line (5 on wab), so margins up to 3 can leave
+    an interior."""
     alg = draw(
         st.sampled_from(
             [witt_z(), witt_pos(), witt_one_sided(), thin(), solv_abelian()]
@@ -150,7 +152,8 @@ def algebra_windows(draw):
     )
     low = {"wittz": -3, "wab": -2, "witt1": -1}.get(alg.name, 1)
     lo = draw(st.integers(low, low + 3))
-    hi = draw(st.integers(lo, lo + (1 if alg.name == "wab" else 3)))
+    width = (4 if alg.name == "wab" else 7) if wide else (1 if alg.name == "wab" else 3)
+    hi = draw(st.integers(lo, lo + width))
     below = draw(st.integers(0, 2))
     above = draw(st.integers(0, 2))
     return alg, (lo, hi), (max(low, lo - below), hi + above)
@@ -330,6 +333,44 @@ class TestCompareFamilies:
         b = expected_family(alg, window_from_ranges(alg, (-2, 2), (-3, 3)))
         with pytest.raises(ValueError):
             compare_families(a, b, 0)
+
+
+def interior_reference(solved, expected, margin):
+    """``(expected_contained, solved_interior_contained, dim_interior)``, with
+    each map cut down by ``WindowedMap.restricted`` and flattened on the
+    inner window's own columns."""
+    w = solved.window
+    columns = {col: i for i, col in enumerate(w.columns())}
+    space = RowSpace(m.as_vector(columns) for m in solved.basis)
+    expected_contained = all(space.contains(m.as_vector(columns)) for m in expected.basis)
+    inner = interior_input_keys(w, margin)
+    inner_columns = {col: i for i, col in enumerate(Window(inner, w.out_keys).columns())}
+    expected_space = RowSpace(m.restricted(inner).as_vector(inner_columns) for m in expected.basis)
+    restricted = [m.restricted(inner).as_vector(inner_columns) for m in solved.basis]
+    return (
+        expected_contained,
+        all(map(expected_space.contains, restricted)),
+        span_dim(restricted),
+    )
+
+
+class TestInteriorRestriction:
+    @given(algebra_windows(wide=True), st.integers(0, 3))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_restricted_maps(self, case, margin):
+        alg, in_range, out_range = case
+        w = window_from_ranges(alg, in_range, out_range)
+        solved = solve_half_derivations(alg, w)
+        family = expected_family(alg, w)
+        # both orders, so that either containment can fail
+        for first, second in ((solved, family), (family, solved)):
+            report = compare_families(first, second, margin)
+            observed = (
+                report.expected_contained,
+                report.solved_interior_contained,
+                report.dim_interior,
+            )
+            assert observed == interior_reference(first, second, margin)
 
 
 class TestAnalyticContainment:

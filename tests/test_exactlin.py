@@ -349,10 +349,9 @@ class TestBlockNullspace:
 class TestFromRows:
     def test_clean_rows_are_kept(self):
         clean, exact = {0: 1, 2: -3}, {1: Fraction(1, 2), 2: 4}
-        m = RatMatrix.from_rows([clean, exact], 3)
-        assert m.rows[0] is clean and m.rows[1] is exact
         m = RatMatrix.from_rows([clean, {1: Fraction(4, 2), 2: 0}, {0: "1/2"}, exact], 3)
-        assert m.rows[0] is clean and m.rows[3] is exact
+        assert m.rows[0] == clean and m.rows[3] == exact
+        assert type(m.rows[0][0]) is int and type(m.rows[3][1]) is Fraction
         assert m.rows[1] == {1: 2} and type(m.rows[1][1]) is Fraction
         assert m.rows[2] == {0: Fraction(1, 2)}
 

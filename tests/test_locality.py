@@ -190,7 +190,7 @@ class TestWabFScan:
         alg, w, family = wab_family
         report = wab_f_scan(SparseVec({F(1): 1}), 0, family)
         assert not report.feasible
-        assert report.element == SparseVec({F(0): 1, E(0): 1, E(1): 1})
+        assert report.points == (SparseVec({F(0): 1, E(0): 1, E(1): 1}),)
 
     def test_scaled_f_value_infeasible(self, wab_family):
         alg, w, family = wab_family
@@ -258,7 +258,7 @@ class TestScansMatchRecordedAnswers:
         ]
         for value, cs, expected in cases:
             reports = zero_propagation_scan(SparseVec(value), 0, cs, family)
-            assert [r.c for r in reports] == list(cs)
+            assert [r.points for r in reports] == [(SparseVec({E(1): 1, E(0): -c}),) for c in cs]
             assert [r.feasible for r in reports] == [e is not None for e in expected]
             assert [_params(r) for r in reports] == expected
         assert checked_solves.count(False) == 16
@@ -276,7 +276,7 @@ class TestScansMatchRecordedAnswers:
         ]
         for m, value, probe, expected in cases:
             report = wab_f_scan(SparseVec(value), m, family)
-            assert report.element == SparseVec(probe)
+            assert report.points == (SparseVec(probe),)
             assert report.feasible == (expected is not None)
             assert _params(report) == expected
         assert checked_solves.count(False) == 5
