@@ -64,7 +64,6 @@ from .operators import (
     Window,
     WindowTooSmall,
     WindowedMap,
-    compose,
     evaluate,
     identity_map,
     materialize,

@@ -66,6 +66,8 @@ class CliError(Exception):
 
 
 def _read_config(path: str) -> dict:
+    if not path:
+        raise CliError("--config path is empty")
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
@@ -162,9 +164,12 @@ def _window_from(args, alg: AlgebraSpec):
 def _check_outputs(args) -> None:
     """Raise CliError unless every ``--json``/``--tsv`` path can be written,
     before any is, so that a command exiting 2 leaves no report behind."""
-    for path in (getattr(args, "json_path", None), getattr(args, "tsv_path", None)):
+    for flag, dest in (("--json", "json_path"), ("--tsv", "tsv_path")):
+        path = getattr(args, dest, None)
         if path is None:
             continue
+        if not path:
+            raise CliError(f"{flag} path is empty")
         target = Path(path)
         if target.is_dir():
             raise CliError(f"cannot write {path}: Is a directory")
@@ -505,16 +510,21 @@ def _subparser(parser: argparse.ArgumentParser, command: str) -> argparse.Argume
     return sub.choices[command]
 
 
-_VALUE_FLAGS = {"--in", "--out", "--a", "--b", "--x", "--y", "--delta", "--margin"}
-
-
-def _canonicalize_argv(argv: List[str]) -> List[str]:
-    """Join value flags with their argument so values may start with '-'."""
-    out = []
-    i = 0
+def _canonicalize_argv(parser: argparse.ArgumentParser, argv: List[str]) -> List[str]:
+    """Join each value option of the chosen subcommand with its argument, so
+    that values may start with '-'. An argument that is ``--`` or one of the
+    subcommand's options is left to argparse, which reports the missing value."""
+    try:
+        actions = _subparser(parser, argv[0])._actions
+    except (IndexError, KeyError):  # no subcommand: argparse says so
+        return argv
+    flags = {flag for action in actions for flag in action.option_strings} | {"--"}
+    options = {flag for action in actions if action.nargs != 0 for flag in action.option_strings}
+    out = argv[:1]
+    i = 1
     while i < len(argv):
         tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
+        if tok in options and i + 1 < len(argv) and argv[i + 1].split("=", 1)[0] not in flags:
             out.append(f"{tok}={argv[i + 1]}")
             i += 2
         else:
@@ -527,7 +537,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     parser = build_parser()
-    args = parser.parse_args(_canonicalize_argv(list(argv)))
+    args = parser.parse_args(_canonicalize_argv(parser, list(argv)))
     started = time.monotonic()
     try:
         if getattr(args, "config", None) is not None:

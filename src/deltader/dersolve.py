@@ -42,7 +42,6 @@ from .operators import (
     WindowedMap,
     WindowTooSmall,
     KeyOutsideWindow,
-    SupportOverflow,
     evaluate,
     materialize,
 )
@@ -340,30 +339,38 @@ def _index_bounds(keys: Sequence[BasisKey], kind: str) -> Optional[Tuple[int, in
     return min(indices), max(indices)
 
 
-def _shift_generators(alg: AlgebraSpec, in_e, out_e) -> list:
-    t_lo = out_e[0] - in_e[1]
+def _shifts(alg: AlgebraSpec, in_e, out_e) -> range:
+    """The shifts t that carry the input range into the output range."""
+    t_lo = out_e[0] - in_e[0]
     if alg.record.least_shift is not None:
         t_lo = max(t_lo, alg.record.least_shift)
-    return [ShiftOp(t, Fraction(1), alg) for t in range(t_lo, out_e[1] - in_e[0] + 1)]
+    return range(t_lo, out_e[1] - in_e[1] + 1)
+
+
+def _shift_generators(alg: AlgebraSpec, in_e, out_e) -> list:
+    return [ShiftOp(t, Fraction(1), alg) for t in _shifts(alg, in_e, out_e)]
 
 
 def _wab_generators(alg: AlgebraSpec, in_e, out_e) -> list:
     if alg.b != -1:
         return [WabHalfDer(alpha={0: 1})]
-    shifts = range(out_e[0] - in_e[1], out_e[1] - in_e[0] + 1)
+    shifts = _shifts(alg, in_e, out_e)
     return [WabHalfDer(alpha={t: 1}) for t in shifts] + [WabHalfDer(beta={t: 1}) for t in shifts]
 
 
 def _thin_generators(alg: AlgebraSpec, in_e, out_e) -> list:
+    # beta_i sends e_j to e_{i+j-2} for j >= 3 and e_2 to e_i.
     alphas = [ThinHalfDer(alpha=tuple([0] * (k - 1) + [1])) for k in range(1, out_e[1] + 1)]
-    return alphas + [ThinHalfDer(beta=tuple([0] * (i - 2) + [1])) for i in range(2, out_e[1] + 1)]
+    beta_hi = out_e[1] - max(in_e[1] - 2, 0)
+    return alphas + [ThinHalfDer(beta=tuple([0] * (i - 2) + [1])) for i in range(2, beta_hi + 1)]
 
 
 def _solv_generators(alg: AlgebraSpec, in_e, out_e) -> list:
     return [SolvHalfDer(alpha=tuple([0] * (k - 1) + [1])) for k in range(1, out_e[1] + 1)]
 
 
-# Closed-form half-derivation generators by operator head, ``record.heads[0]``.
+# Closed-form half-derivation generators by operator head, ``record.heads[0]``,
+# from the e-index ranges (lo, hi) of the input and output windows.
 _GENERATORS = {
     "shift": _shift_generators,
     "wab": _wab_generators,
@@ -373,21 +380,20 @@ _GENERATORS = {
 
 
 def expected_family(alg: AlgebraSpec, w: Window) -> FamilyBasis:
-    """Materializations of the closed-form generators that fit the window.
+    """Materializations of the closed-form generators that fit the window,
+    without those that vanish on it.
 
     Witt family: shifts (t >= the record's ``least_shift``). Thin: unit alpha
     and beta generators. Solvable: unit alpha generators. W(a, b): shift and
-    e->f generators for b = -1, the identity alone otherwise.
+    e->f generators for b = -1, the identity alone otherwise. The generators
+    are chosen for an output window whose lines are index ranges; a window's
+    input lies inside its output, so those are all the range windows. On an
+    output window with a gap, a generator that escapes raises SupportOverflow.
     """
     generators = _GENERATORS[alg.record.heads[0]]
     candidates = generators(alg, _index_bounds(w.keys, "e"), _index_bounds(w.out_keys, "e"))
-    basis = []
-    for op in candidates:
-        try:
-            basis.append(materialize(op, w))
-        except SupportOverflow:
-            continue
-    return FamilyBasis(w, tuple(basis))
+    maps = (materialize(op, w) for op in candidates)
+    return FamilyBasis(w, tuple(m for m in maps if any(m.image.values())))
 
 
 def interior_input_keys(w: Window, margin: int) -> Tuple[BasisKey, ...]:

@@ -153,14 +153,6 @@ class WindowedMap:
             {k: self.image[k] + other.image[k] for k in self.window.keys},
         )
 
-    def __sub__(self, other: "WindowedMap") -> "WindowedMap":
-        if self.window != other.window:
-            raise ValueError("window mismatch")
-        return WindowedMap(
-            self.window,
-            {k: self.image[k] - other.image[k] for k in self.window.keys},
-        )
-
     def scaled(self, factor) -> "WindowedMap":
         factor = as_scalar(factor)
         return WindowedMap(self.window, {k: v.scaled(factor) for k, v in self.image.items()})
@@ -170,30 +162,19 @@ def identity_map(w: Window) -> WindowedMap:
     return WindowedMap(w, {k: SparseVec({k: 1}) for k in w.keys})
 
 
-def compose(outer: WindowedMap, inner: WindowedMap) -> WindowedMap:
-    """outer after inner, on the inner inputs whose images outer can consume."""
-    inner_dom = outer.window.key_set()
-    keep = tuple(
-        k for k in inner.window.keys if set(inner.image[k].support()) <= inner_dom
-    )
-    return WindowedMap(
-        Window(keep, outer.window.out_keys),
-        {k: outer.evaluate(inner.image[k]) for k in keep},
-    )
-
-
-def with_out_keys(m: WindowedMap, out_keys) -> WindowedMap:
-    """Same map over a different (usually larger) output window."""
-    return WindowedMap(Window(m.window.keys, tuple(sorted(set(out_keys)))), dict(m.image))
-
-
 def commutator(a: WindowedMap, b: WindowedMap) -> WindowedMap:
-    """a b - b a on the common composable input keys."""
-    ab = compose(a, b)
-    ba = compose(b, a)
-    common = tuple(sorted(ab.window.key_set() & ba.window.key_set()))
-    out = sorted(ab.window.out_key_set() | ba.window.out_key_set())
-    return with_out_keys(ab.restricted(common), out) - with_out_keys(ba.restricted(common), out)
+    """a b - b a on the common input keys where both compositions are defined,
+    over the union of the two output windows."""
+    a_in, b_in = a.window.key_set(), b.window.key_set()
+    keys = tuple(
+        k
+        for k in a.window.keys
+        if k in b_in and set(b.image[k].support()) <= a_in and set(a.image[k].support()) <= b_in
+    )
+    out = tuple(sorted(a.window.out_key_set() | b.window.out_key_set()))
+    return WindowedMap(
+        Window(keys, out), {k: a.evaluate(b.image[k]) - b.evaluate(a.image[k]) for k in keys}
+    )
 
 
 @dataclass(frozen=True)

@@ -76,6 +76,23 @@ class TestSolveCommand:
         assert dims[-1] > 1
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--algebra", "thin", "--in", "1..4", "--out", "2..6"],
+            ["--algebra", "solv", "--in", "1..4", "--out", "1..3"],
+            ["--algebra", "wab", "--a", "0", "--b", "0", "--in", "-2..2", "--out", "0..4"],
+        ],
+    )
+    def test_output_range_must_hold_the_input_range(self, flags):
+        code, err = run_contract(["solve"] + flags)
+        assert (code, err) == (2, "error: input window must be contained in output window\n")
+
+    def test_expected_dimension_counts_no_zero_map(self, capsys):
+        assert main(["solve", "--algebra", "thin", "--in", "3..6", "--out", "1..10"]) == 1
+        assert "dimExpected=6 " in capsys.readouterr().out
+
+
 class TestCheckMapCommand:
     def test_shift_passes(self, tmp_path):
         out = tmp_path / "r.json"
@@ -416,6 +433,20 @@ class TestEmptyValues:
         assert capsys.readouterr().err.startswith(("error: ", "usage: "))
         assert {p.name for p in tmp_path.iterdir()} <= {"run.cfg"}
 
+    @pytest.mark.parametrize(
+        "option, source",
+        [("json", "flag"), ("tsv", "flag"), ("config", "flag"), ("json", "config"), ("tsv", "config")],
+    )
+    def test_empty_path_is_named(self, tmp_path, monkeypatch, capsys, option, source):
+        flags = {**VALID_RUNS["solve"], "json": "r.json"}
+        if source == "flag":
+            code = run_with(tmp_path, monkeypatch, "solve", {**flags, option: ""})
+        else:
+            flags.pop(option)
+            code = run_with(tmp_path, monkeypatch, "solve", flags, config=f"{option}=\n")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: --{option} path is empty\n"
+
 
 class TestFlagSpelling:
     @pytest.mark.parametrize(
@@ -430,7 +461,34 @@ class TestFlagSpelling:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "unrecognized arguments: " + prefix in err
+        # quoted as typed: only the subcommand's own options join their value
+        assert err.endswith("unrecognized arguments: " + " ".join(argv[argv.index(prefix):]) + "\n")
+
+    @pytest.mark.parametrize(
+        "command, option", [(c, o) for c in sorted(VALID_RUNS) for o in value_options(c)]
+    )
+    def test_double_dash_is_not_a_value(self, capsys, command, option):
+        with pytest.raises(SystemExit) as exc:
+            main([command, f"--{option}", "--"])
+        assert exc.value.code == 2
+        assert f"argument --{option}: expected one argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["verify-all", "--json", "--quick"], "--json"),
+            (["verify-all", "--tsv", "--config=run.cfg"], "--tsv"),
+            (["solve", "--algebra", "wittz", "--in", "0..1", "--json", "--tsv", "d.tsv"], "--json"),
+            (["solve", "--algebra", "--in", "0..1"], "--algebra"),
+        ],
+    )
+    def test_an_option_is_not_a_value(self, tmp_path, monkeypatch, capsys, argv, option):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {option}: expected one argument" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_no_parser_accepts_a_prefix(self, capsys):
         parser = cli.build_parser()

@@ -1,0 +1,66 @@
+"""No helper that nothing calls: every function and method defined in
+``src/deltader`` is referred to by some module there, or is named below."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "deltader"
+
+# Definitions that no module in src/ refers to, and why each stays.
+ALLOWED = {
+    "assemble": "perfbench binds it by name (TRACED)",
+    "nullspace": "perfbench binds it by name (TRACED)",
+    "RatMatrix.apply": "the reference solver's, retired with it (ROADMAP item 2)",
+    "SparseVec.dot": "the reference solver's, retired with it (ROADMAP item 2)",
+    "identity_map": "the reference solver's, retired with it (ROADMAP item 2)",
+    "WindowedMap.restricted": "the reference of the interior-restriction test",
+}
+
+
+def _definitions(body, owner=""):
+    """(qualified name, bare name) of every non-dunder function, methods as
+    ``Class.method``, nested functions by their own name."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _definitions(node.body, f"{node.name}.")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield owner + node.name, node.name
+            yield from _definitions(node.body)
+        else:
+            for child in ast.iter_child_nodes(node):
+                yield from _definitions([child], owner)
+
+
+def unreferenced(sources):
+    """Qualified names defined in ``sources`` (module -> text) whose bare
+    name no module uses as a name or an attribute; imports do not count."""
+    trees = [ast.parse(text) for text in sources.values()]
+    used = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return {qual for tree in trees for qual, name in _definitions(tree.body) if name not in used}
+
+
+@pytest.mark.parametrize(
+    "source, dead",
+    [
+        ("def used(): pass\ndef unused(): used()\n", {"unused"}),
+        ("class A:\n    def __init__(self): self.g()\n    def f(self): pass\n    def g(self): pass\n", {"A.f"}),
+        ("def outer():\n    def inner(): pass\n    return 1\nouter()\n", {"inner"}),
+        ("TABLE = {'x': lambda: 0}\ndef rule(): pass\nRULES = (rule,)\n", set()),
+    ],
+)
+def test_the_guard_sees_unused_definitions(source, dead):
+    assert unreferenced({"m": source}) == dead
+
+
+def test_every_helper_is_used_or_allowed():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced(sources) == set(ALLOWED)

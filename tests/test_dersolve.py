@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from deltader import dersolve
 from deltader.algebras import E, F, degree, solv_abelian, thin, wab, witt_one_sided, witt_pos, witt_z
 from deltader.dersolve import (
     assemble,
@@ -23,7 +24,11 @@ from deltader.exactlin import RatMatrix, RowSpace, SparseVec, nullspace, span_di
 from deltader.operators import (
     ShiftOp,
     SolvDeltaBar,
+    SolvHalfDer,
+    SupportOverflow,
+    ThinHalfDer,
     ThinLocalDelta,
+    WabHalfDer,
     Window,
     WindowTooSmall,
     WindowedMap,
@@ -247,6 +252,65 @@ class TestSolveSpaces:
             assert len(solve_half_derivations(alg, w)) == 2 * m - n + 1
 
 
+FAMILY_ALGEBRAS = [witt_z(), witt_pos(), witt_one_sided(), thin(), solv_abelian()] + [
+    wab(a, b) for a in (0, HALF) for b in (-1, 0, Fraction(1, 3))
+]
+
+
+def grid_ranges(alg):
+    """The index ranges within nine indices from the algebra's floor (from -4
+    where there is none)."""
+    base = alg.record.floor if alg.record.floor is not None else -4
+    return [(lo, hi) for lo in range(base, base + 9) for hi in range(lo, base + 9)]
+
+
+def range_windows(alg):
+    """Every range window on the grid, input inside output: 495 windows.
+    ``Window`` refuses any other pair of ranges."""
+    ranges = grid_ranges(alg)
+    return [(i, o) for i in ranges for o in ranges if o[0] <= i[0] and i[1] <= o[1]]
+
+
+def gapped_input(w):
+    """``w`` without its second input index, on every line."""
+    second = sorted({k.index for k in w.keys})[1]
+    return Window(tuple(k for k in w.keys if k.index != second), w.out_keys)
+
+
+def generate_and_filter(alg, w):
+    """The closed-form family built the long way: every candidate of ranges
+    wide enough for any window, kept when it materializes on ``w`` and is
+    not zero there."""
+    (in_lo, in_hi), (out_lo, out_hi) = (
+        (min(k.index for k in keys), max(k.index for k in keys)) for keys in (w.keys, w.out_keys)
+    )
+    record = alg.record
+    shifts = range(out_lo - in_hi, out_hi - in_lo + 1)
+    if record.heads[0] == "shift":
+        least = record.least_shift
+        candidates = [ShiftOp(t, 1, alg) for t in shifts if least is None or t >= least]
+    elif record.heads[0] == "wab":
+        candidates = (
+            [WabHalfDer(alpha={t: 1}) for t in shifts] + [WabHalfDer(beta={t: 1}) for t in shifts]
+            if alg.b == -1
+            else [WabHalfDer(alpha={0: 1})]
+        )
+    elif record.heads[0] == "thin":
+        candidates = [ThinHalfDer(alpha=(0,) * (k - 1) + (1,)) for k in range(1, out_hi + 1)]
+        candidates += [ThinHalfDer(beta=(0,) * (i - 2) + (1,)) for i in range(2, out_hi + 1)]
+    else:
+        candidates = [SolvHalfDer(alpha=(0,) * (k - 1) + (1,)) for k in range(1, out_hi + 1)]
+    family = []
+    for op in candidates:
+        try:
+            m = materialize(op, w)
+        except SupportOverflow:
+            continue
+        if any(m.image.values()):
+            family.append(m)
+    return tuple(family)
+
+
 class TestExpectedFamily:
     def test_witt_one_sided_shift_range(self):
         alg = witt_one_sided()
@@ -273,6 +337,68 @@ class TestExpectedFamily:
         w = window_from_ranges(alg, (1, 6), (1, 10))
         family = expected_family(alg, w)
         assert len(family) == 15  # alpha_1..10 plus beta_2..6
+
+    @pytest.mark.parametrize(
+        "alg, dim",
+        [
+            # alpha_1, beta_2..6; alpha_2..10 act on e1 alone
+            (thin(), 6),
+            # alpha_1; alpha_2..6 act on e1 alone
+            (solv_abelian(), 1),
+        ],
+    )
+    def test_no_zero_generators_off_the_floor(self, alg, dim):
+        w = window_from_ranges(alg, (3, 6), (1, 10 if alg == thin() else 6))
+        family = expected_family(alg, w)
+        columns = {col: i for i, col in enumerate(w.columns())}
+        assert len(family) == span_dim(m.as_vector(columns) for m in family.basis) == dim
+
+    @pytest.mark.parametrize("alg", FAMILY_ALGEBRAS, ids=lambda alg: alg.label())
+    def test_matches_generate_and_filter(self, alg):
+        for in_range, out_range in range_windows(alg):
+            w = window_from_ranges(alg, in_range, out_range)
+            windows = [w, gapped_input(w)] if in_range[1] - in_range[0] >= 2 else [w]
+            for v in windows:
+                assert expected_family(alg, v).basis == generate_and_filter(alg, v), v
+
+    @pytest.mark.parametrize("alg", FAMILY_ALGEBRAS, ids=lambda alg: alg.label())
+    def test_one_generator_beyond_each_range_overflows(self, alg):
+        record = alg.record
+        for in_range, out_range in range_windows(alg):
+            ops = dersolve._GENERATORS[record.heads[0]](alg, in_range, out_range)
+            beyond = []
+            if record.heads[0] == "shift":
+                ts = [op.t for op in ops]
+                beyond.append(ShiftOp(max(ts) + 1, 1, alg))
+                if record.least_shift is None or min(ts) > record.least_shift:
+                    beyond.append(ShiftOp(min(ts) - 1, 1, alg))
+            elif record.heads[0] == "wab" and alg.b == -1:
+                for side in ("alpha", "beta"):
+                    ts = [t for op in ops for t in getattr(op, side)]
+                    beyond += [WabHalfDer(**{side: {t: 1}}) for t in (min(ts) - 1, max(ts) + 1)]
+            elif record.heads[0] == "thin" and in_range[1] >= 2:  # beta_i acts from e2 on
+                last = max(len(op.beta) for op in ops)
+                beyond.append(ThinHalfDer(beta=(0,) * last + (1,)))
+            w = window_from_ranges(alg, in_range, out_range)
+            for op in beyond:
+                with pytest.raises(SupportOverflow):
+                    materialize(op, w)
+
+    @pytest.mark.parametrize("alg", FAMILY_ALGEBRAS, ids=lambda alg: alg.label())
+    def test_other_range_pairs_are_refused(self, alg):
+        nested = set(range_windows(alg))
+        for in_range in grid_ranges(alg):
+            for out_range in grid_ranges(alg):
+                if (in_range, out_range) not in nested:
+                    with pytest.raises(ValueError, match="input window must be contained"):
+                        window_from_ranges(alg, in_range, out_range)
+
+    def test_gapped_output_window_raises(self):
+        # the shift by 1 sends e2 to e3, which the output window lacks
+        alg = witt_z()
+        w = Window(tuple(E(i) for i in range(0, 3)), tuple(E(i) for i in (-2, -1, 0, 1, 2, 4)))
+        with pytest.raises(SupportOverflow):
+            expected_family(alg, w)
 
 
 class TestCompareFamilies:

@@ -22,7 +22,6 @@ from deltader.operators import (
     Window,
     WindowedMap,
     commutator,
-    compose,
     evaluate,
     identity_map,
     materialize,
@@ -226,12 +225,20 @@ class TestThinNabla:
 
 
 class TestComposition:
-    def test_compose_shifts(self):
-        wz = witt_z()
-        inner = materialize(ShiftOp(1, 2), window_from_ranges(wz, (-2, 2), (-3, 3)))
-        outer = materialize(ShiftOp(2, 3), window_from_ranges(wz, (-3, 3), (-5, 5)))
-        combined = compose(outer, inner)
-        assert combined.evaluate(SparseVec({E(0): 1})) == SparseVec({E(3): 6})
+    def test_commutator_of_thin_maps(self):
+        # a: e2 -> e3, e_j -> 2^(2-j) e_(j+1); b: e1 -> e1 + e2, e_j -> (1 - 2^(2-j)) e_j
+        a = materialize(ThinHalfDer(beta=(0, 1)), window_from_ranges(thin(), (1, 5), (1, 6)))
+        b = materialize(ThinHalfDer(alpha=(1, 1)), window_from_ranges(thin(), (1, 3), (1, 4)))
+        comm = commutator(a, b)
+        # e3 is an input of both, but a(e3) = e4/2 leaves b's inputs; e4 and
+        # e5 are not inputs of b.
+        assert comm.window.keys == (E(1), E(2))
+        assert comm.window.out_keys == a.window.out_keys
+        for k in comm.window.keys:
+            assert comm.image[k] == a.evaluate(b.image[k]) - b.evaluate(a.image[k])
+        assert comm.image[E(1)] == SparseVec({E(3): 1})
+        assert comm.image[E(2)] == SparseVec({E(3): Fraction(-1, 2)})
+        assert commutator(b, a).image == {k: -v for k, v in comm.image.items()}
 
     def test_commutator_of_shifts_vanishes(self):
         wz = witt_z()
