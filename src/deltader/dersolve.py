@@ -71,7 +71,11 @@ class FamilyBasis:
 
 @dataclass(frozen=True)
 class ComparisonReport:
-    """Result of comparing a solved family with a closed-form family."""
+    """Result of comparing a solved family with a closed-form family.
+
+    ``dim_expected`` is the dimension of the span of the expected maps,
+    which may be dependent on a window (thin ``j..j``, j >= 3).
+    """
 
     expected_contained: bool
     solved_interior_contained: bool
@@ -456,7 +460,7 @@ def compare_families(
         solved_interior_contained=solved_interior_contained,
         interior_margin=interior_margin,
         dim_solved=len(solved.basis),
-        dim_expected=len(expected.basis),
+        dim_expected=span_dim(expected_vecs),
         dim_interior=span_dim(restricted_vecs),
         offending_vectors=tuple(offending),
     )

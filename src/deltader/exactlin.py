@@ -1,10 +1,11 @@
 """Exact rational sparse linear algebra.
 
-Vectors are stored sparsely with ``fractions.Fraction`` entries, matrices
-with exact rational entries (``int`` or ``Fraction``), so every result below
-is exact: nullspace bases, feasibility of ``A x = b`` with Farkas-style
-infeasibility certificates, and span membership. No floating point is used
-anywhere.
+An exact scalar has one canonical form: an ``int`` when it is integral, a
+``fractions.Fraction`` (denominator > 1) only otherwise. Sparse vectors and
+matrix rows store their entries in that form, so integral data costs no
+``Fraction`` arithmetic, and every result below is exact: nullspace bases,
+feasibility of ``A x = b`` with Farkas-style infeasibility certificates, and
+span membership. No floating point is used anywhere.
 
 Elimination is fraction-free: each row enters as a primitive integer row and
 is reduced by integer row operations by one kernel, which serves echelon
@@ -20,15 +21,14 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Union
 
-Scalar = Fraction
-
-ZERO = Fraction(0)
+# An exact scalar in canonical form: int when integral, Fraction otherwise.
+Scalar = Union[int, Fraction]
 
 
 def as_scalar(value) -> Fraction:
-    """Coerce ints, strings like ``3/4`` and Fractions to an exact Scalar."""
+    """Coerce ints, strings like ``3/4`` and Fractions to a Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
@@ -43,30 +43,40 @@ def int_if_integral(value):
     return value.numerator if value.denominator == 1 else value
 
 
+def _exact_row(row: Mapping) -> dict:
+    """The row as a new dict of its nonzero entries in canonical form: ints
+    are kept, any other value goes through ``as_scalar`` and is stored as an
+    int when it is integral."""
+    cleaned = {}
+    for c, v in row.items():
+        if type(v) is not int:
+            v = int_if_integral(as_scalar(v))
+        if v:
+            cleaned[c] = v
+    return cleaned
+
+
 class SparseVec:
-    """Finitely supported map key -> nonzero Scalar.
+    """Finitely supported map key -> nonzero canonical Scalar.
 
     Keys may be any orderable hashable values (basis keys, column indices).
-    Zero entries are never stored; equality is entrywise.
+    Entries may be given as ints, Fractions or strings like ``3/4``; the
+    constructor stores each in canonical form (``_exact_row``), so an entry
+    is an int exactly when it is integral. Zero entries are never stored;
+    equality is entrywise.
     """
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Optional[Mapping] = None):
-        cleaned = {}
-        if entries:
-            for k, v in entries.items():
-                v = as_scalar(v)
-                if v:
-                    cleaned[k] = v
-        self._entries = cleaned
+        self._entries = _exact_row(entries) if entries else {}
 
     @property
     def entries(self) -> dict:
         return dict(self._entries)
 
-    def get(self, key) -> Fraction:
-        return self._entries.get(key, ZERO)
+    def get(self, key) -> Scalar:
+        return self._entries.get(key, 0)
 
     def __contains__(self, key) -> bool:
         return key in self._entries
@@ -91,7 +101,7 @@ class SparseVec:
     def __add__(self, other: "SparseVec") -> "SparseVec":
         out = dict(self._entries)
         for k, v in other._entries.items():
-            nv = out.get(k, ZERO) + v
+            nv = out.get(k, 0) + v
             if nv:
                 out[k] = nv
             else:
@@ -110,10 +120,10 @@ class SparseVec:
             return SparseVec()
         return SparseVec({k: factor * v for k, v in self._entries.items()})
 
-    def dot(self, other: "SparseVec") -> Fraction:
+    def dot(self, other: "SparseVec") -> Scalar:
         if len(other._entries) < len(self._entries):
             self, other = other, self
-        total = ZERO
+        total = 0
         for k, v in self._entries.items():
             w = other._entries.get(k)
             if w is not None:
@@ -127,24 +137,13 @@ class SparseVec:
         return f"SparseVec({{{body}}})"
 
 
-def _exact_row(row: Mapping) -> dict:
-    """The row as a new dict of its nonzero entries: ints are kept, any other
-    value goes through ``as_scalar``."""
-    cleaned = {}
-    for c, v in row.items():
-        if type(v) is not int:
-            v = as_scalar(v)
-        if v:
-            cleaned[c] = v
-    return cleaned
-
-
 @dataclass(frozen=True)
 class RatMatrix:
     """Sparse rational matrix: rows are column -> exact rational maps.
 
-    Entries are ``int`` or ``Fraction``; ints are kept as they are, so an
-    integer matrix costs no ``Fraction`` arithmetic.
+    ``from_rows`` stores entries in canonical form, as ``SparseVec`` does: an
+    integral entry is an int, so an integer matrix costs no ``Fraction``
+    arithmetic.
     """
 
     rows: tuple
@@ -169,7 +168,7 @@ class RatMatrix:
         """Matrix-vector product; x is indexed by column, result by row."""
         out = {}
         for i, row in enumerate(self.rows):
-            total = ZERO
+            total = 0
             for c, v in row.items():
                 xc = x.get(c)
                 if xc:

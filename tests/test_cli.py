@@ -92,6 +92,11 @@ class TestSolveCommand:
         assert main(["solve", "--algebra", "thin", "--in", "3..6", "--out", "1..10"]) == 1
         assert "dimExpected=6 " in capsys.readouterr().out
 
+    def test_expected_dimension_is_that_of_the_span(self, capsys):
+        # alpha_1 and beta_2 both send e3 to a multiple of e3 on this window
+        assert main(["solve", "--algebra", "thin", "--in", "3..3", "--out", "1..5"]) == 1
+        assert "dimExpected=3 " in capsys.readouterr().out
+
 
 class TestCheckMapCommand:
     def test_shift_passes(self, tmp_path):
