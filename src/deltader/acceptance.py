@@ -63,12 +63,7 @@ QUARTER = Fraction(1, 4)
 # Scan values certified by criterion 8 (computed with the feasibility oracle).
 ZERO_PROPAGATION_INFEASIBLE_C = tuple(range(1, 11))
 
-WAB_ACCEPTANCE_PARAMS = (
-    (Fraction(0), Fraction(0)),
-    (Fraction(1), Fraction(-1)),
-    (Fraction(1, 2), Fraction(-1)),
-    (Fraction(0), Fraction(2)),
-)
+WAB_ACCEPTANCE_PARAMS = ((0, 0), (1, -1), (Fraction(1, 2), -1), (0, 2))
 
 
 def acceptance_window(alg: AlgebraSpec, quick: bool = False) -> Window:
@@ -264,8 +259,8 @@ def wab_dimension_sweep(quick: bool = False) -> List[dict]:
         rows.append(
             {
                 "algebra": "wab",
-                "a": Fraction(0),
-                "b": Fraction(b),
+                "a": alg.a,
+                "b": alg.b,
                 "in_size": len(w.keys),
                 "out_size": len(w.out_keys),
                 "dim_solved": report.dim_solved,
@@ -283,12 +278,12 @@ def criterion_4(quick: bool = False) -> CriterionResult:
     by_b = {row["b"]: row for row in rows}
     for b in (0, 1, -2):
         checks.expect(
-            by_b[Fraction(b)]["dim_interior"] == 1,
+            by_b[b]["dim_interior"] == 1,
             f"b={b}: interior dimension 1 (identity only)",
         )
-    family_dim = by_b[Fraction(-1)]["dim_expected"]
+    family_dim = by_b[-1]["dim_expected"]
     checks.expect(
-        by_b[Fraction(-1)]["dim_interior"] == family_dim,
+        by_b[-1]["dim_interior"] == family_dim,
         f"b=-1: interior dimension equals family dimension {family_dim}",
     )
     jump_only_at_minus_one = all(

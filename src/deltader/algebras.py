@@ -17,11 +17,10 @@ verification suite's frozen windows and margin. Supported algebras:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from operator import attrgetter
 from typing import Callable, NamedTuple, Optional, Tuple
 
-from .exactlin import Scalar, SparseVec, as_scalar, int_if_integral
+from .exactlin import Scalar, SparseVec, as_scalar
 
 
 class KeyOutOfDomain(Exception):
@@ -70,7 +69,7 @@ def _wab_rule(alg: "AlgebraSpec", k1: BasisKey, k2: BasisKey) -> Term:
         coeff = i + alg.a + alg.b * j
     else:
         return None  # [f, f] = 0
-    return (F(i + j), int_if_integral(coeff)) if coeff else None
+    return (F(i + j), as_scalar(coeff)) if coeff else None
 
 
 def _thin_rule(alg: "AlgebraSpec", k1: BasisKey, k2: BasisKey) -> Term:
@@ -159,11 +158,16 @@ _RECORDS = {record.name: record for record in CATALOGUE}
 
 @dataclass(frozen=True)
 class AlgebraSpec:
-    """An algebra from the catalogue, with exact rational parameters for W(a,b)."""
+    """An algebra from the catalogue, with exact rational parameters for W(a,b).
+
+    ``a`` and ``b`` may be given in any form ``as_scalar`` accepts and are
+    stored in canonical form, so ``wab("1/2", -1) == wab(Fraction(1, 2), -1)``;
+    a float raises TypeError here.
+    """
 
     name: str
-    a: Optional[Fraction] = None
-    b: Optional[Fraction] = None
+    a: Optional[Scalar] = None
+    b: Optional[Scalar] = None
     record: AlgebraRecord = field(init=False, repr=False, compare=False)  # resolved once
 
     def __post_init__(self):
@@ -173,6 +177,8 @@ class AlgebraSpec:
         if record.parametric:
             if self.a is None or self.b is None:
                 raise ValueError(f"{self.name} requires parameters a and b")
+            object.__setattr__(self, "a", as_scalar(self.a))
+            object.__setattr__(self, "b", as_scalar(self.b))
         elif self.a is not None or self.b is not None:
             raise ValueError(f"{self.name} takes no parameters")
         object.__setattr__(self, "record", record)
@@ -196,7 +202,7 @@ def witt_one_sided() -> AlgebraSpec:
 
 
 def wab(a, b) -> AlgebraSpec:
-    return AlgebraSpec("wab", as_scalar(a), as_scalar(b))
+    return AlgebraSpec("wab", a, b)
 
 
 def thin() -> AlgebraSpec:

@@ -27,9 +27,9 @@ from .algebras import AlgebraSpec, BasisKey, bracket, bracket_term, bracket_vec,
 from .exactlin import (
     RatMatrix,
     RowSpace,
+    Scalar,
     SparseVec,
     as_scalar,
-    int_if_integral,
     nullspace_by_blocks,
     span_dim,
 )
@@ -104,7 +104,6 @@ def derivation_pairs(alg: AlgebraSpec, in_keys: Sequence[BasisKey]) -> List[Tupl
 
 def residual_at(alg, candidate, delta, k1: BasisKey, k2: BasisKey) -> SparseVec:
     """phi([e_i, e_j]) - delta*([phi(e_i), e_j] + [e_i, phi(e_j)]) for phi = candidate."""
-    delta = as_scalar(delta)
     bv = bracket(alg, k1, k2)
     lhs = evaluate(candidate, bv)
     u1 = SparseVec({k1: 1})
@@ -172,7 +171,7 @@ class _GradedEquations:
     no row.
     """
 
-    def __init__(self, alg: AlgebraSpec, delta: Fraction, w: Window):
+    def __init__(self, alg: AlgebraSpec, delta: Scalar, w: Window):
         num, den = delta.numerator, delta.denominator
         out_keys = w.out_keys
         self.pair_list = tuple(derivation_pairs(alg, w.keys))
@@ -209,7 +208,7 @@ class _GradedEquations:
             for j, (o, term) in enumerate(zip(out_keys, table)):
                 if term is not None and factor:
                     z, c = term
-                    entry = (j, slot[graded(z, o, k)], int_if_integral(factor * c))
+                    entry = (j, slot[graded(z, o, k)], as_scalar(factor * c))
                     groups.setdefault(deg[o], []).append(entry)
             return groups
 
@@ -228,7 +227,7 @@ class _GradedEquations:
             s_col = cs = None
             if brackets[k1, k2] is not None:
                 s, cs = brackets[k1, k2]
-                s_col, cs = first_col[graded(s, k1, k2)], int_if_integral(den * scale * cs)
+                s_col, cs = first_col[graded(s, k1, k2)], as_scalar(den * scale * cs)
                 touched.update(d - d1 - d2 for d in self.out_at)
             unit = (o_k[k2], k_o[k1], d1, d2, first_col[k1], first_col[k2], s_col, cs)
             for t in touched:
@@ -309,7 +308,7 @@ def _maps_from_vectors(w: Window, vectors) -> List[WindowedMap]:
     columns = w.columns()
     maps = []
     for v in vectors:
-        images: Dict[BasisKey, Dict[BasisKey, Fraction]] = {k: {} for k in w.keys}
+        images: Dict[BasisKey, Dict[BasisKey, Scalar]] = {k: {} for k in w.keys}
         for col, value in v.entries.items():
             in_key, out_key = columns[col]
             images[in_key][out_key] = value
@@ -352,7 +351,7 @@ def _shifts(alg: AlgebraSpec, in_e, out_e) -> range:
 
 
 def _shift_generators(alg: AlgebraSpec, in_e, out_e) -> list:
-    return [ShiftOp(t, Fraction(1), alg) for t in _shifts(alg, in_e, out_e)]
+    return [ShiftOp(t, 1, alg) for t in _shifts(alg, in_e, out_e)]
 
 
 def _wab_generators(alg: AlgebraSpec, in_e, out_e) -> list:

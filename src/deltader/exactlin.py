@@ -1,11 +1,12 @@
 """Exact rational sparse linear algebra.
 
 An exact scalar has one canonical form: an ``int`` when it is integral, a
-``fractions.Fraction`` (denominator > 1) only otherwise. Sparse vectors and
-matrix rows store their entries in that form, so integral data costs no
-``Fraction`` arithmetic, and every result below is exact: nullspace bases,
-feasibility of ``A x = b`` with Farkas-style infeasibility certificates, and
-span membership. No floating point is used anywhere.
+``fractions.Fraction`` (denominator > 1) only otherwise. ``as_scalar`` is the
+one function that picks it, wherever a scalar enters: sparse vectors, matrix
+rows, algebra parameters, parsed literals and operator fields. So integral
+data costs no ``Fraction`` arithmetic, and every result below is exact:
+nullspace bases, feasibility of ``A x = b`` with Farkas-style infeasibility
+certificates, and span membership. No floating point is used anywhere.
 
 Elimination is fraction-free: each row enters as a primitive integer row and
 is reduced by integer row operations by one kernel, which serves echelon
@@ -27,30 +28,30 @@ from typing import Iterable, Mapping, Optional, Union
 Scalar = Union[int, Fraction]
 
 
-def as_scalar(value) -> Fraction:
-    """Coerce ints, strings like ``3/4`` and Fractions to a Fraction."""
-    if isinstance(value, Fraction):
+def as_scalar(value) -> Scalar:
+    """The exact scalar ``value`` in canonical form.
+
+    An int is returned as is, and a Fraction with denominator > 1 as the same
+    object; an integral Fraction becomes its numerator, and a string like
+    ``3/4`` or ``4/2`` is parsed. Anything else, such as a float or a bool,
+    raises TypeError.
+    """
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        value = Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
     raise TypeError(f"not an exact scalar: {value!r}")
-
-
-def int_if_integral(value):
-    """An exact scalar as an int when its denominator is 1, else unchanged."""
-    return value.numerator if value.denominator == 1 else value
 
 
 def _exact_row(row: Mapping) -> dict:
     """The row as a new dict of its nonzero entries in canonical form: ints
-    are kept, any other value goes through ``as_scalar`` and is stored as an
-    int when it is integral."""
+    are kept, any other value goes through ``as_scalar``."""
     cleaned = {}
     for c, v in row.items():
         if type(v) is not int:
-            v = int_if_integral(as_scalar(v))
+            v = as_scalar(v)
         if v:
             cleaned[c] = v
     return cleaned
@@ -301,12 +302,6 @@ def _rref_rows(pivots: dict) -> dict:
 TESTED_NULLITY = 2
 
 
-def _content_free(v: dict) -> dict:
-    """The int vector ``v`` divided by the gcd of its entries."""
-    g = gcd(*v.values())
-    return v if g == 1 else {c: x // g for c, x in v.items()}
-
-
 def _integer_null_vectors(pivots: dict, columns) -> list:
     """The canonical null vectors of the echelon form ``pivots``, whose rows
     are supported in ``columns``, one per free column, with their
@@ -322,7 +317,7 @@ def _integer_null_vectors(pivots: dict, columns) -> list:
             v[free] = scale
             for p, row in rows:
                 v[p] = -row[free] * (scale // row[p])
-            vectors.append(_content_free(v))
+            vectors.append(_primitive(v))
     return vectors
 
 
@@ -330,7 +325,7 @@ def _combined(vectors: list, coeffs: dict) -> dict:
     """The primitive int vector ``sum(coeffs[i] * vectors[i])`` of int vectors
     dense over the same columns."""
     terms = list(zip(coeffs.values(), vectors))
-    return _content_free({col: sum(c * v[col] for c, v in terms) for col in vectors[0]})
+    return _primitive({col: sum(c * v[col] for c, v in terms) for col in vectors[0]})
 
 
 def _canonical_null_vectors(vectors: list) -> dict:

@@ -11,11 +11,10 @@ list starts at index 2), ``solv:a=[...]``, ``wab:a={-1:2,0:1};b={0:1}``,
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 from typing import Tuple
 
 from .algebras import CATALOGUE, AlgebraSpec, BasisKey
-from .exactlin import SparseVec
+from .exactlin import Scalar, SparseVec, as_scalar
 from .operators import (
     ShiftOp,
     SolvDeltaBar,
@@ -44,15 +43,16 @@ _TERM = re.compile(
 )
 
 
-def _rational(text: str, position: int) -> Fraction:
-    """Fraction of a ``p/q`` or integer literal; a zero denominator is a ParseError."""
+def _rational(text: str, position: int) -> Scalar:
+    """The canonical scalar of a ``p/q`` or integer literal; a zero
+    denominator is a ParseError."""
     try:
-        return Fraction(text)
+        return as_scalar(text)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator in {text!r}", position) from None
 
 
-def parse_scalar(text: str) -> Fraction:
+def parse_scalar(text: str) -> Scalar:
     text = text.strip()
     if not _RATIONAL.fullmatch(text):
         raise ParseError(f"not a rational: {text!r}", 0)
@@ -85,11 +85,11 @@ def parse_element(text: str) -> SparseVec:
             raise ParseError("leading + not allowed", pos)
         if not first and sign is None:
             raise ParseError("missing + or - between terms", pos)
-        coef = _rational(m.group("coef"), m.start("coef")) if m.group("coef") else Fraction(1)
+        coef = _rational(m.group("coef"), m.start("coef")) if m.group("coef") else 1
         if sign == "-":
             coef = -coef
         key = BasisKey(m.group("kind"), int(m.group("index")))
-        entries[key] = entries.get(key, Fraction(0)) + coef
+        entries[key] = entries.get(key, 0) + coef
         pos = m.end()
         first = False
         while pos < n and text[pos].isspace():

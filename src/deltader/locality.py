@@ -176,7 +176,7 @@ def deterministic_sample(window_keys: Sequence[BasisKey]) -> List[SparseVec]:
     for k1, k2 in itertools.combinations(box, 2):
         sample.append(SparseVec({k1: 1, k2: 1}))
     rng = random.Random(SAMPLE_SEED)
-    coeffs = [Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2), Fraction(3)]
+    coeffs = [1, 2, -1, Fraction(1, 2), 3]
     for _ in range(SAMPLE_EXTRA_TERMS):
         chosen = rng.sample(keys, min(3, len(keys)))
         sample.append(SparseVec({k: rng.choice(coeffs) for k in chosen}))

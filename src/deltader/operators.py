@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .algebras import AlgebraSpec, BasisKey, E, F, in_domain, witt_z
-from .exactlin import SparseVec, as_scalar
+from .exactlin import Scalar, SparseVec, as_scalar
 
 
 class KeyOutsideWindow(Exception):
@@ -32,9 +32,9 @@ class WindowTooSmall(Exception):
     """A check needed an image that the window does not provide."""
 
 
-def _half_power(j: int) -> Fraction:
-    """2**(2-j) as an exact rational, for any integer j >= 2."""
-    return Fraction(1, 2 ** (j - 2)) if j >= 2 else Fraction(2 ** (2 - j))
+def _half_power(j: int) -> Scalar:
+    """2**(2-j) as a canonical scalar: an int for j <= 2."""
+    return 2 ** (2 - j) if j <= 2 else Fraction(1, 2 ** (j - 2))
 
 
 @dataclass(frozen=True)
@@ -154,7 +154,6 @@ class WindowedMap:
         )
 
     def scaled(self, factor) -> "WindowedMap":
-        factor = as_scalar(factor)
         return WindowedMap(self.window, {k: v.scaled(factor) for k, v in self.image.items()})
 
 
@@ -186,7 +185,7 @@ class ShiftOp:
     """
 
     t: int
-    weight: Fraction
+    weight: Scalar
     algebra: AlgebraSpec = field(default_factory=witt_z)
 
     def __post_init__(self):
@@ -217,18 +216,18 @@ class ThinHalfDer:
                + 2^(2-j) sum_{i>=3} beta_i e_{i+j-2}      (j >= 3)
     """
 
-    alpha: Tuple[Fraction, ...] = ()
-    beta: Tuple[Fraction, ...] = ()
+    alpha: Tuple[Scalar, ...] = ()
+    beta: Tuple[Scalar, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", tuple(as_scalar(a) for a in self.alpha))
         object.__setattr__(self, "beta", tuple(as_scalar(b) for b in self.beta))
 
-    def alpha_at(self, i: int) -> Fraction:
-        return self.alpha[i - 1] if 1 <= i <= len(self.alpha) else Fraction(0)
+    def alpha_at(self, i: int) -> Scalar:
+        return self.alpha[i - 1] if 1 <= i <= len(self.alpha) else 0
 
-    def beta_at(self, i: int) -> Fraction:
-        return self.beta[i - 2] if 2 <= i <= len(self.beta) + 1 else Fraction(0)
+    def beta_at(self, i: int) -> Scalar:
+        return self.beta[i - 2] if 2 <= i <= len(self.beta) + 1 else 0
 
     def value_at(self, key: BasisKey) -> SparseVec:
         if key.kind != "e" or key.index < 1:
@@ -244,7 +243,7 @@ class ThinHalfDer:
             b = self.beta_at(i)
             if b:
                 k = E(i + j - 2)
-                out[k] = out.get(k, Fraction(0)) + p * b
+                out[k] = out.get(k, 0) + p * b
         return SparseVec(out)
 
 
@@ -256,12 +255,13 @@ class WabHalfDer:
         f_i -> sum_t alpha_t f_{i+t}
     """
 
-    alpha: Mapping[int, Fraction] = field(default_factory=dict)
-    beta: Mapping[int, Fraction] = field(default_factory=dict)
+    alpha: Mapping[int, Scalar] = field(default_factory=dict)
+    beta: Mapping[int, Scalar] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", {t: as_scalar(v) for t, v in dict(self.alpha).items() if as_scalar(v)})
-        object.__setattr__(self, "beta", {t: as_scalar(v) for t, v in dict(self.beta).items() if as_scalar(v)})
+        for name in ("alpha", "beta"):
+            coeffs = {t: as_scalar(v) for t, v in dict(getattr(self, name)).items()}
+            object.__setattr__(self, name, {t: v for t, v in coeffs.items() if v})
 
     def value_at(self, key: BasisKey) -> SparseVec:
         i = key.index
@@ -278,7 +278,7 @@ class SolvHalfDer:
     """Half-derivations of the solvable algebra: e_1 -> sum alpha_i e_i,
     e_k -> alpha_1 e_k for k >= 2."""
 
-    alpha: Tuple[Fraction, ...] = ()
+    alpha: Tuple[Scalar, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", tuple(as_scalar(a) for a in self.alpha))
@@ -288,7 +288,7 @@ class SolvHalfDer:
             raise KeyOutsideWindow(f"{key} outside solvable domain")
         if key.index == 1:
             return SparseVec({E(i): a for i, a in enumerate(self.alpha, start=1)})
-        a1 = self.alpha[0] if self.alpha else Fraction(0)
+        a1 = self.alpha[0] if self.alpha else 0
         return SparseVec({key: a1})
 
 

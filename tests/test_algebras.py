@@ -229,6 +229,22 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             AlgebraSpec("virasoro")
 
+    @pytest.mark.parametrize("a, b", [(0.5, -1), (0, -1.0), (0.5, 2.5)])
+    def test_float_parameters_are_refused_at_construction(self, a, b):
+        with pytest.raises(TypeError):
+            AlgebraSpec("wab", a, b)
+        with pytest.raises(TypeError):
+            wab(a, b)
+
+    def test_parameters_are_exact_in_any_form(self):
+        alg = AlgebraSpec("wab", "1/2", -1)
+        for same in (wab("1/2", -1), wab(Fraction(1, 2), Fraction(-1)), wab("2/4", "-2/2")):
+            assert alg == same
+            assert hash(alg) == hash(same)
+            assert alg.label() == same.label() == "wab(a=1/2,b=-1)"
+        assert bracket_term(alg, E(1), F(2)) == (F(3), Fraction(-3, 2))
+        assert wab(Fraction(3), Fraction(-1)).label() == wab(3, -1).label() == "wab(a=3,b=-1)"
+
 
 def _domain_key(alg, kind, index):
     """A key of ``alg`` built from arbitrary draws: f only on wab, shifted into the domain."""
@@ -241,13 +257,22 @@ def _domain_key(alg, kind, index):
 
 
 keys_of = st.tuples(st.sampled_from("ef"), st.integers(-12, 12))
+WAB_PARAMETERS = st.one_of(
+    st.integers(-3, 3),
+    st.builds(Fraction, st.integers(-3, 3)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
 
 
 class TestBracketTerm:
     """``bracket_term`` holds the structure constants; the vector forms wrap it."""
 
     @given(
-        alg=st.sampled_from(ALL_PARAMLESS + WAB_SAMPLES),
+        alg=st.one_of(
+            st.sampled_from(ALL_PARAMLESS + WAB_SAMPLES),
+            # parameters as ints, integral Fractions and non-integral Fractions
+            st.builds(AlgebraSpec, st.just("wab"), WAB_PARAMETERS, WAB_PARAMETERS),
+        ),
         k1=keys_of,
         k2=keys_of,
         coeffs=st.lists(

@@ -1,19 +1,41 @@
 """The canonical exact scalar: an int when integral, a Fraction only otherwise.
 
-Every public producer of exact values stores its entries in that form, and a
-report prints the same text for ``n`` and ``Fraction(n)``.
+``as_scalar`` picks that form wherever a scalar enters: every public producer
+of exact values stores its entries in it, algebra parameters, parsed literals
+and operator fields are in it, and a report prints the same text for ``n``
+and ``Fraction(n)``. No module in ``src/deltader`` writes an integral
+``Fraction`` literal.
 """
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltader.algebras import E, F, solv_abelian, thin, wab, witt_one_sided, witt_pos, witt_z
-from deltader.cli import _serialize_params
+from deltader.algebras import (
+    AlgebraSpec,
+    E,
+    F,
+    solv_abelian,
+    thin,
+    wab,
+    witt_one_sided,
+    witt_pos,
+    witt_z,
+)
+from deltader.cli import _serialize_params, _tsv_text
 from deltader.dersolve import expected_family, solve_derivations
-from deltader.exactlin import RatMatrix, SparseVec, nullspace, solve_feasible
-from deltader.literals import format_element, parse_element
+from deltader.exactlin import RatMatrix, SparseVec, as_scalar, nullspace, solve_feasible
+from deltader.literals import (
+    format_element,
+    format_operator,
+    parse_element,
+    parse_operator,
+    parse_scalar,
+)
 from deltader.locality import local_feasible_at, two_local_feasible_at
 from deltader.operators import (
     ShiftOp,
@@ -46,6 +68,45 @@ SCALARS = st.one_of(
 )
 KEYS = st.sampled_from([E(i) for i in range(-2, 5)] + [F(0), F(1)])
 VECTORS = st.dictionaries(KEYS, SCALARS, max_size=5)
+# The coefficient of an element term: none, an integer, or ``p/q``
+# (unreduced coefficients such as 4/2 among them).
+COEFFICIENT_TEXT = st.one_of(
+    st.just(""),
+    st.builds("{}*".format, st.integers(0, 12)),
+    st.builds("{}/{}*".format, st.integers(0, 12), st.integers(1, 4)),
+)
+
+
+class TestAsScalar:
+    @given(SCALARS)
+    def test_canonical_and_equal(self, value):
+        scalar = as_scalar(value)
+        assert is_canonical(scalar)
+        assert scalar == Fraction(value)
+
+    @given(st.integers(-10**30, 10**30))
+    def test_an_int_is_returned_as_is(self, n):
+        assert as_scalar(n) is n
+        assert type(as_scalar(Fraction(n))) is int
+
+    @given(FRACTIONS.filter(lambda q: q.denominator > 1))
+    def test_a_non_integral_fraction_is_not_copied(self, q):
+        # a copy per entry would cost memory wherever vectors share a scalar
+        assert as_scalar(q) is q
+
+    @pytest.mark.parametrize("value", [0.5, 1.0, True, None, [1], 1j])
+    def test_anything_else_is_refused(self, value):
+        with pytest.raises(TypeError):
+            as_scalar(value)
+
+
+class TestParsedLiterals:
+    @given(st.integers(-12, 12), st.integers(1, 4))
+    def test_parse_scalar(self, p, q):
+        for text in (f"{p}/{q}", f"{p * q}/{q}", str(p), f" {p} "):
+            value = parse_scalar(text)
+            assert is_canonical(value)
+            assert value == Fraction(text.strip())
 
 
 class TestSparseVec:
@@ -58,12 +119,11 @@ class TestSparseVec:
         for k in set(a) | set(b):
             assert (v + w).get(k) == Fraction(a.get(k, 0)) + Fraction(b.get(k, 0))
 
-    @given(st.lists(st.tuples(st.booleans(), st.integers(0, 12), st.integers(1, 4), KEYS), min_size=1))
+    @given(st.lists(st.tuples(st.booleans(), COEFFICIENT_TEXT, KEYS), min_size=1))
     def test_parse_element(self, terms):
-        # unreduced coefficients such as 4/2 among them
         text = "".join(
-            f"{'-' if negative else '+' if i else ''}{p}/{q}*{key.kind}{key.index}"
-            for i, (negative, p, q, key) in enumerate(terms)
+            f"{'-' if negative else '+' if i else ''}{coef}{key.kind}{key.index}"
+            for i, (negative, coef, key) in enumerate(terms)
         )
         v = parse_element(text)
         assert canonical(v)
@@ -71,6 +131,70 @@ class TestSparseVec:
 
 
 SHIFT_ALGEBRAS = [witt_z(), witt_pos(), witt_one_sided()]
+
+
+class TestParametersAndFields:
+    @given(SCALARS, SCALARS)
+    def test_algebra_parameters(self, a, b):
+        for alg in (AlgebraSpec("wab", a, b), wab(a, b)):
+            assert is_canonical(alg.a) and is_canonical(alg.b)
+            assert (alg.a, alg.b) == (Fraction(a), Fraction(b))
+
+    @given(st.sampled_from(SHIFT_ALGEBRAS), st.integers(0, 3), SCALARS)
+    def test_shift_weight(self, alg, t, weight):
+        assert is_canonical(ShiftOp(t, weight, alg).weight)
+
+    @given(st.lists(SCALARS, max_size=4), st.lists(SCALARS, max_size=4))
+    def test_thin_and_solv_coefficients(self, alpha, beta):
+        op = ThinHalfDer(alpha=alpha, beta=beta)
+        assert all(map(is_canonical, op.alpha + op.beta))
+        assert is_canonical(op.alpha_at(1)) and is_canonical(op.beta_at(2))
+        solv = SolvHalfDer(alpha=alpha)
+        assert all(map(is_canonical, solv.alpha))
+
+    @given(st.dictionaries(st.integers(-2, 2), SCALARS), st.dictionaries(st.integers(-2, 2), SCALARS))
+    def test_wab_coefficients(self, alpha, beta):
+        op = WabHalfDer(alpha=alpha, beta=beta)
+        for given_, stored in ((alpha, op.alpha), (beta, op.beta)):
+            assert all(map(is_canonical, stored.values()))
+            assert stored == {t: Fraction(v) for t, v in given_.items() if Fraction(v)}
+
+    @pytest.mark.parametrize(
+        "literal",
+        ["shift:t=1,w=4/2", "thin:a=[4/2,0,-3/3];b=[6/2,1/2]", "solv:a=[2/2,-1]", "wab:a={-1:4/2,0:1};b={0:-3/3}"],
+    )
+    def test_parsed_operator_fields(self, literal):
+        op = parse_operator(literal)
+        fields = [op.weight] if isinstance(op, ShiftOp) else []
+        for coeffs in (getattr(op, "alpha", ()), getattr(op, "beta", ())):
+            fields += coeffs.values() if isinstance(coeffs, dict) else coeffs
+        assert fields and all(map(is_canonical, fields))
+
+
+INTEGRAL = st.integers(-5, 5)
+
+
+class TestSameTextForIntegralForms:
+    @given(INTEGRAL, INTEGRAL, st.lists(INTEGRAL, max_size=3), st.integers(-2, 2))
+    def test_operator_literals(self, n, m, coeffs, t):
+        fractions = [Fraction(c) for c in coeffs]
+        pairs = [
+            (ShiftOp(1, n), ShiftOp(1, Fraction(n))),
+            (ThinHalfDer(alpha=coeffs, beta=coeffs), ThinHalfDer(alpha=fractions, beta=fractions)),
+            (SolvHalfDer(alpha=coeffs), SolvHalfDer(alpha=fractions)),
+            (WabHalfDer(alpha={t: n}, beta={t: m}), WabHalfDer(alpha={t: Fraction(n)}, beta={t: Fraction(m)})),
+        ]
+        for plain, legacy in pairs:
+            assert plain == legacy
+            assert format_operator(plain) == format_operator(legacy)
+
+    @given(INTEGRAL, INTEGRAL)
+    def test_labels_and_tsv(self, a, b):
+        plain, legacy = wab(a, b), wab(Fraction(a), Fraction(b))
+        assert plain == legacy and hash(plain) == hash(legacy)
+        assert plain.label() == legacy.label() == f"wab(a={a},b={b})"
+        row = ("wab", a, b, 14, 26, 3, 1)
+        assert _tsv_text([row]) == _tsv_text([("wab", Fraction(a), Fraction(b), *row[3:])])
 
 
 class TestWindowedMaps:
@@ -189,3 +313,51 @@ class TestText:
         assert format_element(legacy) == format_element(v)
         params = SparseVec({i: c for i, c in enumerate(v.entries.values())})
         assert _serialize_params(as_fractions(params)) == _serialize_params(params)
+
+
+def _integral_fraction_literals(source: str) -> list:
+    """Line numbers of ``Fraction(<integer literal>)`` and ``Fraction(x, 1)``
+    calls in ``source``: integral scalars spelled as ``Fraction``s."""
+
+    def integer_literal(node) -> bool:
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            node = node.operand
+        return isinstance(node, ast.Constant) and type(node.value) is int
+
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call) or node.keywords:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name != "Fraction":
+            continue
+        args = node.args
+        if (len(args) == 1 and integer_literal(args[0])) or (
+            len(args) == 2 and integer_literal(args[1]) and abs(ast.literal_eval(args[1])) == 1
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+class TestSource:
+    @pytest.mark.parametrize(
+        "source, found",
+        [
+            ("x = Fraction(0)\n", [1]),
+            ("x = Fraction(-1)\n", [1]),
+            ("y = 2\nx = fractions.Fraction(y, 1)\n", [2]),
+            ("x = Fraction(1, 2)\ny = Fraction(n, d)\nz = Fraction(t)\n", []),
+        ],
+    )
+    def test_the_guard_sees_integral_fractions(self, source, found):
+        assert _integral_fraction_literals(source) == found
+
+    def test_no_integral_fraction_literal_in_src(self):
+        src = Path(__file__).resolve().parent.parent / "src" / "deltader"
+        found = {
+            path.name: lines
+            for path in sorted(src.glob("*.py"))
+            if (lines := _integral_fraction_literals(path.read_text()))
+        }
+        assert found == {}
