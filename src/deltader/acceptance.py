@@ -2,12 +2,13 @@
 
 Each criterion function returns a CriterionResult with per-check details;
 ``run_all`` executes all ten inside one ``solve_scope``, so each (algebra,
-window) is solved once per run. Criterion 1 checks the bracket axioms on the
-structure constants themselves (``algebras.bracket_term``). Each algebra's
-axiom box, windows and interior margin live in its catalogue record
-(``algebras.AlgebraRecord``); those margins and the infeasible scan sets below
-were computed once with the exact solver oracle and are frozen; the suite
-validates them on every run.
+window) is solved once per run. Criterion 1 checks antisymmetry and Jacobi
+on the structure constants themselves: on ``algebras.structure_table``, the
+int constants scaled by ``alg.scale`` that the solver reads too, so no
+Jacobi sum runs in ``Fraction``. Each algebra's axiom box, windows and
+interior margin live in its catalogue record (``algebras.AlgebraRecord``);
+those margins and the infeasible scan sets below were computed once with the
+exact solver oracle and are frozen; the suite validates them on every run.
 
 Criterion 6 pins the non-additivity right-hand side to ``e2``. Exact
 evaluation of the probe map gives ``2*e2``, so that single check reports
@@ -26,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from . import algebras
-from .algebras import AlgebraSpec, E, F, bracket_term
+from .algebras import AlgebraSpec, E, F, structure_table
 from .dersolve import (
     HALF,
     FamilyBasis,
@@ -134,36 +135,6 @@ def _solve(alg: AlgebraSpec, w: Window) -> FamilyBasis:
     return family
 
 
-class _Terms(dict):
-    """``bracket_term`` of key pairs of one algebra, each computed once."""
-
-    def __init__(self, alg: AlgebraSpec):
-        super().__init__()
-        self.alg = alg
-
-    def __missing__(self, pair):
-        term = self[pair] = bracket_term(self.alg, *pair)
-        return term
-
-
-def _jacobi_defect(terms: _Terms, k1, k2, k3) -> dict:
-    """[k1,[k2,k3]] + [k2,[k3,k1]] + [k3,[k1,k2]] as key -> exact sum.
-
-    Each summand is a product ``c_inner * c_outer`` of two structure
-    constants on one output key; zero sums are kept, not dropped.
-    """
-    defect: dict = {}
-    for x, y, z in ((k1, k2, k3), (k2, k3, k1), (k3, k1, k2)):
-        inner = terms[y, z]
-        if inner is None:
-            continue
-        outer = terms[x, inner[0]]
-        if outer is not None:
-            key = outer[0]
-            defect[key] = defect.get(key, 0) + inner[1] * outer[1]
-    return defect
-
-
 def _antisymmetric(t12, t21) -> bool:
     """True iff the terms of [k1, k2] and [k2, k1] sum to zero."""
     if t12 is None or t21 is None:
@@ -171,19 +142,39 @@ def _antisymmetric(t12, t21) -> bool:
     return t12[0] == t21[0] and t12[1] == -t21[1]
 
 
+def _jacobi_holds(inner, outer) -> bool:
+    """True iff [x,[y,z]] + [y,[z,x]] + [z,[x,y]] = 0 for all box keys x, y, z.
+
+    ``inner[a][b]`` is the term of [key a, key b] with its key replaced by
+    its column in ``outer``, whose row ``a`` holds the brackets of key a.
+    Antisymmetry makes the defect alternating, so unordered triples cover
+    all ordered ones.
+    """
+    for a, b, c in itertools.combinations_with_replacement(range(len(inner)), 3):
+        defect: dict = {}
+        for x, t in ((a, inner[b][c]), (b, inner[c][a]), (c, inner[a][b])):
+            if t is not None:
+                o = outer[x][t[0]]
+                if o is not None:
+                    defect[o[0]] = defect.get(o[0], 0) + t[1] * o[1]
+        if any(defect.values()):
+            return False
+    return True
+
+
 def _bracket_axioms(alg: AlgebraSpec, quick: bool) -> Tuple[bool, bool]:
     keys = window_from_ranges(alg, alg.record.axiom_box[quick]).keys
-    terms = _Terms(alg)
+    n = len(keys)
+    inner = structure_table(alg, keys, keys)
     antisym = all(
-        _antisymmetric(terms[k1, k2], terms[k2, k1]) for k1 in keys for k2 in keys
+        _antisymmetric(inner[a][b], inner[b][a]) for a in range(n) for b in range(a, n)
     )
-    # Antisymmetry makes the Jacobi defect alternating, so unordered triples
-    # cover all ordered ones.
-    jacobi = all(
-        not any(_jacobi_defect(terms, *trip).values())
-        for trip in itertools.combinations_with_replacement(keys, 3)
-    )
-    return antisym, jacobi
+    # The outer brackets [x, [y, z]] take the box keys and every inner result.
+    columns = list(dict.fromkeys([*keys, *(t[0] for row in inner for t in row if t)]))
+    at = {key: i for i, key in enumerate(columns)}
+    outer = structure_table(alg, keys, columns)
+    inner = [[None if t is None else (at[t[0]], t[1]) for t in row] for row in inner]
+    return antisym, _jacobi_holds(inner, outer)
 
 
 def criterion_1(quick: bool = False) -> CriterionResult:

@@ -17,8 +17,10 @@ verification suite's frozen windows and margin. Supported algebras:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import lcm
 from operator import attrgetter
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .exactlin import Scalar, SparseVec, as_scalar
 
@@ -60,16 +62,16 @@ def _witt_rule(alg: "AlgebraSpec", k1: BasisKey, k2: BasisKey) -> Term:
 
 
 def _wab_rule(alg: "AlgebraSpec", k1: BasisKey, k2: BasisKey) -> Term:
-    i, j = k1.index, k2.index
+    i, j, scale = k1.index, k2.index, alg.scale
     if k1.kind == "e" and k2.kind == "e":
-        return (E(i + j), i - j) if i != j else None
+        return (E(i + j), (i - j) * scale) if i != j else None
     if k1.kind == "e" and k2.kind == "f":
-        coeff = -(j + alg.a + alg.b * i)
+        coeff = -(j * scale + alg.scaled_a + alg.scaled_b * i)
     elif k1.kind == "f" and k2.kind == "e":
-        coeff = i + alg.a + alg.b * j
+        coeff = i * scale + alg.scaled_a + alg.scaled_b * j
     else:
         return None  # [f, f] = 0
-    return (F(i + j), as_scalar(coeff)) if coeff else None
+    return (F(i + j), coeff) if coeff else None
 
 
 def _thin_rule(alg: "AlgebraSpec", k1: BasisKey, k2: BasisKey) -> Term:
@@ -99,8 +101,12 @@ class AlgebraRecord(NamedTuple):
 
     Basis keys have a kind in ``lines`` (``e``, or ``e`` and ``f``) and an
     index of at least ``floor`` (None: any). ``rule(alg, k1, k2)`` is the
-    structure constant ``bracket_term`` returns, reading ``alg.a`` and
-    ``alg.b`` on a ``parametric`` algebra; ``degree(key)`` is the grading.
+    structure constant of [k1, k2] as ``(key, c)`` or None, with ``c`` the
+    int constant times ``alg.scale``; it reads ``alg.scale``,
+    ``alg.scaled_a`` and ``alg.scaled_b`` on a ``parametric`` algebra and
+    assumes both keys lie in the domain. ``bracket_term`` divides it by the
+    scale; ``structure_table`` reads it as it is. ``degree(key)`` is the
+    grading.
     ``least_shift`` bounds the shifts of ``ShiftOp`` and of the Witt expected
     family from below (None: unbounded). ``heads`` are the operator-literal
     heads defined on the algebra; the first names its closed-form
@@ -163,25 +169,41 @@ class AlgebraSpec:
     ``a`` and ``b`` may be given in any form ``as_scalar`` accepts and are
     stored in canonical form, so ``wab("1/2", -1) == wab(Fraction(1, 2), -1)``;
     a float raises TypeError here.
+
+    ``scale`` is the least positive int that makes every structure constant
+    an int: ``lcm(den a, den b)`` on W(a, b), 1 on every other algebra. The
+    rule reads ``scaled_a = a*scale`` and ``scaled_b = b*scale``, computed
+    here once.
     """
 
     name: str
     a: Optional[Scalar] = None
     b: Optional[Scalar] = None
-    record: AlgebraRecord = field(init=False, repr=False, compare=False)  # resolved once
+    # Resolved once, from the name and the parameters.
+    record: AlgebraRecord = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
+    scaled_a: Optional[int] = field(init=False, repr=False, compare=False)
+    scaled_b: Optional[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         record = _RECORDS.get(self.name)
         if record is None:
             raise ValueError(f"unknown algebra {self.name!r}")
+        scale, scaled_a, scaled_b = 1, None, None
         if record.parametric:
             if self.a is None or self.b is None:
                 raise ValueError(f"{self.name} requires parameters a and b")
-            object.__setattr__(self, "a", as_scalar(self.a))
-            object.__setattr__(self, "b", as_scalar(self.b))
+            a, b = as_scalar(self.a), as_scalar(self.b)
+            object.__setattr__(self, "a", a)
+            object.__setattr__(self, "b", b)
+            scale = lcm(a.denominator, b.denominator)
+            scaled_a, scaled_b = as_scalar(a * scale), as_scalar(b * scale)
         elif self.a is not None or self.b is not None:
             raise ValueError(f"{self.name} takes no parameters")
         object.__setattr__(self, "record", record)
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "scaled_a", scaled_a)
+        object.__setattr__(self, "scaled_b", scaled_b)
 
     def label(self) -> str:
         if self.record.parametric:
@@ -228,19 +250,42 @@ def degree(alg: AlgebraSpec, key: BasisKey) -> int:
     return alg.record.degree(key)
 
 
+def _require_in_domain(alg: AlgebraSpec, keys: Iterable[BasisKey]) -> None:
+    for key in keys:
+        if not in_domain(alg, key):
+            raise KeyOutOfDomain(f"{key} is not a basis key of {alg.label()}")
+
+
 def bracket_term(alg: AlgebraSpec, k1: BasisKey, k2: BasisKey) -> Term:
     """Structure constant of [k1, k2] as ``(key, coeff)``, or None when it vanishes.
 
     Every catalogued bracket of two basis keys is a single monomial, so the
-    record's rule is the whole definition of each algebra; ``bracket`` and
-    ``bracket_vec`` wrap this. Coefficients are ints whenever they are
-    integral. The catalogued algebras are closed under bracket, so results
-    never leave the domain; out-of-domain inputs raise KeyOutOfDomain.
+    record's rule is the whole definition of each algebra: this is the rule
+    divided by ``alg.scale``. ``bracket`` and ``bracket_vec`` wrap it.
+    Coefficients are ints whenever they are integral. The catalogued
+    algebras are closed under bracket, so results never leave the domain;
+    out-of-domain inputs raise KeyOutOfDomain.
     """
-    for key in (k1, k2):
-        if not in_domain(alg, key):
-            raise KeyOutOfDomain(f"{key} is not a basis key of {alg.label()}")
-    return alg.record.rule(alg, k1, k2)
+    _require_in_domain(alg, (k1, k2))
+    term = alg.record.rule(alg, k1, k2)
+    if term is None or alg.scale == 1:
+        return term
+    key, coeff = term
+    return key, as_scalar(Fraction(coeff, alg.scale))
+
+
+def structure_table(
+    alg: AlgebraSpec, left: Sequence[BasisKey], right: Sequence[BasisKey]
+) -> List[List[Term]]:
+    """The rule on every pair of ``left`` x ``right``, by position.
+
+    ``table[i][j]`` is ``bracket_term(alg, left[i], right[j])`` times
+    ``alg.scale``: ``(key, c)`` with ``c`` an int, or None. The domain is
+    checked once for both key sets, with ``bracket_term``'s error.
+    """
+    _require_in_domain(alg, (*left, *right))
+    rule = alg.record.rule
+    return [[rule(alg, k1, k2) for k2 in right] for k1 in left]
 
 
 def bracket(alg: AlgebraSpec, k1: BasisKey, k2: BasisKey) -> SparseVec:

@@ -20,10 +20,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from math import lcm
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebras import AlgebraSpec, BasisKey, bracket, bracket_term, bracket_vec, degree
+from .algebras import AlgebraSpec, BasisKey, Term, bracket, bracket_vec, degree, structure_table
 from .exactlin import (
     RatMatrix,
     RowSpace,
@@ -86,20 +85,28 @@ class ComparisonReport:
     offending_vectors: Tuple[Tuple[str, WindowedMap], ...]
 
 
+def _closed_pairs(
+    alg: AlgebraSpec, in_keys: Sequence[BasisKey]
+) -> Dict[Tuple[BasisKey, BasisKey], Term]:
+    """``derivation_pairs``, each mapped to its scaled term from ``structure_table``."""
+    keys = sorted(set(in_keys))
+    key_set = set(keys)
+    table = structure_table(alg, keys, keys)
+    pairs = {}
+    for a, b in itertools.combinations(range(len(keys)), 2):
+        term = table[a][b]
+        if term is None or term[0] in key_set:
+            pairs[keys[a], keys[b]] = term
+    return pairs
+
+
 def derivation_pairs(alg: AlgebraSpec, in_keys: Sequence[BasisKey]) -> List[Tuple[BasisKey, BasisKey]]:
     """Unordered pairs of distinct input keys whose bracket stays inside I.
 
     Zero brackets are trivially inside, so commuting pairs are included; they
     still constrain the right-hand side of the derivation condition.
     """
-    keys = sorted(set(in_keys))
-    key_set = set(keys)
-    pairs = []
-    for k1, k2 in itertools.combinations(keys, 2):
-        term = bracket_term(alg, k1, k2)
-        if term is None or term[0] in key_set:
-            pairs.append((k1, k2))
-    return pairs
+    return list(_closed_pairs(alg, in_keys))
 
 
 def residual_at(alg, candidate, delta, k1: BasisKey, k2: BasisKey) -> SparseVec:
@@ -161,27 +168,25 @@ class _GradedEquations:
 
     With ``delta = num/den`` the equation of (x, y) at z is ``den`` times
     the condition, ``den*phi([x, y]) - num*([phi(x), y] + [x, phi(y)])`` at
-    z, so the entries are ints whenever the structure constants are. It is
-    read from tables of the structure constants, built once:
+    z, further scaled by ``alg.scale``, so every entry is an int. It is read
+    from ``structure_table``, whose constants carry that scale, built once:
     ``-num*[o, y]`` and ``-num*[x, o]`` over the output keys o, grouped by
     deg o, for every key y and x of a pair, and ``den*[x, y]`` for every
-    pair. Every equation is further scaled by the lcm of the denominators of
-    the structure constants, so every entry is an int. A unit's rows are
-    built by ``rows`` and evaluated on vectors by ``residuals``, which builds
-    no row.
+    pair. A unit's rows are built by ``rows`` and evaluated on vectors by
+    ``residuals``, which builds no row.
     """
 
     def __init__(self, alg: AlgebraSpec, delta: Scalar, w: Window):
         num, den = delta.numerator, delta.denominator
         out_keys = w.out_keys
-        self.pair_list = tuple(derivation_pairs(alg, w.keys))
+        brackets = _closed_pairs(alg, w.keys)
+        self.pair_list = tuple(brackets)
         # [phi(x), y] puts -num*[o, y] in column (x, o) and [x, phi(y)]
         # puts -num*[x, o] in column (y, o), for every output key o.
-        seconds = dict.fromkeys(k for _, k in self.pair_list)
-        firsts = dict.fromkeys(k for k, _ in self.pair_list)
-        o_k = {k: [bracket_term(alg, o, k) for o in out_keys] for k in seconds}
-        k_o = {k: [bracket_term(alg, k, o) for o in out_keys] for k in firsts}
-        brackets = {pair: bracket_term(alg, *pair) for pair in self.pair_list}
+        seconds = list(dict.fromkeys(k for _, k in self.pair_list))
+        firsts = list(dict.fromkeys(k for k, _ in self.pair_list))
+        o_k = dict(zip(seconds, zip(*structure_table(alg, out_keys, seconds))))
+        k_o = dict(zip(firsts, structure_table(alg, firsts, out_keys)))
         terms = [term for table in (*o_k.values(), *k_o.values()) for term in table if term]
         terms += [term for term in brackets.values() if term]
 
@@ -199,16 +204,13 @@ class _GradedEquations:
                 raise ValueError(f"degree is not a grading of {alg.label()} at {list(keys)}")
             return z
 
-        scale = lcm(*(c.denominator for _, c in terms))
-        factor = -num * scale
-
         def grouped(k, table):
-            """deg o -> [(j, slot of z, factor*c)] over the o = out_keys[j] with table[j] = (z, c)."""
+            """deg o -> [(j, slot of z, -num*c)] over the o = out_keys[j] with table[j] = (z, c)."""
             groups: Dict[int, list] = {}
             for j, (o, term) in enumerate(zip(out_keys, table)):
-                if term is not None and factor:
+                if term is not None and num:
                     z, c = term
-                    entry = (j, slot[graded(z, o, k)], as_scalar(factor * c))
+                    entry = (j, slot[graded(z, o, k)], -num * c)
                     groups.setdefault(deg[o], []).append(entry)
             return groups
 
@@ -227,7 +229,7 @@ class _GradedEquations:
             s_col = cs = None
             if brackets[k1, k2] is not None:
                 s, cs = brackets[k1, k2]
-                s_col, cs = first_col[graded(s, k1, k2)], as_scalar(den * scale * cs)
+                s_col, cs = first_col[graded(s, k1, k2)], den * cs
                 touched.update(d - d1 - d2 for d in self.out_at)
             unit = (o_k[k2], k_o[k1], d1, d2, first_col[k1], first_col[k2], s_col, cs)
             for t in touched:

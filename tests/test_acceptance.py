@@ -6,8 +6,12 @@ criterion is expected red and is not weakened here (see the detail line it
 prints and the failing-check message).
 """
 
-from deltader import acceptance
-from deltader.algebras import E
+from fractions import Fraction
+
+import pytest
+
+from deltader import acceptance, algebras
+from deltader.algebras import E, F, wab, witt_z
 
 
 def _run(criterion):
@@ -58,21 +62,44 @@ def test_criterion_10_commutator_quarter_derivations():
     _run(acceptance.criterion_10)
 
 
-def _flip_sign(monkeypatch, alg_name, pairs):
-    """Criterion 1 sees the structure constant of each key pair negated on one algebra."""
-    original = acceptance.bracket_term
+def _flip_sign(monkeypatch, alg, pairs):
+    """The rule of ``alg``'s record negates the scaled constant of each key pair on ``alg``.
 
-    def mutated(alg, k1, k2):
-        term = original(alg, k1, k2)
-        if alg.name == alg_name and (k1, k2) in pairs and term is not None:
+    The record's rule is the one place ``structure_table`` (and so criterion
+    1) reads the structure constants; specs built under the patch resolve
+    the mutated record.
+    """
+    record = alg.record
+    original = record.rule
+
+    def mutated(spec, k1, k2):
+        term = original(spec, k1, k2)
+        if spec == alg and (k1, k2) in pairs and term is not None:
             return term[0], -term[1]
         return term
 
-    monkeypatch.setattr(acceptance, "bracket_term", mutated)
+    monkeypatch.setitem(algebras._RECORDS, record.name, record._replace(rule=mutated))
+
+
+CRITERION_1_DETAILS = tuple(
+    f"{label} {axiom}: ok"
+    for label in (
+        "wittz", "wittpos", "witt1", "thin", "solv",
+        "wab(a=0,b=0)", "wab(a=1,b=-1)", "wab(a=1/2,b=-1)", "wab(a=0,b=2)",
+    )
+    for axiom in ("antisymmetry", "jacobi")
+)
+
+
+@pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+def test_criterion_1_reports_every_algebra_and_axiom_in_order(quick):
+    result = acceptance.criterion_1(quick=quick)
+    assert result.details == CRITERION_1_DETAILS
+    assert result.passed
 
 
 def test_criterion_1_catches_a_broken_antisymmetry(monkeypatch):
-    _flip_sign(monkeypatch, "wittz", {(E(1), E(2))})
+    _flip_sign(monkeypatch, witt_z(), {(E(1), E(2))})
     result = acceptance.criterion_1(quick=True)
     assert not result.passed
     assert "wittz antisymmetry: FAILED" in result.details
@@ -81,11 +108,24 @@ def test_criterion_1_catches_a_broken_antisymmetry(monkeypatch):
 
 def test_criterion_1_catches_a_broken_jacobi_identity(monkeypatch):
     # negating both orders keeps antisymmetry; Jacobi fails at (e1, e2, e-3)
-    _flip_sign(monkeypatch, "wittz", {(E(1), E(2)), (E(2), E(1))})
+    _flip_sign(monkeypatch, witt_z(), {(E(1), E(2)), (E(2), E(1))})
     result = acceptance.criterion_1(quick=True)
     assert not result.passed
     assert "wittz antisymmetry: ok" in result.details
     assert "wittz jacobi: FAILED" in result.details
+
+
+def test_criterion_1_catches_a_broken_jacobi_identity_at_scale_two(monkeypatch):
+    # [e1, f2] = -(3/2) f3 is stored as -3 at scale 2; negating both orders
+    # keeps antisymmetry and breaks Jacobi on this algebra only
+    alg = wab(Fraction(1, 2), -1)
+    assert alg.scale == 2
+    _flip_sign(monkeypatch, alg, {(E(1), F(2)), (F(2), E(1))})
+    result = acceptance.criterion_1(quick=True)
+    assert not result.passed
+    assert "wab(a=1/2,b=-1) antisymmetry: ok" in result.details
+    assert "wab(a=1/2,b=-1) jacobi: FAILED" in result.details
+    assert [d for d in result.details if "FAILED" in d] == ["wab(a=1/2,b=-1) jacobi: FAILED"]
 
 
 def _count_solves(monkeypatch):

@@ -23,6 +23,7 @@ from deltader.algebras import (
     degree,
     in_domain,
     solv_abelian,
+    structure_table,
     thin,
     wab,
     witt_one_sided,
@@ -320,6 +321,59 @@ class TestBracketTerm:
             bracket_term(solv_abelian(), E(1), F(1))
 
 
+def _assert_table_is_scaled_definition(alg):
+    """On the axiom box and the acceptance window of both modes, every entry
+    of ``structure_table`` is an int constant equal to ``bracket_term``
+    times ``alg.scale``, square tables and mixed ones alike."""
+    record = alg.record
+    for quick in (False, True):
+        key_sets = (
+            window_from_ranges(alg, record.axiom_box[quick]).keys,
+            acceptance_window(alg, quick).out_keys,
+        )
+        for left, right in itertools.product(key_sets, repeat=2):
+            table = structure_table(alg, left, right)
+            assert [len(row) for row in table] == [len(right)] * len(left)
+            for k1, row in zip(left, table):
+                for k2, entry in zip(right, row):
+                    term = bracket_term(alg, k1, k2)
+                    if entry is None:
+                        assert term is None
+                        continue
+                    key, c = entry
+                    assert type(c) is int and c != 0
+                    assert term == (key, Fraction(c, alg.scale))
+
+
+class TestStructureTable:
+    """``structure_table`` is ``bracket_term`` times the spec's scale, in ints."""
+
+    @pytest.mark.parametrize("alg", ONE_PER_RECORD + WAB_SAMPLES, ids=lambda a: a.label())
+    def test_table_is_the_definition_times_the_scale(self, alg):
+        _assert_table_is_scaled_definition(alg)
+
+    @given(alg=st.builds(AlgebraSpec, st.just("wab"), WAB_PARAMETERS, WAB_PARAMETERS))
+    @settings(max_examples=40, deadline=None)
+    def test_table_is_the_definition_times_the_scale_on_any_wab(self, alg):
+        _assert_table_is_scaled_definition(alg)
+
+    @pytest.mark.parametrize(
+        "a, b, scale, scaled_a, scaled_b",
+        [
+            (0, -1, 1, 0, -1),
+            (Fraction(1, 2), -1, 2, 1, -2),
+            (Fraction(4, 2), Fraction(-1, 3), 3, 6, -1),
+            (Fraction(1, 4), Fraction(5, 6), 12, 3, 10),
+        ],
+    )
+    def test_scale_clears_the_parameter_denominators(self, a, b, scale, scaled_a, scaled_b):
+        alg = wab(a, b)
+        assert (alg.scale, alg.scaled_a, alg.scaled_b) == (scale, scaled_a, scaled_b)
+        assert type(alg.scaled_a) is int and type(alg.scaled_b) is int
+        for other in ALL_PARAMLESS:
+            assert (other.scale, other.scaled_a, other.scaled_b) == (1, None, None)
+
+
 def _name_dispatch_lines(source):
     """Lines that compare a ``.name`` (==, !=, in, not in) or subscript by one."""
 
@@ -394,16 +448,32 @@ class TestCatalogueRecords:
 
     @pytest.mark.parametrize("alg", ONE_PER_RECORD, ids=lambda a: a.name)
     def test_bracket_term_rejects_keys_outside_the_record(self, alg):
-        floor = alg.record.floor
-        outside = [] if floor is None else [E(floor - 1)]
-        inside = E(1 if floor is None else floor)
-        assert inside in box_keys(alg, radius=20)
-        if "f" not in alg.record.lines:
-            outside.append(F(inside.index))
-        assert outside or alg.name == "wab"
-        for key in outside:
-            assert not in_domain(alg, key) and key not in box_keys(alg, radius=20)
-            for pair in ((key, inside), (inside, key)):
+        for key, pair in _outside_pairs(alg):
+            with pytest.raises(KeyOutOfDomain) as err:
+                bracket_term(alg, *pair)
+            assert str(err.value) == f"{key} is not a basis key of {alg.label()}"
+
+    @pytest.mark.parametrize("alg", ONE_PER_RECORD, ids=lambda a: a.name)
+    def test_structure_table_rejects_keys_outside_the_record(self, alg):
+        for key, pair in _outside_pairs(alg):
+            inside = [k for k in pair if k != key]
+            for left, right in ((pair, inside), (inside, pair), (pair, pair)):
                 with pytest.raises(KeyOutOfDomain) as err:
-                    bracket_term(alg, *pair)
+                    structure_table(alg, left, right)
                 assert str(err.value) == f"{key} is not a basis key of {alg.label()}"
+
+
+def _outside_pairs(alg):
+    """(key, pair) for each key just outside the record's domain, paired
+    with a key inside it in both orders."""
+    floor = alg.record.floor
+    outside = [] if floor is None else [E(floor - 1)]
+    inside = E(1 if floor is None else floor)
+    assert inside in box_keys(alg, radius=20)
+    if "f" not in alg.record.lines:
+        outside.append(F(inside.index))
+    assert outside or alg.name == "wab"
+    for key in outside:
+        assert not in_domain(alg, key) and key not in box_keys(alg, radius=20)
+        for pair in ((key, inside), (inside, key)):
+            yield key, pair
