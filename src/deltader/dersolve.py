@@ -291,9 +291,10 @@ def assemble(alg: AlgebraSpec, delta, w: Window) -> ConstraintSystem:
 
     The rows are every block's equations from ``_GradedEquations``, built in
     full: block by block in increasing shift, and in each block pair by pair.
-    ``solve_derivations`` asks the same generator for rows only while a
-    block's nullity is above ``TESTED_NULLITY`` and certifies the remaining
-    pairs from the tables, so it never builds this matrix;
+    ``solve_derivations`` asks the same generator for every pair's rows
+    while a block's nullity is above ``TESTED_NULLITY`` and, after that,
+    only for the rows of the rare pairs that cut the null space, testing the
+    others from the tables, so it never builds this matrix;
     ``nullspace(assemble(...).matrix)`` solves it in one elimination and is
     its basis. Column ``i`` is the unknown ``w.columns()[i]``.
     """
@@ -324,8 +325,9 @@ def solve_derivations(alg: AlgebraSpec, w: Window, delta) -> FamilyBasis:
     The basis is ``nullspace(assemble(alg, delta, w).matrix)``, solved
     without building that matrix: ``exactlin.nullspace_by_blocks`` asks each
     block for the rows of a pair while the block's nullity is above
-    ``TESTED_NULLITY`` and, after that, only for the pair's residuals on the
-    block's null vectors, read straight from the structure-constant tables.
+    ``TESTED_NULLITY``. After that it first asks for the pair's residuals on
+    the block's null vectors, read straight from the structure-constant
+    tables, and for the pair's rows only when a residual is nonzero.
     """
     equations = _GradedEquations(alg, as_scalar(delta), w)
     vectors = nullspace_by_blocks(equations.blocks())

@@ -10,9 +10,10 @@ certificates, and span membership. No floating point is used anywhere.
 
 Elimination is fraction-free: each row enters as a primitive integer row and
 is reduced by integer row operations by one kernel, which serves echelon
-forms, nullspaces, span membership and feasibility alike. ``Fraction``
-appears only when a result is read off by back-substitution: once per pivot
-row of a reduced row echelon form, once per unknown of a solution.
+forms, nullspaces, span membership and feasibility alike. Results are read
+off the unreduced echelon form by one integer back-substitution, which
+serves null vectors and solutions alike; ``Fraction`` appears only in its
+last division, once per entry of a basis vector or unknown of a solution.
 """
 
 from __future__ import annotations
@@ -258,126 +259,74 @@ def _insert(row: dict, pivots: dict) -> bool:
     return False
 
 
-def _forward_eliminate(rows: Iterable[Mapping]) -> dict:
-    """Echelon form; returns pivot-col -> int row leading there."""
-    pivots: dict = {}
-    for row in rows:
-        if row:
-            _insert(_primitive(row), pivots)
-    return pivots
-
-
-def _reduced_rows(pivots: dict) -> dict:
-    """Reduced rows of an echelon form: pivot-col -> int row, zero at every
-    other pivot column.
-
-    Works through the pivots in decreasing order. Every row below the
-    current one is already reduced, so it is nonzero only at its own pivot
-    and at free columns, and clearing one pivot column of the current row
-    brings in free columns alone: one pass over the row's own entries
-    suffices.
-    """
-    reduced: dict = {}
-    for p in sorted(pivots, reverse=True):
-        row = dict(pivots[p])
-        for q in [c for c in row if c != p and c in reduced]:
-            row = _eliminate(row, reduced[q], q)
-        reduced[p] = row
-    return reduced
-
-
-def _rref_rows(pivots: dict) -> dict:
-    """Reduced rows of an echelon form: pivot-col -> Fraction row, pivot 1.
-
-    The division to ``Fraction`` happens once per entry, at the end.
-    """
-    return {
-        p: {c: Fraction(v, row[p]) for c, v in row.items()}
-        for p, row in _reduced_rows(pivots).items()
-    }
-
-
 # Once a block's nullity is at most this, each further unit of its rows is
-# tested against the block's null vectors instead of being inserted.
+# tested against the block's null vectors and inserted only if it cuts them.
 TESTED_NULLITY = 2
 
 
-def _integer_null_vectors(pivots: dict, columns) -> list:
-    """The canonical null vectors of the echelon form ``pivots``, whose rows
-    are supported in ``columns``, one per free column, with their
-    denominators cleared: primitive int vectors, dense over
-    ``columns``, read off the integer reduced rows without a ``Fraction``."""
-    reduced = _reduced_rows(pivots)
-    vectors = []
-    for free in columns:
-        if free not in reduced:
-            rows = [(p, row) for p, row in reduced.items() if free in row]
-            scale = lcm(*(row[p] for p, row in rows))
-            v = dict.fromkeys(columns, 0)
-            v[free] = scale
-            for p, row in rows:
-                v[p] = -row[free] * (scale // row[p])
-            vectors.append(_primitive(v))
-    return vectors
+def _back_substitute(pivots: dict, free) -> dict:
+    """The null vector of the echelon form ``pivots`` at the free column
+    ``free``, as a nonzero int multiple: nonzero at ``free``, zero at every
+    other free column, so nonzero only at ``free`` and pivot columns below it.
 
-
-def _combined(vectors: list, coeffs: dict) -> dict:
-    """The primitive int vector ``sum(coeffs[i] * vectors[i])`` of int vectors
-    dense over the same columns."""
-    terms = list(zip(coeffs.values(), vectors))
-    return _primitive({col: sum(c * v[col] for c, v in terms) for col in vectors[0]})
-
-
-def _canonical_null_vectors(vectors: list) -> dict:
-    """Free column -> canonical null vector (``Fraction`` entries, 1 at the
-    free column) of the row space whose null space the int vectors
-    ``vectors`` span.
-
-    The canonical null vector of free column ``f`` is 1 at ``f``, 0 at every
-    other free column and nonzero only at pivot columns below ``f``: these
-    vectors are the reduced echelon form of the null space with the column
-    order reversed. The shared kernel computes it on negated columns.
+    It is read straight off the unreduced rows in decreasing pivot order: the
+    row of pivot ``p`` fixes ``v[p] = -s/row[p]``, ``s`` its dot product with
+    the entries found so far. When that division is not exact, ``v`` is first
+    scaled by ``row[p]/gcd(row[p], s)``. Entries come in decreasing column
+    order, and none is zero.
     """
-    reduced = _rref_rows(_forward_eliminate({-c: x for c, x in v.items() if x} for v in vectors))
-    return {-p: {-c: x for c, x in sorted(row.items())} for p, row in reduced.items()}
+    v = {free: 1}
+    for p in sorted((p for p in pivots if p < free), reverse=True):
+        row = pivots[p]
+        s = sum(x * v[c] for c, x in row.items() if c in v)
+        if s:
+            g = gcd(row[p], s)
+            if g != row[p]:
+                k = row[p] // g
+                v = {c: k * x for c, x in v.items()}
+            v[p] = -s // g
+    return v
 
 
 def _block_nullspace(units, columns, rows, residuals) -> dict:
-    """``_canonical_null_vectors`` of the rows of one block, supported in
-    ``columns``.
+    """Free column -> canonical null vector (1 at the free column, 0 at every
+    other) of the rows of one block, supported in ``columns``.
 
     The rows come in units. ``rows(unit)`` builds a unit's rows, and
     ``residuals(unit, probes)`` evaluates them on vectors without building
     them: for each probe, the list of the rows' dot products with it.
 
-    While the nullity is above ``TESTED_NULLITY``, every unit's rows enter
-    the echelon form. After that no row is built. The probes are primitive
-    int vectors spanning the null space of the rows so far, and each unit is
-    tested by its residuals on them. A unit orthogonal to every probe lies
-    in ``(U^perp)^perp = U``, the span of the rows so far, and changes
-    nothing. Any other unit cuts the null space down to the combinations of
-    the probes that its rows annihilate, ``U * null(R)`` for its residual
-    matrix ``R``, so the probes are recombined; no echelon form is updated.
-    Reading stops when no probe is left, at full rank. The null space is
-    that of all the rows, and the canonical basis is read off it at the end.
+    The block keeps one echelon form. While its nullity is above
+    ``TESTED_NULLITY``, every unit's rows enter it. After that, each unit is
+    first tested by its residuals on the probes, the null vectors of the rows
+    so far, dense over ``columns``. A unit orthogonal to every probe lies in
+    ``(U^perp)^perp = U``, the span of the rows so far, and is skipped; any
+    other unit cuts the null space, so its rows are built and inserted like
+    any other, and the probes are read again. Reading stops at full rank.
+    The echelon form then spans all the rows, and the canonical basis is read
+    off it.
     """
     width = len(columns)
     pivots: dict = {}
-    units = iter(units)
+    probes = None
     for unit in units:
+        if width - len(pivots) <= TESTED_NULLITY:
+            if probes is None:
+                zero = dict.fromkeys(columns, 0)
+                probes = [zero | _back_substitute(pivots, f) for f in columns if f not in pivots]
+            if not probes:
+                break
+            if not any(map(any, residuals(unit, probes))):
+                continue
+            probes = None
         for row in rows(unit):
             _insert(_primitive(row), pivots)
-        if width - len(pivots) <= TESTED_NULLITY:
-            break
-    probes = _integer_null_vectors(pivots, columns)
-    for unit in units:
-        if not probes:
-            break
-        values = residuals(unit, probes)
-        if any(map(any, values)):
-            cut = _forward_eliminate({i: x for i, x in enumerate(r) if x} for r in zip(*values))
-            probes = [_combined(probes, c) for c in _integer_null_vectors(cut, range(len(probes)))]
-    return _canonical_null_vectors(probes)
+    basis = {}
+    for free in columns:
+        if free not in pivots:
+            v = _back_substitute(pivots, free)
+            basis[free] = {c: Fraction(x, v[free]) for c, x in v.items()}
+    return basis
 
 
 def _matrix_rows(row) -> tuple:
@@ -394,9 +343,9 @@ def nullspace_by_blocks(blocks: Iterable) -> list:
     block, as ``(columns, units, rows, residuals)`` for ``_block_nullspace``.
 
     Vectors are emitted in increasing free-column order; each has entry 1 at
-    its free column, making the basis canonical for a fixed column order.
-    The canonical RREF of a block-diagonal matrix is the union of its
-    blocks' RREFs, so each block is solved alone.
+    its free column and 0 at every other, making the basis canonical for a
+    fixed column order. The canonical RREF of a block-diagonal matrix is the
+    union of its blocks' RREFs, so each block is solved alone.
     """
     basis: dict = {}
     for columns, units, rows, residuals in blocks:
@@ -432,11 +381,9 @@ def _particular_solution(rows: Iterable[Mapping], rhs: Mapping, ncols: int) -> O
 
     Each augmented row ``row | rhs_i`` enters the shared kernel as a primitive
     int row. The augmented column ``ncols`` comes last, so it leads a row
-    only when the system is inconsistent. The pivot columns are then the
-    column rank profile of ``[A|b]``, which fixes the solution. It is read
-    off by back-substitution in decreasing pivot order: with the free
-    unknowns at 0, a pivot row reduced by the rows below it keeps only its
-    pivot and augmented entries, so each unknown costs one ``Fraction``.
+    only when the system is inconsistent. Otherwise it is a free column of
+    ``[A|b]``, and its null vector ``v`` from ``_back_substitute`` is zero at
+    every free unknown, so ``x = -v/v[ncols]`` is the solution.
     """
     aug = ncols
     pivots: dict = {}
@@ -449,16 +396,9 @@ def _particular_solution(rows: Iterable[Mapping], rhs: Mapping, ncols: int) -> O
             _insert(_primitive(row), pivots)
             if aug in pivots:
                 return None
-    reduced: dict = {}
-    solution = {}
-    for p in sorted(pivots, reverse=True):
-        row = {c: v for c, v in pivots[p].items() if c == p or c == aug or c in reduced}
-        for q in [c for c in row if c != p and c != aug]:
-            row = _eliminate(row, reduced[q], q)
-        reduced[p] = row
-        if aug in row:
-            solution[p] = Fraction(row[aug], row[p])
-    return solution
+    v = _back_substitute(pivots, aug)
+    scale = -v.pop(aug)
+    return {c: Fraction(x, scale) for c, x in v.items()}
 
 
 def solve_feasible(matrix: RatMatrix, b: SparseVec) -> LinearSolveResult:
@@ -466,8 +406,13 @@ def solve_feasible(matrix: RatMatrix, b: SparseVec) -> LinearSolveResult:
 
     A feasible system returns its solution with every free unknown at 0.
     Otherwise, by the Fredholm alternative, ``A^T u = 0, b.u = 1`` is
-    feasible, and its solution is the Farkas certificate.
+    feasible, and its solution is the Farkas certificate. ``b`` is indexed
+    by row: a key outside ``0..nrows-1`` raises ValueError.
     """
+    allowed = set(range(matrix.nrows))
+    if not allowed.issuperset(b._entries):
+        i = next(i for i in b._entries if i not in allowed)
+        raise ValueError(f"right-hand side row {i!r} outside 0..{matrix.nrows - 1}")
     solution = _particular_solution(matrix.rows, b._entries, matrix.ncols)
     if solution is not None:
         return LinearSolveResult(True, solution=SparseVec(solution))
@@ -475,7 +420,7 @@ def solve_feasible(matrix: RatMatrix, b: SparseVec) -> LinearSolveResult:
     for i, row in enumerate(matrix.rows):
         for c, v in row.items():
             columns[c][i] = v
-    columns.append({i: v for i, v in b._entries.items() if i < matrix.nrows})
+    columns.append(b._entries)
     u = _particular_solution(columns, {matrix.ncols: 1}, matrix.nrows)
     return LinearSolveResult(False, certificate=SparseVec(u))
 

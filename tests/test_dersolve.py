@@ -37,6 +37,8 @@ from deltader.operators import (
     window_from_ranges,
 )
 
+from test_exactlin import reference_nullspace
+
 HALF = Fraction(1, 2)
 
 
@@ -177,8 +179,13 @@ class TestLazySolve:
         columns = {col: i for i, col in enumerate(w.columns())}
         solved = [m.as_vector(columns) for m in solve_derivations(alg, w, delta).basis]
         assert solved == nullspace(system.matrix)
-        assert solved == nullspace(residual_reference(alg, delta, w, system.pair_list))
+        reference = residual_reference(alg, delta, w, system.pair_list)
+        assert solved == nullspace(reference)
         assert_block_major_by_shift(alg, system)
+        # and against the dense Fraction Gauss-Jordan, which shares no code
+        # with the kernel
+        grid = [[row.get(c, 0) for c in range(reference.ncols)] for row in reference.rows]
+        assert solved == reference_nullspace(grid, reference.ncols)
 
 
 class TestCheckDeltaDerivation:

@@ -80,6 +80,12 @@ class TestSolveFeasible:
             assert sum(u.get(i) * a.rows[i].get(col, Fraction(0)) for i in range(a.nrows)) == 0
         assert u.dot(b) != 0
 
+    @pytest.mark.parametrize("key", [1, -1, "x"])
+    def test_rejects_a_right_hand_side_outside_the_rows(self, key):
+        a = RatMatrix.from_rows([{0: 1}], 1)
+        with pytest.raises(ValueError, match="outside 0..0"):
+            solve_feasible(a, SparseVec({0: 1, key: 1}))
+
     @given(
         st.lists(
             st.lists(st.integers(min_value=-4, max_value=4), min_size=3, max_size=3),
@@ -333,18 +339,23 @@ class TestBlockNullspace:
 
         monkeypatch.setattr(exactlin, "_matrix_rows", counting_rows)
         monkeypatch.setattr(exactlin, "_matrix_residuals", counting_residuals)
-        # block (0, 2, 4) reaches full rank after three rows; block (1, 3, 5, 6)
-        # keeps nullity 1 after three rows, and the later rows lie in their span
-        full = [{0: 1}, {2: 1, 4: 1}, {4: 2}] + [{0: i, 2: 1, 4: -i} for i in range(20)]
+        # block (0, 2, 4) has nullity 2 after one row, then a row in the span
+        # and two that cut it down to full rank; block (1, 3, 5, 6) has
+        # nullity 2 after two rows and 1 after three, and the later rows lie
+        # in their span
+        full = [{0: 1}, {0: -3}, {2: 1, 4: 1}, {4: 2}]
+        full += [{0: i, 2: 1, 4: -i} for i in range(20)]
         span = [{1: 1, 3: 1}, {3: 1, 5: 2}, {5: 1, 6: -1}]
         span += [{1: i, 3: i + 1, 5: 4, 6: -2} for i in range(20)]  # i*r0 + r1 + 2*r2
         blocks = (((0, 2, 4), 0, len(full)), ((1, 3, 5, 6), len(full), len(full) + len(span)))
         rows = RatMatrix.from_rows(full + span, 7).rows  # as packed: zero entries dropped
         assert by_blocks(rows, blocks) == [SparseVec({1: 2, 3: -2, 5: 1, 6: 1})]
-        # rows are inserted only while the nullity is above 2; after that each
-        # row is tested against the null vectors, and none past full rank is read
-        assert built == [rows[0], rows[len(full)], rows[len(full) + 1]]
-        assert tested == list(rows[1:3] + rows[len(full) + 2 :])
+        # rows are built while the nullity is above 2; after that each row is
+        # tested against the null vectors and built only if it cuts them, and
+        # none past full rank is read
+        s = len(full)
+        assert built == [rows[0], rows[2], rows[3], rows[s], rows[s + 1], rows[s + 2]]
+        assert tested == list(rows[1:4] + rows[s + 2 :])
 
 
 class TestFromRows:
