@@ -367,7 +367,7 @@ class LinearSolveResult:
     """Outcome of ``solve_feasible``: a solution or a Farkas certificate.
 
     When infeasible, ``certificate`` is a row combination u (indexed by row)
-    with u.A = 0 and u.b = 1.
+    with u.A = 0 and u.b = 1, zero past the shortest inconsistent row prefix.
     """
 
     feasible: bool
@@ -375,15 +375,16 @@ class LinearSolveResult:
     certificate: Optional[SparseVec] = None
 
 
-def _particular_solution(rows: Iterable[Mapping], rhs: Mapping, ncols: int) -> Optional[dict]:
-    """The solution of ``rows x = rhs`` with every free unknown at 0, as
-    col -> nonzero Fraction, or None when the system is inconsistent.
+def _particular_solution(rows: Iterable[Mapping], rhs: Mapping, ncols: int) -> tuple:
+    """``(x, 0)`` with x the solution of ``rows x = rhs`` with every free
+    unknown at 0, as col -> nonzero Fraction; or ``(None, n)`` when the first
+    n rows, and no fewer, are inconsistent.
 
     Each augmented row ``row | rhs_i`` enters the shared kernel as a primitive
     int row. The augmented column ``ncols`` comes last, so it leads a row
-    only when the system is inconsistent. Otherwise it is a free column of
-    ``[A|b]``, and its null vector ``v`` from ``_back_substitute`` is zero at
-    every free unknown, so ``x = -v/v[ncols]`` is the solution.
+    only when the rows so far are inconsistent. Otherwise it is a free column
+    of ``[A|b]``, and its null vector ``v`` from ``_back_substitute`` is zero
+    at every free unknown, so ``x = -v/v[ncols]`` is the solution.
     """
     aug = ncols
     pivots: dict = {}
@@ -395,33 +396,34 @@ def _particular_solution(rows: Iterable[Mapping], rhs: Mapping, ncols: int) -> O
         if row:
             _insert(_primitive(row), pivots)
             if aug in pivots:
-                return None
+                return None, i + 1
     v = _back_substitute(pivots, aug)
     scale = -v.pop(aug)
-    return {c: Fraction(x, scale) for c, x in v.items()}
+    return {c: Fraction(x, scale) for c, x in v.items()}, 0
 
 
 def solve_feasible(matrix: RatMatrix, b: SparseVec) -> LinearSolveResult:
     """Solve A x = b exactly, or certify infeasibility.
 
     A feasible system returns its solution with every free unknown at 0.
-    Otherwise, by the Fredholm alternative, ``A^T u = 0, b.u = 1`` is
-    feasible, and its solution is the Farkas certificate. ``b`` is indexed
-    by row: a key outside ``0..nrows-1`` raises ValueError.
+    Otherwise, by the Fredholm alternative, ``A_p^T u = 0, b_p.u = 1`` is
+    feasible for the shortest inconsistent row prefix ``A_p x = b_p``; its
+    solution, zero on the other rows, is the Farkas certificate. ``b`` is
+    indexed by row: a key outside ``0..nrows-1`` raises ValueError.
     """
     allowed = set(range(matrix.nrows))
     if not allowed.issuperset(b._entries):
         i = next(i for i in b._entries if i not in allowed)
         raise ValueError(f"right-hand side row {i!r} outside 0..{matrix.nrows - 1}")
-    solution = _particular_solution(matrix.rows, b._entries, matrix.ncols)
+    solution, prefix = _particular_solution(matrix.rows, b._entries, matrix.ncols)
     if solution is not None:
         return LinearSolveResult(True, solution=SparseVec(solution))
     columns = [{} for _ in range(matrix.ncols)]
-    for i, row in enumerate(matrix.rows):
+    for i, row in enumerate(matrix.rows[:prefix]):
         for c, v in row.items():
             columns[c][i] = v
-    columns.append(b._entries)
-    u = _particular_solution(columns, {matrix.ncols: 1}, matrix.nrows)
+    columns.append({i: v for i, v in b._entries.items() if i < prefix})
+    u, _ = _particular_solution(columns, {matrix.ncols: 1}, prefix)
     return LinearSolveResult(False, certificate=SparseVec(u))
 
 

@@ -12,6 +12,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .algebras import BasisKey, E, F
@@ -50,10 +51,17 @@ def _match_system(basis: Sequence[WindowedMap], points: Sequence[SparseVec], tar
 
     There is one row per (point, output key). Rows are read straight from the
     tabulated images: basis[k](z) at key o is sum_i z_i * basis[k](e_i)[o].
+    Point j's equations are scaled on both sides by d_j, the lcm of the
+    denominators of z and of targets[j]: c is unchanged, and every entry is an
+    int wherever the images are. A Farkas certificate u' is one of the scaled
+    system, supported on its inconsistent row prefix; it certifies the
+    unscaled system as u_i = d_j * u'_i on point j's rows.
     """
     rows: dict = {}
-    for j, z in enumerate(points):
-        terms = z._entries.items()
+    rhs = {}
+    for j, (z, target) in enumerate(zip(points, targets)):
+        d = lcm(*[v.denominator for v in (*z._entries.values(), *target._entries.values())])
+        terms = [(key, zc.numerator * (d // zc.denominator)) for key, zc in z._entries.items()]
         for k, m in enumerate(basis):
             image = m.image
             for key, zc in terms:
@@ -63,11 +71,10 @@ def _match_system(basis: Sequence[WindowedMap], points: Sequence[SparseVec], tar
                         rows[(j, o)] = row = {}
                     prev = row.get(k)
                     row[k] = zc * v if prev is None else prev + zc * v
-    rhs = {}
-    for j, target in enumerate(targets):
         for o, v in target._entries.items():
-            rows.setdefault((j, o), {})
-            rhs[(j, o)] = v
+            rhs[(j, o)] = v.numerator * (d // v.denominator)
+    for c in rhs:
+        rows.setdefault(c, {})
     coords = list(rows)
     matrix = RatMatrix(tuple({k: v for k, v in rows[c].items() if v} for c in coords), len(basis))
     b = SparseVec({i: rhs[c] for i, c in enumerate(coords) if c in rhs})

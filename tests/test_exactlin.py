@@ -75,10 +75,27 @@ class TestSolveFeasible:
         res = solve_feasible(a, b)
         assert not res.feasible
         u = res.certificate
-        # u.A = 0 and u.b != 0, exactly
+        # u.A = 0 and u.b = 1, exactly
         for col in range(a.ncols):
             assert sum(u.get(i) * a.rows[i].get(col, Fraction(0)) for i in range(a.nrows)) == 0
-        assert u.dot(b) != 0
+        assert u.dot(b) == 1
+
+    def test_certificate_solves_only_the_inconsistent_prefix(self, monkeypatch):
+        # rows 0 and 1 are already inconsistent; the rows after them are not read
+        a = dense([[1, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]])
+        b = SparseVec({0: 1, 1: 2, 2: 3, 4: 1})
+        widths = []
+        solve = exactlin._particular_solution
+
+        def recorded(rows, rhs, ncols):
+            widths.append(ncols)
+            return solve(rows, rhs, ncols)
+
+        monkeypatch.setattr(exactlin, "_particular_solution", recorded)
+        res = solve_feasible(a, b)
+        assert widths == [3, 2]  # A x = b, then the transposed prefix
+        assert res.certificate == SparseVec({0: -1, 1: 1})
+        assert res.certificate.dot(b) == 1
 
     @pytest.mark.parametrize("key", [1, -1, "x"])
     def test_rejects_a_right_hand_side_outside_the_rows(self, key):
@@ -108,7 +125,7 @@ class TestSolveFeasible:
                     sum(u.get(i) * a.rows[i].get(col, Fraction(0)) for i in range(a.nrows))
                     == 0
                 )
-            assert u.dot(b) != 0
+            assert u.dot(b) == 1
 
 
 class TestRowSpace:
@@ -225,7 +242,7 @@ class TestKernelAgainstDenseReference:
             assert all_canonical(u.entries.values())
             for col in range(a.ncols):
                 assert sum(u.get(i) * a.rows[i].get(col, 0) for i in range(a.nrows)) == 0
-            assert u.dot(b) != 0
+            assert u.dot(b) == 1
 
 
     @given(exact_matrices(), st.lists(st.sampled_from(ENTRIES), min_size=6, max_size=6))
@@ -235,7 +252,8 @@ class TestKernelAgainstDenseReference:
         rhs = rhs[: len(grid)]
         a = from_grid(grid, ncols)
         b = SparseVec(dict(enumerate(rhs)))
-        ref_rows, ref_pivots = gauss_jordan([row + [bi] for row, bi in zip(grid, rhs)], ncols + 1)
+        augmented = [row + [bi] for row, bi in zip(grid, rhs)]
+        ref_rows, ref_pivots = gauss_jordan(augmented, ncols + 1)
         res = solve_feasible(a, b)
         assert res.feasible == (ncols not in ref_pivots)
         if res.feasible:
@@ -250,7 +268,11 @@ class TestKernelAgainstDenseReference:
             assert all_canonical(u.entries.values())
             for col in range(ncols):
                 assert sum(u.get(i) * Fraction(row[col]) for i, row in enumerate(grid)) == 0
-            assert u.dot(b) != 0
+            assert u.dot(b) == 1
+            # supported on the shortest inconsistent row prefix
+            inconsistent = (gauss_jordan(augmented[:n], ncols + 1)[1] for n in range(len(grid) + 1))
+            prefix = next(n for n, pivots in enumerate(inconsistent) if ncols in pivots)
+            assert max(u.support()) < prefix
 
 
 @st.composite

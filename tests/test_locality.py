@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from deltader import locality
@@ -25,6 +25,7 @@ from deltader.operators import (
     ThinNabla,
     WindowTooSmall,
     WindowedMap,
+    evaluate,
     identity_map,
     window_from_ranges,
 )
@@ -142,8 +143,6 @@ class TestTwoLocalFeasibility:
         y = SparseVec({E(1): -2, E(6): 1})
         report = two_local_feasible_at(nabla, x, y, family)
         assert report.feasible
-        from deltader.operators import evaluate
-
         assert params_match(family, report.params, x, evaluate(nabla, x))
         assert params_match(family, report.params, y, evaluate(nabla, y))
 
@@ -204,10 +203,13 @@ class TestWabFScan:
 
 @pytest.fixture
 def checked_solves(monkeypatch):
-    """Every system locality solves, with an exact check of each answer."""
+    """Every system locality solves, with an exact check of each answer and
+    of the all-int form of the system."""
     seen = []
 
     def checked(matrix, b):
+        assert all(type(v) is int for row in matrix.rows for v in row.values())
+        assert all(type(v) is int for v in b.entries.values())
         result = solve_feasible(matrix, b)
         if result.feasible:
             assert matrix.apply(result.solution) == b
@@ -215,7 +217,7 @@ def checked_solves(monkeypatch):
             u = result.certificate
             for col in range(matrix.ncols):
                 assert sum(u.get(i) * row.get(col, 0) for i, row in enumerate(matrix.rows)) == 0
-            assert u.dot(b) != 0
+            assert u.dot(b) == 1
         seen.append(result.feasible)
         return result
 
@@ -280,6 +282,46 @@ class TestScansMatchRecordedAnswers:
             assert report.feasible == (expected is not None)
             assert _params(report) == expected
         assert checked_solves.count(False) == 5
+
+
+COEFFS = st.sampled_from((1, -1, 2, HALF, -3, Fraction(3, 4), 5, Fraction(-2, 3)))
+
+
+class TestIntSystems:
+    """Points and candidates with fractional coefficients still give all-int
+    systems (checked in ``checked_solves``), whose params solve the unscaled
+    equations."""
+
+    @pytest.mark.parametrize("name", ["thin_family", "solv_family", "wab_family"])
+    @given(data=st.data())
+    @settings(
+        max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_fractional_points_and_candidates(self, name, request, checked_solves, data):
+        alg, w, family = request.getfixturevalue(name)
+
+        def vec(keys):
+            terms = st.dictionaries(st.sampled_from(keys), COEFFS, min_size=1, max_size=3)
+            return SparseVec(data.draw(terms))
+
+        x, y = vec(w.keys), vec(w.keys)
+        # a family member with fractional coefficients, moved off the family
+        # at a few keys of the points
+        mix = data.draw(st.dictionaries(st.integers(0, len(family.basis) - 1), COEFFS, max_size=3))
+        image = {
+            k: sum((family.basis[i].image[k].scaled(c) for i, c in mix.items()), SparseVec())
+            for k in w.keys
+        }
+        for k in data.draw(st.lists(st.sampled_from(x.support() + y.support()), max_size=2)):
+            image[k] = image[k] + vec(w.out_keys)
+        candidate = WindowedMap(w, image)
+        for report in (
+            local_feasible_at(candidate, x, family),
+            two_local_feasible_at(candidate, x, y, family),
+        ):
+            if report.feasible:
+                for z in report.points:
+                    assert params_match(family, report.params, z, evaluate(candidate, z))
 
 
 class TestNonadditivity:
