@@ -47,6 +47,21 @@ def test_counterexamples_report_matches_golden(tmp_path):
     assert got == (DATA / "golden_counterexamples_thin.json").read_bytes()
 
 
+def test_solv_counterexamples_report_matches_golden(tmp_path):
+    code, got = run_to_bytes(tmp_path, ["counterexamples", "--algebra", "solv"])
+    assert code == 0
+    assert got == (DATA / "golden_counterexamples_solv.json").read_bytes()
+
+
+def test_check_map_report_matches_golden(tmp_path):
+    # thin-delta is not a half-derivation: 6 violations, exit 1
+    argv = ["check-map", "--algebra", "thin", "--in", "1..8", "--out", "1..9", "--map", "thin-delta"]
+    code, got = run_to_bytes(tmp_path, argv)
+    assert code == 1
+    assert got == (DATA / "golden_check_map_thin_delta.json").read_bytes()
+    assert len(json.loads(got)["results"]["violations"]) == 6
+
+
 def test_verify_all_report_and_sweep_match_golden(tmp_path):
     # criterion 6 is red by design, so the run exits 1
     tsv = tmp_path / "sweep.tsv"
@@ -64,6 +79,16 @@ LOCALITY_GOLDENS = [
     (
         "golden_two_local_thin_nabla.json",
         ["two-local", "--algebra", "thin", "--in", "1..10", "--out", "1..14", "--map", "thin-nabla"],
+    ),
+    (
+        "golden_local_thin_delta_e1_e3.json",
+        ["local", "--algebra", "thin", "--in", "1..10", "--out", "1..14", "--map", "thin-delta",
+         "--x", "e1+e3"],
+    ),
+    (
+        "golden_two_local_thin_nabla_pair.json",
+        ["two-local", "--algebra", "thin", "--in", "1..10", "--out", "1..14", "--map", "thin-nabla",
+         "--x", "e1+e2", "--y", "-e1+e2"],
     ),
     (
         "golden_two_local_wab.json",
@@ -87,6 +112,8 @@ def test_goldens_are_valid_reports():
     for name in (
         *(n for n, _ in SOLVE_GOLDENS),
         "golden_counterexamples_thin.json",
+        "golden_counterexamples_solv.json",
+        "golden_check_map_thin_delta.json",
         "golden_verify_all.json",
         *(n for n, _ in LOCALITY_GOLDENS),
     ):
