@@ -66,6 +66,13 @@ ZERO_PROPAGATION_INFEASIBLE_C = tuple(range(1, 11))
 
 WAB_ACCEPTANCE_PARAMS = ((0, 0), (1, -1), (Fraction(1, 2), -1), (0, 2))
 
+# The catalogued counterexamples' keys and points, read by criteria 5 and 6
+# and by the ``counterexamples`` command.
+THIN_PROBE_KEYS = (E(1), E(3))
+THIN_SCAN_KEYS = tuple(E(i) for i in range(1, 9))
+THIN_NONADDITIVE_PAIR = (SparseVec({E(1): 1, E(2): 1}), SparseVec({E(1): -1, E(2): 1}))
+SOLV_SCAN_KEYS = tuple(E(i) for i in range(1, 5))
+
 
 def acceptance_window(alg: AlgebraSpec, quick: bool = False) -> Window:
     """The suite's window on ``alg``, from its record (smaller in quick mode)."""
@@ -304,7 +311,7 @@ def criterion_5(quick: bool = False) -> CriterionResult:
     alg = algebras.thin()
     delta_map = ThinLocalDelta()
     # witness the violation on the canonical probe keys {e1, e3}
-    witness = find_violation_witness(alg, delta_map, HALF, [E(1), E(3)])
+    witness = find_violation_witness(alg, delta_map, HALF, THIN_PROBE_KEYS)
     checks.expect(witness is not None, "violation witness found on probe keys {e1,e3}")
     if witness:
         pair, residual = witness
@@ -314,7 +321,7 @@ def criterion_5(quick: bool = False) -> CriterionResult:
             f"witness residual is (1/2)e4, got {residual}",
         )
     # a full scan of e1..e8 sees an even earlier violation at (e1, e2)
-    early = find_violation_witness(alg, delta_map, HALF, [E(i) for i in range(1, 9)])
+    early = find_violation_witness(alg, delta_map, HALF, THIN_SCAN_KEYS)
     checks.expect(
         early == ((E(1), E(2)), SparseVec({E(3): HALF})),
         "full scan of e1..e8 finds the earlier witness (e1,e2) with (1/2)e3",
@@ -361,9 +368,7 @@ def thin_two_local_grid() -> List[Tuple[SparseVec, SparseVec]]:
 def criterion_6(quick: bool = False) -> CriterionResult:
     checks = _Checks()
     nabla = ThinNabla()
-    x = SparseVec({E(1): 1, E(2): 1})
-    y = SparseVec({E(1): -1, E(2): 1})
-    witness = certify_nonadditive(nabla, x, y)
+    witness = certify_nonadditive(nabla, *THIN_NONADDITIVE_PAIR)
     checks.expect(witness.nonadditive, "nabla(x+y) != nabla(x)+nabla(y)")
     checks.expect(witness.lhs.is_zero(), f"lhs is 0, got {witness.lhs}")
     # Required reference value: rhs = e2. Exact evaluation of the map as

@@ -19,9 +19,8 @@ from functools import partial
 from pathlib import Path
 from typing import List, Optional
 
-from . import algebras
-from .acceptance import run_all, solve_scope, thin_two_local_grid, wab_dimension_sweep
-from .algebras import AlgebraSpec, E, KeyOutOfDomain
+from . import acceptance, algebras
+from .algebras import AlgebraSpec, KeyOutOfDomain
 from .dersolve import (
     HALF,
     check_delta_derivation,
@@ -31,7 +30,6 @@ from .dersolve import (
     find_violation_witness,
     solve_half_derivations,
 )
-from .exactlin import SparseVec
 from .literals import (
     ParseError,
     format_element,
@@ -45,6 +43,7 @@ from .locality import (
     certify_nonadditive,
     check_local,
     deterministic_sample,
+    local_feasible_at,
     two_local_feasible_at,
 )
 from .operators import (
@@ -190,6 +189,14 @@ def _serialize_map(m: WindowedMap) -> dict:
     return {str(k): format_element(m.image[k]) for k in m.window.keys}
 
 
+def _serialize_witness(witness) -> Optional[dict]:
+    """A violation witness as pair and residual; None when there is none."""
+    if witness is None:
+        return None
+    (k1, k2), residual = witness
+    return {"pair": [str(k1), str(k2)], "residual": format_element(residual)}
+
+
 def _write_report(args, command: str, inputs: dict, results: dict) -> dict:
     report = {
         "schemaVersion": "1",
@@ -268,19 +275,11 @@ def _cmd_check_map(args) -> int:
         "operator": format_operator(op),
         "delta": str(delta),
         "pairsChecked": len(pairs),
-        "violations": [
-            {"pair": [str(k1), str(k2)], "residual": format_element(res)}
-            for (k1, k2), res in violations
-        ],
+        "violations": [_serialize_witness(v) for v in violations],
     }
     _write_report(args, "check-map", _echo_inputs(args, alg), results)
     print(f"{args.map}: {len(violations)} violation(s) over {len(pairs)} pairs")
     return 0 if not violations else 1
-
-
-def _family_for(args, alg):
-    w = _window_from(args, alg)
-    return w, solve_half_derivations(alg, w)
 
 
 def _serialize_params(params) -> Optional[dict]:
@@ -289,67 +288,55 @@ def _serialize_params(params) -> Optional[dict]:
     return {str(idx): str(coeff) for idx, coeff in params.items()}
 
 
-def _cmd_local(args) -> int:
-    alg = _algebra_from(args)
-    if args.map is None:
-        raise CliError("--map <operator literal> is required")
-    candidate = parse_operator(args.map, alg)
-    w, family = _family_for(args, alg)
-    if args.x is not None:
-        elements = [parse_element(args.x)]
-    else:
-        elements = deterministic_sample(w.keys)
-    reports = check_local(candidate, family, elements)
-    results = {
-        "candidate": format_operator(candidate),
-        "familyDim": len(family),
-        "elements": [
-            {
-                "element": format_element(r.points[0]),
-                "feasible": r.feasible,
-                "params": _serialize_params(r.params),
-            }
-            for r in reports
-        ],
-        "allFeasible": all(r.feasible for r in reports),
-    }
-    _write_report(args, "local", _echo_inputs(args, alg), results)
-    feasible = sum(1 for r in reports if r.feasible)
-    print(f"{args.map}: locally feasible at {feasible}/{len(reports)} sample elements")
-    return 0 if feasible == len(reports) else 1
-
-
 def _default_two_local_pairs(alg: AlgebraSpec, w):
     """The thin grid of criterion 6 when every element of it lies in the
     input window, else 20 consecutive pairs of the window's sample."""
     if alg == algebras.thin():
-        grid = thin_two_local_grid()
+        grid = acceptance.thin_two_local_grid()
         if all(w.key_set().issuperset(v.support()) for pair in grid for v in pair):
             return grid
     sample = deterministic_sample(w.keys)
     return list(zip(sample[:-1], sample[1:]))[:20]
 
 
-def _cmd_two_local(args) -> int:
+# Per locality subcommand: its point flags, the results key and each point's
+# key in a result entry, the summary, and the default points of a window.
+_POINT_QUERIES = {
+    "local": (
+        ("x",), "elements", ("element",), "locally feasible at {}/{} sample elements",
+        lambda alg, w: [(x,) for x in deterministic_sample(w.keys)],
+    ),
+    "two-local": (
+        ("x", "y"), "pairs", ("x", "y"), "two-local feasible at {}/{} pairs",
+        _default_two_local_pairs,
+    ),
+}
+
+
+def _cmd_locality(args) -> int:
+    """Match the candidate with one family member at each point tuple."""
+    flags, results_key, point_keys, summary, default_points = _POINT_QUERIES[args.command]
     alg = _algebra_from(args)
     if args.map is None:
         raise CliError("--map <operator literal> is required")
     candidate = parse_operator(args.map, alg)
-    w, family = _family_for(args, alg)
-    if (args.x is None) != (args.y is None):
+    w = _window_from(args, alg)
+    given = [getattr(args, flag) for flag in flags]
+    if given.count(None) not in (0, len(given)):
         raise CliError("provide both --x and --y, or neither")
-    if args.x is not None:
-        pairs = [(parse_element(args.x), parse_element(args.y))]
+    if given[0] is None:
+        points = default_points(alg, w)
     else:
-        pairs = _default_two_local_pairs(alg, w)
-    reports = [two_local_feasible_at(candidate, x, y, family) for x, y in pairs]
+        points = [tuple(parse_element(text) for text in given)]
+    family = solve_half_derivations(alg, w)
+    feasible_at = local_feasible_at if len(given) == 1 else two_local_feasible_at
+    reports = [feasible_at(candidate, *point, family) for point in points]
     results = {
         "candidate": format_operator(candidate),
         "familyDim": len(family),
-        "pairs": [
+        results_key: [
             {
-                "x": format_element(r.points[0]),
-                "y": format_element(r.points[1]),
+                **dict(zip(point_keys, map(format_element, r.points))),
                 "feasible": r.feasible,
                 "params": _serialize_params(r.params),
             }
@@ -357,28 +344,19 @@ def _cmd_two_local(args) -> int:
         ],
         "allFeasible": all(r.feasible for r in reports),
     }
-    _write_report(args, "two-local", _echo_inputs(args, alg), results)
+    _write_report(args, args.command, _echo_inputs(args, alg), results)
     feasible = sum(1 for r in reports if r.feasible)
-    print(f"{args.map}: two-local feasible at {feasible}/{len(reports)} pairs")
+    print(f"{args.map}: {summary.format(feasible, len(reports))}")
     return 0 if feasible == len(reports) else 1
-
-
-def _serialize_witness(witness) -> Optional[dict]:
-    """A violation witness as pair and residual; None when there is none."""
-    if witness is None:
-        return None
-    (k1, k2), residual = witness
-    return {"pair": [str(k1), str(k2)], "residual": format_element(residual)}
 
 
 def _cmd_counterexamples(args) -> int:
     name = args.algebra or "thin"
     if name == "thin":
         alg = algebras.thin()
-        probe = find_violation_witness(alg, ThinLocalDelta(), HALF, [E(1), E(3)])
-        first = find_violation_witness(alg, ThinLocalDelta(), HALF, [E(i) for i in range(1, 9)])
-        x = SparseVec({E(1): 1, E(2): 1})
-        y = SparseVec({E(1): -1, E(2): 1})
+        probe = find_violation_witness(alg, ThinLocalDelta(), HALF, acceptance.THIN_PROBE_KEYS)
+        first = find_violation_witness(alg, ThinLocalDelta(), HALF, acceptance.THIN_SCAN_KEYS)
+        x, y = acceptance.THIN_NONADDITIVE_PAIR
         additivity = certify_nonadditive(ThinNabla(), x, y)
         results = {
             "probeWitness": _serialize_witness(probe),
@@ -394,11 +372,10 @@ def _cmd_counterexamples(args) -> int:
         ok = probe is not None and first is not None and additivity.nonadditive
     elif name == "solv":
         alg = algebras.solv_abelian()
-        witness = find_violation_witness(alg, SolvDeltaBar(), HALF, [E(i) for i in range(1, 5)])
-        w = window_from_ranges(alg, (1, 8), (1, 8))
+        witness = find_violation_witness(alg, SolvDeltaBar(), HALF, acceptance.SOLV_SCAN_KEYS)
+        w = acceptance.acceptance_window(alg)
         family = solve_half_derivations(alg, w)
-        sample = deterministic_sample(w.keys)
-        reports = check_local(SolvDeltaBar(), family, sample)
+        reports = check_local(SolvDeltaBar(), family, deterministic_sample(w.keys))
         results = {
             "witness": _serialize_witness(witness),
             "locallyFeasibleOnSample": all(r.feasible for r in reports),
@@ -415,9 +392,9 @@ def _cmd_counterexamples(args) -> int:
 def _cmd_verify_all(args) -> int:
     # One solve scope for the suite and the TSV sweep: the sweep reuses the
     # suite's wab solves.
-    with solve_scope():
-        results = run_all(quick=args.quick)
-        sweep = wab_dimension_sweep(args.quick) if args.tsv_path is not None else None
+    with acceptance.solve_scope():
+        results = acceptance.run_all(quick=args.quick)
+        sweep = acceptance.wab_dimension_sweep(args.quick) if args.tsv_path is not None else None
     for r in results:
         print(r.line())
         if not r.passed:
@@ -482,14 +459,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--map", help="candidate operator literal")
     p.add_argument("--x", help="element literal (default: deterministic sample)")
-    p.set_defaults(func=_cmd_local)
+    p.set_defaults(func=_cmd_locality)
 
     p = add_parser("two-local", help="pairwise feasibility against the solved family")
     _add_common(p)
     p.add_argument("--map", help="candidate operator literal")
     p.add_argument("--x", help="first element literal")
     p.add_argument("--y", help="second element literal")
-    p.set_defaults(func=_cmd_two_local)
+    p.set_defaults(func=_cmd_locality)
 
     p = add_parser("counterexamples", help="certify the catalogued counterexamples")
     _add_common(p, window=False)

@@ -12,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltader import acceptance, cli
+from deltader import acceptance, algebras, cli
 from deltader.cli import main
+from deltader.literals import format_element
+from deltader.locality import deterministic_sample
 
 
 def read_json(path):
@@ -203,6 +205,24 @@ class TestLocalCommands:
         assert len(pairs) == 20 and all(p["feasible"] for p in pairs)
         assert pairs[0] == {"x": "e1", "y": "e2", "feasible": True, "params": pairs[0]["params"]}
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["two-local", "--map", "thin-nabla", "--x", "e1"], "provide both --x and --y, or neither"),
+            (["two-local", "--map", "thin-nabla", "--y", "e1"], "provide both --x and --y, or neither"),
+            (["two-local", "--map", "thin-nabla", "--x", "e1+", "--y", "e2"], "expected a term"),
+            (["local", "--map", "thin-delta", "--x", "e1+"], "expected a term"),
+        ],
+        ids=["x-without-y", "y-without-x", "two-local-bad-x", "local-bad-x"],
+    )
+    def test_usage_errors_come_before_the_solve(self, monkeypatch, capsys, argv, message):
+        def no_solve(*args):
+            pytest.fail("the family was solved before a usage error")
+
+        monkeypatch.setattr(cli, "solve_half_derivations", no_solve)
+        assert main([*argv, "--algebra", "thin", "--in", "1..10", "--out", "1..14"]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCounterexamplesCommand:
     def test_thin_report(self, tmp_path):
@@ -214,6 +234,12 @@ class TestCounterexamplesCommand:
         assert results["firstWitness"] == {"pair": ["e1", "e2"], "residual": "1/2*e3"}
         assert results["nonadditivity"]["nonadditive"] is True
         assert results["nonadditivity"]["rhs"] == "2*e2"
+        # the command reads the suite's pair, not a copy of it
+        x, y = acceptance.THIN_NONADDITIVE_PAIR
+        assert (results["nonadditivity"]["x"], results["nonadditivity"]["y"]) == (
+            format_element(x),
+            format_element(y),
+        )
 
     def test_solv_report(self, tmp_path):
         out = tmp_path / "r.json"
@@ -222,6 +248,9 @@ class TestCounterexamplesCommand:
         results = read_json(out)["results"]
         assert results["witness"] == {"pair": ["e1", "e2"], "residual": "1/2*e2"}
         assert results["locallyFeasibleOnSample"] is True
+        # the sample of the solv record's full window
+        w = acceptance.acceptance_window(algebras.solv_abelian())
+        assert results["sampleSize"] == len(deterministic_sample(w.keys))
 
     @pytest.mark.parametrize(
         "algebra, fields", [("thin", ("probeWitness", "firstWitness")), ("solv", ("witness",))]
