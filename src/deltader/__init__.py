@@ -65,7 +65,6 @@ from .operators import (
     WindowTooSmall,
     WindowedMap,
     evaluate,
-    identity_map,
     materialize,
     window,
     window_from_ranges,

@@ -40,6 +40,7 @@ from .literals import (
     parse_scalar,
 )
 from .locality import (
+    _window_guard,
     certify_nonadditive,
     check_local,
     deterministic_sample,
@@ -328,6 +329,7 @@ def _cmd_locality(args) -> int:
         points = default_points(alg, w)
     else:
         points = [tuple(parse_element(text) for text in given)]
+        _window_guard(w, *points[0])
     family = solve_half_derivations(alg, w)
     feasible_at = local_feasible_at if len(given) == 1 else two_local_feasible_at
     reports = [feasible_at(candidate, *point, family) for point in points]
@@ -369,7 +371,14 @@ def _cmd_counterexamples(args) -> int:
                 "rhs": format_element(additivity.rhs),
             },
         }
-        ok = probe is not None and first is not None and additivity.nonadditive
+        # the feasible half of each counterexample, as criteria 5 and 6 check it
+        w = acceptance.acceptance_window(alg)
+        family = solve_half_derivations(alg, w)
+        grid = acceptance.thin_two_local_grid()
+        reports = check_local(ThinLocalDelta(), family, acceptance.thin_local_sample(w))
+        reports += [two_local_feasible_at(ThinNabla(), *pair, family) for pair in grid]
+        witnessed = probe is not None and first is not None and additivity.nonadditive
+        ok = witnessed and all(r.feasible for r in reports)
     elif name == "solv":
         alg = algebras.solv_abelian()
         witness = find_violation_witness(alg, SolvDeltaBar(), HALF, acceptance.SOLV_SCAN_KEYS)

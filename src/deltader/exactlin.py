@@ -122,16 +122,6 @@ class SparseVec:
             return SparseVec()
         return SparseVec({k: factor * v for k, v in self._entries.items()})
 
-    def dot(self, other: "SparseVec") -> Scalar:
-        if len(other._entries) < len(self._entries):
-            self, other = other, self
-        total = 0
-        for k, v in self._entries.items():
-            w = other._entries.get(k)
-            if w is not None:
-                total += v * w
-        return total
-
     def __repr__(self) -> str:
         if not self._entries:
             return "SparseVec(0)"
@@ -165,19 +155,6 @@ class RatMatrix:
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    def apply(self, x: SparseVec) -> SparseVec:
-        """Matrix-vector product; x is indexed by column, result by row."""
-        out = {}
-        for i, row in enumerate(self.rows):
-            total = 0
-            for c, v in row.items():
-                xc = x.get(c)
-                if xc:
-                    total += v * xc
-            if total:
-                out[i] = total
-        return SparseVec(out)
 
 
 def _primitive(row: Mapping) -> dict:

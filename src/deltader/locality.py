@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 from .algebras import BasisKey, E, F
 from .dersolve import FamilyBasis
 from .exactlin import RatMatrix, SparseVec, as_scalar, solve_feasible
-from .operators import WindowedMap, WindowTooSmall, evaluate
+from .operators import Window, WindowedMap, WindowTooSmall, evaluate
 
 
 @dataclass(frozen=True)
@@ -37,8 +37,9 @@ class AdditivityWitness:
     rhs: SparseVec  # candidate(x) + candidate(y)
 
 
-def _window_guard(family: FamilyBasis, *elements: SparseVec) -> None:
-    keys = family.window.key_set()
+def _window_guard(w: Window, *elements: SparseVec) -> None:
+    """Raise WindowTooSmall for an element outside the input window ``w``."""
+    keys = w.key_set()
     for el in elements:
         missing = set(el.support()) - keys
         if missing:
@@ -83,7 +84,7 @@ def _match_system(basis: Sequence[WindowedMap], points: Sequence[SparseVec], tar
 
 def local_feasible_at(candidate, x: SparseVec, family: FamilyBasis) -> LocalReport:
     """Solve sum_k c_k B_k(x) = candidate(x) for the family maps B_k."""
-    _window_guard(family, x)
+    _window_guard(family.window, x)
     result = _match_system(family.basis, [x], [evaluate(candidate, x)])
     return LocalReport((x,), result.feasible, result.solution)
 
@@ -97,7 +98,7 @@ def two_local_feasible_at(
     candidate, x: SparseVec, y: SparseVec, family: FamilyBasis
 ) -> LocalReport:
     """One parameter vector across the joint system at x and y."""
-    _window_guard(family, x, y)
+    _window_guard(family.window, x, y)
     targets = [evaluate(candidate, x), evaluate(candidate, y)]
     result = _match_system(family.basis, [x, y], targets)
     return LocalReport((x, y), result.feasible, result.solution)
@@ -123,7 +124,7 @@ def zero_propagation_scan(
     """
     e_m = SparseVec({E(m): 1})
     e_next = SparseVec({E(m + 1): 1})
-    _window_guard(family, e_m, e_next)
+    _window_guard(family.window, e_m, e_next)
     reports = []
     for c in c_values:
         c = as_scalar(c)
@@ -156,7 +157,7 @@ def wab_f_scan(
         p_lo = q_hi = 0
     k = q_hi - p_lo + m + 1
     probe = SparseVec({F(m): 1, E(m): 1, E(k): 1})
-    _window_guard(family, probe)
+    _window_guard(family.window, probe)
     result = _match_system(family.basis, [probe], [candidate_value_at_fm])
     return LocalReport((probe,), result.feasible, result.solution)
 

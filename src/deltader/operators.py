@@ -137,14 +137,6 @@ class WindowedMap:
                 flat[column_index[(i, k)]] = c
         return SparseVec(flat)
 
-    def restricted(self, keys) -> "WindowedMap":
-        """Restriction to a subset of input keys (same output window)."""
-        keep = tuple(sorted(set(keys) & self.window.key_set()))
-        return WindowedMap(
-            Window(keep, self.window.out_keys),
-            {k: self.image[k] for k in keep},
-        )
-
     def __add__(self, other: "WindowedMap") -> "WindowedMap":
         if self.window != other.window:
             raise ValueError("window mismatch")
@@ -155,10 +147,6 @@ class WindowedMap:
 
     def scaled(self, factor) -> "WindowedMap":
         return WindowedMap(self.window, {k: v.scaled(factor) for k, v in self.image.items()})
-
-
-def identity_map(w: Window) -> WindowedMap:
-    return WindowedMap(w, {k: SparseVec({k: 1}) for k in w.keys})
 
 
 def commutator(a: WindowedMap, b: WindowedMap) -> WindowedMap:

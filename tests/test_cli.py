@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from deltader import acceptance, algebras, cli
 from deltader.cli import main
 from deltader.literals import format_element
-from deltader.locality import deterministic_sample
+from deltader.locality import LocalReport, deterministic_sample
 
 
 def read_json(path):
@@ -212,8 +212,19 @@ class TestLocalCommands:
             (["two-local", "--map", "thin-nabla", "--y", "e1"], "provide both --x and --y, or neither"),
             (["two-local", "--map", "thin-nabla", "--x", "e1+", "--y", "e2"], "expected a term"),
             (["local", "--map", "thin-delta", "--x", "e1+"], "expected a term"),
+            (
+                ["two-local", "--map", "thin-nabla", "--x", "e1", "--y", "e30"],
+                "element uses [e30] outside the family window",
+            ),
+            (
+                ["two-local", "--map", "thin-nabla", "--x", "e1", "--y", "f2"],
+                "element uses [f2] outside the family window",
+            ),
         ],
-        ids=["x-without-y", "y-without-x", "two-local-bad-x", "local-bad-x"],
+        ids=[
+            "x-without-y", "y-without-x", "two-local-bad-x", "local-bad-x",
+            "y-past-window", "y-f-key",
+        ],
     )
     def test_usage_errors_come_before_the_solve(self, monkeypatch, capsys, argv, message):
         def no_solve(*args):
@@ -251,6 +262,24 @@ class TestCounterexamplesCommand:
         # the sample of the solv record's full window
         w = acceptance.acceptance_window(algebras.solv_abelian())
         assert results["sampleSize"] == len(deterministic_sample(w.keys))
+
+    @pytest.mark.parametrize(
+        "name, infeasible",
+        [
+            ("check_local", lambda *args: [LocalReport((), False)]),
+            ("two_local_feasible_at", lambda *args: LocalReport((), False)),
+        ],
+        ids=["local", "two-local"],
+    )
+    def test_thin_infeasible_half_is_a_property_failure(
+        self, tmp_path, monkeypatch, capsys, name, infeasible
+    ):
+        # the feasible half of each thin counterexample is certified too
+        monkeypatch.setattr(cli, name, infeasible)
+        out = tmp_path / "r.json"
+        assert main(["counterexamples", "--algebra", "thin", "--json", str(out)]) == 1
+        assert "confirmed=False" in capsys.readouterr().out
+        assert read_json(out)["results"]["nonadditivity"]["nonadditive"] is True
 
     @pytest.mark.parametrize(
         "algebra, fields", [("thin", ("probeWitness", "firstWitness")), ("solv", ("witness",))]

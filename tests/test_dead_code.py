@@ -1,22 +1,16 @@
 """No helper that nothing calls: every function and method defined in
-``src/deltader`` is referred to by some module there, or is named below."""
+``src/deltader`` is referred to by some module there, or is one that the
+benchmark binds by name (``perfbench/tracing.py``'s ``TRACED``). Code that
+only tests use lives in the tests."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "deltader"
+from test_perfbench_bindings import _tracing
 
-# Definitions that no module in src/ refers to, and why each stays.
-ALLOWED = {
-    "assemble": "perfbench binds it by name (TRACED)",
-    "nullspace": "perfbench binds it by name (TRACED)",
-    "RatMatrix.apply": "the reference solver's, retired with it (ROADMAP item 2)",
-    "SparseVec.dot": "the reference solver's, retired with it (ROADMAP item 2)",
-    "identity_map": "the reference solver's, retired with it (ROADMAP item 2)",
-    "WindowedMap.restricted": "the reference of the interior-restriction test",
-}
+SRC = Path(__file__).resolve().parent.parent / "src" / "deltader"
 
 
 def _definitions(body, owner=""):
@@ -63,4 +57,5 @@ def test_the_guard_sees_unused_definitions(source, dead):
 
 def test_every_helper_is_used_or_allowed():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
-    assert unreferenced(sources) == set(ALLOWED)
+    traced = {name.split(".")[-1] for name, _, _ in _tracing().TRACED}
+    assert unreferenced(sources) <= traced

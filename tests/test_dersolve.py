@@ -32,12 +32,12 @@ from deltader.operators import (
     Window,
     WindowTooSmall,
     WindowedMap,
-    identity_map,
     materialize,
     window_from_ranges,
 )
 
 from test_exactlin import reference_nullspace
+from test_operators import identity_map
 
 HALF = Fraction(1, 2)
 
@@ -415,9 +415,9 @@ class TestCompareFamilies:
         solved = solve_half_derivations(alg, w)
         family = expected_family(alg, w)
         report = compare_families(solved, family, 0)
-        assert report.expected_contained and report.solved_interior_contained
+        assert report.expected_contained is True
+        assert report.solved_interior_contained is True
         assert report.dim_solved == report.dim_expected == report.dim_interior == 6
-        assert report.offending_vectors == ()
 
     def test_boundary_junk_absorbed_by_margin(self):
         # Append a vector supported only at the boundary input key; a margin
@@ -451,8 +451,7 @@ class TestCompareFamilies:
         )
         corrupted = type(family)(w, family.basis[:4] + (bad_map,) + family.basis[5:])
         report = compare_families(solved, corrupted, 0)
-        assert not report.expected_contained
-        assert any(stage == "expected" for stage, _ in report.offending_vectors)
+        assert report.expected_contained is False
 
     def test_interior_keys_margins(self):
         w = window_from_ranges(wab(0, 0), (-3, 3), (-6, 6))
@@ -470,16 +469,20 @@ class TestCompareFamilies:
 
 def interior_reference(solved, expected, margin):
     """``(expected_contained, solved_interior_contained, dim_interior)``, with
-    each map cut down by ``WindowedMap.restricted`` and flattened on the
-    inner window's own columns."""
+    each map restricted to the inner input keys as a map of the inner window
+    and flattened on that window's own columns."""
     w = solved.window
     columns = {col: i for i, col in enumerate(w.columns())}
     space = RowSpace(m.as_vector(columns) for m in solved.basis)
     expected_contained = all(space.contains(m.as_vector(columns)) for m in expected.basis)
-    inner = interior_input_keys(w, margin)
-    inner_columns = {col: i for i, col in enumerate(Window(inner, w.out_keys).columns())}
-    expected_space = RowSpace(m.restricted(inner).as_vector(inner_columns) for m in expected.basis)
-    restricted = [m.restricted(inner).as_vector(inner_columns) for m in solved.basis]
+    inner = Window(interior_input_keys(w, margin), w.out_keys)
+    inner_columns = {col: i for i, col in enumerate(inner.columns())}
+
+    def restrict(m):
+        return WindowedMap(inner, {k: m.image[k] for k in inner.keys}).as_vector(inner_columns)
+
+    expected_space = RowSpace(map(restrict, expected.basis))
+    restricted = list(map(restrict, solved.basis))
     return (
         expected_contained,
         all(map(expected_space.contains, restricted)),

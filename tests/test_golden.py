@@ -5,7 +5,15 @@ from pathlib import Path
 
 import pytest
 
+from deltader.algebras import AlgebraSpec, wab
 from deltader.cli import main
+from deltader.dersolve import HALF, derivation_pairs
+from deltader.exactlin import SparseVec
+from deltader.literals import parse_element, parse_range, parse_scalar
+from deltader.operators import WindowedMap, window_from_ranges
+
+from test_dersolve import residual_reference
+from test_exactlin import reference_nullspace
 
 DATA = Path(__file__).parent / "data"
 
@@ -39,6 +47,54 @@ def test_solve_report_matches_golden(tmp_path, name, argv):
     code, got = run_to_bytes(tmp_path, ["solve", *argv])
     assert code == 0
     assert got == (DATA / name).read_bytes()
+
+
+def column_components(rows, ncols):
+    """``(columns, rows)`` per connected component of the columns, joined by
+    the rows' supports; a column in no row is a component of its own."""
+    root = list(range(ncols))
+
+    def find(c):
+        while root[c] != c:
+            c = root[c] = root[root[c]]
+        return c
+
+    for row in rows:
+        first, *rest = row
+        for c in rest:
+            root[find(c)] = find(first)
+    components = {find(c): ([], []) for c in range(ncols)}
+    for c in range(ncols):
+        components[find(c)][0].append(c)
+    for row in rows:
+        components[find(next(iter(row)))][1].append(row)
+    return list(components.values())
+
+
+@pytest.mark.parametrize("path", sorted(DATA.glob("golden_solve_*.json")), ids=lambda p: p.name)
+def test_solve_golden_basis_is_the_dense_reference_nullspace(path):
+    # the equations come from ``residual_at``, not from the solver's tables
+    report = json.loads(path.read_text())
+    echo = report["inputsEcho"]
+    if echo["algebra"] == "wab":
+        alg = wab(parse_scalar(echo["a"]), parse_scalar(echo["b"]))
+    else:
+        alg = AlgebraSpec(echo["algebra"])
+    w = window_from_ranges(alg, parse_range(echo["in"]), parse_range(echo["out"]))
+    matrix = residual_reference(alg, HALF, w, derivation_pairs(alg, w.keys))
+    reference = []
+    for columns, rows in column_components(matrix.rows, matrix.ncols):
+        grid = [[row.get(c, 0) for c in columns] for row in rows]
+        for v in reference_nullspace(grid, len(columns)):
+            reference.append(SparseVec({columns[i]: x for i, x in v.items()}))
+    # the canonical order: by free column, the last of each vector's support
+    reference.sort(key=lambda v: v.support()[-1])
+    index = {col: i for i, col in enumerate(w.columns())}
+    golden = [
+        WindowedMap(w, {parse_element(k).support()[0]: parse_element(v) for k, v in m.items()})
+        for m in report["results"]["basis"]
+    ]
+    assert [m.as_vector(index) for m in golden] == reference
 
 
 def test_counterexamples_report_matches_golden(tmp_path):

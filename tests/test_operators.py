@@ -23,12 +23,15 @@ from deltader.operators import (
     WindowedMap,
     commutator,
     evaluate,
-    identity_map,
     materialize,
     window_from_ranges,
 )
 
 HALF = Fraction(1, 2)
+
+
+def identity_map(w):
+    return WindowedMap(w, {k: SparseVec({k: 1}) for k in w.keys})
 
 
 class TestWindow:
