@@ -70,7 +70,7 @@ def _read_config(path: str) -> dict:
         raise CliError("--config path is empty")
     try:
         text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte, or not UTF-8
         raise CliError(f"cannot read config {path}: {exc}") from None
     config = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -170,6 +170,8 @@ def _check_outputs(args) -> None:
             continue
         if not path:
             raise CliError(f"{flag} path is empty")
+        if "\0" in path:
+            raise CliError(f"cannot write {path!r}: embedded null byte")
         target = Path(path)
         if target.is_dir():
             raise CliError(f"cannot write {path}: Is a directory")

@@ -112,14 +112,17 @@ def format_element(v: SparseVec) -> str:
     return "".join(parts)
 
 
-def _parse_list(text: str) -> tuple:
+def _items(text: str, brackets: str, form: str) -> list:
+    """The comma-separated items between ``brackets``; none when blank."""
     text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError(f"expected [..] list: {text!r}", 0)
+    if not (text.startswith(brackets[0]) and text.endswith(brackets[1])):
+        raise ParseError(f"expected {form}: {text!r}", 0)
     body = text[1:-1].strip()
-    if not body:
-        return ()
-    return tuple(parse_scalar(p) for p in body.split(","))
+    return body.split(",") if body else []
+
+
+def _parse_list(text: str) -> tuple:
+    return tuple(parse_scalar(p) for p in _items(text, "[]", "[..] list"))
 
 
 def _parse_int(text: str) -> int:
@@ -130,24 +133,44 @@ def _parse_int(text: str) -> int:
 
 
 def _parse_int_map(text: str) -> dict:
-    text = text.strip()
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ParseError(f"expected {{t:v,..}} map: {text!r}", 0)
-    body = text[1:-1].strip()
     out = {}
-    if not body:
-        return out
-    for part in body.split(","):
+    for part in _items(text, "{}", "{t:v,..} map"):
         if ":" not in part:
             raise ParseError(f"expected t:v entry: {part!r}", 0)
         t, v = part.split(":", 1)
-        out[_parse_int(t)] = parse_scalar(v)
+        t = _parse_int(t)
+        if t in out:
+            raise ParseError(f"repeated key {t} in {text.strip()!r}", 0)
+        out[t] = parse_scalar(v)
     return out
 
 
-def _parse_fields(body: str, sep: str, names: Tuple[str, ...]) -> dict:
-    """``name=value`` fields separated by ``sep``; only the given names."""
-    fields = {}
+# Operator head -> (class, field separator, fields). A field is (name in the
+# literal, constructor argument, parser, formatter, default text). A fixed map
+# has no separator and no fields, and is written as the bare head.
+_LIST = (_parse_list, lambda values: f"[{','.join(map(str, values))}]", "[]")
+_MAP = (
+    _parse_int_map, lambda m: "{" + ",".join(f"{t}:{v}" for t, v in sorted(m.items())) + "}", "{}"
+)
+_LITERALS = {
+    "shift": (
+        ShiftOp, ",", (("t", "t", _parse_int, str, "0"), ("w", "weight", parse_scalar, str, "1"))
+    ),
+    "thin": (ThinHalfDer, ";", (("a", "alpha", *_LIST), ("b", "beta", *_LIST))),
+    "solv": (SolvHalfDer, ";", (("a", "alpha", *_LIST),)),
+    "wab": (WabHalfDer, ";", (("a", "alpha", *_MAP), ("b", "beta", *_MAP))),
+    "thin-delta": (ThinLocalDelta, None, ()),
+    "solv-deltabar": (SolvDeltaBar, None, ()),
+    "thin-nabla": (ThinNabla, None, ()),
+}
+_HEAD_OF = {cls: head for head, (cls, _, _) in _LITERALS.items()}
+
+
+def _parse_fields(body: str, sep: str, fields) -> dict:
+    """Constructor arguments from ``name=value`` parts separated by ``sep``:
+    each name at most once and one of ``fields``, an absent one its default."""
+    names = [name for name, *_ in fields]
+    given = {}
     for part in body.split(sep):
         if not part:
             continue
@@ -157,8 +180,10 @@ def _parse_fields(body: str, sep: str, names: Tuple[str, ...]) -> dict:
         name = name.strip()
         if name not in names:
             raise ParseError(f"unknown field {name!r}; expected one of {', '.join(names)}", 0)
-        fields[name] = value
-    return fields
+        if name in given:
+            raise ParseError(f"field {name!r} given twice", 0)
+        given[name] = value
+    return {arg: parse(given.get(name, default)) for name, arg, parse, _, default in fields}
 
 
 def parse_operator(text: str, alg: AlgebraSpec = None):
@@ -169,68 +194,34 @@ def parse_operator(text: str, alg: AlgebraSpec = None):
     algebra.
     """
     text = text.strip()
-    head = text.split(":", 1)[0]
+    head, colon, body = text.partition(":")
     allowed = [record.name for record in CATALOGUE if head in record.heads]
     if alg is not None and allowed and head not in alg.record.heads:
         raise ParseError(
             f"{head} operators are defined on {', '.join(allowed)}, not on {alg.label()}", 0
         )
-    if text == "thin-delta":
-        return ThinLocalDelta()
-    if text == "solv-deltabar":
-        return SolvDeltaBar()
-    if text == "thin-nabla":
-        return ThinNabla()
-    if ":" not in text:
+    row = _LITERALS.get(head)
+    if not colon and (row is None or row[2]):
         raise ParseError(f"unknown operator literal: {text!r}", 0)
-    head, body = text.split(":", 1)
-    if head == "shift":
-        fields = _parse_fields(body, ",", ("t", "w"))
-        t = _parse_int(fields.get("t", "0"))
-        w = parse_scalar(fields.get("w", "1"))
-        if alg is not None:
-            try:
-                return ShiftOp(t, w, alg)
-            except ValueError as exc:
-                raise ParseError(str(exc), 0) from None
-        return ShiftOp(t, w)
-    if head == "thin":
-        sections = _parse_fields(body, ";", ("a", "b"))
-        return ThinHalfDer(
-            alpha=_parse_list(sections.get("a", "[]")),
-            beta=_parse_list(sections.get("b", "[]")),
-        )
-    if head == "solv":
-        sections = _parse_fields(body, ";", ("a",))
-        return SolvHalfDer(alpha=_parse_list(sections.get("a", "[]")))
-    if head == "wab":
-        sections = _parse_fields(body, ";", ("a", "b"))
-        return WabHalfDer(
-            alpha=_parse_int_map(sections.get("a", "{}")),
-            beta=_parse_int_map(sections.get("b", "{}")),
-        )
-    raise ParseError(f"unknown operator kind: {head!r}", 0)
+    if colon and (row is None or not row[2]):
+        raise ParseError(f"unknown operator kind: {head!r}", 0)
+    cls, sep, fields = row
+    args = _parse_fields(body, sep, fields)
+    if cls is ShiftOp and alg is not None:
+        args["algebra"] = alg
+    try:
+        return cls(**args)
+    except ValueError as exc:
+        raise ParseError(str(exc), 0) from None
 
 
 def format_operator(op) -> str:
-    """Canonical operator literal: kind tag plus sorted coefficient lists."""
-    if isinstance(op, ThinLocalDelta):
-        return "thin-delta"
-    if isinstance(op, SolvDeltaBar):
-        return "solv-deltabar"
-    if isinstance(op, ThinNabla):
-        return "thin-nabla"
-    if isinstance(op, ShiftOp):
-        return f"shift:t={op.t},w={op.weight}"
-    if isinstance(op, ThinHalfDer):
-        a = ",".join(str(x) for x in op.alpha)
-        b = ",".join(str(x) for x in op.beta)
-        return f"thin:a=[{a}];b=[{b}]"
-    if isinstance(op, SolvHalfDer):
-        a = ",".join(str(x) for x in op.alpha)
-        return f"solv:a=[{a}]"
-    if isinstance(op, WabHalfDer):
-        a = ",".join(f"{t}:{v}" for t, v in sorted(op.alpha.items()))
-        b = ",".join(f"{t}:{v}" for t, v in sorted(op.beta.items()))
-        return f"wab:a={{{a}}};b={{{b}}}"
-    raise TypeError(f"no literal form for {type(op).__name__}")
+    """Canonical operator literal: the head, then each field formatted."""
+    head = _HEAD_OF.get(type(op))
+    if head is None:
+        raise TypeError(f"no literal form for {type(op).__name__}")
+    _, sep, fields = _LITERALS[head]
+    if not fields:
+        return head
+    parts = (f"{name}={fmt(getattr(op, arg))}" for name, arg, _, fmt, _ in fields)
+    return f"{head}:{sep.join(parts)}"

@@ -12,13 +12,14 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .algebras import BasisKey, E, F
 from .dersolve import FamilyBasis
 from .exactlin import RatMatrix, SparseVec, as_scalar, solve_feasible
-from .operators import Window, WindowedMap, WindowTooSmall, evaluate
+from .operators import Window, WindowTooSmall, evaluate
 
 
 @dataclass(frozen=True)
@@ -46,21 +47,24 @@ def _window_guard(w: Window, *elements: SparseVec) -> None:
             raise WindowTooSmall(f"element uses {sorted(missing)} outside the family window")
 
 
-def _match_system(basis: Sequence[WindowedMap], points: Sequence[SparseVec], targets: Sequence[SparseVec]):
-    """Feasibility of sum_k c_k * basis[k](points[j]) = targets[j] for every j
-    with one parameter vector c.
+def _match(family: FamilyBasis, points: Sequence[SparseVec], target_at) -> LocalReport:
+    """Feasibility of sum_k c_k * basis[k](points[j]) = target_at(points[j])
+    for every j with one parameter vector c, for basis = family.basis. A point
+    outside the family window raises WindowTooSmall before any target is read.
 
     There is one row per (point, output key). Rows are read straight from the
     tabulated images: basis[k](z) at key o is sum_i z_i * basis[k](e_i)[o].
     Point j's equations are scaled on both sides by d_j, the lcm of the
-    denominators of z and of targets[j]: c is unchanged, and every entry is an
+    denominators of z and of its target: c is unchanged, and every entry is an
     int wherever the images are. A Farkas certificate u' is one of the scaled
     system, supported on its inconsistent row prefix; it certifies the
     unscaled system as u_i = d_j * u'_i on point j's rows.
     """
+    _window_guard(family.window, *points)
+    basis = family.basis
     rows: dict = {}
     rhs = {}
-    for j, (z, target) in enumerate(zip(points, targets)):
+    for j, (z, target) in enumerate(zip(points, map(target_at, points))):
         d = lcm(*[v.denominator for v in (*z._entries.values(), *target._entries.values())])
         terms = [(key, zc.numerator * (d // zc.denominator)) for key, zc in z._entries.items()]
         for k, m in enumerate(basis):
@@ -79,14 +83,13 @@ def _match_system(basis: Sequence[WindowedMap], points: Sequence[SparseVec], tar
     coords = list(rows)
     matrix = RatMatrix(tuple({k: v for k, v in rows[c].items() if v} for c in coords), len(basis))
     b = SparseVec({i: rhs[c] for i, c in enumerate(coords) if c in rhs})
-    return solve_feasible(matrix, b)
+    result = solve_feasible(matrix, b)
+    return LocalReport(tuple(points), result.feasible, result.solution)
 
 
 def local_feasible_at(candidate, x: SparseVec, family: FamilyBasis) -> LocalReport:
     """Solve sum_k c_k B_k(x) = candidate(x) for the family maps B_k."""
-    _window_guard(family.window, x)
-    result = _match_system(family.basis, [x], [evaluate(candidate, x)])
-    return LocalReport((x,), result.feasible, result.solution)
+    return _match(family, (x,), partial(evaluate, candidate))
 
 
 def check_local(candidate, family: FamilyBasis, elements: Sequence[SparseVec]) -> List[LocalReport]:
@@ -98,10 +101,7 @@ def two_local_feasible_at(
     candidate, x: SparseVec, y: SparseVec, family: FamilyBasis
 ) -> LocalReport:
     """One parameter vector across the joint system at x and y."""
-    _window_guard(family.window, x, y)
-    targets = [evaluate(candidate, x), evaluate(candidate, y)]
-    result = _match_system(family.basis, [x, y], targets)
-    return LocalReport((x, y), result.feasible, result.solution)
+    return _match(family, (x, y), partial(evaluate, candidate))
 
 
 def zero_propagation_scan(
@@ -125,13 +125,8 @@ def zero_propagation_scan(
     e_m = SparseVec({E(m): 1})
     e_next = SparseVec({E(m + 1): 1})
     _window_guard(family.window, e_m, e_next)
-    reports = []
-    for c in c_values:
-        c = as_scalar(c)
-        probe = SparseVec({E(m + 1): 1, E(m): -c})
-        result = _match_system(family.basis, [probe], [candidate_value_at_next])
-        reports.append(LocalReport((probe,), result.feasible, result.solution))
-    return reports
+    probes = (SparseVec({E(m + 1): 1, E(m): -as_scalar(c)}) for c in c_values)
+    return [_match(family, (probe,), lambda _: candidate_value_at_next) for probe in probes]
 
 
 def wab_f_scan(
@@ -157,9 +152,7 @@ def wab_f_scan(
         p_lo = q_hi = 0
     k = q_hi - p_lo + m + 1
     probe = SparseVec({F(m): 1, E(m): 1, E(k): 1})
-    _window_guard(family.window, probe)
-    result = _match_system(family.basis, [probe], [candidate_value_at_fm])
-    return LocalReport((probe,), result.feasible, result.solution)
+    return _match(family, (probe,), lambda _: candidate_value_at_fm)
 
 
 def certify_nonadditive(candidate, x: SparseVec, y: SparseVec) -> AdditivityWitness:

@@ -127,7 +127,9 @@ class TestCheckMapCommand:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("literal", ["shift:t", "shift:t=x", "thin:a", "wab:a={x:1}"])
+    @pytest.mark.parametrize(
+        "literal", ["shift:t", "shift:t=x", "thin:a", "wab:a={x:1}", "shift:t=1,t=2"]
+    )
     def test_malformed_operator_is_usage_error(self, literal, capsys):
         code = main(
             ["check-map", "--algebra", "wittz", "--in", "-3..3", "--out", "-6..6",
@@ -389,13 +391,32 @@ class TestConfigAndErrors:
     @pytest.mark.parametrize(
         "command", [["solve", "--algebra", "wittz", "--in", "-2..2"], ["verify-all", "--quick"]]
     )
-    @pytest.mark.parametrize("bad", [".", "missing/dims.tsv"])
+    @pytest.mark.parametrize("bad", [".", "missing/dims.tsv", "dims\0.tsv"])
     def test_usage_error_leaves_no_report(self, tmp_path, capsys, command, bad):
         out = tmp_path / "r.json"
         code = main(command + ["--json", str(out), "--tsv", str(tmp_path / bad)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: cannot write ")
         assert not out.exists()
+
+    def test_config_path_with_a_nul_byte_is_usage_error(self, capsys):
+        assert main(["solve", "--config", "run\0.cfg"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read config ")
+
+    @pytest.mark.parametrize("key", ["json", "tsv"])
+    def test_output_path_with_a_nul_byte_exits_before_the_solve(
+        self, tmp_path, monkeypatch, capsys, key
+    ):
+        def no_solve(*args):
+            pytest.fail("the family was solved before a usage error")
+
+        monkeypatch.setattr(cli, "solve_half_derivations", no_solve)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(f"{key}=a\0b\n")
+        code = main(["solve", "--algebra", "wittz", "--in", "-2..2", "--config", "run.cfg"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: cannot write ")
+        assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     def test_missing_algebra_is_usage_error(self):
         assert main(["solve", "--in", "1..3"]) == 2

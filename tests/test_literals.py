@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltader.algebras import E, F, witt_pos, witt_z
+from deltader import literals
+from deltader.algebras import CATALOGUE, E, F, witt_one_sided, witt_pos, witt_z
 from deltader.exactlin import SparseVec
 from deltader.literals import (
     ParseError,
@@ -143,6 +144,30 @@ class TestOperatorLiterals:
         with pytest.raises(ParseError):
             parse_operator(text, witt_z())
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("nonsense", "unknown operator literal: 'nonsense'"),
+            ("shift", "unknown operator literal: 'shift'"),
+            ("thin-delta:", "unknown operator kind: 'thin-delta'"),
+            ("bogus:a=[1]", "unknown operator kind: 'bogus'"),
+            ("shift:q=1", "unknown field 'q'; expected one of t, w"),
+            ("shift:t=1,t=2", "field 't' given twice"),
+            ("shift:t=1, t =1", "field 't' given twice"),
+            ("thin:a=[1];a=[2]", "field 'a' given twice"),
+            ("solv:a=[1];a=[1]", "field 'a' given twice"),
+            ("wab:a={1:1,1:2}", "repeated key 1 in '{1:1,1:2}'"),
+            ("wab:b={0:1,+0:1}", "repeated key 0 in '{0:1,+0:1}'"),
+        ],
+    )
+    def test_error_messages(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_operator(text)
+        assert str(err.value) == f"{message} (at position 0)"
+
+    def test_the_table_has_a_row_for_every_catalogued_head(self):
+        assert set(literals._LITERALS) == {head for record in CATALOGUE for head in record.heads}
+
     def test_blank_after_separator_is_accepted(self):
         assert parse_operator("wab:a={1:1};") == WabHalfDer(alpha={1: 1})
         assert parse_operator("shift:t=2, w=3/4", witt_z()) == ShiftOp(2, Fraction(3, 4), witt_z())
@@ -156,6 +181,26 @@ class TestOperatorLiterals:
             parse_operator("bogus:a=[1]")
         with pytest.raises(ParseError):
             parse_operator("nonsense")
+
+
+scalar_st = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+coeffs_st = st.lists(scalar_st, max_size=4).map(tuple)
+int_map_st = st.dictionaries(st.integers(-6, 6), scalar_st, max_size=4)
+one_sided = (witt_pos(), witt_one_sided())
+operator_st = st.one_of(
+    st.builds(ShiftOp, st.integers(-6, 6), scalar_st, st.just(witt_z())),
+    st.builds(ShiftOp, st.integers(0, 6), scalar_st, st.sampled_from(one_sided)),
+    st.builds(ThinHalfDer, coeffs_st, coeffs_st),
+    st.builds(SolvHalfDer, coeffs_st),
+    st.builds(WabHalfDer, int_map_st, int_map_st),
+    st.sampled_from([ThinLocalDelta(), SolvDeltaBar(), ThinNabla()]),
+)
+
+
+@given(operator_st)
+@settings(max_examples=200)
+def test_operator_format_parse_roundtrip(op):
+    assert parse_operator(format_operator(op), getattr(op, "algebra", None)) == op
 
 
 class TestScalarsAndRanges:

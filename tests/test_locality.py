@@ -1,5 +1,6 @@
 """Local and 2-local feasibility, propagation scans, counterexamples."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -148,6 +149,13 @@ class TestTwoLocalFeasibility:
         assert params_match(family, report.params, x, evaluate(nabla, x))
         assert params_match(family, report.params, y, evaluate(nabla, y))
 
+    @pytest.mark.parametrize("y, outside", [(E(30), "[e30]"), (F(2), "[f2]")])
+    def test_point_outside_the_window_is_refused_before_evaluation(self, thin_family, y, outside):
+        # thin-delta is undefined at f2: the guard must come before the candidate is read
+        alg, w, family = thin_family
+        with pytest.raises(WindowTooSmall, match=re.escape(f"element uses {outside} outside")):
+            two_local_feasible_at(ThinLocalDelta(), SparseVec({E(1): 1}), SparseVec({y: 1}), family)
+
     @given(lam=st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool))
     @settings(max_examples=15, deadline=None)
     def test_homogeneity_pairs_feasible(self, lam):
@@ -181,6 +189,11 @@ class TestZeroPropagationScan:
         reports = zero_propagation_scan(SparseVec({E(2): 1}), 1, range(1, 8), family)
         assert not any(r.feasible for r in reports)
 
+    def test_next_key_outside_the_window_raises_without_c_values(self, thin_family):
+        alg, w, family = thin_family
+        with pytest.raises(WindowTooSmall, match=re.escape("[e11]")):
+            zero_propagation_scan(SparseVec(), 10, (), family)
+
 
 class TestWabFScan:
     def test_zero_value_feasible(self, wab_family):
@@ -196,6 +209,11 @@ class TestWabFScan:
     def test_scaled_f_value_infeasible(self, wab_family):
         alg, w, family = wab_family
         assert not wab_f_scan(SparseVec({F(0): 3}), 0, family).feasible
+
+    def test_probe_outside_the_window_raises(self, wab_family):
+        alg, w, family = wab_family
+        with pytest.raises(WindowTooSmall, match=re.escape("[e4]")):
+            wab_f_scan(SparseVec({F(3): 1}), 3, family)
 
     def test_rejects_e_support(self, wab_family):
         alg, w, family = wab_family
