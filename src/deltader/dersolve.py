@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebras import AlgebraSpec, BasisKey, Term, bracket, bracket_vec, degree, structure_table
@@ -66,6 +66,13 @@ class FamilyBasis:
 
     def __len__(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def reach(self) -> Dict[BasisKey, frozenset]:
+        """Per input key, the output keys that some basis image reaches there;
+        built on first use and left out of equality."""
+        images = [m.image for m in self.basis]
+        return {k: frozenset().union(*(im[k]._entries for im in images)) for k in self.window.keys}
 
 
 @dataclass(frozen=True)

@@ -59,13 +59,27 @@ def _match(family: FamilyBasis, points: Sequence[SparseVec], target_at) -> Local
     int wherever the images are. A Farkas certificate u' is one of the scaled
     system, supported on its inconsistent row prefix; it certifies the
     unscaled system as u_i = d_j * u'_i on point j's rows.
+
+    Before any row is built, the targets are compared with ``family.reach``.
+    At the first point whose target has a key o that no image reaches there,
+    row (j, o) is 0 = b, an inconsistent system by itself: the query is
+    decided by that one row, whose certificate lifts by the same d_j rule.
     """
     _window_guard(family.window, *points)
-    basis = family.basis
-    rows: dict = {}
+    basis, reach = family.basis, family.reach
+    scales = []
     rhs = {}
     for j, (z, target) in enumerate(zip(points, map(target_at, points))):
         d = lcm(*[v.denominator for v in (*z._entries.values(), *target._entries.values())])
+        reached = set().union(*(reach[key] for key in z._entries))
+        for o, v in target._entries.items():
+            rhs[(j, o)] = v.numerator * (d // v.denominator)
+            if o not in reached:
+                result = solve_feasible(RatMatrix(({},), len(basis)), SparseVec({0: rhs[(j, o)]}))
+                return LocalReport(tuple(points), result.feasible, result.solution)
+        scales.append(d)
+    rows: dict = {}
+    for j, (z, d) in enumerate(zip(points, scales)):
         terms = [(key, zc.numerator * (d // zc.denominator)) for key, zc in z._entries.items()]
         for k, m in enumerate(basis):
             image = m.image
@@ -76,10 +90,6 @@ def _match(family: FamilyBasis, points: Sequence[SparseVec], target_at) -> Local
                         rows[(j, o)] = row = {}
                     prev = row.get(k)
                     row[k] = zc * v if prev is None else prev + zc * v
-        for o, v in target._entries.items():
-            rhs[(j, o)] = v.numerator * (d // v.denominator)
-    for c in rhs:
-        rows.setdefault(c, {})
     coords = list(rows)
     matrix = RatMatrix(tuple({k: v for k, v in rows[c].items() if v} for c in coords), len(basis))
     b = SparseVec({i: rhs[c] for i, c in enumerate(coords) if c in rhs})

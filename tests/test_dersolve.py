@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from deltader import dersolve
 from deltader.algebras import E, F, degree, solv_abelian, thin, wab, witt_one_sided, witt_pos, witt_z
 from deltader.dersolve import (
+    FamilyBasis,
     assemble,
     check_delta_derivation,
     compare_families,
@@ -406,6 +407,30 @@ class TestExpectedFamily:
         w = Window(tuple(E(i) for i in range(0, 3)), tuple(E(i) for i in (-2, -1, 0, 1, 2, 4)))
         with pytest.raises(SupportOverflow):
             expected_family(alg, w)
+
+
+class TestReach:
+    @pytest.mark.parametrize(
+        "alg, ranges",
+        [(thin(), ((1, 8), (1, 10))), (wab(0, -1), ((-3, 3), (-6, 6)))],
+        ids=["thin", "wab"],
+    )
+    def test_reach_is_the_union_of_image_supports(self, alg, ranges):
+        family = solve_half_derivations(alg, window_from_ranges(alg, *ranges))
+        assert list(family.reach) == list(family.window.keys)
+        for key in family.window.keys:
+            supports = (m.image[key].support() for m in family.basis)
+            assert family.reach[key] == frozenset().union(*supports)
+
+    def test_reach_is_built_once_and_ignored_by_equality(self):
+        alg = thin()
+        family = solve_half_derivations(alg, window_from_ranges(alg, (1, 6), (1, 8)))
+        other = FamilyBasis(family.window, family.basis)
+        reach = family.reach
+        assert family.reach is reach
+        assert "reach" not in vars(other)
+        assert family == other
+        assert other.reach == reach and other.reach is not reach
 
 
 class TestCompareFamilies:

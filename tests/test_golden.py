@@ -164,6 +164,18 @@ def test_locality_report_matches_golden(tmp_path, name, argv):
     assert all(p["params"] is not None for p in points)
 
 
+def test_unreached_target_local_report_matches_golden(tmp_path):
+    # no family image reaches f5 from e0, so the one point is infeasible: exit 1
+    argv = ["local", "--algebra", "wab", "--a", "0", "--b", "-1", "--in", "-3..3", "--out", "-6..6",
+            "--map", "wab:b={5:1}", "--x", "e0"]
+    code, got = run_to_bytes(tmp_path, argv)
+    assert code == 1
+    assert got == (DATA / "golden_local_wab_unreachable.json").read_bytes()
+    results = json.loads(got)["results"]
+    assert results["elements"] == [{"element": "e0", "feasible": False, "params": None}]
+    assert results["allFeasible"] is False
+
+
 def test_goldens_are_valid_reports():
     for name in (
         *(n for n, _ in SOLVE_GOLDENS),
@@ -172,6 +184,7 @@ def test_goldens_are_valid_reports():
         "golden_check_map_thin_delta.json",
         "golden_verify_all.json",
         *(n for n, _ in LOCALITY_GOLDENS),
+        "golden_local_wab_unreachable.json",
     ):
         report = json.loads((DATA / name).read_text())
         assert report["schemaVersion"] == "1"

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from deltader import locality
 from deltader.algebras import E, F, solv_abelian, thin, wab, witt_pos, witt_z
-from deltader.dersolve import expected_family, solve_half_derivations
-from deltader.exactlin import SparseVec, solve_feasible
+from deltader.dersolve import FamilyBasis, expected_family, solve_half_derivations
+from deltader.exactlin import RatMatrix, SparseVec, solve_feasible
 from deltader.locality import (
     certify_nonadditive,
     check_local,
@@ -245,6 +245,34 @@ def checked_solves(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def solved_systems(checked_solves, monkeypatch):
+    """``(matrix, b, result)`` of every system locality solves, each checked
+    as in ``checked_solves``."""
+    systems = []
+    checked = locality.solve_feasible
+
+    def record(matrix, b):
+        result = checked(matrix, b)
+        systems.append((matrix, b, result))
+        return result
+
+    monkeypatch.setattr(locality, "solve_feasible", record)
+    return systems
+
+
+def full_system(family, points, targets):
+    """The unscaled match system ``(matrix, b)``: row ``j * len(out) + i`` is
+    point j's equation at the i-th output key, unreached keys included."""
+    out = family.window.out_keys
+    rows = []
+    for z in points:
+        values = [m.evaluate(z) for m in family.basis]
+        rows.extend({k: v.get(o) for k, v in enumerate(values) if o in v} for o in out)
+    b = {j * len(out) + i: t.get(o) for j, t in enumerate(targets) for i, o in enumerate(out)}
+    return RatMatrix.from_rows(rows, len(family.basis)), SparseVec(b)
+
+
 def _params(report):
     return None if report.params is None else report.params.entries
 
@@ -342,6 +370,95 @@ class TestIntSystems:
             if report.feasible:
                 for z in report.points:
                     assert params_match(family, report.params, z, evaluate(candidate, z))
+
+
+class TestUnreachedTargets:
+    """A target key that no family image reaches at its point decides the
+    query with one row, before any elimination."""
+
+    def test_one_row_certificate_lifts_to_the_full_system(self, wab_family, solved_systems):
+        alg, w, family = wab_family
+        assert F(5) not in family.reach[E(0)]
+        image = {k: SparseVec() for k in w.keys}
+        image[E(1)] = family.basis[0].image[E(1)]
+        image[E(0)] = SparseVec({E(0): 1, F(5): Fraction(3, 4)})
+        candidate = WindowedMap(w, image)
+        x, y = SparseVec({E(1): 1}), SparseVec({E(0): HALF})
+        for points, report in (
+            ((y,), local_feasible_at(candidate, y, family)),
+            ((x, y), two_local_feasible_at(candidate, x, y, family)),
+        ):
+            assert not report.feasible and report.params is None
+            matrix, b, result = solved_systems[-1]
+            assert matrix.rows == ({},)
+            # y's target is e0/2 + 3/8 f5, so d = 8 scales the f5 entry to 3
+            assert b == SparseVec({0: 3})
+            targets = [evaluate(candidate, z) for z in points]
+            full, full_b = full_system(family, points, targets)
+            row = (len(points) - 1) * len(w.out_keys) + w.out_keys.index(F(5))
+            u = SparseVec({row: 8 * result.certificate.get(0)})
+            for col in range(full.ncols):
+                assert sum(u.get(i) * r.get(col, 0) for i, r in enumerate(full.rows)) == 0
+            assert dot(u, full_b) == 1
+            assert not solve_feasible(full, full_b).feasible
+        assert len(solved_systems) == 2
+
+    @pytest.mark.parametrize(
+        "value, params", [({E(3): 1}, None), ({E(4): 1}, {0: 1})], ids=["e3", "e4"]
+    )
+    def test_a_row_that_cancels_still_goes_through_elimination(
+        self, solved_systems, value, params
+    ):
+        # member(e1 - e2) = 2 e4: e3 is reached by support, but its row sums to 0
+        w = window_from_ranges(thin(), (1, 3), (1, 4))
+        zero = {k: SparseVec() for k in w.keys}
+        images = {E(1): SparseVec({E(3): 1, E(4): 1}), E(2): SparseVec({E(3): 1, E(4): -1})}
+        family = FamilyBasis(w, (WindowedMap(w, {**zero, **images}),))
+        z = SparseVec({E(1): 1, E(2): -1})
+        assert E(3) in family.reach[E(1)]
+        candidate = WindowedMap(w, {**zero, E(1): SparseVec(value), E(2): SparseVec(value).scaled(-1)})
+        report = local_feasible_at(candidate, z, family)
+        [(matrix, b, result)] = solved_systems
+        assert matrix.rows == ({}, {0: 2})
+        full, full_b = full_system(family, (z,), (evaluate(candidate, z),))
+        expected = solve_feasible(full, full_b)
+        assert (report.feasible, _params(report)) == (expected.feasible, params)
+        assert expected.solution == report.params
+
+
+class TestMatchesTheFullSystem:
+    """Verdicts and params equal those of the unscaled system with a row for
+    every (point, output key), unreached ones included."""
+
+    @pytest.mark.parametrize("name", ["thin_family", "solv_family", "wab_family"])
+    @given(data=st.data())
+    @settings(
+        max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_local_and_two_local(self, name, request, checked_solves, data):
+        alg, w, family = request.getfixturevalue(name)
+
+        def vec(keys):
+            terms = st.dictionaries(st.sampled_from(keys), COEFFS, min_size=1, max_size=3)
+            return SparseVec(data.draw(terms))
+
+        x, y = vec(w.keys), vec(w.keys)
+        mix = data.draw(st.dictionaries(st.integers(0, len(family.basis) - 1), COEFFS, max_size=3))
+        image = {
+            k: sum((family.basis[i].image[k].scaled(c) for i, c in mix.items()), SparseVec())
+            for k in w.keys
+        }
+        # moved off the family at output keys the family never reaches from k
+        for k in data.draw(st.lists(st.sampled_from(x.support() + y.support()), max_size=2)):
+            image[k] = image[k] + vec(sorted(set(w.out_keys) - family.reach[k]) or w.out_keys)
+        candidate = WindowedMap(w, image)
+        for points, report in (
+            ((x,), local_feasible_at(candidate, x, family)),
+            ((x, y), two_local_feasible_at(candidate, x, y, family)),
+        ):
+            full, b = full_system(family, points, [evaluate(candidate, z) for z in points])
+            expected = solve_feasible(full, b)
+            assert (report.feasible, report.params) == (expected.feasible, expected.solution)
 
 
 class TestNonadditivity:
