@@ -42,7 +42,7 @@ from .operators import (
     WindowTooSmall,
     KeyOutsideWindow,
     evaluate,
-    materialize,
+    require_inside,
 )
 
 HALF = Fraction(1, 2)
@@ -59,13 +59,34 @@ class ConstraintSystem:
 
 @dataclass(frozen=True)
 class FamilyBasis:
-    """A list of windowed maps spanning a space of candidate derivations."""
+    """A basis of a space of candidate derivations on a window, as column
+    vectors over ``window.columns()``: entry ``i*n + j``, ``n =
+    len(window.out_keys)``, is the coefficient of ``out_keys[j]`` in the
+    image of ``keys[i]``. Unhashable, as ``SparseVec`` is.
+
+    ``basis`` holds the same maps as ``WindowedMap``s, for evaluating and
+    printing; it is built on first use and left out of equality.
+    """
 
     window: Window
-    basis: Tuple[WindowedMap, ...]
+    vectors: Tuple[SparseVec, ...]
+
+    __hash__ = None
 
     def __len__(self) -> int:
-        return len(self.basis)
+        return len(self.vectors)
+
+    @cached_property
+    def basis(self) -> Tuple[WindowedMap, ...]:
+        keys, out_keys = self.window.keys, self.window.out_keys
+        n = len(out_keys)
+        maps = []
+        for v in self.vectors:
+            images: Dict[BasisKey, Dict[BasisKey, Scalar]] = {k: {} for k in keys}
+            for col, value in v._entries.items():
+                images[keys[col // n]][out_keys[col % n]] = value
+            maps.append(WindowedMap(self.window, images))
+        return tuple(maps)
 
     @cached_property
     def reach(self) -> Dict[BasisKey, frozenset]:
@@ -171,7 +192,8 @@ class _GradedEquations:
     Its units are the pairs with an equation there, ordered by ``min(|deg
     x|, |deg y|)`` (pairs with a generator first) and then canonically; a
     unit's rows are its equations at the coordinates of degree ``t + deg x +
-    deg y``, in increasing order.
+    deg y``, in increasing order. The units of every pair are held once, in
+    that order, and each block streams its own from them (``units_at``).
 
     With ``delta = num/den`` the equation of (x, y) at z is ``den`` times
     the condition, ``den*phi([x, y]) - num*([phi(x), y] + [x, phi(y)])`` at
@@ -206,19 +228,19 @@ class _GradedEquations:
             slot[z] = self.width.get(deg[z], 0)
             self.width[deg[z]] = slot[z] + 1
 
-        def graded(z, *keys):
-            if deg[z] != sum(deg[k] for k in keys):
-                raise ValueError(f"degree is not a grading of {alg.label()} at {list(keys)}")
-            return z
+        def not_graded(*keys):
+            return ValueError(f"degree is not a grading of {alg.label()} at {list(keys)}")
 
         def grouped(k, table):
             """deg o -> [(j, slot of z, -num*c)] over the o = out_keys[j] with table[j] = (z, c)."""
             groups: Dict[int, list] = {}
+            dk = deg[k]
             for j, (o, term) in enumerate(zip(out_keys, table)):
                 if term is not None and num:
                     z, c = term
-                    entry = (j, slot[graded(z, o, k)], -num * c)
-                    groups.setdefault(deg[o], []).append(entry)
+                    if deg[z] != deg[o] + dk:
+                        raise not_graded(o, k)
+                    groups.setdefault(deg[o], []).append((j, slot[z], -num * c))
             return groups
 
         o_k = {k: grouped(k, table) for k, table in o_k.items()}
@@ -229,18 +251,27 @@ class _GradedEquations:
         # Column of (k, out_keys[j]) is first_col[k] + j.
         first_col = {k: i * len(out_keys) for i, k in enumerate(w.keys)}
         self.shifts = [deg[o] - deg[k] for k in w.keys for o in out_keys]
-        self.units: Dict[int, list] = {t: [] for t in sorted(set(self.shifts))}
+        self.units = []
         for k1, k2 in sorted(self.pair_list, key=lambda p: min(abs(deg[p[0]]), abs(deg[p[1]]))):
             d1, d2 = deg[k1], deg[k2]
-            touched = {d - d1 for d in o_k[k2]}.union(d - d2 for d in k_o[k1])
             s_col = cs = None
             if brackets[k1, k2] is not None:
                 s, cs = brackets[k1, k2]
-                s_col, cs = first_col[graded(s, k1, k2)], den * cs
-                touched.update(d - d1 - d2 for d in self.out_at)
-            unit = (o_k[k2], k_o[k1], d1, d2, first_col[k1], first_col[k2], s_col, cs)
-            for t in touched:
-                self.units[t].append(unit)
+                if deg[s] != d1 + d2:
+                    raise not_graded(k1, k2)
+                s_col, cs = first_col[s], den * cs
+            self.units.append((o_k[k2], k_o[k1], d1, d2, first_col[k1], first_col[k2], s_col, cs))
+
+    def units_at(self, t: int):
+        """The units with an equation in block t, streamed in pair order: a
+        unit is kept when [phi(x), y] or [x, phi(y)] has an entry of shift t,
+        or when [x, y] is nonzero and some output key has degree ``t + deg x
+        + deg y``."""
+        out_at = self.out_at
+        for unit in self.units:
+            o_k, k_o, d1, d2, _, _, s_col, _ = unit
+            if t + d1 in o_k or t + d2 in k_o or (s_col is not None and t + d1 + d2 in out_at):
+                yield unit
 
     def rows(self, t: int, unit) -> list:
         """The unit's nonzero rows in block t, by increasing coordinate."""
@@ -281,12 +312,14 @@ class _GradedEquations:
         return values
 
     def blocks(self):
-        """``(columns, units, rows, residuals)`` of every block, by increasing shift."""
-        columns: Dict[int, list] = {t: [] for t in self.units}
+        """``(columns, units, rows, residuals)`` of every block, by increasing
+        shift; the units are ``units_at``'s stream, so a block that reaches
+        full rank never enumerates the rest."""
+        columns: Dict[int, list] = {t: [] for t in sorted(set(self.shifts))}
         for col, t in enumerate(self.shifts):
             columns[t].append(col)
-        for t, units in self.units.items():
-            yield tuple(columns[t]), units, partial(self.rows, t), partial(self.residuals, t)
+        for t, cols in columns.items():
+            yield tuple(cols), self.units_at(t), partial(self.rows, t), partial(self.residuals, t)
 
 
 def assemble(alg: AlgebraSpec, delta, w: Window) -> ConstraintSystem:
@@ -314,18 +347,6 @@ def assemble(alg: AlgebraSpec, delta, w: Window) -> ConstraintSystem:
     return ConstraintSystem(w, matrix, equations.pair_list)
 
 
-def _maps_from_vectors(w: Window, vectors) -> List[WindowedMap]:
-    columns = w.columns()
-    maps = []
-    for v in vectors:
-        images: Dict[BasisKey, Dict[BasisKey, Scalar]] = {k: {} for k in w.keys}
-        for col, value in v.entries.items():
-            in_key, out_key = columns[col]
-            images[in_key][out_key] = value
-        maps.append(WindowedMap(w, {k: SparseVec(img) for k, img in images.items()}))
-    return maps
-
-
 def solve_derivations(alg: AlgebraSpec, w: Window, delta) -> FamilyBasis:
     """Windowed space of delta-derivations, solved block by block on demand.
 
@@ -337,8 +358,7 @@ def solve_derivations(alg: AlgebraSpec, w: Window, delta) -> FamilyBasis:
     tables, and for the pair's rows only when a residual is nonzero.
     """
     equations = _GradedEquations(alg, as_scalar(delta), w)
-    vectors = nullspace_by_blocks(equations.blocks())
-    return FamilyBasis(w, tuple(_maps_from_vectors(w, vectors)))
+    return FamilyBasis(w, tuple(nullspace_by_blocks(equations.blocks())))
 
 
 def solve_half_derivations(alg: AlgebraSpec, w: Window) -> FamilyBasis:
@@ -394,8 +414,8 @@ _GENERATORS = {
 
 
 def expected_family(alg: AlgebraSpec, w: Window) -> FamilyBasis:
-    """Materializations of the closed-form generators that fit the window,
-    without those that vanish on it.
+    """The closed-form generators that fit the window, without those that
+    vanish on it, each written as a column vector from its own ``value_at``.
 
     Witt family: shifts (t >= the record's ``least_shift``). Thin: unit alpha
     and beta generators. Solvable: unit alpha generators. W(a, b): shift and
@@ -406,8 +426,20 @@ def expected_family(alg: AlgebraSpec, w: Window) -> FamilyBasis:
     """
     generators = _GENERATORS[alg.record.heads[0]]
     candidates = generators(alg, _index_bounds(w.keys, "e"), _index_bounds(w.out_keys, "e"))
-    maps = (materialize(op, w) for op in candidates)
-    return FamilyBasis(w, tuple(m for m in maps if any(m.image.values())))
+    n = len(w.out_keys)
+    out_col = {o: j for j, o in enumerate(w.out_keys)}
+    vectors = []
+    for op in candidates:
+        flat = {}
+        for i, k in enumerate(w.keys):
+            image = op.value_at(k)._entries
+            for o, c in image.items():
+                if o not in out_col:
+                    require_inside(k, image, out_col)
+                flat[i * n + out_col[o]] = c
+        if flat:
+            vectors.append(SparseVec(flat))
+    return FamilyBasis(w, tuple(vectors))
 
 
 def interior_input_keys(w: Window, margin: int) -> Tuple[BasisKey, ...]:
@@ -429,35 +461,34 @@ def compare_families(
 ) -> ComparisonReport:
     """Span comparison of solved and expected families.
 
-    ``expected_contained`` checks exact span membership of every expected map
-    in the solved space. ``solved_interior_contained`` restricts both sides
-    to input keys at least ``interior_margin`` away from the input-window
-    boundary and checks the reverse containment there, discarding truncation
-    artifacts that live near the boundary. The report holds the two verdicts
-    and the three dimensions; it does not name the maps that fail.
+    Both work on the families' column vectors, in window-wide ``RowSpace``s.
+    ``expected_contained`` checks exact span membership of every expected
+    vector in the solved space. ``solved_interior_contained`` restricts both
+    sides to input keys at least ``interior_margin`` away from the
+    input-window boundary, keeping the entries whose input row ``col //
+    len(out_keys)`` is such a key, and checks the reverse containment there,
+    discarding truncation artifacts that live near the boundary. The report
+    holds the two verdicts and the three dimensions; it does not name the
+    maps that fail.
     """
     if solved.window != expected.window:
         raise ValueError("families must share a window")
     w = solved.window
-    columns = w.columns()
-    col_index = {col: i for i, col in enumerate(columns)}
-    solved_vecs = [m.as_vector(col_index) for m in solved.basis]
-    expected_vecs = [m.as_vector(col_index) for m in expected.basis]
-
+    n = len(w.out_keys)
     inner = set(interior_input_keys(w, interior_margin))
-    inner_cols = {i for i, (k, _) in enumerate(columns) if k in inner}
+    inner_rows = {i for i, k in enumerate(w.keys) if k in inner}
 
     def interior(v: SparseVec) -> SparseVec:
-        return SparseVec({i: c for i, c in v.entries.items() if i in inner_cols})
+        return SparseVec({c: x for c, x in v._entries.items() if c // n in inner_rows})
 
-    restricted_vecs = list(map(interior, solved_vecs))
+    restricted_vecs = list(map(interior, solved.vectors))
     return ComparisonReport(
-        expected_contained=all(map(RowSpace(solved_vecs).contains, expected_vecs)),
+        expected_contained=all(map(RowSpace(solved.vectors).contains, expected.vectors)),
         solved_interior_contained=all(
-            map(RowSpace(map(interior, expected_vecs)).contains, restricted_vecs)
+            map(RowSpace(map(interior, expected.vectors)).contains, restricted_vecs)
         ),
         interior_margin=interior_margin,
-        dim_solved=len(solved.basis),
-        dim_expected=span_dim(expected_vecs),
+        dim_solved=len(solved),
+        dim_expected=span_dim(expected.vectors),
         dim_interior=span_dim(restricted_vecs),
     )

@@ -91,6 +91,13 @@ def window_from_ranges(
     return window(expand(*in_range), expand(*out_range))
 
 
+def require_inside(key: BasisKey, image: Mapping, out_keys) -> None:
+    """Raise SupportOverflow when the image of ``key`` has a key outside ``out_keys``."""
+    escaped = image.keys() - out_keys
+    if escaped:
+        raise SupportOverflow(f"image of {key} reaches {sorted(escaped)} outside the output window")
+
+
 def _extend_linearly(value_at, v: SparseVec) -> SparseVec:
     """sum_k v_k * value_at(k), accumulated in one dict."""
     out: dict = {}
@@ -102,10 +109,13 @@ def _extend_linearly(value_at, v: SparseVec) -> SparseVec:
 
 @dataclass(frozen=True)
 class WindowedMap:
-    """A linear map given by images of the input-window keys."""
+    """A linear map given by images of the input-window keys; unhashable,
+    as its images are a dict."""
 
     window: Window
     image: Mapping[BasisKey, SparseVec]
+
+    __hash__ = None
 
     def __post_init__(self):
         img = {k: (v if isinstance(v, SparseVec) else SparseVec(v)) for k, v in self.image.items()}
@@ -113,11 +123,7 @@ class WindowedMap:
             raise ValueError("image must be defined exactly on the input window")
         out = self.window.out_key_set()
         for k, v in img.items():
-            escaped = v._entries.keys() - out
-            if escaped:
-                raise SupportOverflow(
-                    f"image of {k} reaches {sorted(escaped)} outside the output window"
-                )
+            require_inside(k, v._entries, out)
         object.__setattr__(self, "image", img)
 
     def value_at(self, key: BasisKey) -> SparseVec:
@@ -128,14 +134,6 @@ class WindowedMap:
 
     def evaluate(self, v: SparseVec) -> SparseVec:
         return _extend_linearly(self.value_at, v)
-
-    def as_vector(self, column_index: Mapping) -> SparseVec:
-        """Flatten to a coefficient vector over (input, output) column indices."""
-        flat = {}
-        for i in self.image:
-            for k, c in self.image[i].entries.items():
-                flat[column_index[(i, k)]] = c
-        return SparseVec(flat)
 
     def __add__(self, other: "WindowedMap") -> "WindowedMap":
         if self.window != other.window:

@@ -12,7 +12,7 @@ from deltader.exactlin import SparseVec
 from deltader.literals import parse_element, parse_range, parse_scalar
 from deltader.operators import WindowedMap, window_from_ranges
 
-from test_dersolve import residual_reference
+from test_dersolve import flatten, residual_reference
 from test_exactlin import reference_nullspace
 
 DATA = Path(__file__).parent / "data"
@@ -89,12 +89,11 @@ def test_solve_golden_basis_is_the_dense_reference_nullspace(path):
             reference.append(SparseVec({columns[i]: x for i, x in v.items()}))
     # the canonical order: by free column, the last of each vector's support
     reference.sort(key=lambda v: v.support()[-1])
-    index = {col: i for i, col in enumerate(w.columns())}
     golden = [
         WindowedMap(w, {parse_element(k).support()[0]: parse_element(v) for k, v in m.items()})
         for m in report["results"]["basis"]
     ]
-    assert [m.as_vector(index) for m in golden] == reference
+    assert [flatten(m) for m in golden] == reference
 
 
 def test_counterexamples_report_matches_golden(tmp_path):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from deltader import locality
 from deltader.algebras import E, F, solv_abelian, thin, wab, witt_pos, witt_z
-from deltader.dersolve import FamilyBasis, expected_family, solve_half_derivations
+from deltader.dersolve import expected_family, solve_half_derivations
 from deltader.exactlin import RatMatrix, SparseVec, solve_feasible
 from deltader.locality import (
     certify_nonadditive,
@@ -30,6 +30,7 @@ from deltader.operators import (
     window_from_ranges,
 )
 
+from test_dersolve import family_of
 from test_exactlin import apply, dot
 from test_operators import identity_map
 
@@ -413,7 +414,7 @@ class TestUnreachedTargets:
         w = window_from_ranges(thin(), (1, 3), (1, 4))
         zero = {k: SparseVec() for k in w.keys}
         images = {E(1): SparseVec({E(3): 1, E(4): 1}), E(2): SparseVec({E(3): 1, E(4): -1})}
-        family = FamilyBasis(w, (WindowedMap(w, {**zero, **images}),))
+        family = family_of(w, [WindowedMap(w, {**zero, **images})])
         z = SparseVec({E(1): 1, E(2): -1})
         assert E(3) in family.reach[E(1)]
         candidate = WindowedMap(w, {**zero, E(1): SparseVec(value), E(2): SparseVec(value).scaled(-1)})
