@@ -53,7 +53,6 @@ from .operators import (
     ThinNabla,
     SolvDeltaBar,
     WindowTooSmall,
-    WindowedMap,
     materialize,
     window_from_ranges,
 )
@@ -188,10 +187,6 @@ def _tsv_text(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _serialize_map(m: WindowedMap) -> dict:
-    return {str(k): format_element(m.image[k]) for k in m.window.keys}
-
-
 def _serialize_witness(witness) -> Optional[dict]:
     """A violation witness as pair and residual; None when there is none."""
     if witness is None:
@@ -245,7 +240,10 @@ def _cmd_solve(args) -> int:
         "expectedContained": report.expected_contained,
         "interiorMargin": report.interior_margin,
         "solvedInteriorContained": report.solved_interior_contained,
-        "basis": [_serialize_map(m) for m in solved.basis],
+        "basis": [
+            {str(k): format_element(image) for k, image in solved.images(v).items()}
+            for v in solved.vectors
+        ],
     }
     _write_report(args, "solve", _echo_inputs(args, alg), results)
     if args.tsv_path is not None:

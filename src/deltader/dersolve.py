@@ -64,8 +64,9 @@ class FamilyBasis:
     len(window.out_keys)``, is the coefficient of ``out_keys[j]`` in the
     image of ``keys[i]``. Unhashable, as ``SparseVec`` is.
 
-    ``basis`` holds the same maps as ``WindowedMap``s, for evaluating and
-    printing; it is built on first use and left out of equality.
+    ``basis`` holds the same maps as ``WindowedMap``s, for evaluating; it is
+    built on first use and left out of equality. ``images`` reads one
+    vector's images without building a map, for printing.
     """
 
     window: Window
@@ -76,17 +77,20 @@ class FamilyBasis:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    @cached_property
-    def basis(self) -> Tuple[WindowedMap, ...]:
+    def images(self, v: SparseVec) -> Dict[BasisKey, SparseVec]:
+        """Per input key, its image under the map whose column vector is
+        ``v``: entry ``col`` is the coefficient of ``out_keys[col % n]`` in the
+        image of ``keys[col // n]``."""
         keys, out_keys = self.window.keys, self.window.out_keys
         n = len(out_keys)
-        maps = []
-        for v in self.vectors:
-            images: Dict[BasisKey, Dict[BasisKey, Scalar]] = {k: {} for k in keys}
-            for col, value in v._entries.items():
-                images[keys[col // n]][out_keys[col % n]] = value
-            maps.append(WindowedMap(self.window, images))
-        return tuple(maps)
+        images: Dict[BasisKey, Dict[BasisKey, Scalar]] = {k: {} for k in keys}
+        for col, value in v._entries.items():
+            images[keys[col // n]][out_keys[col % n]] = value
+        return {k: SparseVec(image) for k, image in images.items()}
+
+    @cached_property
+    def basis(self) -> Tuple[WindowedMap, ...]:
+        return tuple(WindowedMap(self.window, self.images(v)) for v in self.vectors)
 
     @cached_property
     def reach(self) -> Dict[BasisKey, frozenset]:
@@ -201,8 +205,9 @@ class _GradedEquations:
     from ``structure_table``, whose constants carry that scale, built once:
     ``-num*[o, y]`` and ``-num*[x, o]`` over the output keys o, grouped by
     deg o, for every key y and x of a pair, and ``den*[x, y]`` for every
-    pair. A unit's rows are built by ``rows`` and evaluated on vectors by
-    ``residuals``, which builds no row.
+    pair. A unit's rows are built by ``rows``; ``first_cut`` scans a block's
+    stream for the first unit whose rows are nonzero on some vector,
+    evaluating them from the tables without building a row.
     """
 
     def __init__(self, alg: AlgebraSpec, delta: Scalar, w: Window):
@@ -291,35 +296,42 @@ class _GradedEquations:
             if any(row.values())
         ]
 
-    def residuals(self, t: int, unit, probes) -> list:
-        """For each probe, the values of the unit's rows in block t on it."""
-        o_k, k_o, d1, d2, col1, col2, s_col, cs = unit
-        d = t + d1 + d2
-        out = self.out_at.get(d, ()) if s_col is not None else ()
-        group1 = o_k.get(t + d1, ())
-        group2 = k_o.get(t + d2, ())
-        width = self.width[d]
-        values = []
-        for p in probes:
-            r = [0] * width
-            for j, i in out:
-                r[i] += cs * p[s_col + j]
-            for j, i, c in group1:
-                r[i] += c * p[col1 + j]
-            for j, i, c in group2:
-                r[i] += c * p[col2 + j]
-            values.append(r)
-        return values
+    def first_cut(self, t: int, units, probes):
+        """The first of ``units`` whose rows in block t are nonzero on some
+        probe, or None: each row's value is summed straight from the tables,
+        one coordinate slot at a time."""
+        out_at, width = self.out_at, self.width
+        for unit in units:
+            o_k, k_o, d1, d2, col1, col2, s_col, cs = unit
+            d = t + d1 + d2
+            out = out_at.get(d, ()) if s_col is not None else ()
+            group1 = o_k.get(t + d1, ())
+            group2 = k_o.get(t + d2, ())
+            for slot in range(width[d]):
+                for p in probes:
+                    value = 0
+                    for j, i in out:
+                        if i == slot:
+                            value += cs * p[s_col + j]
+                    for j, i, c in group1:
+                        if i == slot:
+                            value += c * p[col1 + j]
+                    for j, i, c in group2:
+                        if i == slot:
+                            value += c * p[col2 + j]
+                    if value:
+                        return unit
+        return None
 
     def blocks(self):
-        """``(columns, units, rows, residuals)`` of every block, by increasing
+        """``(columns, units, rows, first_cut)`` of every block, by increasing
         shift; the units are ``units_at``'s stream, so a block that reaches
         full rank never enumerates the rest."""
         columns: Dict[int, list] = {t: [] for t in sorted(set(self.shifts))}
         for col, t in enumerate(self.shifts):
             columns[t].append(col)
         for t, cols in columns.items():
-            yield tuple(cols), self.units_at(t), partial(self.rows, t), partial(self.residuals, t)
+            yield tuple(cols), self.units_at(t), partial(self.rows, t), partial(self.first_cut, t)
 
 
 def assemble(alg: AlgebraSpec, delta, w: Window) -> ConstraintSystem:
@@ -333,8 +345,9 @@ def assemble(alg: AlgebraSpec, delta, w: Window) -> ConstraintSystem:
     full: block by block in increasing shift, and in each block pair by pair.
     ``solve_derivations`` asks the same generator for every pair's rows
     while a block's nullity is above ``TESTED_NULLITY`` and, after that,
-    only for the rows of the rare pairs that cut the null space, testing the
-    others from the tables, so it never builds this matrix;
+    only for the rows of the rare pairs that cut the null space, which
+    ``first_cut`` finds by scanning the rest from the tables, so it never
+    builds this matrix;
     ``nullspace(assemble(...).matrix)`` solves it in one elimination and is
     its basis. Column ``i`` is the unknown ``w.columns()[i]``.
     """
@@ -353,9 +366,11 @@ def solve_derivations(alg: AlgebraSpec, w: Window, delta) -> FamilyBasis:
     The basis is ``nullspace(assemble(alg, delta, w).matrix)``, solved
     without building that matrix: ``exactlin.nullspace_by_blocks`` asks each
     block for the rows of a pair while the block's nullity is above
-    ``TESTED_NULLITY``. After that it first asks for the pair's residuals on
-    the block's null vectors, read straight from the structure-constant
-    tables, and for the pair's rows only when a residual is nonzero.
+    ``TESTED_NULLITY``. After that the block's ``first_cut`` scans the
+    remaining pairs on the block's null vectors, straight from the
+    structure-constant tables, and only the first pair that is nonzero on one
+    of them has its rows built; the scan then goes on from the next pair. The
+    null vectors of the last scan, which found no cut, are the basis.
     """
     equations = _GradedEquations(alg, as_scalar(delta), w)
     return FamilyBasis(w, tuple(nullspace_by_blocks(equations.blocks())))

@@ -13,7 +13,8 @@ is reduced by integer row operations by one kernel, which serves echelon
 forms, nullspaces, span membership and feasibility alike. Results are read
 off the unreduced echelon form by one integer back-substitution, which
 serves null vectors and solutions alike; ``Fraction`` appears only in its
-last division, once per entry of a basis vector or unknown of a solution.
+last division, once per entry of a basis vector where that division is not
+exact, and once per unknown of a solution.
 """
 
 from __future__ import annotations
@@ -265,45 +266,56 @@ def _back_substitute(pivots: dict, free) -> dict:
     return v
 
 
-def _block_nullspace(units, columns, rows, residuals) -> dict:
+def _canonical(v: dict, free) -> dict:
+    """The int null vector ``v`` divided by its entry at ``free``: an entry
+    stays an int where the division is exact, and is a Fraction otherwise."""
+    d = v[free]
+    if d == 1:
+        return v
+    return {c: x // d if not x % d else Fraction(x, d) for c, x in v.items()}
+
+
+def _block_nullspace(units, columns, rows, first_cut) -> dict:
     """Free column -> canonical null vector (1 at the free column, 0 at every
     other) of the rows of one block, supported in ``columns``.
 
-    The rows come in units. ``rows(unit)`` builds a unit's rows, and
-    ``residuals(unit, probes)`` evaluates them on vectors without building
-    them: for each probe, the list of the rows' dot products with it.
+    The rows come in units, read once each from the iterable ``units``.
+    ``rows(unit)`` builds a unit's rows. ``first_cut(units, probes)`` reads
+    on from the same stream without building rows and returns the first
+    unit whose rows are nonzero on some probe, or None once the stream ends.
 
     The block keeps one echelon form. While its nullity is above
-    ``TESTED_NULLITY``, every unit's rows enter it. After that, each unit is
-    first tested by its residuals on the probes, the null vectors of the rows
-    so far, dense over ``columns``. A unit orthogonal to every probe lies in
-    ``(U^perp)^perp = U``, the span of the rows so far, and is skipped; any
-    other unit cuts the null space, so its rows are built and inserted like
-    any other, and the probes are read again. Reading stops at full rank.
-    The echelon form then spans all the rows, and the canonical basis is read
-    off it.
+    ``TESTED_NULLITY``, checked before each unit is read, every unit's rows
+    enter it. After that the probes are the null vectors of the rows so far,
+    dense over ``columns``, and the rest of the stream is scanned for the
+    first unit that cuts them. A unit orthogonal to every probe lies in
+    ``(U^perp)^perp = U``, the span of the rows so far, and is passed over.
+    The cutting unit's rows are built and inserted like any other, the probes
+    are read again, and the scan goes on from the next unit. Reading stops
+    at full rank. When a scan finds no cut, the echelon form spans all the
+    rows, so the probes are the block's null vectors, and each is divided by
+    its entry at its free column. A stream that ends while the nullity is
+    still above ``TESTED_NULLITY`` is never scanned; its null vectors are
+    read off the echelon form once, in the same way.
     """
-    width = len(columns)
     pivots: dict = {}
-    probes = None
-    for unit in units:
-        if width - len(pivots) <= TESTED_NULLITY:
-            if probes is None:
-                zero = dict.fromkeys(columns, 0)
-                probes = [zero | _back_substitute(pivots, f) for f in columns if f not in pivots]
-            if not probes:
-                break
-            if not any(map(any, residuals(unit, probes))):
-                continue
-            probes = None
+    units = iter(units)
+    while len(columns) - len(pivots) > TESTED_NULLITY:
+        unit = next(units, None)
+        if unit is None:
+            return {f: _canonical(_back_substitute(pivots, f), f) for f in columns if f not in pivots}
         for row in rows(unit):
             _insert(_primitive(row), pivots)
-    basis = {}
-    for free in columns:
-        if free not in pivots:
-            v = _back_substitute(pivots, free)
-            basis[free] = {c: Fraction(x, v[free]) for c, x in v.items()}
-    return basis
+    zero = dict.fromkeys(columns, 0)
+    while True:
+        nulls = {f: _back_substitute(pivots, f) for f in columns if f not in pivots}
+        if not nulls:
+            return {}
+        unit = first_cut(units, [zero | v for v in nulls.values()])
+        if unit is None:
+            return {f: _canonical(v, f) for f, v in nulls.items()}
+        for row in rows(unit):
+            _insert(_primitive(row), pivots)
 
 
 def _matrix_rows(row) -> tuple:
@@ -315,9 +327,18 @@ def _matrix_residuals(row, probes) -> list:
     return [[sum(map(mul, row.values(), map(p.__getitem__, row)))] for p in probes]
 
 
+def _matrix_first_cut(rows, probes):
+    """The first of the matrix rows ``rows`` with a nonzero dot product with
+    some probe, or None."""
+    for row in rows:
+        if any(map(any, _matrix_residuals(row, probes))):
+            return row
+    return None
+
+
 def nullspace_by_blocks(blocks: Iterable) -> list:
     """Basis of the null space of a block-diagonal system given block by
-    block, as ``(columns, units, rows, residuals)`` for ``_block_nullspace``.
+    block, as ``(columns, units, rows, first_cut)`` for ``_block_nullspace``.
 
     Vectors are emitted in increasing free-column order; each has entry 1 at
     its free column and 0 at every other, making the basis canonical for a
@@ -325,17 +346,17 @@ def nullspace_by_blocks(blocks: Iterable) -> list:
     union of its blocks' RREFs, so each block is solved alone.
     """
     basis: dict = {}
-    for columns, units, rows, residuals in blocks:
-        basis.update(_block_nullspace(units, columns, rows, residuals))
+    for columns, units, rows, first_cut in blocks:
+        basis.update(_block_nullspace(units, columns, rows, first_cut))
     return [SparseVec(basis[free]) for free in sorted(basis)]
 
 
 def nullspace(matrix: RatMatrix) -> list:
     """Basis of the right nullspace, one SparseVec per free column, as in
     ``nullspace_by_blocks``: the whole matrix solved as one block, each row a
-    unit of its own."""
+    unit of its own, scanned by its dot products with the probes."""
     return nullspace_by_blocks(
-        [(range(matrix.ncols), matrix.rows, _matrix_rows, _matrix_residuals)]
+        [(range(matrix.ncols), matrix.rows, _matrix_rows, _matrix_first_cut)]
     )
 
 

@@ -224,12 +224,11 @@ class ThinHalfDer:
         if j == 2:
             return SparseVec({E(i): b for i, b in enumerate(self.beta, start=2)})
         p = _half_power(j)
-        out = {E(j): (1 - p) * self.alpha_at(1) + p * self.beta_at(2)}
-        for i in range(3, len(self.beta) + 2):
-            b = self.beta_at(i)
+        a1, b2 = self.alpha_at(1), self.beta_at(2)
+        out = {E(j): (1 - p) * a1 + p * b2} if a1 or b2 else {}
+        for i, b in enumerate(self.beta[1:], start=3):
             if b:
-                k = E(i + j - 2)
-                out[k] = out.get(k, 0) + p * b
+                out[E(i + j - 2)] = p * b
         return SparseVec(out)
 
 

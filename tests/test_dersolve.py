@@ -198,6 +198,34 @@ class TestLazySolve:
         grid = [[row.get(c, 0) for c in range(reference.ncols)] for row in reference.rows]
         assert solved == reference_nullspace(grid, reference.ncols)
 
+    def test_units_built_tested_and_cut_on_the_top_ladder_rung(self, monkeypatch):
+        # a unit is built while its block's nullity is above 2, and after that
+        # only when it is the first of the scanned units to cut the probes
+        counts = {"built": 0, "tested": 0, "cut": 0}
+        equations = dersolve._GradedEquations
+        real_rows, real_first_cut = equations.rows, equations.first_cut
+
+        def rows(self, t, unit):
+            counts["built"] += 1
+            return real_rows(self, t, unit)
+
+        def stream(units):
+            for unit in units:
+                counts["tested"] += 1
+                yield unit
+
+        def first_cut(self, t, units, probes):
+            unit = real_first_cut(self, t, stream(units), probes)
+            counts["cut"] += unit is not None
+            return unit
+
+        monkeypatch.setattr(equations, "rows", rows)
+        monkeypatch.setattr(equations, "first_cut", first_cut)
+        alg = witt_z()
+        family = solve_half_derivations(alg, window_from_ranges(alg, (-16, 16), (-48, 48)))
+        assert len(family) == 65
+        assert counts == {"built": 3287, "tested": 24080, "cut": 191}
+
 
 class TestCheckDeltaDerivation:
     def test_shift_passes_on_window(self):

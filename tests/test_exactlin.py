@@ -322,7 +322,7 @@ def by_blocks(rows, blocks):
     """``nullspace_by_blocks`` of the packed ``rows`` in the given blocks,
     each row a unit of its own as in ``nullspace``."""
     return nullspace_by_blocks(
-        (columns, rows[start:stop], exactlin._matrix_rows, exactlin._matrix_residuals)
+        (columns, rows[start:stop], exactlin._matrix_rows, exactlin._matrix_first_cut)
         for columns, start, stop in blocks
     )
 
@@ -357,7 +357,10 @@ class TestBlockNullspace:
             [[r.get(c, 0) for c in range(5)] for r in rows[:5]], 5
         )
 
-    def test_rows_past_full_rank_or_in_the_span_are_not_inserted(self, monkeypatch):
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """``(built, tested)``: the rows built and the rows tested on probes,
+        in the order the kernel reads them."""
         built, tested = [], []
         real_rows, real_residuals = exactlin._matrix_rows, exactlin._matrix_residuals
 
@@ -371,6 +374,10 @@ class TestBlockNullspace:
 
         monkeypatch.setattr(exactlin, "_matrix_rows", counting_rows)
         monkeypatch.setattr(exactlin, "_matrix_residuals", counting_residuals)
+        return built, tested
+
+    def test_rows_past_full_rank_or_in_the_span_are_not_inserted(self, counted):
+        built, tested = counted
         # block (0, 2, 4) has nullity 2 after one row, then a row in the span
         # and two that cut it down to full rank; block (1, 3, 5, 6) has
         # nullity 2 after two rows and 1 after three, and the later rows lie
@@ -388,6 +395,48 @@ class TestBlockNullspace:
         s = len(full)
         assert built == [rows[0], rows[2], rows[3], rows[s], rows[s + 1], rows[s + 2]]
         assert tested == list(rows[1:4] + rows[s + 2 :])
+
+    def test_a_block_of_nullity_two_or_less_tests_its_first_row(self, counted):
+        built, tested = counted
+        # block (0, 1) starts at nullity 2: its first row is tested, cuts and
+        # is built, and the second lies in its span; block (2,) starts at
+        # nullity 1: a zero row is passed over, the next cuts it to full
+        # rank, and the last is not read
+        rows = RatMatrix.from_rows([{0: 2, 1: -2}, {0: -1, 1: 1}, {}, {2: 5}, {2: 1}], 3).rows
+        grid = [[row.get(c, 0) for c in range(3)] for row in rows]
+        assert by_blocks(rows, (((0, 1), 0, 2), ((2,), 2, 5))) == reference_nullspace(grid, 3)
+        assert built == [rows[0], rows[3]]
+        assert tested == list(rows[:4])
+
+    def test_null_vectors_are_back_substituted_once(self, monkeypatch, counted):
+        built, tested = counted
+        scans, substituted = [], []
+        real_first_cut, real_back = exactlin._matrix_first_cut, exactlin._back_substitute
+
+        def counting_first_cut(rows, probes):
+            scans.append(len(probes))
+            return real_first_cut(rows, probes)
+
+        def counting_back(pivots, free):
+            substituted.append(free)
+            return real_back(pivots, free)
+
+        monkeypatch.setattr(exactlin, "_matrix_first_cut", counting_first_cut)
+        monkeypatch.setattr(exactlin, "_back_substitute", counting_back)
+        # block 0..4 ends its rows at nullity 3: it is never scanned, and each
+        # null vector is read off once; block 5..7 reaches nullity 2, and its
+        # one scan finds no cut, so the probes it was given are its basis
+        rows = [{0: 3, 1: 6}, {2: 2, 3: 1, 4: -4}, {5: 1, 6: 1}, {5: -2, 6: -2}]
+        blocks = ((tuple(range(5)), 0, 2), ((5, 6, 7), 2, 4))
+        grid = [[row.get(c, 0) for c in range(8)] for row in rows]
+        assert by_blocks(rows, blocks) == reference_nullspace(grid, 8)
+        assert scans == [2]
+        assert substituted == [1, 3, 4, 6, 7]
+        assert built == rows[:3] and tested == rows[3:]
+        # an entry is an int where the division by the free entry is exact
+        basis = exactlin._block_nullspace(rows[:2], range(5), exactlin._matrix_rows, lambda *_: None)
+        assert basis[1] == {1: 1, 0: -2} and type(basis[1][0]) is int
+        assert basis[3] == {3: 1, 2: Fraction(-1, 2)}
 
 
 class TestFromRows:
