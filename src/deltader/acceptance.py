@@ -142,6 +142,15 @@ def _solve(alg: AlgebraSpec, w: Window) -> FamilyBasis:
     return family
 
 
+def _certify(alg: AlgebraSpec, quick: bool) -> tuple:
+    """``(w, solved, expected, report)``: the acceptance window, its solved
+    and closed-form families, and their comparison at the frozen margin."""
+    w = acceptance_window(alg, quick)
+    solved = _solve(alg, w)
+    expected = expected_family(alg, w)
+    return w, solved, expected, compare_families(solved, expected, alg.record.margin)
+
+
 def _antisymmetric(t12, t21) -> bool:
     """True iff the terms of [k1, k2] and [k2, k1] sum to zero."""
     if t12 is None or t21 is None:
@@ -201,16 +210,13 @@ def criterion_1(quick: bool = False) -> CriterionResult:
 
 
 def _shift_containment(alg: AlgebraSpec, quick: bool, checks: _Checks) -> None:
-    w = acceptance_window(alg, quick)
-    solved = _solve(alg, w)
-    family = expected_family(alg, w)
+    w, _, family, report = _certify(alg, quick)
     pairs = derivation_pairs(alg, w.keys)
     residuals_clean = all(
         not check_delta_derivation(alg, m, HALF, pairs) for m in family.basis
     )
     checks.expect(residuals_clean, f"{alg.label()} all shifts zero residual ({len(family)} shifts)")
-    contained = compare_families(solved, family, alg.record.margin).expected_contained
-    checks.expect(contained, f"{alg.label()} all shifts inside the solved span")
+    checks.expect(report.expected_contained, f"{alg.label()} all shifts inside the solved span")
 
 
 def criterion_2(quick: bool = False) -> CriterionResult:
@@ -232,14 +238,10 @@ def criterion_3(quick: bool = False) -> CriterionResult:
         algebras.solv_abelian(),
     ]
     for alg in catalogue:
-        margin = alg.record.margin
-        w = acceptance_window(alg, quick)
-        solved = _solve(alg, w)
-        family = expected_family(alg, w)
-        report = compare_families(solved, family, margin)
+        report = _certify(alg, quick)[3]
         checks.expect(
             report.expected_contained and report.solved_interior_contained,
-            f"{alg.label()} certified at margin {margin} "
+            f"{alg.label()} certified at margin {report.interior_margin} "
             f"(dims solved/expected/interior {report.dim_solved}/{report.dim_expected}/{report.dim_interior})",
         )
     return CriterionResult(3, "interior completeness at frozen margins", checks.ok, tuple(checks.details))
@@ -250,10 +252,7 @@ def wab_dimension_sweep(quick: bool = False) -> List[dict]:
     rows = []
     for b in range(-3, 4):
         alg = algebras.wab(0, b)
-        w = acceptance_window(alg, quick)
-        solved = _solve(alg, w)
-        family = expected_family(alg, w)
-        report = compare_families(solved, family, alg.record.margin)
+        w, _, _, report = _certify(alg, quick)
         rows.append(
             {
                 "algebra": "wab",
@@ -390,10 +389,7 @@ def criterion_6(quick: bool = False) -> CriterionResult:
 def criterion_7(quick: bool = False) -> CriterionResult:
     checks = _Checks()
     alg = algebras.solv_abelian()
-    w = acceptance_window(alg, quick)
-    solved = _solve(alg, w)
-    family = expected_family(alg, w)
-    report = compare_families(solved, family, alg.record.margin)
+    w, solved, _, report = _certify(alg, quick)
     checks.expect(
         report.expected_contained and report.solved_interior_contained,
         f"interior comparison certifies the unit-vector family (dim {report.dim_solved})",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .algebras import AlgebraSpec, BasisKey, Term, bracket, bracket_vec, degree, structure_table
@@ -205,9 +205,11 @@ class _GradedEquations:
     from ``structure_table``, whose constants carry that scale, built once:
     ``-num*[o, y]`` and ``-num*[x, o]`` over the output keys o, grouped by
     deg o, for every key y and x of a pair, and ``den*[x, y]`` for every
-    pair. A unit's rows are built by ``rows``; ``first_cut`` scans a block's
-    stream for the first unit whose rows are nonzero on some vector,
-    evaluating them from the tables without building a row.
+    pair. ``units_at(t)`` looks a unit's three tables up at shift t once and
+    streams the unit with them. From such a resolved unit ``rows`` builds its
+    rows, and ``first_cut`` scans a block's stream for the first unit whose
+    rows are nonzero on some vector, evaluating them from the unit's tables
+    without building a row.
     """
 
     def __init__(self, alg: AlgebraSpec, delta: Scalar, w: Window):
@@ -268,25 +270,28 @@ class _GradedEquations:
             self.units.append((o_k[k2], k_o[k1], d1, d2, first_col[k1], first_col[k2], s_col, cs))
 
     def units_at(self, t: int):
-        """The units with an equation in block t, streamed in pair order: a
-        unit is kept when [phi(x), y] or [x, phi(y)] has an entry of shift t,
-        or when [x, y] is nonzero and some output key has degree ``t + deg x
-        + deg y``."""
+        """The units with an equation in block t, streamed in pair order and
+        resolved there: ``(d, out, group1, group2, col1, col2, s_col, cs)``,
+        with ``d = t + deg x + deg y`` the degree of the unit's coordinates,
+        ``out`` the output keys of degree d when [x, y] is nonzero, and
+        ``group1`` and ``group2`` the entries of shift t of [phi(x), y] and
+        [x, phi(y)]. A unit is kept when one of the three is not empty."""
         out_at = self.out_at
-        for unit in self.units:
-            o_k, k_o, d1, d2, _, _, s_col, _ = unit
-            if t + d1 in o_k or t + d2 in k_o or (s_col is not None and t + d1 + d2 in out_at):
-                yield unit
+        for o_k, k_o, d1, d2, col1, col2, s_col, cs in self.units:
+            d = t + d1 + d2
+            out = out_at.get(d, ()) if s_col is not None else ()
+            group1 = o_k.get(t + d1, ())
+            group2 = k_o.get(t + d2, ())
+            if out or group1 or group2:
+                yield d, out, group1, group2, col1, col2, s_col, cs
 
-    def rows(self, t: int, unit) -> list:
-        """The unit's nonzero rows in block t, by increasing coordinate."""
-        o_k, k_o, d1, d2, col1, col2, s_col, cs = unit
-        d = t + d1 + d2
+    def rows(self, unit) -> list:
+        """The resolved unit's nonzero rows, by increasing coordinate."""
+        d, out, group1, group2, col1, col2, s_col, cs = unit
         at: List[dict] = [{} for _ in range(self.width[d])]
-        if s_col is not None:
-            for j, i in self.out_at.get(d, ()):
-                at[i][s_col + j] = cs
-        for base, group in ((col1, o_k.get(t + d1, ())), (col2, k_o.get(t + d2, ()))):
+        for j, i in out:
+            at[i][s_col + j] = cs
+        for base, group in ((col1, group1), (col2, group2)):
             for j, i, c in group:
                 row = at[i]
                 row[base + j] = row.get(base + j, 0) + c
@@ -296,31 +301,23 @@ class _GradedEquations:
             if any(row.values())
         ]
 
-    def first_cut(self, t: int, units, probes):
-        """The first of ``units`` whose rows in block t are nonzero on some
-        probe, or None: each row's value is summed straight from the tables,
-        one coordinate slot at a time."""
-        out_at, width = self.out_at, self.width
+    def first_cut(self, units, probes):
+        """The first of the resolved ``units`` whose rows are nonzero on some
+        probe, or None: for each probe, the values of all the unit's rows are
+        summed straight from the unit's tables in one pass."""
+        width = self.width
         for unit in units:
-            o_k, k_o, d1, d2, col1, col2, s_col, cs = unit
-            d = t + d1 + d2
-            out = out_at.get(d, ()) if s_col is not None else ()
-            group1 = o_k.get(t + d1, ())
-            group2 = k_o.get(t + d2, ())
-            for slot in range(width[d]):
-                for p in probes:
-                    value = 0
-                    for j, i in out:
-                        if i == slot:
-                            value += cs * p[s_col + j]
-                    for j, i, c in group1:
-                        if i == slot:
-                            value += c * p[col1 + j]
-                    for j, i, c in group2:
-                        if i == slot:
-                            value += c * p[col2 + j]
-                    if value:
-                        return unit
+            d, out, group1, group2, col1, col2, s_col, cs = unit
+            for p in probes:
+                values = [0] * width[d]
+                for j, i in out:
+                    values[i] += cs * p[s_col + j]
+                for j, i, c in group1:
+                    values[i] += c * p[col1 + j]
+                for j, i, c in group2:
+                    values[i] += c * p[col2 + j]
+                if any(values):
+                    return unit
         return None
 
     def blocks(self):
@@ -331,7 +328,7 @@ class _GradedEquations:
         for col, t in enumerate(self.shifts):
             columns[t].append(col)
         for t, cols in columns.items():
-            yield tuple(cols), self.units_at(t), partial(self.rows, t), partial(self.first_cut, t)
+            yield tuple(cols), self.units_at(t), self.rows, self.first_cut
 
 
 def assemble(alg: AlgebraSpec, delta, w: Window) -> ConstraintSystem:
@@ -343,21 +340,20 @@ def assemble(alg: AlgebraSpec, delta, w: Window) -> ConstraintSystem:
 
     The rows are every block's equations from ``_GradedEquations``, built in
     full: block by block in increasing shift, and in each block pair by pair.
-    ``solve_derivations`` asks the same generator for every pair's rows
-    while a block's nullity is above ``TESTED_NULLITY`` and, after that,
-    only for the rows of the rare pairs that cut the null space, which
-    ``first_cut`` finds by scanning the rest from the tables, so it never
-    builds this matrix;
-    ``nullspace(assemble(...).matrix)`` solves it in one elimination and is
-    its basis. Column ``i`` is the unknown ``w.columns()[i]``.
+    They are nonzero int rows inside the columns, so the matrix is built
+    from them as they are. ``solve_derivations`` asks the same generator for
+    every pair's rows while a block's nullity is above ``TESTED_NULLITY``
+    and, after that, only for the rows of the rare pairs that cut the null
+    space, which ``first_cut`` finds by scanning the rest from the tables, so
+    it never builds this matrix. ``nullspace(assemble(...).matrix)`` solves
+    it in one plain elimination, with no scan, and is its basis. Column
+    ``i`` is the unknown ``w.columns()[i]``.
     """
     equations = _GradedEquations(alg, as_scalar(delta), w)
-    rows: List[Dict[int, int]] = []
-    for _, units, build, _ in equations.blocks():
-        for unit in units:
-            rows.extend(build(unit))
-    matrix = RatMatrix.from_rows(rows, len(w.columns()))
-    return ConstraintSystem(w, matrix, equations.pair_list)
+    rows = [
+        row for _, units, build, _ in equations.blocks() for unit in units for row in build(unit)
+    ]
+    return ConstraintSystem(w, RatMatrix(tuple(rows), len(w.columns())), equations.pair_list)
 
 
 def solve_derivations(alg: AlgebraSpec, w: Window, delta) -> FamilyBasis:

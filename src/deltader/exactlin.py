@@ -2,8 +2,9 @@
 
 An exact scalar has one canonical form: an ``int`` when it is integral, a
 ``fractions.Fraction`` (denominator > 1) only otherwise. ``as_scalar`` is the
-one function that picks it, wherever a scalar enters: sparse vectors, matrix
-rows, algebra parameters, parsed literals and operator fields. So integral
+one function that picks it, wherever a scalar enters: sparse vectors,
+algebra parameters, parsed literals and operator fields; matrix rows are
+built from entries already in that form. So integral
 data costs no ``Fraction`` arithmetic, and every result below is exact:
 nullspace bases, feasibility of ``A x = b`` with Farkas-style infeasibility
 certificates, and span membership. No floating point is used anywhere.
@@ -15,15 +16,20 @@ off the unreduced echelon form by one integer back-substitution, which
 serves null vectors and solutions alike; ``Fraction`` appears only in its
 last division, once per entry of a basis vector where that division is not
 exact, and once per unknown of a solution.
+
+Two nullspace solvers share that kernel. ``nullspace_by_blocks`` solves a
+block-diagonal system block by block from streams of row units, and once a
+block's nullity is small it scans the stream for the units that cut its null
+vectors (``_block_nullspace``). ``nullspace`` eliminates every row of one
+matrix, with no scan: it is the reference the block solver is checked
+against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import gcd, lcm
-from operator import mul
 from typing import Iterable, Mapping, Optional, Union
 
 # An exact scalar in canonical form: int when integral, Fraction otherwise.
@@ -132,26 +138,15 @@ class SparseVec:
 
 @dataclass(frozen=True)
 class RatMatrix:
-    """Sparse rational matrix: rows are column -> exact rational maps.
-
-    ``from_rows`` stores entries in canonical form, as ``SparseVec`` does: an
-    integral entry is an int, so an integer matrix costs no ``Fraction``
-    arithmetic.
+    """Sparse rational matrix: each row maps columns in ``0..ncols-1`` to
+    nonzero scalars in canonical form, as ``SparseVec`` stores them, so an
+    integer matrix costs no ``Fraction`` arithmetic. It is built unchecked,
+    by ``dersolve.assemble`` and ``locality``, from rows already in that
+    form.
     """
 
     rows: tuple
     ncols: int
-
-    @staticmethod
-    def from_rows(rows: Iterable[Mapping], ncols: int) -> "RatMatrix":
-        """A checked matrix: every row inside the columns ``0..ncols-1``,
-        copied by ``_exact_row``."""
-        rows = list(rows)
-        allowed = set(range(ncols))
-        if not allowed.issuperset(chain.from_iterable(rows)):
-            i, c = next((i, c) for i, row in enumerate(rows) for c in row if c not in allowed)
-            raise ValueError(f"column index {c} of row {i} outside 0..{ncols - 1}")
-        return RatMatrix(tuple(map(_exact_row, rows)), ncols)
 
     @property
     def nrows(self) -> int:
@@ -318,24 +313,6 @@ def _block_nullspace(units, columns, rows, first_cut) -> dict:
             _insert(_primitive(row), pivots)
 
 
-def _matrix_rows(row) -> tuple:
-    """A matrix row as a unit of ``_block_nullspace``."""
-    return (row,) if row else ()
-
-
-def _matrix_residuals(row, probes) -> list:
-    return [[sum(map(mul, row.values(), map(p.__getitem__, row)))] for p in probes]
-
-
-def _matrix_first_cut(rows, probes):
-    """The first of the matrix rows ``rows`` with a nonzero dot product with
-    some probe, or None."""
-    for row in rows:
-        if any(map(any, _matrix_residuals(row, probes))):
-            return row
-    return None
-
-
 def nullspace_by_blocks(blocks: Iterable) -> list:
     """Basis of the null space of a block-diagonal system given block by
     block, as ``(columns, units, rows, first_cut)`` for ``_block_nullspace``.
@@ -353,11 +330,15 @@ def nullspace_by_blocks(blocks: Iterable) -> list:
 
 def nullspace(matrix: RatMatrix) -> list:
     """Basis of the right nullspace, one SparseVec per free column, as in
-    ``nullspace_by_blocks``: the whole matrix solved as one block, each row a
-    unit of its own, scanned by its dot products with the probes."""
-    return nullspace_by_blocks(
-        [(range(matrix.ncols), matrix.rows, _matrix_rows, _matrix_first_cut)]
-    )
+    ``nullspace_by_blocks``, by one plain elimination: every nonzero row
+    enters the echelon form, and each free column's null vector is read off
+    it. It shares no scan with ``_block_nullspace``, so it can check it."""
+    pivots: dict = {}
+    for row in matrix.rows:
+        if row:
+            _insert(_primitive(row), pivots)
+    free = (f for f in range(matrix.ncols) if f not in pivots)
+    return [SparseVec(_canonical(_back_substitute(pivots, f), f)) for f in free]
 
 
 @dataclass(frozen=True)

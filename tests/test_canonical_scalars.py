@@ -28,7 +28,7 @@ from deltader.algebras import (
 )
 from deltader.cli import _serialize_params, _tsv_text
 from deltader.dersolve import expected_family, solve_derivations
-from deltader.exactlin import RatMatrix, SparseVec, as_scalar, nullspace, solve_feasible
+from deltader.exactlin import SparseVec, as_scalar, nullspace, solve_feasible
 from deltader.literals import (
     format_element,
     format_operator,
@@ -48,7 +48,7 @@ from deltader.operators import (
     window_from_ranges,
 )
 
-from test_exactlin import apply, dot
+from test_exactlin import apply, dot, pack
 
 
 def is_canonical(value) -> bool:
@@ -254,7 +254,7 @@ class TestSolvers:
 
     @given(st.lists(st.lists(SCALARS, min_size=3, max_size=3), min_size=1, max_size=4))
     def test_nullspace_by_blocks(self, grid):
-        matrix = RatMatrix.from_rows([dict(enumerate(row)) for row in grid], 3)
+        matrix = pack([dict(enumerate(row)) for row in grid], 3)
         assert all(is_canonical(v) for row in matrix.rows for v in row.values())
         for v in nullspace(matrix):
             assert canonical(v)
@@ -265,7 +265,7 @@ class TestSolvers:
         st.lists(SCALARS, min_size=4, max_size=4),
     )
     def test_solutions_and_certificates(self, grid, rhs):
-        matrix = RatMatrix.from_rows([dict(enumerate(row)) for row in grid], 3)
+        matrix = pack([dict(enumerate(row)) for row in grid], 3)
         b = SparseVec(dict(enumerate(rhs[: len(grid)])))
         result = solve_feasible(matrix, b)
         if result.feasible:

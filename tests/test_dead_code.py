@@ -1,7 +1,9 @@
 """No helper that nothing calls: every function and method defined in
 ``src/deltader`` is referred to by some module there, or is one that the
 benchmark binds by name (``perfbench/tracing.py``'s ``TRACED``). Code that
-only tests use lives in the tests."""
+only tests use lives in the tests. And no import that nothing uses: every
+name a module there imports is used in that module, except the re-exports
+of ``__init__.py`` and ``from __future__`` imports."""
 
 import ast
 from pathlib import Path
@@ -42,6 +44,19 @@ def unreferenced(sources):
     return {qual for tree in trees for qual, name in _definitions(tree.body) if name not in used}
 
 
+def unused_imports(source):
+    """Names that the module text ``source`` imports and never uses;
+    ``from __future__`` imports do not count."""
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+    return imported - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
 @pytest.mark.parametrize(
     "source, dead",
     [
@@ -59,3 +74,25 @@ def test_every_helper_is_used_or_allowed():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     traced = {name.split(".")[-1] for name, _, _ in _tracing().TRACED}
     assert unreferenced(sources) <= traced
+
+
+@pytest.mark.parametrize(
+    "source, dead",
+    [
+        ("from functools import partial, reduce\nreduce(max, [1])\n", {"partial"}),
+        ("import itertools\nimport os.path\nitertools.chain()\n", {"os"}),
+        ("from operator import mul as times\nx = 1\n", {"times"}),
+        ("from __future__ import annotations\nimport math\ndef f(x: math.pi): pass\n", set()),
+    ],
+)
+def test_the_guard_sees_unused_imports(source, dead):
+    assert unused_imports(source) == dead
+
+
+def test_every_import_is_used():
+    unused = {
+        path.name: unused_imports(path.read_text())
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    assert {name: names for name, names in unused.items() if names} == {}

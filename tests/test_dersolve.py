@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltader import algebras, dersolve
+from deltader import algebras, dersolve, exactlin
 from deltader.algebras import E, F, degree, solv_abelian, thin, wab, witt_one_sided, witt_pos, witt_z
 from deltader.dersolve import (
     FamilyBasis,
@@ -21,7 +21,7 @@ from deltader.dersolve import (
     solve_derivations,
     solve_half_derivations,
 )
-from deltader.exactlin import RatMatrix, RowSpace, SparseVec, nullspace, nullspace_by_blocks, span_dim
+from deltader.exactlin import RowSpace, SparseVec, nullspace, nullspace_by_blocks, span_dim
 from deltader.operators import (
     ShiftOp,
     SolvDeltaBar,
@@ -37,7 +37,7 @@ from deltader.operators import (
     window_from_ranges,
 )
 
-from test_exactlin import reference_nullspace
+from test_exactlin import pack, reference_nullspace
 from test_operators import identity_map
 
 HALF = Fraction(1, 2)
@@ -62,7 +62,7 @@ def residual_reference(alg, delta, w, pairs):
         for pair in pairs:
             for coord, value in residual_at(alg, unit, delta, *pair).entries.items():
                 rows.setdefault((pair, coord), {})[j] = value
-    return RatMatrix.from_rows(rows.values(), len(w.columns()))
+    return pack(rows.values(), len(w.columns()))
 
 
 def assert_block_major_by_shift(alg, system):
@@ -198,33 +198,65 @@ class TestLazySolve:
         grid = [[row.get(c, 0) for c in range(reference.ncols)] for row in reference.rows]
         assert solved == reference_nullspace(grid, reference.ncols)
 
-    def test_units_built_tested_and_cut_on_the_top_ladder_rung(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "alg, in_range, out_range, dim, counts",
+        [
+            (witt_z(), (-16, 16), (-48, 48), 65, {"built": 3287, "tested": 24080, "cut": 191}),
+            # two lines: every degree has two coordinates, so a unit has two
+            # rows per degree and the cut sums them slot by slot
+            (wab(HALF, -1), (-7, 7), (-14, 14), 30, {"built": 1136, "tested": 4798, "cut": 28}),
+        ],
+        ids=["wittz-33", "wab-30"],
+    )
+    def test_units_built_tested_and_cut_on_ladder_rungs(
+        self, monkeypatch, alg, in_range, out_range, dim, counts
+    ):
         # a unit is built while its block's nullity is above 2, and after that
         # only when it is the first of the scanned units to cut the probes
-        counts = {"built": 0, "tested": 0, "cut": 0}
+        counted = {"built": 0, "tested": 0, "cut": 0}
         equations = dersolve._GradedEquations
         real_rows, real_first_cut = equations.rows, equations.first_cut
 
-        def rows(self, t, unit):
-            counts["built"] += 1
-            return real_rows(self, t, unit)
+        def rows(self, unit):
+            counted["built"] += 1
+            return real_rows(self, unit)
 
         def stream(units):
             for unit in units:
-                counts["tested"] += 1
+                counted["tested"] += 1
                 yield unit
 
-        def first_cut(self, t, units, probes):
-            unit = real_first_cut(self, t, stream(units), probes)
-            counts["cut"] += unit is not None
+        def first_cut(self, units, probes):
+            unit = real_first_cut(self, stream(units), probes)
+            counted["cut"] += unit is not None
             return unit
 
         monkeypatch.setattr(equations, "rows", rows)
         monkeypatch.setattr(equations, "first_cut", first_cut)
-        alg = witt_z()
-        family = solve_half_derivations(alg, window_from_ranges(alg, (-16, 16), (-48, 48)))
-        assert len(family) == 65
-        assert counts == {"built": 3287, "tested": 24080, "cut": 191}
+        family = solve_half_derivations(alg, window_from_ranges(alg, in_range, out_range))
+        assert len(family) == dim
+        assert counted == counts
+
+    @pytest.mark.parametrize(
+        "alg, in_range, out_range",
+        [(witt_z(), (-3, 3), (-9, 9)), (thin(), (1, 8), (1, 11)), (wab(HALF, -1), (-2, 2), (-4, 4))],
+        ids=["wittz", "thin", "wab"],
+    )
+    def test_the_reference_nullspace_shares_no_scan_code(
+        self, monkeypatch, alg, in_range, out_range
+    ):
+        # the assembled matrix is solved by one plain elimination: a fault in
+        # the block scan cannot reach the reference it is checked against
+        w = window_from_ranges(alg, in_range, out_range)
+        solved = list(solve_half_derivations(alg, w).vectors)
+
+        def no_scan(*_):
+            raise AssertionError("nullspace ran the block scan")
+
+        monkeypatch.setattr(exactlin, "_block_nullspace", no_scan)
+        matrix = assemble(alg, HALF, w).matrix
+        grid = [[row.get(c, 0) for c in range(matrix.ncols)] for row in matrix.rows]
+        assert nullspace(matrix) == reference_nullspace(grid, matrix.ncols) == solved
 
 
 class TestCheckDeltaDerivation:

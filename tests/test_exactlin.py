@@ -18,12 +18,19 @@ from deltader.exactlin import (
 )
 
 
+def pack(rows, ncols):
+    """The ``RatMatrix`` of ``rows`` (column -> int, Fraction or a string like
+    ``3/4``) over the columns ``0..ncols-1``: every row inside them, copied
+    in canonical form without its zero entries, as the matrix expects."""
+    rows = tuple(map(exactlin._exact_row, rows))
+    outside = [(i, c) for i, row in enumerate(rows) for c in row if not 0 <= c < ncols]
+    assert not outside, f"(row, column) outside 0..{ncols - 1}: {outside}"
+    return RatMatrix(rows, ncols)
+
+
 def dense(rows, ncols=None):
     ncols = ncols if ncols is not None else (len(rows[0]) if rows else 0)
-    packed = [
-        {j: Fraction(v) for j, v in enumerate(row) if v} for row in rows
-    ]
-    return RatMatrix.from_rows(packed, ncols)
+    return pack([{j: Fraction(v) for j, v in enumerate(row)} for row in rows], ncols)
 
 
 def dot(u, b):
@@ -109,7 +116,7 @@ class TestSolveFeasible:
 
     @pytest.mark.parametrize("key", [1, -1, "x"])
     def test_rejects_a_right_hand_side_outside_the_rows(self, key):
-        a = RatMatrix.from_rows([{0: 1}], 1)
+        a = pack([{0: 1}], 1)
         with pytest.raises(ValueError, match="outside 0..0"):
             solve_feasible(a, SparseVec({0: 1, key: 1}))
 
@@ -164,7 +171,7 @@ def exact_matrices(draw):
 
 
 def from_grid(grid, ncols):
-    return RatMatrix.from_rows([{j: v for j, v in enumerate(row)} for row in grid], ncols)
+    return pack([dict(enumerate(row)) for row in grid], ncols)
 
 
 def gauss_jordan(grid, ncols):
@@ -318,13 +325,51 @@ def block_diagonal_matrices(draw):
     return rows, ncols, tuple(blocks)
 
 
-def by_blocks(rows, blocks):
+def one_row(row) -> tuple:
+    """A matrix row as a unit of its own: its one row, or none if it is zero."""
+    return (row,) if row else ()
+
+
+def cuts(row, probes) -> bool:
+    """Whether ``row`` has a nonzero dot product with some probe."""
+    return any(sum(v * p[c] for c, v in row.items()) for p in probes)
+
+
+def first_nonzero_dot(rows, probes):
+    """The first of ``rows`` that cuts the probes, or None."""
+    return next((row for row in rows if cuts(row, probes)), None)
+
+
+def by_blocks(rows, blocks, unit_rows=one_row, first_cut=first_nonzero_dot):
     """``nullspace_by_blocks`` of the packed ``rows`` in the given blocks,
-    each row a unit of its own as in ``nullspace``."""
+    each row a unit of its own."""
     return nullspace_by_blocks(
-        (columns, rows[start:stop], exactlin._matrix_rows, exactlin._matrix_first_cut)
-        for columns, start, stop in blocks
+        (columns, rows[start:stop], unit_rows, first_cut) for columns, start, stop in blocks
     )
+
+
+class Counting:
+    """``one_row`` and ``first_nonzero_dot`` that record, in the order the
+    kernel reads them, the rows built, the rows tested on probes and the
+    number of probes of each scan."""
+
+    def __init__(self):
+        self.built, self.tested, self.scans = [], [], []
+
+    def rows(self, row):
+        self.built.append(row)
+        return one_row(row)
+
+    def first_cut(self, rows, probes):
+        self.scans.append(len(probes))
+        for row in rows:
+            self.tested.append(row)
+            if cuts(row, probes):
+                return row
+        return None
+
+    def by_blocks(self, rows, blocks):
+        return by_blocks(rows, blocks, self.rows, self.first_cut)
 
 
 class TestBlockNullspace:
@@ -334,7 +379,7 @@ class TestBlockNullspace:
         rows, ncols, blocks = case
         grid = [[row.get(c, 0) for c in range(ncols)] for row in rows]
         expected = reference_nullspace(grid, ncols)
-        matrix = RatMatrix.from_rows(rows, ncols)
+        matrix = pack(rows, ncols)
         assert by_blocks(matrix.rows, blocks) == expected
         assert nullspace(matrix) == expected
 
@@ -351,33 +396,12 @@ class TestBlockNullspace:
             {0: 1, 4: 5},
             {0: 7, 1: 7},
         ]
-        m = RatMatrix.from_rows(rows, 5)
-        assert nullspace(m) == []
-        assert nullspace(RatMatrix.from_rows(rows[:5], 5)) == reference_nullspace(
-            [[r.get(c, 0) for c in range(5)] for r in rows[:5]], 5
-        )
+        assert by_blocks(rows, ((range(5), 0, 8),)) == nullspace(pack(rows, 5)) == []
+        expected = reference_nullspace([[r.get(c, 0) for c in range(5)] for r in rows[:5]], 5)
+        assert by_blocks(rows, ((range(5), 0, 5),)) == nullspace(pack(rows[:5], 5)) == expected
 
-    @pytest.fixture
-    def counted(self, monkeypatch):
-        """``(built, tested)``: the rows built and the rows tested on probes,
-        in the order the kernel reads them."""
-        built, tested = [], []
-        real_rows, real_residuals = exactlin._matrix_rows, exactlin._matrix_residuals
-
-        def counting_rows(row):
-            built.append(row)
-            return real_rows(row)
-
-        def counting_residuals(row, probes):
-            tested.append(row)
-            return real_residuals(row, probes)
-
-        monkeypatch.setattr(exactlin, "_matrix_rows", counting_rows)
-        monkeypatch.setattr(exactlin, "_matrix_residuals", counting_residuals)
-        return built, tested
-
-    def test_rows_past_full_rank_or_in_the_span_are_not_inserted(self, counted):
-        built, tested = counted
+    def test_rows_past_full_rank_or_in_the_span_are_not_inserted(self):
+        counting = Counting()
         # block (0, 2, 4) has nullity 2 after one row, then a row in the span
         # and two that cut it down to full rank; block (1, 3, 5, 6) has
         # nullity 2 after two rows and 1 after three, and the later rows lie
@@ -387,41 +411,37 @@ class TestBlockNullspace:
         span = [{1: 1, 3: 1}, {3: 1, 5: 2}, {5: 1, 6: -1}]
         span += [{1: i, 3: i + 1, 5: 4, 6: -2} for i in range(20)]  # i*r0 + r1 + 2*r2
         blocks = (((0, 2, 4), 0, len(full)), ((1, 3, 5, 6), len(full), len(full) + len(span)))
-        rows = RatMatrix.from_rows(full + span, 7).rows  # as packed: zero entries dropped
-        assert by_blocks(rows, blocks) == [SparseVec({1: 2, 3: -2, 5: 1, 6: 1})]
+        rows = pack(full + span, 7).rows  # as packed: zero entries dropped
+        assert counting.by_blocks(rows, blocks) == [SparseVec({1: 2, 3: -2, 5: 1, 6: 1})]
         # rows are built while the nullity is above 2; after that each row is
         # tested against the null vectors and built only if it cuts them, and
         # none past full rank is read
         s = len(full)
-        assert built == [rows[0], rows[2], rows[3], rows[s], rows[s + 1], rows[s + 2]]
-        assert tested == list(rows[1:4] + rows[s + 2 :])
+        assert counting.built == [rows[0], rows[2], rows[3], rows[s], rows[s + 1], rows[s + 2]]
+        assert counting.tested == list(rows[1:4] + rows[s + 2 :])
 
-    def test_a_block_of_nullity_two_or_less_tests_its_first_row(self, counted):
-        built, tested = counted
+    def test_a_block_of_nullity_two_or_less_tests_its_first_row(self):
+        counting = Counting()
         # block (0, 1) starts at nullity 2: its first row is tested, cuts and
         # is built, and the second lies in its span; block (2,) starts at
         # nullity 1: a zero row is passed over, the next cuts it to full
         # rank, and the last is not read
-        rows = RatMatrix.from_rows([{0: 2, 1: -2}, {0: -1, 1: 1}, {}, {2: 5}, {2: 1}], 3).rows
+        rows = pack([{0: 2, 1: -2}, {0: -1, 1: 1}, {}, {2: 5}, {2: 1}], 3).rows
         grid = [[row.get(c, 0) for c in range(3)] for row in rows]
-        assert by_blocks(rows, (((0, 1), 0, 2), ((2,), 2, 5))) == reference_nullspace(grid, 3)
-        assert built == [rows[0], rows[3]]
-        assert tested == list(rows[:4])
+        blocks = (((0, 1), 0, 2), ((2,), 2, 5))
+        assert counting.by_blocks(rows, blocks) == reference_nullspace(grid, 3)
+        assert counting.built == [rows[0], rows[3]]
+        assert counting.tested == list(rows[:4])
 
-    def test_null_vectors_are_back_substituted_once(self, monkeypatch, counted):
-        built, tested = counted
-        scans, substituted = [], []
-        real_first_cut, real_back = exactlin._matrix_first_cut, exactlin._back_substitute
-
-        def counting_first_cut(rows, probes):
-            scans.append(len(probes))
-            return real_first_cut(rows, probes)
+    def test_null_vectors_are_back_substituted_once(self, monkeypatch):
+        counting = Counting()
+        substituted = []
+        real_back = exactlin._back_substitute
 
         def counting_back(pivots, free):
             substituted.append(free)
             return real_back(pivots, free)
 
-        monkeypatch.setattr(exactlin, "_matrix_first_cut", counting_first_cut)
         monkeypatch.setattr(exactlin, "_back_substitute", counting_back)
         # block 0..4 ends its rows at nullity 3: it is never scanned, and each
         # null vector is read off once; block 5..7 reaches nullity 2, and its
@@ -429,29 +449,26 @@ class TestBlockNullspace:
         rows = [{0: 3, 1: 6}, {2: 2, 3: 1, 4: -4}, {5: 1, 6: 1}, {5: -2, 6: -2}]
         blocks = ((tuple(range(5)), 0, 2), ((5, 6, 7), 2, 4))
         grid = [[row.get(c, 0) for c in range(8)] for row in rows]
-        assert by_blocks(rows, blocks) == reference_nullspace(grid, 8)
-        assert scans == [2]
+        assert counting.by_blocks(rows, blocks) == reference_nullspace(grid, 8)
+        assert counting.scans == [2]
         assert substituted == [1, 3, 4, 6, 7]
-        assert built == rows[:3] and tested == rows[3:]
+        assert counting.built == rows[:3] and counting.tested == rows[3:]
         # an entry is an int where the division by the free entry is exact
-        basis = exactlin._block_nullspace(rows[:2], range(5), exactlin._matrix_rows, lambda *_: None)
+        basis = exactlin._block_nullspace(rows[:2], range(5), one_row, lambda *_: None)
         assert basis[1] == {1: 1, 0: -2} and type(basis[1][0]) is int
         assert basis[3] == {3: 1, 2: Fraction(-1, 2)}
 
 
-class TestFromRows:
-    def test_clean_rows_are_kept(self):
+class TestExactRow:
+    def test_rows_are_copied_in_canonical_form(self):
         clean, exact = {0: 1, 2: -3}, {1: Fraction(1, 2), 2: 4}
-        m = RatMatrix.from_rows([clean, {1: Fraction(4, 2), 2: 0}, {0: "1/2"}, exact], 3)
-        assert m.rows[0] == clean and m.rows[3] == exact
-        assert type(m.rows[0][0]) is int and type(m.rows[3][1]) is Fraction
-        assert m.rows[1] == {1: 2} and type(m.rows[1][1]) is int
-        assert m.rows[2] == {0: Fraction(1, 2)}
-
-    @pytest.mark.parametrize("rows, ncols", [([{3: 1}], 3), ([{-1: 1}], 3)])
-    def test_rejects(self, rows, ncols):
-        with pytest.raises(ValueError):
-            RatMatrix.from_rows(rows, ncols)
+        given_rows = [clean, {1: Fraction(4, 2), 2: 0}, {0: "1/2"}, exact]
+        rows = [exactlin._exact_row(row) for row in given_rows]
+        assert rows[0] == clean and rows[3] == exact
+        assert rows[0] is not clean and rows[3] is not exact
+        assert type(rows[0][0]) is int and type(rows[3][1]) is Fraction
+        assert rows[1] == {1: 2} and type(rows[1][1]) is int
+        assert rows[2] == {0: Fraction(1, 2)}
 
 
 class TestSparseVec:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from deltader import locality
 from deltader.algebras import E, F, solv_abelian, thin, wab, witt_pos, witt_z
 from deltader.dersolve import expected_family, solve_half_derivations
-from deltader.exactlin import RatMatrix, SparseVec, solve_feasible
+from deltader.exactlin import SparseVec, solve_feasible
 from deltader.locality import (
     certify_nonadditive,
     check_local,
@@ -31,7 +31,7 @@ from deltader.operators import (
 )
 
 from test_dersolve import family_of
-from test_exactlin import apply, dot
+from test_exactlin import apply, dot, pack
 from test_operators import identity_map
 
 HALF = Fraction(1, 2)
@@ -271,7 +271,7 @@ def full_system(family, points, targets):
         values = [m.evaluate(z) for m in family.basis]
         rows.extend({k: v.get(o) for k, v in enumerate(values) if o in v} for o in out)
     b = {j * len(out) + i: t.get(o) for j, t in enumerate(targets) for i, o in enumerate(out)}
-    return RatMatrix.from_rows(rows, len(family.basis)), SparseVec(b)
+    return pack(rows, len(family.basis)), SparseVec(b)
 
 
 def _params(report):
