@@ -64,14 +64,14 @@ class CliError(Exception):
     """Configuration problem surfaced with exit code 2."""
 
 
-def _read_config(path: str) -> dict:
+def _read_config(path: str) -> list:
     if not path:
         raise CliError("--config path is empty")
     try:
         text = Path(path).read_text()
     except (OSError, ValueError) as exc:  # ValueError: a NUL byte, or not UTF-8
         raise CliError(f"cannot read config {path}: {exc}") from None
-    config = {}
+    config = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -79,7 +79,7 @@ def _read_config(path: str) -> dict:
         if "=" not in line:
             raise CliError(f"{path}:{lineno}: expected key=value")
         key, value = line.split("=", 1)
-        config[key.strip()] = value.strip()
+        config.append((key.strip(), value.strip()))
     return config
 
 
@@ -101,20 +101,26 @@ def _config_actions(parser: argparse.ArgumentParser) -> dict:
     return actions
 
 
-def _merge_config(args: argparse.Namespace, config: dict, parser: argparse.ArgumentParser) -> None:
-    """Fill unset flags from the config file; flags always win.
+def _merge_config(args: argparse.Namespace, config: list, parser: argparse.ArgumentParser) -> None:
+    """Fill unset flags from the config file's (key, value) pairs; flags always win.
 
-    Keys must name an option of the subcommand, and values go through the
-    option's type and choices as a flag's would; anything else is a CliError.
+    Keys must name an option of the subcommand, each option once, and values
+    go through the option's type and choices as a flag's would; anything else
+    is a CliError.
     """
     actions = _config_actions(parser)
-    for key, text in config.items():
+    given = {}
+    for key, text in config:
         action = actions.get(key.replace("-", "_"))
         if action is None:
             raise CliError(
                 f"unknown config key {key!r} for {args.command}; "
                 f"expected one of {', '.join(sorted(actions))}"
             )
+        if action.dest in given:
+            first = given[action.dest]
+            raise CliError(f"config sets {action.option_strings[0]} twice: {first!r}, then {key!r}")
+        given[action.dest] = key
         if action.nargs == 0:  # a switch such as --quick
             on = _SWITCH_VALUES.get(text.lower())
             if on is None:
@@ -162,7 +168,8 @@ def _window_from(args, alg: AlgebraSpec):
 
 def _check_outputs(args) -> None:
     """Raise CliError unless every ``--json``/``--tsv`` path can be written,
-    before any is, so that a command exiting 2 leaves no report behind."""
+    and no two name one file, before any is: a command exiting 2 writes none."""
+    written = set()
     for flag, dest in (("--json", "json_path"), ("--tsv", "tsv_path")):
         path = getattr(args, dest, None)
         if path is None:
@@ -178,6 +185,9 @@ def _check_outputs(args) -> None:
             raise CliError(f"cannot write {path}: No such directory {str(target.parent)!r}")
         if not os.access(target if target.exists() else target.parent, os.W_OK):
             raise CliError(f"cannot write {path}: Permission denied")
+        if os.path.realpath(path) in written:
+            raise CliError(f"--json and --tsv both name {path}")
+        written.add(os.path.realpath(path))
 
 
 def _tsv_text(rows) -> str:
@@ -291,7 +301,7 @@ def _serialize_params(params) -> Optional[dict]:
 
 def _default_two_local_pairs(alg: AlgebraSpec, w):
     """The thin grid of criterion 6 when every element of it lies in the
-    input window, else 20 consecutive pairs of the window's sample."""
+    input window, else at most 20 consecutive pairs of the window's sample."""
     if alg == algebras.thin():
         grid = acceptance.thin_two_local_grid()
         if all(w.key_set().issuperset(v.support()) for pair in grid for v in pair):

@@ -14,8 +14,9 @@ is reduced by integer row operations by one kernel, which serves echelon
 forms, nullspaces, span membership and feasibility alike. Results are read
 off the unreduced echelon form by one integer back-substitution, which
 serves null vectors and solutions alike; ``Fraction`` appears only in its
-last division, once per entry of a basis vector where that division is not
-exact, and once per unknown of a solution.
+last division, once per entry of a null vector or a solution where that
+division is not exact. A feasibility system is given as its augmented rows
+``[A|b]``, and its solution is read off like a null vector.
 
 Two nullspace solvers share that kernel. ``nullspace_by_blocks`` solves a
 block-diagonal system block by block from streams of row units, and once a
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Optional, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 # An exact scalar in canonical form: int when integral, Fraction otherwise.
 Scalar = Union[int, Fraction]
@@ -141,8 +142,8 @@ class RatMatrix:
     """Sparse rational matrix: each row maps columns in ``0..ncols-1`` to
     nonzero scalars in canonical form, as ``SparseVec`` stores them, so an
     integer matrix costs no ``Fraction`` arithmetic. It is built unchecked,
-    by ``dersolve.assemble`` and ``locality``, from rows already in that
-    form.
+    by ``dersolve.assemble`` only, from rows already in that form, and is
+    what ``nullspace`` solves.
     """
 
     rows: tuple
@@ -354,55 +355,46 @@ class LinearSolveResult:
     certificate: Optional[SparseVec] = None
 
 
-def _particular_solution(rows: Iterable[Mapping], rhs: Mapping, ncols: int) -> tuple:
-    """``(x, 0)`` with x the solution of ``rows x = rhs`` with every free
-    unknown at 0, as col -> nonzero Fraction; or ``(None, n)`` when the first
-    n rows, and no fewer, are inconsistent.
+def _particular_solution(rows: Iterable[Mapping], ncols: int) -> tuple:
+    """``(x, 0)`` with x the solution of the augmented rows ``[A|b]`` (b in
+    column ``ncols``) with every free unknown at 0, as col -> nonzero scalar;
+    or ``(None, n)`` when the first n rows, and no fewer, are inconsistent.
 
-    Each augmented row ``row | rhs_i`` enters the shared kernel as a primitive
-    int row. The augmented column ``ncols`` comes last, so it leads a row
-    only when the rows so far are inconsistent. Otherwise it is a free column
-    of ``[A|b]``, and its null vector ``v`` from ``_back_substitute`` is zero
-    at every free unknown, so ``x = -v/v[ncols]`` is the solution.
+    Each row enters the shared kernel as a primitive int row. Column
+    ``ncols`` comes last, so it leads a row only when the rows so far are
+    inconsistent. Otherwise it is a free column of ``[A|b]``, and its
+    canonical null vector is zero at every free unknown, so minus its other
+    entries is the solution.
     """
-    aug = ncols
     pivots: dict = {}
     for i, row in enumerate(rows):
-        bi = rhs.get(i)
-        if bi:
-            row = dict(row)
-            row[aug] = bi
         if row:
             _insert(_primitive(row), pivots)
-            if aug in pivots:
+            if ncols in pivots:
                 return None, i + 1
-    v = _back_substitute(pivots, aug)
-    scale = -v.pop(aug)
-    return {c: Fraction(x, scale) for c, x in v.items()}, 0
+    v = _canonical(_back_substitute(pivots, ncols), ncols)
+    return {c: -x for c, x in v.items() if c != ncols}, 0
 
 
-def solve_feasible(matrix: RatMatrix, b: SparseVec) -> LinearSolveResult:
-    """Solve A x = b exactly, or certify infeasibility.
+def solve_feasible(rows: Sequence[Mapping], ncols: int) -> LinearSolveResult:
+    """Solve A x = b exactly, or certify infeasibility, for the augmented
+    rows ``[A|b]``: each row maps the columns ``0..ncols-1`` of A, and column
+    ``ncols`` for b, to nonzero exact scalars in canonical form.
 
     A feasible system returns its solution with every free unknown at 0.
     Otherwise, by the Fredholm alternative, ``A_p^T u = 0, b_p.u = 1`` is
-    feasible for the shortest inconsistent row prefix ``A_p x = b_p``; its
-    solution, zero on the other rows, is the Farkas certificate. ``b`` is
-    indexed by row: a key outside ``0..nrows-1`` raises ValueError.
+    feasible for the shortest inconsistent row prefix ``[A_p|b_p]``; its
+    solution, zero on the other rows, is the Farkas certificate.
     """
-    allowed = set(range(matrix.nrows))
-    if not allowed.issuperset(b._entries):
-        i = next(i for i in b._entries if i not in allowed)
-        raise ValueError(f"right-hand side row {i!r} outside 0..{matrix.nrows - 1}")
-    solution, prefix = _particular_solution(matrix.rows, b._entries, matrix.ncols)
+    solution, prefix = _particular_solution(rows, ncols)
     if solution is not None:
         return LinearSolveResult(True, solution=SparseVec(solution))
-    columns = [{} for _ in range(matrix.ncols)]
-    for i, row in enumerate(matrix.rows[:prefix]):
+    columns = [{} for _ in range(ncols + 1)]
+    for i, row in enumerate(rows[:prefix]):
         for c, v in row.items():
             columns[c][i] = v
-    columns.append({i: v for i, v in b._entries.items() if i < prefix})
-    u, _ = _particular_solution(columns, {matrix.ncols: 1}, prefix)
+    columns[ncols][prefix] = 1
+    u, _ = _particular_solution(columns, prefix)
     return LinearSolveResult(False, certificate=SparseVec(u))
 
 

@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .algebras import BasisKey, E, F
 from .dersolve import FamilyBasis
-from .exactlin import RatMatrix, SparseVec, as_scalar, solve_feasible
+from .exactlin import SparseVec, as_scalar, solve_feasible
 from .operators import Window, WindowTooSmall, evaluate
 
 
@@ -52,34 +52,32 @@ def _match(family: FamilyBasis, points: Sequence[SparseVec], target_at) -> Local
     for every j with one parameter vector c, for basis = family.basis. A point
     outside the family window raises WindowTooSmall before any target is read.
 
-    There is one row per (point, output key). Rows are read straight from the
-    tabulated images: basis[k](z) at key o is sum_i z_i * basis[k](e_i)[o].
-    Point j's equations are scaled on both sides by d_j, the lcm of the
-    denominators of z and of its target: c is unchanged, and every entry is an
-    int wherever the images are. A Farkas certificate u' is one of the scaled
-    system, supported on its inconsistent row prefix; it certifies the
-    unscaled system as u_i = d_j * u'_i on point j's rows.
+    There is one augmented row ``[A|b]`` per (point j, output key o), with b
+    in column n = len(basis). Rows are read straight from the tabulated
+    images: basis[k](z) at key o is sum_i z_i * basis[k](e_i)[o]. Point j's
+    equations are scaled on both sides by d_j, the lcm of the denominators of
+    z and of its target: c is unchanged, and every entry is an int wherever
+    the images are. A Farkas certificate u' is one of the scaled system,
+    supported on its inconsistent row prefix; it certifies the unscaled
+    system as u_i = d_j * u'_i on point j's rows.
 
-    Before any row is built, the targets are compared with ``family.reach``.
-    At the first point whose target has a key o that no image reaches there,
-    row (j, o) is 0 = b, an inconsistent system by itself: the query is
-    decided by that one row, whose certificate lifts by the same d_j rule.
+    Each point's target is compared with ``family.reach`` before its rows are
+    built: a target key o that no image reaches at point j makes row (j, o)
+    read 0 = b, inconsistent by itself. The first such row decides the query,
+    and its certificate lifts by the same d_j rule.
     """
     _window_guard(family.window, *points)
     basis, reach = family.basis, family.reach
-    scales = []
-    rhs = {}
+    n = len(basis)
+    rows: dict = {}
     for j, (z, target) in enumerate(zip(points, map(target_at, points))):
         d = lcm(*[v.denominator for v in (*z._entries.values(), *target._entries.values())])
+        rhs = {o: v.numerator * (d // v.denominator) for o, v in target._entries.items()}
         reached = set().union(*(reach[key] for key in z._entries))
-        for o, v in target._entries.items():
-            rhs[(j, o)] = v.numerator * (d // v.denominator)
+        for o, b in rhs.items():
             if o not in reached:
-                result = solve_feasible(RatMatrix(({},), len(basis)), SparseVec({0: rhs[(j, o)]}))
+                result = solve_feasible([{n: b}], n)
                 return LocalReport(tuple(points), result.feasible, result.solution)
-        scales.append(d)
-    rows: dict = {}
-    for j, (z, d) in enumerate(zip(points, scales)):
         terms = [(key, zc.numerator * (d // zc.denominator)) for key, zc in z._entries.items()]
         for k, m in enumerate(basis):
             image = m.image
@@ -90,10 +88,9 @@ def _match(family: FamilyBasis, points: Sequence[SparseVec], target_at) -> Local
                         rows[(j, o)] = row = {}
                     prev = row.get(k)
                     row[k] = zc * v if prev is None else prev + zc * v
-    coords = list(rows)
-    matrix = RatMatrix(tuple({k: v for k, v in rows[c].items() if v} for c in coords), len(basis))
-    b = SparseVec({i: rhs[c] for i, c in enumerate(coords) if c in rhs})
-    result = solve_feasible(matrix, b)
+        for o, b in rhs.items():
+            rows[(j, o)][n] = b
+    result = solve_feasible([{k: v for k, v in row.items() if v} for row in rows.values()], n)
     return LocalReport(tuple(points), result.feasible, result.solution)
 
 

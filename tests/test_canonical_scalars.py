@@ -48,7 +48,7 @@ from deltader.operators import (
     window_from_ranges,
 )
 
-from test_exactlin import apply, dot, pack
+from test_exactlin import apply, augmented, dot, pack, split
 
 
 def is_canonical(value) -> bool:
@@ -265,9 +265,9 @@ class TestSolvers:
         st.lists(SCALARS, min_size=4, max_size=4),
     )
     def test_solutions_and_certificates(self, grid, rhs):
-        matrix = pack([dict(enumerate(row)) for row in grid], 3)
-        b = SparseVec(dict(enumerate(rhs[: len(grid)])))
-        result = solve_feasible(matrix, b)
+        rows = augmented(grid, rhs)
+        matrix, b = split(rows, 3)
+        result = solve_feasible(rows, 3)
         if result.feasible:
             assert canonical(result.solution)
             assert apply(matrix, result.solution) == b

@@ -373,10 +373,10 @@ class TestConfigAndErrors:
     def test_config_switch(self, tmp_path):
         parser = cli.build_parser()
         args = parser.parse_args(["verify-all"])
-        cli._merge_config(args, {"quick": "true"}, cli._subparser(parser, "verify-all"))
+        cli._merge_config(args, [("quick", "true")], cli._subparser(parser, "verify-all"))
         assert args.quick is True
         with pytest.raises(cli.CliError):
-            cli._merge_config(args, {"quick": "maybe"}, cli._subparser(parser, "verify-all"))
+            cli._merge_config(args, [("quick", "maybe")], cli._subparser(parser, "verify-all"))
 
     def test_unreadable_config_is_usage_error(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path)]) == 2
@@ -417,6 +417,43 @@ class TestConfigAndErrors:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: cannot write ")
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+    @pytest.mark.parametrize(
+        "command", [["solve", "--algebra", "wittz", "--in", "-1..1"], ["verify-all", "--quick"]]
+    )
+    @pytest.mark.parametrize("tsv", ["out", "./out", "sub/../out"])
+    def test_json_and_tsv_naming_one_file_exit_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command, tsv
+    ):
+        def no_work(*args, **kwargs):
+            pytest.fail("work ran before a usage error")
+
+        monkeypatch.setattr(cli, "solve_half_derivations", no_work)
+        monkeypatch.setattr(cli.acceptance, "run_all", no_work)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        assert main(command + ["--json", "out", "--tsv", tsv]) == 2
+        assert capsys.readouterr().err == f"error: --json and --tsv both name {tsv}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("solve", "in=-1..1\nin=-2..2", "--in twice: 'in', then 'in'"),
+            ("solve", "in=-1..1\nin_range=-2..2", "--in twice: 'in', then 'in_range'"),
+            ("solve", "a=1\na=2", "--a twice: 'a', then 'a'"),
+            ("verify-all", "quick=true\nquick=false", "--quick twice: 'quick', then 'quick'"),
+        ],
+        ids=["same-key", "alias", "one-letter-key", "switch"],
+    )
+    def test_an_option_set_twice_in_a_config_is_usage_error(
+        self, tmp_path, monkeypatch, capsys, command, text, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "run.cfg").write_text(("algebra=wittz\n" if command == "solve" else "") + text)
+        assert main([command, "--config", "run.cfg", "--json", "r.json"]) == 2
+        assert capsys.readouterr().err == f"error: config sets {message}\n"
+        assert not (tmp_path / "r.json").exists()
 
     def test_missing_algebra_is_usage_error(self):
         assert main(["solve", "--in", "1..3"]) == 2

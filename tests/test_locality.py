@@ -31,7 +31,7 @@ from deltader.operators import (
 )
 
 from test_dersolve import family_of
-from test_exactlin import apply, dot, pack
+from test_exactlin import apply, dot, pack, split
 from test_operators import identity_map
 
 HALF = Fraction(1, 2)
@@ -228,10 +228,10 @@ def checked_solves(monkeypatch):
     of the all-int form of the system."""
     seen = []
 
-    def checked(matrix, b):
-        assert all(type(v) is int for row in matrix.rows for v in row.values())
-        assert all(type(v) is int for v in b.entries.values())
-        result = solve_feasible(matrix, b)
+    def checked(rows, ncols):
+        assert all(type(v) is int for row in rows for v in row.values())
+        result = solve_feasible(rows, ncols)
+        matrix, b = split(rows, ncols)
         if result.feasible:
             assert apply(matrix, result.solution) == b
         else:
@@ -248,14 +248,14 @@ def checked_solves(monkeypatch):
 
 @pytest.fixture
 def solved_systems(checked_solves, monkeypatch):
-    """``(matrix, b, result)`` of every system locality solves, each checked
+    """``(rows, ncols, result)`` of every system locality solves, each checked
     as in ``checked_solves``."""
     systems = []
     checked = locality.solve_feasible
 
-    def record(matrix, b):
-        result = checked(matrix, b)
-        systems.append((matrix, b, result))
+    def record(rows, ncols):
+        result = checked(rows, ncols)
+        systems.append((rows, ncols, result))
         return result
 
     monkeypatch.setattr(locality, "solve_feasible", record)
@@ -263,15 +263,17 @@ def solved_systems(checked_solves, monkeypatch):
 
 
 def full_system(family, points, targets):
-    """The unscaled match system ``(matrix, b)``: row ``j * len(out) + i`` is
-    point j's equation at the i-th output key, unreached keys included."""
+    """The unscaled match system as augmented rows ``[A|b]``, b in column
+    ``len(family.basis)``: row ``j * len(out) + i`` is point j's equation at
+    the i-th output key, unreached keys included."""
     out = family.window.out_keys
+    n = len(family.basis)
     rows = []
-    for z in points:
+    for z, t in zip(points, targets):
         values = [m.evaluate(z) for m in family.basis]
-        rows.extend({k: v.get(o) for k, v in enumerate(values) if o in v} for o in out)
-    b = {j * len(out) + i: t.get(o) for j, t in enumerate(targets) for i, o in enumerate(out)}
-    return pack(rows, len(family.basis)), SparseVec(b)
+        for o in out:
+            rows.append({k: v.get(o) for k, v in enumerate(values) if o in v} | {n: t.get(o)})
+    return list(pack(rows, n + 1).rows)
 
 
 def _params(report):
@@ -390,18 +392,18 @@ class TestUnreachedTargets:
             ((x, y), two_local_feasible_at(candidate, x, y, family)),
         ):
             assert not report.feasible and report.params is None
-            matrix, b, result = solved_systems[-1]
-            assert matrix.rows == ({},)
+            rows, n, result = solved_systems[-1]
             # y's target is e0/2 + 3/8 f5, so d = 8 scales the f5 entry to 3
-            assert b == SparseVec({0: 3})
+            assert (rows, n) == ([{n: 3}], len(family.basis))
             targets = [evaluate(candidate, z) for z in points]
-            full, full_b = full_system(family, points, targets)
+            full = full_system(family, points, targets)
+            full_a, full_b = split(full, n)
             row = (len(points) - 1) * len(w.out_keys) + w.out_keys.index(F(5))
             u = SparseVec({row: 8 * result.certificate.get(0)})
-            for col in range(full.ncols):
-                assert sum(u.get(i) * r.get(col, 0) for i, r in enumerate(full.rows)) == 0
+            for col in range(full_a.ncols):
+                assert sum(u.get(i) * r.get(col, 0) for i, r in enumerate(full_a.rows)) == 0
             assert dot(u, full_b) == 1
-            assert not solve_feasible(full, full_b).feasible
+            assert not solve_feasible(full, n).feasible
         assert len(solved_systems) == 2
 
     @pytest.mark.parametrize(
@@ -419,10 +421,9 @@ class TestUnreachedTargets:
         assert E(3) in family.reach[E(1)]
         candidate = WindowedMap(w, {**zero, E(1): SparseVec(value), E(2): SparseVec(value).scaled(-1)})
         report = local_feasible_at(candidate, z, family)
-        [(matrix, b, result)] = solved_systems
-        assert matrix.rows == ({}, {0: 2})
-        full, full_b = full_system(family, (z,), (evaluate(candidate, z),))
-        expected = solve_feasible(full, full_b)
+        [(rows, n, result)] = solved_systems
+        assert split(rows, n)[0].rows == ({}, {0: 2})
+        expected = solve_feasible(full_system(family, (z,), (evaluate(candidate, z),)), n)
         assert (report.feasible, _params(report)) == (expected.feasible, params)
         assert expected.solution == report.params
 
@@ -457,8 +458,8 @@ class TestMatchesTheFullSystem:
             ((x,), local_feasible_at(candidate, x, family)),
             ((x, y), two_local_feasible_at(candidate, x, y, family)),
         ):
-            full, b = full_system(family, points, [evaluate(candidate, z) for z in points])
-            expected = solve_feasible(full, b)
+            full = full_system(family, points, [evaluate(candidate, z) for z in points])
+            expected = solve_feasible(full, len(family.basis))
             assert (report.feasible, report.params) == (expected.feasible, expected.solution)
 
 
