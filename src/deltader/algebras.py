@@ -44,12 +44,15 @@ class BasisKey(NamedTuple):
         return f"{self.kind}{self.index}"
 
 
+_new_key = tuple.__new__  # skips the namedtuple's Python-level __new__
+
+
 def E(i: int) -> BasisKey:
-    return BasisKey("e", i)
+    return _new_key(BasisKey, ("e", i))
 
 
 def F(i: int) -> BasisKey:
-    return BasisKey("f", i)
+    return _new_key(BasisKey, ("f", i))
 
 
 Term = Optional[Tuple[BasisKey, Scalar]]

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import List, Optional
 
@@ -453,6 +453,7 @@ def _add_common(parser: argparse.ArgumentParser, window: bool = True) -> None:
     parser.add_argument("--json", dest="json_path", help="write the JSON report here")
 
 
+@cache  # built once per process; parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deltader",

@@ -86,11 +86,11 @@ class FamilyBasis:
         images: Dict[BasisKey, Dict[BasisKey, Scalar]] = {k: {} for k in keys}
         for col, value in v._entries.items():
             images[keys[col // n]][out_keys[col % n]] = value
-        return {k: SparseVec(image) for k, image in images.items()}
+        return {k: SparseVec._wrap(image) for k, image in images.items()}
 
     @cached_property
     def basis(self) -> Tuple[WindowedMap, ...]:
-        return tuple(WindowedMap(self.window, self.images(v)) for v in self.vectors)
+        return tuple(WindowedMap._wrap(self.window, self.images(v)) for v in self.vectors)
 
     @cached_property
     def reach(self) -> Dict[BasisKey, frozenset]:
@@ -449,7 +449,7 @@ def expected_family(alg: AlgebraSpec, w: Window) -> FamilyBasis:
                     require_inside(k, image, out_col)
                 flat[i * n + out_col[o]] = c
         if flat:
-            vectors.append(SparseVec(flat))
+            vectors.append(SparseVec._wrap(flat))
     return FamilyBasis(w, tuple(vectors))
 
 
@@ -490,7 +490,7 @@ def compare_families(
     inner_rows = {i for i, k in enumerate(w.keys) if k in inner}
 
     def interior(v: SparseVec) -> SparseVec:
-        return SparseVec({c: x for c, x in v._entries.items() if c // n in inner_rows})
+        return SparseVec._wrap({c: x for c, x in v._entries.items() if c // n in inner_rows})
 
     restricted_vecs = list(map(interior, solved.vectors))
     return ComparisonReport(

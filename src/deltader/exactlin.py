@@ -2,12 +2,19 @@
 
 An exact scalar has one canonical form: an ``int`` when it is integral, a
 ``fractions.Fraction`` (denominator > 1) only otherwise. ``as_scalar`` is the
-one function that picks it, wherever a scalar enters: sparse vectors,
-algebra parameters, parsed literals and operator fields; matrix rows are
-built from entries already in that form. So integral
-data costs no ``Fraction`` arithmetic, and every result below is exact:
-nullspace bases, feasibility of ``A x = b`` with Farkas-style infeasibility
-certificates, and span membership. No floating point is used anywhere.
+one function that picks it, wherever a scalar enters: the ``SparseVec``
+constructor, algebra parameters, parsed literals and operator fields; matrix
+rows are built from entries already in that form. A producer whose output is
+canonical by construction wraps its dict unchecked (``SparseVec._wrap``):
+``+``, ``-`` and ``scaled`` here, which turn an integral ``Fraction`` result
+into an int, and ``nullspace_by_blocks``; the map sums, multiples and
+commutators, a solved family's images and maps, ``expected_family``'s
+vectors, ``compare_families``' interior restriction and ``ShiftOp.value_at``
+elsewhere. Results may share entries, as nothing mutates a vector once it is
+built. So integral data costs no ``Fraction`` arithmetic, and every result
+below is exact: nullspace bases, feasibility of ``A x = b`` with
+Farkas-style infeasibility certificates, and span membership. No floating
+point is used anywhere.
 
 Elimination is fraction-free: each row enters as a primitive integer row and
 is reduced by integer row operations by one kernel, which serves echelon
@@ -73,13 +80,20 @@ class SparseVec:
     Entries may be given as ints, Fractions or strings like ``3/4``; the
     constructor stores each in canonical form (``_exact_row``), so an entry
     is an int exactly when it is integral. Zero entries are never stored;
-    equality is entrywise.
+    equality is entrywise. ``_wrap`` takes a dict already in that form as is.
     """
 
     __slots__ = ("_entries",)
 
     def __init__(self, entries: Optional[Mapping] = None):
         self._entries = _exact_row(entries) if entries else {}
+
+    @classmethod
+    def _wrap(cls, entries: dict) -> "SparseVec":
+        """``entries`` as a vector; the caller guarantees their form."""
+        v = object.__new__(cls)
+        v._entries = entries
+        return v
 
     @property
     def entries(self) -> dict:
@@ -112,23 +126,29 @@ class SparseVec:
         out = dict(self._entries)
         for k, v in other._entries.items():
             nv = out.get(k, 0) + v
-            if nv:
-                out[k] = nv
+            if nv:  # a Fraction sum may be integral
+                out[k] = nv if type(nv) is int or nv.denominator != 1 else nv.numerator
             else:
-                out.pop(k, None)
-        return SparseVec(out)
+                del out[k]
+        return SparseVec._wrap(out)
 
     def __sub__(self, other: "SparseVec") -> "SparseVec":
         return self + (-other)
 
     def __neg__(self) -> "SparseVec":
-        return SparseVec({k: -v for k, v in self._entries.items()})
+        return SparseVec._wrap({k: -v for k, v in self._entries.items()})
 
     def scaled(self, factor) -> "SparseVec":
         factor = as_scalar(factor)
         if not factor:
             return SparseVec()
-        return SparseVec({k: factor * v for k, v in self._entries.items()})
+        if factor == 1:
+            return self
+        out = {}
+        for k, v in self._entries.items():
+            p = factor * v  # nonzero; a Fraction product may be integral
+            out[k] = p if type(p) is int or p.denominator != 1 else p.numerator
+        return SparseVec._wrap(out)
 
     def __repr__(self) -> str:
         if not self._entries:
@@ -326,7 +346,7 @@ def nullspace_by_blocks(blocks: Iterable) -> list:
     basis: dict = {}
     for columns, units, rows, first_cut in blocks:
         basis.update(_block_nullspace(units, columns, rows, first_cut))
-    return [SparseVec(basis[free]) for free in sorted(basis)]
+    return [SparseVec._wrap(basis[free]) for free in sorted(basis)]
 
 
 def nullspace(matrix: RatMatrix) -> list:

@@ -48,14 +48,17 @@ class Window:
         for name, ks in (("keys", self.keys), ("out_keys", self.out_keys)):
             if list(ks) != sorted(set(ks)):
                 raise ValueError(f"window {name} must be sorted and duplicate-free")
-        if not set(self.keys) <= set(self.out_keys):
+        # Not fields: equality and hash stay on the tuples.
+        object.__setattr__(self, "_key_set", frozenset(self.keys))
+        object.__setattr__(self, "_out_key_set", frozenset(self.out_keys))
+        if not self._key_set <= self._out_key_set:
             raise ValueError("input window must be contained in output window")
 
     def key_set(self) -> frozenset:
-        return frozenset(self.keys)
+        return self._key_set
 
     def out_key_set(self) -> frozenset:
-        return frozenset(self.out_keys)
+        return self._out_key_set
 
     def columns(self) -> list:
         """Canonical unknown order: (input key, output key), both sorted."""
@@ -110,7 +113,8 @@ def _extend_linearly(value_at, v: SparseVec) -> SparseVec:
 @dataclass(frozen=True)
 class WindowedMap:
     """A linear map given by images of the input-window keys; unhashable,
-    as its images are a dict."""
+    as its images are a dict. ``_wrap`` skips the constructor's checks, for
+    images valid by construction: sums, multiples, commutators, solved maps."""
 
     window: Window
     image: Mapping[BasisKey, SparseVec]
@@ -126,6 +130,13 @@ class WindowedMap:
             require_inside(k, v._entries, out)
         object.__setattr__(self, "image", img)
 
+    @classmethod
+    def _wrap(cls, window: Window, image: dict) -> "WindowedMap":
+        m = object.__new__(cls)
+        object.__setattr__(m, "window", window)
+        object.__setattr__(m, "image", image)
+        return m
+
     def value_at(self, key: BasisKey) -> SparseVec:
         try:
             return self.image[key]
@@ -138,13 +149,11 @@ class WindowedMap:
     def __add__(self, other: "WindowedMap") -> "WindowedMap":
         if self.window != other.window:
             raise ValueError("window mismatch")
-        return WindowedMap(
-            self.window,
-            {k: self.image[k] + other.image[k] for k in self.window.keys},
-        )
+        image = {k: self.image[k] + other.image[k] for k in self.window.keys}
+        return WindowedMap._wrap(self.window, image)
 
     def scaled(self, factor) -> "WindowedMap":
-        return WindowedMap(self.window, {k: v.scaled(factor) for k, v in self.image.items()})
+        return WindowedMap._wrap(self.window, {k: v.scaled(factor) for k, v in self.image.items()})
 
 
 def commutator(a: WindowedMap, b: WindowedMap) -> WindowedMap:
@@ -157,7 +166,7 @@ def commutator(a: WindowedMap, b: WindowedMap) -> WindowedMap:
         if k in b_in and set(b.image[k].support()) <= a_in and set(a.image[k].support()) <= b_in
     )
     out = tuple(sorted(a.window.out_key_set() | b.window.out_key_set()))
-    return WindowedMap(
+    return WindowedMap._wrap(
         Window(keys, out), {k: a.evaluate(b.image[k]) - b.evaluate(a.image[k]) for k in keys}
     )
 
@@ -187,7 +196,7 @@ class ShiftOp:
             raise KeyOutsideWindow(f"{key} outside domain of {self.algebra.label()}")
         if not self.weight:
             return SparseVec()
-        return SparseVec({E(key.index + self.t): self.weight})
+        return SparseVec._wrap({E(key.index + self.t): self.weight})
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@
 of exact values stores its entries in it, algebra parameters, parsed literals
 and operator fields are in it, and a report prints the same text for ``n``
 and ``Fraction(n)``. No module in ``src/deltader`` writes an integral
-``Fraction`` literal.
+``Fraction`` literal. The results of vector and map arithmetic and of the
+solver skip the constructors' checks, and each equals its checked twin.
 """
 
 import ast
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +29,7 @@ from deltader.algebras import (
     witt_z,
 )
 from deltader.cli import _serialize_params, _tsv_text
-from deltader.dersolve import expected_family, solve_derivations
+from deltader.dersolve import expected_family, solve_derivations, solve_half_derivations
 from deltader.exactlin import SparseVec, as_scalar, nullspace, solve_feasible
 from deltader.literals import (
     format_element,
@@ -40,15 +42,18 @@ from deltader.locality import local_feasible_at, two_local_feasible_at
 from deltader.operators import (
     ShiftOp,
     SolvHalfDer,
+    SupportOverflow,
     ThinHalfDer,
     ThinLocalDelta,
     WabHalfDer,
     WindowedMap,
+    commutator,
     materialize,
     window_from_ranges,
 )
 
 from test_exactlin import apply, augmented, dot, pack, split
+from test_golden import SOLVE_GOLDEN_PATHS, golden_window
 
 
 def is_canonical(value) -> bool:
@@ -296,6 +301,99 @@ class TestLocalReports:
             ):
                 if report.feasible:
                     assert canonical(report.params)
+
+
+def assert_checked(v: SparseVec) -> None:
+    """``v`` holds only nonzero canonical entries, and equals what the
+    checking constructor makes of them."""
+    entries = v.entries
+    assert all(c and is_canonical(c) for c in entries.values())
+    assert SparseVec(entries) == v
+
+
+def assert_checked_map(m: WindowedMap) -> None:
+    """Every image of ``m`` passes ``assert_checked``, and ``m`` equals the
+    map that the checking constructor builds from its window and images."""
+    for v in m.image.values():
+        assert_checked(v)
+    assert WindowedMap(m.window, {k: v.entries for k, v in m.image.items()}) == m
+
+
+HALF = Fraction(1, 2)
+FACTORS = (0, 1, -3, Fraction(2, 3))
+# One input window with two output windows: equal to it, so every
+# commutator key survives, and larger, so a commutator's output window is
+# the union of its factors'.
+MAP_WINDOWS = [window_from_ranges(witt_z(), (0, 2)), window_from_ranges(witt_z(), (0, 2), (-1, 3))]
+IMAGES = st.lists(st.dictionaries(st.integers(-1, 3), SCALARS, max_size=3), min_size=3, max_size=3)
+
+
+def random_map(w, images) -> WindowedMap:
+    """The map of ``w`` whose image of ``keys[i]`` is ``images[i]`` (over
+    e-indices), kept to the output window."""
+    out = w.out_key_set()
+    return WindowedMap(
+        w, {k: {E(i): c for i, c in im.items() if E(i) in out} for k, im in zip(w.keys, images)}
+    )
+
+
+class TestTrustedResults:
+    @given(VECTORS, VECTORS, SCALARS)
+    def test_vector_arithmetic(self, a, b, factor):
+        v, w = SparseVec(a), SparseVec(b)
+        for result in (v + w, v - w, w - v, -v, v - v, v.scaled(factor)):
+            assert_checked(result)
+        for f in FACTORS:
+            assert_checked(v.scaled(f))
+            assert_checked((v + w).scaled(f))
+
+    def test_cancellations(self):
+        x = SparseVec({E(0): HALF, E(1): Fraction(2, 3), F(0): 5})
+        cases = [
+            (SparseVec({E(0): HALF}) + SparseVec({E(0): HALF}), {E(0): 1}),
+            (SparseVec({E(0): HALF}).scaled(2), {E(0): 1}),
+            (SparseVec({E(0): Fraction(2, 3)}).scaled(Fraction(3, 2)), {E(0): 1}),
+            (x.scaled(6), {E(0): 3, E(1): 4, F(0): 30}),
+            (x - x, {}),
+            (x + -x, {}),
+            (x.scaled(0), {}),
+            (x.scaled(1), x.entries),
+            (x + SparseVec({E(1): Fraction(1, 3), F(0): -5}), {E(0): HALF, E(1): 1}),
+        ]
+        for result, expected in cases:
+            assert_checked(result)
+            assert result.entries == expected  # an int where integral, by assert_checked
+
+    @pytest.mark.parametrize("w, other", [MAP_WINDOWS, MAP_WINDOWS[::-1]], ids=["in=out", "in<out"])
+    @settings(deadline=None)
+    @given(IMAGES, IMAGES, SCALARS)
+    def test_map_arithmetic(self, w, other, first, second, factor):
+        a, b, c = random_map(w, first), random_map(w, second), random_map(other, second)
+        for result in (a + b, a.scaled(factor), commutator(a, b), commutator(a, c), commutator(c, a)):
+            assert_checked_map(result)
+        for f in FACTORS:
+            assert_checked_map(a.scaled(f))
+
+    @pytest.mark.parametrize("path", SOLVE_GOLDEN_PATHS, ids=lambda p: p.name)
+    def test_families_on_every_solve_golden_window(self, path):
+        alg, w = golden_window(json.loads(path.read_text()))
+        for family in (solve_half_derivations(alg, w), expected_family(alg, w)):
+            assert family.vectors
+            for v in family.vectors:
+                assert_checked(v)
+                for image in family.images(v).values():
+                    assert_checked(image)
+            for m in family.basis:
+                assert_checked_map(m)
+
+    def test_materialize_still_checks_the_output_window(self):
+        w = window_from_ranges(thin(), (1, 4), (1, 5))
+        assert_checked_map(materialize(ThinLocalDelta(), w))
+        # e4 -> e6, e4 -> e6 and e1 -> e6: each leaves the output window
+        escaping = (ShiftOp(2, 1, witt_pos()), ThinHalfDer(beta=(0, 0, 1)), SolvHalfDer((0,) * 5 + (1,)))
+        for op in escaping:
+            with pytest.raises(SupportOverflow):
+                materialize(op, w)
 
 
 def as_fractions(v: SparseVec) -> SparseVec:

@@ -499,6 +499,11 @@ class TestSparseVec:
         assert (v - v).is_zero()
         assert v.scaled(0).is_zero()
 
+    def test_equality_with_another_type_is_left_to_it(self):
+        v = SparseVec({0: 1})
+        assert v.__eq__({0: 1}) is NotImplemented
+        assert v != {0: 1} and SparseVec() != 0
+
     @given(st.dictionaries(st.integers(0, 6), st.integers(-5, 5), max_size=5))
     def test_negation_roundtrip(self, entries):
         v = SparseVec(entries)

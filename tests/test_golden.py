@@ -83,16 +83,24 @@ def column_components(rows, ncols):
     return list(components.values())
 
 
-@pytest.mark.parametrize("path", sorted(DATA.glob("golden_solve_*.json")), ids=lambda p: p.name)
-def test_solve_golden_basis_is_the_dense_reference_nullspace(path):
-    # the equations come from ``residual_at``, not from the solver's tables
-    report = json.loads(path.read_text())
+SOLVE_GOLDEN_PATHS = sorted(DATA.glob("golden_solve_*.json"))
+
+
+def golden_window(report):
+    """``(algebra, window)`` of a solve report, from its ``inputsEcho``."""
     echo = report["inputsEcho"]
     if echo["algebra"] == "wab":
         alg = wab(parse_scalar(echo["a"]), parse_scalar(echo["b"]))
     else:
         alg = AlgebraSpec(echo["algebra"])
-    w = window_from_ranges(alg, parse_range(echo["in"]), parse_range(echo["out"]))
+    return alg, window_from_ranges(alg, parse_range(echo["in"]), parse_range(echo["out"]))
+
+
+@pytest.mark.parametrize("path", SOLVE_GOLDEN_PATHS, ids=lambda p: p.name)
+def test_solve_golden_basis_is_the_dense_reference_nullspace(path):
+    # the equations come from ``residual_at``, not from the solver's tables
+    report = json.loads(path.read_text())
+    alg, w = golden_window(report)
     matrix = residual_reference(alg, HALF, w, derivation_pairs(alg, w.keys))
     reference = []
     for columns, rows in column_components(matrix.rows, matrix.ncols):

@@ -48,6 +48,9 @@ class TestWindow:
         assert len(w.keys) == 6 and len(w.out_keys) == 10
         with pytest.raises(ValueError):
             window_from_ranges(thin(), (0, 3))
+        for in_range, out_range in (((2, 1), None), ((0, 1), (3, 2))):
+            with pytest.raises(ValueError, match="empty index range"):
+                window_from_ranges(witt_z(), in_range, out_range)
 
     def test_columns_canonical(self):
         w = window_from_ranges(witt_z(), (0, 1), (0, 2))
@@ -65,6 +68,12 @@ class TestWindowedMap:
         w = window_from_ranges(witt_z(), (0, 1), (0, 2))
         with pytest.raises(ValueError):
             WindowedMap(w, {E(0): SparseVec({E(5): 1}), E(1): SparseVec()})
+
+    def test_sum_needs_one_window(self):
+        m = identity_map(window_from_ranges(witt_z(), (0, 1), (0, 2)))
+        other = identity_map(window_from_ranges(witt_z(), (0, 1), (0, 3)))
+        with pytest.raises(ValueError, match="window mismatch"):
+            m + other
 
     def test_evaluate_off_window(self):
         w = window_from_ranges(witt_z(), (0, 1), (0, 2))
