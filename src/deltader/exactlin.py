@@ -6,8 +6,8 @@ one function that picks it, wherever a scalar enters: the ``SparseVec``
 constructor, algebra parameters, parsed literals and operator fields; matrix
 rows are built from entries already in that form. A producer whose output is
 canonical by construction wraps its dict unchecked (``SparseVec._wrap``):
-``+``, ``-`` and ``scaled`` here, which turn an integral ``Fraction`` result
-into an int, and ``nullspace_by_blocks``; the map sums, multiples and
+``+``, ``-`` and ``scaled`` here, which put each sum or product through
+``as_scalar`` alone, and ``nullspace_by_blocks``; the map sums, multiples and
 commutators, a solved family's images and maps, ``expected_family``'s
 vectors, ``compare_families``' interior restriction and ``ShiftOp.value_at``
 elsewhere. Results may share entries, as nothing mutates a vector once it is
@@ -127,7 +127,7 @@ class SparseVec:
         for k, v in other._entries.items():
             nv = out.get(k, 0) + v
             if nv:  # a Fraction sum may be integral
-                out[k] = nv if type(nv) is int or nv.denominator != 1 else nv.numerator
+                out[k] = as_scalar(nv)
             else:
                 del out[k]
         return SparseVec._wrap(out)
@@ -142,13 +142,8 @@ class SparseVec:
         factor = as_scalar(factor)
         if not factor:
             return SparseVec()
-        if factor == 1:
-            return self
-        out = {}
-        for k, v in self._entries.items():
-            p = factor * v  # nonzero; a Fraction product may be integral
-            out[k] = p if type(p) is int or p.denominator != 1 else p.numerator
-        return SparseVec._wrap(out)
+        # each product is nonzero, and a Fraction product may be integral
+        return SparseVec._wrap({k: as_scalar(factor * v) for k, v in self._entries.items()})
 
     def __repr__(self) -> str:
         if not self._entries:
