@@ -34,6 +34,7 @@ from .literals import (
     ParseError,
     format_element,
     format_operator,
+    format_terms,
     parse_element,
     parse_operator,
     parse_range,
@@ -149,10 +150,7 @@ def _algebra_from(args) -> AlgebraSpec:
         return algebras.wab(parse_scalar(args.a), parse_scalar(args.b))
     if args.a is not None or args.b is not None:
         raise CliError(f"{name} takes no --a/--b parameters")
-    try:
-        return AlgebraSpec(name)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    return AlgebraSpec(name)
 
 
 def _window_from(args, alg: AlgebraSpec):
@@ -232,6 +230,23 @@ def _echo_inputs(args, alg: Optional[AlgebraSpec] = None) -> dict:
     return inputs
 
 
+def _basis_texts(family) -> list:
+    """Per basis vector, each input key's image as text, read straight off
+    the column vector: entry ``col`` is the coefficient of ``out_keys[col %
+    n]`` in the image of ``keys[col // n]``, so the entries in increasing
+    column order are each image's terms in canonical order."""
+    keys = [str(k) for k in family.window.keys]
+    labels = [str(o) for o in family.window.out_keys]
+    n = len(labels)
+    texts = []
+    for v in family.vectors:
+        terms = {k: [] for k in keys}
+        for col, coef in v.items():
+            terms[keys[col // n]].append((labels[col % n], coef))
+        texts.append({k: format_terms(image) for k, image in terms.items()})
+    return texts
+
+
 def _cmd_solve(args) -> int:
     alg = _algebra_from(args)
     w = _window_from(args, alg)
@@ -250,10 +265,7 @@ def _cmd_solve(args) -> int:
         "expectedContained": report.expected_contained,
         "interiorMargin": report.interior_margin,
         "solvedInteriorContained": report.solved_interior_contained,
-        "basis": [
-            {str(k): format_element(image) for k, image in solved.images(v).items()}
-            for v in solved.vectors
-        ],
+        "basis": _basis_texts(solved),
     }
     _write_report(args, "solve", _echo_inputs(args, alg), results)
     if args.tsv_path is not None:

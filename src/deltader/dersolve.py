@@ -17,6 +17,7 @@ comparison in ``compare_families`` absorbs.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -65,8 +66,8 @@ class FamilyBasis:
     image of ``keys[i]``. Unhashable, as ``SparseVec`` is.
 
     ``basis`` holds the same maps as ``WindowedMap``s, for evaluating; it is
-    built on first use and left out of equality. ``images`` reads one
-    vector's images without building a map, for printing.
+    built on first use, from ``images``, and left out of equality. The
+    solve report prints the vectors without either (``cli._basis_texts``).
     """
 
     window: Window
@@ -80,7 +81,7 @@ class FamilyBasis:
     def images(self, v: SparseVec) -> Dict[BasisKey, SparseVec]:
         """Per input key, its image under the map whose column vector is
         ``v``: entry ``col`` is the coefficient of ``out_keys[col % n]`` in the
-        image of ``keys[col // n]``."""
+        image of ``keys[col // n]``. ``basis`` builds its maps from these."""
         keys, out_keys = self.window.keys, self.window.out_keys
         n = len(out_keys)
         images: Dict[BasisKey, Dict[BasisKey, Scalar]] = {k: {} for k in keys}
@@ -187,6 +188,11 @@ def find_violation_witness(
     return violations[0] if violations else None
 
 
+# Every slot empty: what a unit's table holds at a degree it does not reach.
+# ``zip`` stops at the slots of the tables that are there.
+_NO_SLOTS = itertools.repeat(())
+
+
 class _GradedEquations:
     """The delta-derivation equations of a window, one graded block at a time.
 
@@ -197,7 +203,8 @@ class _GradedEquations:
     x|, |deg y|)`` (pairs with a generator first) and then canonically; a
     unit's rows are its equations at the coordinates of degree ``t + deg x +
     deg y``, in increasing order. The units of every pair are held once, in
-    that order, and each block streams its own from them (``units_at``).
+    that order, in ``units``, and each block reads its own from them with
+    one cursor (``_Block``).
 
     With ``delta = num/den`` the equation of (x, y) at z is ``den`` times
     the condition, ``den*phi([x, y]) - num*([phi(x), y] + [x, phi(y)])`` at
@@ -205,11 +212,14 @@ class _GradedEquations:
     from ``structure_table``, whose constants carry that scale, built once:
     ``-num*[o, y]`` and ``-num*[x, o]`` over the output keys o, grouped by
     deg o, for every key y and x of a pair, and ``den*[x, y]`` for every
-    pair. ``units_at(t)`` looks a unit's three tables up at shift t once and
-    streams the unit with them. From such a resolved unit ``rows`` builds its
-    rows, and ``first_cut`` scans a block's stream for the first unit whose
-    rows are nonzero on some vector, evaluating them from the unit's tables
-    without building a row.
+    pair. Each group is split by the slot of z among the coordinates of its
+    degree, so an equation is one slot of three tables, and where a degree
+    has one coordinate its value is one scalar sum.
+
+    A block numbers its unknown (k, o) ``i*W + slot of o``, with ``i`` the
+    index of k and ``W`` the most output keys of one degree, so a unit's
+    entries are found from the tables without a look-up by column; its
+    ``columns`` map those ids to the window's columns.
     """
 
     def __init__(self, alg: AlgebraSpec, delta: Scalar, w: Window):
@@ -230,105 +240,136 @@ class _GradedEquations:
         coordinates = sorted(set(out_keys).union(z for z, _ in terms))
         deg = {z: degree(alg, z) for z in coordinates}
         slot: Dict[BasisKey, int] = {}
-        self.width: Dict[int, int] = {}
+        width: Dict[int, int] = {}
         for z in coordinates:
-            slot[z] = self.width.get(deg[z], 0)
-            self.width[deg[z]] = slot[z] + 1
+            slot[z] = width.get(deg[z], 0)
+            width[deg[z]] = slot[z] + 1
 
         def not_graded(*keys):
             return ValueError(f"degree is not a grading of {alg.label()} at {list(keys)}")
 
+        # A group's slots before any entry; out keys' degrees and slots.
+        no_entries = {d: [()] * count for d, count in width.items()}
+        out_deg = [deg[o] for o in out_keys]
+        out_slot = [slot[o] for o in out_keys]
+
         def grouped(k, table):
-            """deg o -> [(j, slot of z, -num*c)] over the o = out_keys[j] with table[j] = (z, c)."""
+            """deg o -> per slot of the coordinates z of degree deg o + deg k,
+            the (slot of o, -num*c) over the output keys o with table entry
+            (z, c)."""
             groups: Dict[int, list] = {}
             dk = deg[k]
-            for j, (o, term) in enumerate(zip(out_keys, table)):
+            for o, do, so, term in zip(out_keys, out_deg, out_slot, table):
                 if term is not None and num:
                     z, c = term
-                    if deg[z] != deg[o] + dk:
+                    if deg[z] != do + dk:
                         raise not_graded(o, k)
-                    groups.setdefault(deg[o], []).append((j, slot[z], -num * c))
+                    group = groups.get(do)
+                    if group is None:
+                        group = groups[do] = no_entries[deg[z]].copy()
+                    group[slot[z]] += ((so, -num * c),)
             return groups
 
         o_k = {k: grouped(k, table) for k, table in o_k.items()}
         k_o = {k: grouped(k, table) for k, table in k_o.items()}
-        self.out_at: Dict[int, list] = {}
-        for j, o in enumerate(out_keys):
-            self.out_at.setdefault(deg[o], []).append((j, slot[o]))
-        # Column of (k, out_keys[j]) is first_col[k] + j.
-        first_col = {k: i * len(out_keys) for i, k in enumerate(w.keys)}
-        self.shifts = [deg[o] - deg[k] for k in w.keys for o in out_keys]
+        # Per degree, per slot: the slot itself when that coordinate is an
+        # output key, where phi([x, y]) has its entry; a pair with [x, y] = 0
+        # has no such table.
+        out_at: Dict[int, list] = {}
+        for do, so in zip(out_deg, out_slot):
+            out_at.setdefault(do, no_entries[do].copy())[so] = (so,)
+        n, most = len(out_keys), 1 + max(out_slot, default=0)
+        # Block t's id of (k, o) -> its column i*n + j, in increasing order.
+        columns: Dict[int, dict] = defaultdict(dict)
+        for i, k in enumerate(w.keys):
+            dk, first = deg[k], i * most
+            for j, (do, so) in enumerate(zip(out_deg, out_slot), start=i * n):
+                columns[do - dk][first + so] = j
+        self.columns = dict(sorted(columns.items()))
+
+        base = {k: i * most for i, k in enumerate(w.keys)}
         self.units = []
         for k1, k2 in sorted(self.pair_list, key=lambda p: min(abs(deg[p[0]]), abs(deg[p[1]]))):
             d1, d2 = deg[k1], deg[k2]
-            s_col = cs = None
+            outs, s_base, cs = {}, None, None
             if brackets[k1, k2] is not None:
                 s, cs = brackets[k1, k2]
                 if deg[s] != d1 + d2:
                     raise not_graded(k1, k2)
-                s_col, cs = first_col[s], den * cs
-            self.units.append((o_k[k2], k_o[k1], d1, d2, first_col[k1], first_col[k2], s_col, cs))
-
-    def units_at(self, t: int):
-        """The units with an equation in block t, streamed in pair order and
-        resolved there: ``(d, out, group1, group2, col1, col2, s_col, cs)``,
-        with ``d = t + deg x + deg y`` the degree of the unit's coordinates,
-        ``out`` the output keys of degree d when [x, y] is nonzero, and
-        ``group1`` and ``group2`` the entries of shift t of [phi(x), y] and
-        [x, phi(y)]. A unit is kept when one of the three is not empty."""
-        out_at = self.out_at
-        for o_k, k_o, d1, d2, col1, col2, s_col, cs in self.units:
-            d = t + d1 + d2
-            out = out_at.get(d, ()) if s_col is not None else ()
-            group1 = o_k.get(t + d1, ())
-            group2 = k_o.get(t + d2, ())
-            if out or group1 or group2:
-                yield d, out, group1, group2, col1, col2, s_col, cs
-
-    def rows(self, unit) -> list:
-        """The resolved unit's nonzero rows, by increasing coordinate."""
-        d, out, group1, group2, col1, col2, s_col, cs = unit
-        at: List[dict] = [{} for _ in range(self.width[d])]
-        for j, i in out:
-            at[i][s_col + j] = cs
-        for base, group in ((col1, group1), (col2, group2)):
-            for j, i, c in group:
-                row = at[i]
-                row[base + j] = row.get(base + j, 0) + c
-        return [
-            row if all(row.values()) else {c: v for c, v in row.items() if v}
-            for row in at
-            if any(row.values())
-        ]
-
-    def first_cut(self, units, probes):
-        """The first of the resolved ``units`` whose rows are nonzero on some
-        probe, or None: for each probe, the values of all the unit's rows are
-        summed straight from the unit's tables in one pass."""
-        width = self.width
-        for unit in units:
-            d, out, group1, group2, col1, col2, s_col, cs = unit
-            for p in probes:
-                values = [0] * width[d]
-                for j, i in out:
-                    values[i] += cs * p[s_col + j]
-                for j, i, c in group1:
-                    values[i] += c * p[col1 + j]
-                for j, i, c in group2:
-                    values[i] += c * p[col2 + j]
-                if any(values):
-                    return unit
-        return None
+                outs, s_base, cs = out_at, base[s], den * cs
+            self.units.append((outs, o_k[k2], k_o[k1], d1, d2, base[k1], base[k2], s_base, cs))
 
     def blocks(self):
-        """``(columns, units, rows, first_cut)`` of every block, by increasing
-        shift; the units are ``units_at``'s stream, so a block that reaches
-        full rank never enumerates the rest."""
-        columns: Dict[int, list] = {t: [] for t in sorted(set(self.shifts))}
-        for col, t in enumerate(self.shifts):
-            columns[t].append(col)
-        for t, cols in columns.items():
-            yield tuple(cols), self.units_at(t), self.rows, self.first_cut
+        """One ``_Block`` per shift, by increasing shift."""
+        for t in self.columns:
+            yield _Block(self, t)
+
+
+class _Block:
+    """The equations of one shift block ``t``, read with one cursor over the
+    units of ``_GradedEquations``: each unit is read once, by the rank phase
+    or by a scan, and a block that reaches full rank reads no further.
+
+    ``next_unit`` returns a unit resolved at ``t``: ``(out, group1, group2,
+    base1, base2, s_base, cs)``, with ``out``, ``group1`` and ``group2`` the
+    entries of phi([x, y]), [phi(x), y] and [x, phi(y)] at the coordinates of
+    degree ``t + deg x + deg y``, slot by slot, and each ``base`` the id of
+    the first unknown of its key. A unit is in the block when one of the
+    three is there.
+    """
+
+    def __init__(self, equations: _GradedEquations, t: int):
+        self.t = t
+        self.columns = equations.columns[t]
+        self.cursor = iter(equations.units)
+
+    def next_unit(self, probes=()):
+        """The next unit of the block, resolved, or None at the end. Given
+        probes, dense lists over the block's ids, the units whose rows are
+        zero on every probe are passed over: each is tested in this loop,
+        slot by slot, by summing its entries times the probe straight from
+        the tables, and only the unit returned is resolved."""
+        t = self.t
+        for outs, o_k, k_o, d1, d2, base1, base2, s_base, cs in self.cursor:
+            out = outs.get(t + d1 + d2, _NO_SLOTS)
+            group1 = o_k.get(t + d1, _NO_SLOTS)
+            group2 = k_o.get(t + d2, _NO_SLOTS)
+            if out is _NO_SLOTS and group1 is _NO_SLOTS and group2 is _NO_SLOTS:
+                continue  # no equation of this pair lies in the block
+            if not probes:
+                return out, group1, group2, base1, base2, s_base, cs
+            for at, at1, at2 in zip(out, group1, group2):
+                for p in probes:
+                    value = 0
+                    for j in at:
+                        value += cs * p[s_base + j]
+                    for j, c in at1:
+                        value += c * p[base1 + j]
+                    for j, c in at2:
+                        value += c * p[base2 + j]
+                    if value:
+                        return out, group1, group2, base1, base2, s_base, cs
+        return None
+
+    @staticmethod
+    def rows(unit) -> list:
+        """The resolved unit's nonzero rows, one per slot, by increasing
+        coordinate."""
+        out, group1, group2, base1, base2, s_base, cs = unit
+        rows = []
+        for at, at1, at2 in zip(out, group1, group2):
+            row = {}
+            for j in at:
+                row[s_base + j] = cs
+            for j, c in at1:
+                row[base1 + j] = row.get(base1 + j, 0) + c
+            for j, c in at2:
+                row[base2 + j] = row.get(base2 + j, 0) + c
+            if not all(row.values()):
+                row = {col: v for col, v in row.items() if v}
+            if row:
+                rows.append(row)
+        return rows
 
 
 def assemble(alg: AlgebraSpec, delta, w: Window) -> ConstraintSystem:
@@ -339,20 +380,23 @@ def assemble(alg: AlgebraSpec, delta, w: Window) -> ConstraintSystem:
     equations are still imposed on every reachable coordinate.
 
     The rows are every block's equations from ``_GradedEquations``, built in
-    full: block by block in increasing shift, and in each block pair by pair.
-    They are nonzero int rows inside the columns, so the matrix is built
-    from them as they are. ``solve_derivations`` asks the same generator for
-    every pair's rows while a block's nullity is above ``TESTED_NULLITY``
-    and, after that, only for the rows of the rare pairs that cut the null
-    space, which ``first_cut`` finds by scanning the rest from the tables, so
-    it never builds this matrix. ``nullspace(assemble(...).matrix)`` solves
-    it in one plain elimination, with no scan, and is its basis. Column
-    ``i`` is the unknown ``w.columns()[i]``.
+    full: block by block in increasing shift, and in each block pair by pair,
+    each entry moved from the block's id to its column. They are nonzero int
+    rows inside the columns, so the matrix is built from them as they are.
+    ``solve_derivations`` builds the same rows of every pair while a block's
+    nullity is above ``TESTED_NULLITY`` and, after that, only the rows of the
+    rare pairs that cut the null space, which the block's scan finds from
+    the tables, so it never builds this matrix.
+    ``nullspace(assemble(...).matrix)`` solves it in one plain elimination,
+    with no scan, and is its basis. Column ``i`` is the unknown
+    ``w.columns()[i]``.
     """
     equations = _GradedEquations(alg, as_scalar(delta), w)
-    rows = [
-        row for _, units, build, _ in equations.blocks() for unit in units for row in build(unit)
-    ]
+    rows = []
+    for block in equations.blocks():
+        columns = block.columns
+        while (unit := block.next_unit()) is not None:
+            rows += ({columns[c]: v for c, v in row.items()} for row in block.rows(unit))
     return ConstraintSystem(w, RatMatrix(tuple(rows), len(w.columns())), equations.pair_list)
 
 
@@ -362,11 +406,11 @@ def solve_derivations(alg: AlgebraSpec, w: Window, delta) -> FamilyBasis:
     The basis is ``nullspace(assemble(alg, delta, w).matrix)``, solved
     without building that matrix: ``exactlin.nullspace_by_blocks`` asks each
     block for the rows of a pair while the block's nullity is above
-    ``TESTED_NULLITY``. After that the block's ``first_cut`` scans the
-    remaining pairs on the block's null vectors, straight from the
-    structure-constant tables, and only the first pair that is nonzero on one
-    of them has its rows built; the scan then goes on from the next pair. The
-    null vectors of the last scan, which found no cut, are the basis.
+    ``TESTED_NULLITY``. After that the block's scan tests the remaining pairs
+    on the block's null vectors, straight from the structure-constant
+    tables, and only the first pair that is nonzero on one of them has its
+    rows built; the scan then goes on from the next pair. The null vectors
+    of the last scan, which found no cut, are the basis.
     """
     equations = _GradedEquations(alg, as_scalar(delta), w)
     return FamilyBasis(w, tuple(nullspace_by_blocks(equations.blocks())))

@@ -26,11 +26,12 @@ division is not exact. A feasibility system is given as its augmented rows
 ``[A|b]``, and its solution is read off like a null vector.
 
 Two nullspace solvers share that kernel. ``nullspace_by_blocks`` solves a
-block-diagonal system block by block from streams of row units, and once a
-block's nullity is small it scans the stream for the units that cut its null
-vectors (``_block_nullspace``). ``nullspace`` eliminates every row of one
-matrix, with no scan: it is the reference the block solver is checked
-against.
+block-diagonal system block by block, each block reading its units of rows
+with one cursor; once a block's nullity is small, the block scans on from
+that cursor, testing each unit against its null vectors held as dense
+lists, for the units that cut them (``_block_nullspace``). ``nullspace``
+eliminates every row of one matrix, with no scan: it is the reference the
+block solver is checked against.
 """
 
 from __future__ import annotations
@@ -54,10 +55,10 @@ def as_scalar(value) -> Scalar:
     """
     if type(value) is int:
         return value
-    if isinstance(value, str):
-        value = Fraction(value)
     if isinstance(value, Fraction):
         return value.numerator if value.denominator == 1 else value
+    if isinstance(value, str):
+        return as_scalar(Fraction(value))
     raise TypeError(f"not an exact scalar: {value!r}")
 
 
@@ -139,7 +140,10 @@ class SparseVec:
         return SparseVec._wrap({k: -v for k, v in self._entries.items()})
 
     def scaled(self, factor) -> "SparseVec":
-        factor = as_scalar(factor)
+        return self._times(as_scalar(factor))
+
+    def _times(self, factor: Scalar) -> "SparseVec":
+        """This vector times ``factor``, a scalar already in canonical form."""
         if not factor:
             return SparseVec()
         # each product is nonzero, and a Fraction product may be integral
@@ -286,52 +290,62 @@ def _canonical(v: dict, free) -> dict:
     return {c: x // d if not x % d else Fraction(x, d) for c, x in v.items()}
 
 
-def _block_nullspace(units, columns, rows, first_cut) -> dict:
+def _block_nullspace(block) -> dict:
     """Free column -> canonical null vector (1 at the free column, 0 at every
-    other) of the rows of one block, supported in ``columns``.
+    other) of the rows of one block, as columns of the whole system.
 
-    The rows come in units, read once each from the iterable ``units``.
-    ``rows(unit)`` builds a unit's rows. ``first_cut(units, probes)`` reads
-    on from the same stream without building rows and returns the first
-    unit whose rows are nonzero on some probe, or None once the stream ends.
+    ``block.columns`` maps the ids that the block's rows use to the columns
+    of the whole system, in increasing order of both, so the block's
+    canonical basis is the same in either. The rows come in units, read once
+    each with one cursor: ``block.next_unit()`` returns the next unit, or
+    None once there are no more, and ``block.next_unit(probes)`` reads on
+    and returns the first unit whose rows are nonzero on some probe, without
+    building rows. ``block.rows(unit)`` builds a unit's rows.
 
     The block keeps one echelon form. While its nullity is above
     ``TESTED_NULLITY``, checked before each unit is read, every unit's rows
     enter it. After that the probes are the null vectors of the rows so far,
-    dense over ``columns``, and the rest of the stream is scanned for the
-    first unit that cuts them. A unit orthogonal to every probe lies in
+    held as dense lists over the ids, and the rest of the units are scanned
+    for the first that cuts them. A unit orthogonal to every probe lies in
     ``(U^perp)^perp = U``, the span of the rows so far, and is passed over.
-    The cutting unit's rows are built and inserted like any other, the probes
-    are read again, and the scan goes on from the next unit. Reading stops
-    at full rank. When a scan finds no cut, the echelon form spans all the
-    rows, so the probes are the block's null vectors, and each is divided by
-    its entry at its free column. A stream that ends while the nullity is
-    still above ``TESTED_NULLITY`` is never scanned; its null vectors are
-    read off the echelon form once, in the same way.
+    The cutting unit's rows are inserted like any other, the probes are read
+    again, and the scan goes on from the next unit. Reading stops at full
+    rank. When a scan finds no cut, the echelon form spans all the rows, so
+    the probes are the block's null vectors, and each is divided by its
+    entry at its free column. When the units run out while the nullity is
+    still above ``TESTED_NULLITY``, the null vectors are read off the
+    echelon form once, in the same way.
     """
+    columns = block.columns
+    size = max(columns, default=-1) + 1
     pivots: dict = {}
-    units = iter(units)
-    while len(columns) - len(pivots) > TESTED_NULLITY:
-        unit = next(units, None)
-        if unit is None:
-            return {f: _canonical(_back_substitute(pivots, f), f) for f in columns if f not in pivots}
-        for row in rows(unit):
-            _insert(_primitive(row), pivots)
-    zero = dict.fromkeys(columns, 0)
+    nulls = None
     while True:
-        nulls = {f: _back_substitute(pivots, f) for f in columns if f not in pivots}
-        if not nulls:
-            return {}
-        unit = first_cut(units, [zero | v for v in nulls.values()])
+        probes = []
+        if len(columns) - len(pivots) <= TESTED_NULLITY:
+            nulls = {f: _back_substitute(pivots, f) for f in columns if f not in pivots}
+            if not nulls:
+                return {}
+            for v in nulls.values():
+                probe = [0] * size
+                for c, x in v.items():
+                    probe[c] = x
+                probes.append(probe)
+        unit = block.next_unit(probes)
         if unit is None:
-            return {f: _canonical(v, f) for f, v in nulls.items()}
-        for row in rows(unit):
+            break
+        for row in block.rows(unit):
             _insert(_primitive(row), pivots)
+    if nulls is None:
+        nulls = {f: _back_substitute(pivots, f) for f in columns if f not in pivots}
+    return {
+        columns[f]: {columns[c]: x for c, x in _canonical(v, f).items()} for f, v in nulls.items()
+    }
 
 
 def nullspace_by_blocks(blocks: Iterable) -> list:
     """Basis of the null space of a block-diagonal system given block by
-    block, as ``(columns, units, rows, first_cut)`` for ``_block_nullspace``.
+    block, each as ``_block_nullspace`` reads it.
 
     Vectors are emitted in increasing free-column order; each has entry 1 at
     its free column and 0 at every other, making the basis canonical for a
@@ -339,8 +353,8 @@ def nullspace_by_blocks(blocks: Iterable) -> list:
     union of its blocks' RREFs, so each block is solved alone.
     """
     basis: dict = {}
-    for columns, units, rows, first_cut in blocks:
-        basis.update(_block_nullspace(units, columns, rows, first_cut))
+    for block in blocks:
+        basis.update(_block_nullspace(block))
     return [SparseVec._wrap(basis[free]) for free in sorted(basis)]
 
 

@@ -97,19 +97,22 @@ def parse_element(text: str) -> SparseVec:
     return SparseVec(entries)
 
 
+def format_terms(terms) -> str:
+    """The canonical text of the sum of ``(label, coef)`` terms, each coef a
+    nonzero canonical scalar, in the order given; ``0*e0`` when there are
+    none."""
+    text = "".join(
+        [
+            ("+" if coef > 0 else "-") + (label if coef in (1, -1) else f"{abs(coef)}*{label}")
+            for label, coef in terms
+        ]
+    )
+    return text.removeprefix("+") or "0*e0"
+
+
 def format_element(v: SparseVec) -> str:
     """Canonical form; round-trips through parse_element."""
-    if v.is_zero():
-        return "0*e0"
-    parts = []
-    for key, coef in v.items():
-        mag = abs(coef)
-        body = f"{key.kind}{key.index}" if mag == 1 else f"{mag}*{key.kind}{key.index}"
-        if not parts:
-            parts.append(body if coef > 0 else f"-{body}")
-        else:
-            parts.append(("+" if coef > 0 else "-") + body)
-    return "".join(parts)
+    return format_terms((str(key), coef) for key, coef in v.items())
 
 
 def _items(text: str, brackets: str, form: str) -> list:

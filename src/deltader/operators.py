@@ -153,7 +153,8 @@ class WindowedMap:
         return WindowedMap._wrap(self.window, image)
 
     def scaled(self, factor) -> "WindowedMap":
-        return WindowedMap._wrap(self.window, {k: v.scaled(factor) for k, v in self.image.items()})
+        factor = as_scalar(factor)
+        return WindowedMap._wrap(self.window, {k: v._times(factor) for k, v in self.image.items()})
 
 
 def commutator(a: WindowedMap, b: WindowedMap) -> WindowedMap:

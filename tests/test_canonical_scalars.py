@@ -320,7 +320,7 @@ def assert_checked_map(m: WindowedMap) -> None:
 
 
 HALF = Fraction(1, 2)
-FACTORS = (0, 1, -3, Fraction(2, 3))
+FACTORS = (0, 1, -3, Fraction(2, 3), Fraction(4, 2), Fraction(-3, 1))
 # One input window with two output windows: equal to it, so every
 # commutator key survives, and larger, so a commutator's output window is
 # the union of its factors'.

@@ -6,6 +6,7 @@ import json
 import os
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,13 @@ from hypothesis import strategies as st
 
 from deltader import acceptance, algebras, cli
 from deltader.cli import main
+from deltader.dersolve import FamilyBasis, solve_half_derivations
+from deltader.exactlin import SparseVec
 from deltader.literals import format_element
 from deltader.locality import LocalReport, deterministic_sample
+from deltader.operators import window_from_ranges
+
+from test_golden import SOLVE_GOLDEN_PATHS, golden_window
 
 
 def read_json(path):
@@ -98,6 +104,50 @@ class TestSolveCommand:
         # alpha_1 and beta_2 both send e3 to a multiple of e3 on this window
         assert main(["solve", "--algebra", "thin", "--in", "3..3", "--out", "1..5"]) == 1
         assert "dimExpected=3 " in capsys.readouterr().out
+
+
+# The echoed inputs of every solve golden and of three more windows, each
+# with a text that some image must show: the wab ladder rung at a = 2/3, a
+# wab window whose basis has Fraction entries, and a thin window with zero
+# images.
+REPORT_INPUTS = [(json.loads(p.read_text())["inputsEcho"], "") for p in SOLVE_GOLDEN_PATHS] + [
+    ({"algebra": "wab", "a": "2/3", "b": "-1", "in": "-7..7", "out": "-14..14"}, ""),
+    ({"algebra": "wab", "a": "2/3", "b": "2", "in": "-1..1", "out": "-3..3"}, "/"),
+    ({"algebra": "thin", "in": "1..6", "out": "1..9"}, "0*e0"),
+]
+
+
+class TestSolveReportBasis:
+    @pytest.mark.parametrize(
+        "echo, shown", REPORT_INPUTS, ids=["-".join(echo.values()) for echo, _ in REPORT_INPUTS]
+    )
+    def test_basis_texts_are_the_formatted_images(self, tmp_path, echo, shown):
+        # the report reads each text off the column vector; it must print what
+        # formatting each image as its own vector printed
+        out = tmp_path / "r.json"
+        flags = [text for key, value in echo.items() for text in (f"--{key}", value)]
+        assert main(["solve", *flags, "--json", str(out)]) in (0, 1)
+        basis = read_json(out)["results"]["basis"]
+        family = solve_half_derivations(*golden_window({"inputsEcho": echo}))
+        expected = [
+            {str(k): format_element(image) for k, image in family.images(v).items()}
+            for v in family.vectors
+        ]
+        assert [list(texts.items()) for texts in basis] == [list(t.items()) for t in expected]
+        assert any(shown in text for texts in basis for text in texts.values())
+
+
+    def test_terms_of_an_image_come_in_canonical_order(self):
+        # no solved family has an image of two terms, so this one is built:
+        # its vector holds its entries in decreasing column order, as the
+        # solver's null vectors do
+        w = window_from_ranges(algebras.wab(0, 0), (0, 1), (-1, 1))
+        v = SparseVec({11: -1, 7: Fraction(-3, 2), 6: 1, 0: 2})
+        family = FamilyBasis(w, (v,))
+        (texts,) = cli._basis_texts(family)
+        images = family.images(v)
+        assert list(texts.items()) == [(str(k), format_element(im)) for k, im in images.items()]
+        assert texts["e1"] == "e-1-3/2*e0-f1" and texts["f0"] == "0*e0"
 
 
 class TestCheckMapCommand:
@@ -397,6 +447,28 @@ class TestConfigAndErrors:
         code = main(command + ["--json", str(out), "--tsv", str(tmp_path / bad)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: cannot write ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check-map"], "--map <operator literal> is required"),
+            (["local"], "--map <operator literal> is required"),
+            (["two-local"], "--map <operator literal> is required"),
+            (
+                ["check-map", "--map", "thin-nabla"],
+                "thin-nabla is nonlinear; use the two-local command",
+            ),
+        ],
+        ids=["check-map-without-map", "local-without-map", "two-local-without-map", "thin-nabla"],
+    )
+    def test_map_usage_errors_leave_no_report(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "r.json"
+        window = ["--algebra", "thin", "--in", "1..6", "--out", "1..9"]
+        assert main([*argv, *window, "--json", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert "Traceback" not in captured.out
         assert not out.exists()
 
     def test_config_path_with_a_nul_byte_is_usage_error(self, capsys):

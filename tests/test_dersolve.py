@@ -1,5 +1,6 @@
 """Constraint assembly, windowed solution spaces, family comparison."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -212,27 +213,43 @@ class TestLazySolve:
         self, monkeypatch, alg, in_range, out_range, dim, counts
     ):
         # a unit is built while its block's nullity is above 2, and after that
-        # only when it is the first of the scanned units to cut the probes
+        # only when it is the first of the scanned units to cut the probes;
+        # a scan tests every unit of its block that it reads from the cursor
         counted = {"built": 0, "tested": 0, "cut": 0}
-        equations = dersolve._GradedEquations
-        real_rows, real_first_cut = equations.rows, equations.first_cut
+        block = dersolve._Block
+        real_init, real_next, real_rows = block.__init__, block.next_unit, block.rows
 
-        def rows(self, unit):
-            counted["built"] += 1
-            return real_rows(self, unit)
-
-        def stream(units):
+        def logged(units, read):
             for unit in units:
-                counted["tested"] += 1
+                read.append(unit)
                 yield unit
 
-        def first_cut(self, units, probes):
-            unit = real_first_cut(self, stream(units), probes)
-            counted["cut"] += unit is not None
+        def init(self, equations, t):
+            real_init(self, equations, t)
+            self.read = []
+            self.cursor = logged(self.cursor, self.read)
+
+        def in_block(self, unit):
+            # read as the rank phase reads it: with no probes
+            alone = copy.copy(self)
+            alone.cursor = iter([unit])
+            return real_next(alone) is not None
+
+        def next_unit(self, probes=()):
+            start = len(self.read)
+            unit = real_next(self, probes)
+            if probes:
+                counted["tested"] += sum(in_block(self, u) for u in self.read[start:])
+                counted["cut"] += unit is not None
             return unit
 
-        monkeypatch.setattr(equations, "rows", rows)
-        monkeypatch.setattr(equations, "first_cut", first_cut)
+        def rows(unit):
+            counted["built"] += 1
+            return real_rows(unit)
+
+        monkeypatch.setattr(block, "__init__", init)
+        monkeypatch.setattr(block, "next_unit", next_unit)
+        monkeypatch.setattr(block, "rows", staticmethod(rows))
         family = solve_half_derivations(alg, window_from_ranges(alg, in_range, out_range))
         assert len(family) == dim
         assert counted == counts

@@ -1,6 +1,7 @@
 """Exact linear algebra: nullspace, feasibility, span."""
 
 from fractions import Fraction
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -340,51 +341,64 @@ def block_diagonal_matrices(draw):
     return rows, ncols, tuple(blocks)
 
 
-def one_row(row) -> tuple:
-    """A matrix row as a unit of its own: its one row, or none if it is zero."""
-    return (row,) if row else ()
-
-
 def cuts(row, probes) -> bool:
     """Whether ``row`` has a nonzero dot product with some probe."""
     return any(sum(v * p[c] for c, v in row.items()) for p in probes)
 
 
-def first_nonzero_dot(rows, probes):
-    """The first of ``rows`` that cuts the probes, or None."""
-    return next((row for row in rows if cuts(row, probes)), None)
+class Units:
+    """A block for ``_block_nullspace`` from its own rows: each row is a unit
+    of its own, read with one cursor, and a scan tests a row by its dot
+    product with each probe. The block's ids are the system's columns."""
+
+    def __init__(self, columns, rows):
+        self.columns = {c: c for c in columns}
+        self.cursor = iter(rows)
+
+    def next_unit(self, probes=()):
+        return next((row for row in self.cursor if not probes or cuts(row, probes)), None)
+
+    def rows(self, row) -> tuple:
+        """The unit's one row, or none if it is zero."""
+        return (row,) if row else ()
 
 
-def by_blocks(rows, blocks, unit_rows=one_row, first_cut=first_nonzero_dot):
+def by_blocks(rows, blocks, block=Units):
     """``nullspace_by_blocks`` of the packed ``rows`` in the given blocks,
     each row a unit of its own."""
-    return nullspace_by_blocks(
-        (columns, rows[start:stop], unit_rows, first_cut) for columns, start, stop in blocks
-    )
+    return nullspace_by_blocks(block(columns, rows[start:stop]) for columns, start, stop in blocks)
 
 
-class Counting:
-    """``one_row`` and ``first_nonzero_dot`` that record, in the order the
-    kernel reads them, the rows built, the rows tested on probes and the
-    number of probes of each scan."""
+class Counted(Units):
+    """``Units`` that record in ``log``, in the order the kernel reads them,
+    the rows built, the rows tested on probes and the number of probes of
+    each scan."""
 
-    def __init__(self):
-        self.built, self.tested, self.scans = [], [], []
+    def __init__(self, log, columns, rows):
+        super().__init__(columns, rows)
+        self.log = log
 
-    def rows(self, row):
-        self.built.append(row)
-        return one_row(row)
-
-    def first_cut(self, rows, probes):
-        self.scans.append(len(probes))
-        for row in rows:
-            self.tested.append(row)
+    def next_unit(self, probes=()):
+        if not probes:
+            return super().next_unit()
+        self.log.scans.append(len(probes))
+        for row in self.cursor:
+            self.log.tested.append(row)
             if cuts(row, probes):
                 return row
         return None
 
+    def rows(self, row):
+        self.log.built.append(row)
+        return super().rows(row)
+
+
+class Counting:
+    def __init__(self):
+        self.built, self.tested, self.scans = [], [], []
+
     def by_blocks(self, rows, blocks):
-        return by_blocks(rows, blocks, self.rows, self.first_cut)
+        return by_blocks(rows, blocks, partial(Counted, self))
 
 
 class TestBlockNullspace:
@@ -469,7 +483,7 @@ class TestBlockNullspace:
         assert substituted == [1, 3, 4, 6, 7]
         assert counting.built == rows[:3] and counting.tested == rows[3:]
         # an entry is an int where the division by the free entry is exact
-        basis = exactlin._block_nullspace(rows[:2], range(5), one_row, lambda *_: None)
+        basis = exactlin._block_nullspace(Units(range(5), rows[:2]))
         assert basis[1] == {1: 1, 0: -2} and type(basis[1][0]) is int
         assert basis[3] == {3: 1, 2: Fraction(-1, 2)}
 
