@@ -9,6 +9,8 @@ Jacobi sum runs in ``Fraction``. Each algebra's axiom box, windows and
 interior margin live in its catalogue record (``algebras.AlgebraRecord``);
 those margins and the infeasible scan sets below were computed once with the
 exact solver oracle and are frozen; the suite validates them on every run.
+Criteria 5-7 ask the paper's counterexamples the questions held in
+``COUNTEREXAMPLES``, the table the ``counterexamples`` command runs too.
 
 Criterion 6 pins the non-additivity right-hand side to ``e2``. Exact
 evaluation of the probe map gives ``2*e2``, so that single check reports
@@ -24,7 +26,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import algebras
 from .algebras import AlgebraSpec, E, F, structure_table
@@ -55,7 +57,6 @@ from .operators import (
     Window,
     WindowedMap,
     commutator,
-    materialize,
     window_from_ranges,
 )
 
@@ -66,12 +67,80 @@ ZERO_PROPAGATION_INFEASIBLE_C = tuple(range(1, 11))
 
 WAB_ACCEPTANCE_PARAMS = ((0, 0), (1, -1), (Fraction(1, 2), -1), (0, 2))
 
-# The catalogued counterexamples' keys and points, read by criteria 5 and 6
-# and by the ``counterexamples`` command.
-THIN_PROBE_KEYS = (E(1), E(3))
-THIN_SCAN_KEYS = tuple(E(i) for i in range(1, 9))
-THIN_NONADDITIVE_PAIR = (SparseVec({E(1): 1, E(2): 1}), SparseVec({E(1): -1, E(2): 1}))
-SOLV_SCAN_KEYS = tuple(E(i) for i in range(1, 5))
+
+class Counterexample(NamedTuple):
+    """A map ``probe`` on ``algebra`` that is no half-derivation, yet is
+    locally feasible on the acceptance window's ``deterministic_sample`` plus
+    ``sample_points`` (the suite adds ``suite_points``). Each of ``scans`` is
+    (report field, scan keys, expected witness): the first pair of scan keys
+    where ``probe`` breaks the equation at delta 1/2, with its residual. A
+    nonlinear ``nabla`` is nonadditive on ``nonadditive_pair`` and 2-locally
+    feasible at every pair of ``grid``."""
+
+    algebra: AlgebraSpec
+    probe: object
+    scans: tuple
+    sample_points: Tuple[SparseVec, ...] = ()
+    suite_points: Tuple[SparseVec, ...] = ()
+    nabla: Optional[ThinNabla] = None
+    nonadditive_pair: Tuple[SparseVec, ...] = ()
+    grid: Tuple[Tuple[SparseVec, SparseVec], ...] = ()
+
+
+# The catalogued counterexamples by algebra name: criteria 5-7 and the
+# ``counterexamples`` command ask each entry the same questions.
+COUNTEREXAMPLES = {
+    "thin": Counterexample(
+        algebras.thin(),
+        ThinLocalDelta(),
+        scans=(
+            ("probeWitness", (E(1), E(3)), ((E(1), E(3)), SparseVec({E(4): HALF}))),
+            ("firstWitness", tuple(E(i) for i in range(1, 9)), ((E(1), E(2)), SparseVec({E(3): HALF}))),
+        ),
+        sample_points=(
+            SparseVec({E(1): 1}),
+            SparseVec({E(2): 1}),
+            SparseVec({E(1): 1, E(4): 1}),
+            SparseVec({E(2): 1, E(7): 3}),
+            SparseVec({E(1): 2, E(3): -1, E(6): 1}),
+        ),
+        nabla=ThinNabla(),
+        nonadditive_pair=(SparseVec({E(1): 1, E(2): 1}), SparseVec({E(1): -1, E(2): 1})),
+        # 20 pairs covering all first-coordinate cases
+        grid=(
+            # both first coordinates zero
+            (SparseVec({E(2): 1}), SparseVec({E(3): 1})),
+            (SparseVec({E(2): 1, E(4): 1}), SparseVec({E(4): 5})),
+            (SparseVec({E(3): 1, E(5): -1}), SparseVec({E(2): 1, E(6): 1})),
+            (SparseVec({E(7): 2}), SparseVec({E(2): 1, E(9): Fraction(1, 2)})),
+            (SparseVec({E(5): 3}), SparseVec({E(8): 1})),
+            (SparseVec(), SparseVec({E(2): 1})),
+            # exactly one nonzero first coordinate (both orders)
+            (SparseVec({E(2): 1}), SparseVec({E(1): 1, E(2): 1})),
+            (SparseVec({E(3): 1, E(4): 2}), SparseVec({E(1): -1, E(5): 1})),
+            (SparseVec({E(6): 1}), SparseVec({E(1): 2, E(3): 1, E(7): 1})),
+            (SparseVec({E(1): 1, E(2): 1}), SparseVec({E(2): 1})),
+            (SparseVec({E(1): 3, E(9): 1}), SparseVec({E(4): 1, E(8): -2})),
+            (SparseVec({E(2): 1, E(5): 1}), SparseVec({E(1): 1})),
+            # both first coordinates nonzero
+            (SparseVec({E(1): 1, E(2): 1}), SparseVec({E(1): -1, E(2): 1})),
+            (SparseVec({E(1): 2, E(3): -1}), SparseVec({E(1): 1, E(4): 1, E(5): 1})),
+            (SparseVec({E(1): 1}), SparseVec({E(1): 5, E(10): 1})),
+            (SparseVec({E(1): 1, E(6): Fraction(3, 4)}), SparseVec({E(1): -2, E(7): 1})),
+            (SparseVec({E(1): 1, E(2): 1, E(3): 1}), SparseVec({E(1): 1, E(2): -1})),
+            (SparseVec({E(1): 4}), SparseVec({E(1): 1, E(9): 2})),
+            (SparseVec({E(1): 1, E(8): 1}), SparseVec({E(1): 1, E(8): -1})),
+            (SparseVec({E(1): -1, E(5): 2}), SparseVec({E(1): 3, E(2): 1, E(10): 1})),
+        ),
+    ),
+    "solv": Counterexample(
+        algebras.solv_abelian(),
+        SolvDeltaBar(),
+        scans=(("witness", tuple(E(i) for i in range(1, 5)), ((E(1), E(2)), SparseVec({E(2): HALF}))),),
+        # not in the shared sample, whose size the solv report prints
+        suite_points=(SparseVec({E(1): 1, E(2): 1, E(3): 1}),),
+    ),
+}
 
 
 def acceptance_window(alg: AlgebraSpec, quick: bool = False) -> Window:
@@ -98,12 +167,11 @@ class _Checks:
         self.details: List[str] = []
         self.ok = True
 
-    def expect(self, condition: bool, label: str) -> bool:
+    def expect(self, condition: bool, label: str) -> None:
         mark = "ok" if condition else "FAILED"
         self.details.append(f"{label}: {mark}")
         if not condition:
             self.ok = False
-        return condition
 
 
 # The solve memo of the running verification, keyed by (algebra, window);
@@ -291,83 +359,34 @@ def criterion_4(quick: bool = False) -> CriterionResult:
     return CriterionResult(4, "W(a,b) dichotomy at b=-1", checks.ok, tuple(checks.details))
 
 
-def thin_local_sample(w: Window) -> List[SparseVec]:
-    """Deterministic thin sample: window keys, pair sums, seeded 3-term combos,
-    plus the standard probe cases."""
-    sample = deterministic_sample(w.keys)
-    sample += [
-        SparseVec({E(1): 1}),
-        SparseVec({E(2): 1}),
-        SparseVec({E(1): 1, E(4): 1}),
-        SparseVec({E(2): 1, E(7): 3}),
-        SparseVec({E(1): 2, E(3): -1, E(6): 1}),
-    ]
-    return sample
-
-
 def criterion_5(quick: bool = False) -> CriterionResult:
     checks = _Checks()
-    alg = algebras.thin()
-    delta_map = ThinLocalDelta()
+    thin = COUNTEREXAMPLES["thin"]
+    (_, probe_keys, (probe_pair, probe_residual)), (_, scan_keys, first) = thin.scans
     # witness the violation on the canonical probe keys {e1, e3}
-    witness = find_violation_witness(alg, delta_map, HALF, THIN_PROBE_KEYS)
+    witness = find_violation_witness(thin.algebra, thin.probe, HALF, probe_keys)
     checks.expect(witness is not None, "violation witness found on probe keys {e1,e3}")
     if witness:
         pair, residual = witness
-        checks.expect(pair == (E(1), E(3)), f"witness pair is (e1, e3), got {pair}")
-        checks.expect(
-            residual == SparseVec({E(4): HALF}),
-            f"witness residual is (1/2)e4, got {residual}",
-        )
+        checks.expect(pair == probe_pair, f"witness pair is (e1, e3), got {pair}")
+        checks.expect(residual == probe_residual, f"witness residual is (1/2)e4, got {residual}")
     # a full scan of e1..e8 sees an even earlier violation at (e1, e2)
-    early = find_violation_witness(alg, delta_map, HALF, THIN_SCAN_KEYS)
-    checks.expect(
-        early == ((E(1), E(2)), SparseVec({E(3): HALF})),
-        "full scan of e1..e8 finds the earlier witness (e1,e2) with (1/2)e3",
-    )
-    w = acceptance_window(alg, quick)
-    family = _solve(alg, w)
-    sample = thin_local_sample(w)
+    early = find_violation_witness(thin.algebra, thin.probe, HALF, scan_keys)
+    checks.expect(early == first, "full scan of e1..e8 finds the earlier witness (e1,e2) with (1/2)e3")
+    w = acceptance_window(thin.algebra, quick)
+    family = _solve(thin.algebra, w)
+    sample = deterministic_sample(w.keys) + list(thin.sample_points)
     checks.expect(len(sample) >= 25, f"sample size {len(sample)} >= 25")
-    reports = check_local(delta_map, family, sample)
+    reports = check_local(thin.probe, family, sample)
     checks.expect(all(r.feasible for r in reports), "thin probe map locally feasible on the whole sample")
     return CriterionResult(5, "thin local counterexample", checks.ok, tuple(checks.details))
 
 
-def thin_two_local_grid() -> List[Tuple[SparseVec, SparseVec]]:
-    """Deterministic grid of 20 pairs covering all first-coordinate cases."""
-    grid = [
-        # both first coordinates zero
-        (SparseVec({E(2): 1}), SparseVec({E(3): 1})),
-        (SparseVec({E(2): 1, E(4): 1}), SparseVec({E(4): 5})),
-        (SparseVec({E(3): 1, E(5): -1}), SparseVec({E(2): 1, E(6): 1})),
-        (SparseVec({E(7): 2}), SparseVec({E(2): 1, E(9): Fraction(1, 2)})),
-        (SparseVec({E(5): 3}), SparseVec({E(8): 1})),
-        (SparseVec(), SparseVec({E(2): 1})),
-        # exactly one nonzero first coordinate (both orders)
-        (SparseVec({E(2): 1}), SparseVec({E(1): 1, E(2): 1})),
-        (SparseVec({E(3): 1, E(4): 2}), SparseVec({E(1): -1, E(5): 1})),
-        (SparseVec({E(6): 1}), SparseVec({E(1): 2, E(3): 1, E(7): 1})),
-        (SparseVec({E(1): 1, E(2): 1}), SparseVec({E(2): 1})),
-        (SparseVec({E(1): 3, E(9): 1}), SparseVec({E(4): 1, E(8): -2})),
-        (SparseVec({E(2): 1, E(5): 1}), SparseVec({E(1): 1})),
-        # both first coordinates nonzero
-        (SparseVec({E(1): 1, E(2): 1}), SparseVec({E(1): -1, E(2): 1})),
-        (SparseVec({E(1): 2, E(3): -1}), SparseVec({E(1): 1, E(4): 1, E(5): 1})),
-        (SparseVec({E(1): 1}), SparseVec({E(1): 5, E(10): 1})),
-        (SparseVec({E(1): 1, E(6): Fraction(3, 4)}), SparseVec({E(1): -2, E(7): 1})),
-        (SparseVec({E(1): 1, E(2): 1, E(3): 1}), SparseVec({E(1): 1, E(2): -1})),
-        (SparseVec({E(1): 4}), SparseVec({E(1): 1, E(9): 2})),
-        (SparseVec({E(1): 1, E(8): 1}), SparseVec({E(1): 1, E(8): -1})),
-        (SparseVec({E(1): -1, E(5): 2}), SparseVec({E(1): 3, E(2): 1, E(10): 1})),
-    ]
-    return grid
-
-
 def criterion_6(quick: bool = False) -> CriterionResult:
     checks = _Checks()
-    nabla = ThinNabla()
-    witness = certify_nonadditive(nabla, *THIN_NONADDITIVE_PAIR)
+    thin = COUNTEREXAMPLES["thin"]
+    nabla = thin.nabla
+    witness = certify_nonadditive(nabla, *thin.nonadditive_pair)
     checks.expect(witness.nonadditive, "nabla(x+y) != nabla(x)+nabla(y)")
     checks.expect(witness.lhs.is_zero(), f"lhs is 0, got {witness.lhs}")
     # Required reference value: rhs = e2. Exact evaluation of the map as
@@ -376,36 +395,29 @@ def criterion_6(quick: bool = False) -> CriterionResult:
         witness.rhs == SparseVec({E(2): 1}),
         f"rhs is e2 exactly (exact evaluation gives {witness.rhs})",
     )
-    alg = algebras.thin()
-    w = acceptance_window(alg, quick)
-    family = _solve(alg, w)
-    grid = thin_two_local_grid()
-    checks.expect(len(grid) >= 20, f"grid size {len(grid)} >= 20")
-    feasible = all(two_local_feasible_at(nabla, gx, gy, family).feasible for gx, gy in grid)
+    w = acceptance_window(thin.algebra, quick)
+    family = _solve(thin.algebra, w)
+    checks.expect(len(thin.grid) >= 20, f"grid size {len(thin.grid)} >= 20")
+    feasible = all(two_local_feasible_at(nabla, gx, gy, family).feasible for gx, gy in thin.grid)
     checks.expect(feasible, "two-local feasibility across the whole grid")
     return CriterionResult(6, "thin 2-local counterexample", checks.ok, tuple(checks.details))
 
 
 def criterion_7(quick: bool = False) -> CriterionResult:
     checks = _Checks()
-    alg = algebras.solv_abelian()
-    w, solved, _, report = _certify(alg, quick)
+    solv = COUNTEREXAMPLES["solv"]
+    w, solved, _, report = _certify(solv.algebra, quick)
     checks.expect(
         report.expected_contained and report.solved_interior_contained,
         f"interior comparison certifies the unit-vector family (dim {report.dim_solved})",
     )
-    dbar = materialize(SolvDeltaBar(), w)
-    violations = check_delta_derivation(alg, dbar, HALF, [(E(1), E(2))])
+    ((_, scan_keys, first),) = solv.scans
     checks.expect(
-        violations == [((E(1), E(2)), SparseVec({E(2): HALF}))],
+        find_violation_witness(solv.algebra, solv.probe, HALF, scan_keys) == first,
         "probe map fails at (e1,e2) with residual (1/2)e2",
     )
-    sample = deterministic_sample(w.keys) + [
-        SparseVec({E(1): 1}),
-        SparseVec({E(1): 1, E(2): 1, E(3): 1}),
-        SparseVec({E(4): 1}),
-    ]
-    reports = check_local(SolvDeltaBar(), solved, sample)
+    sample = deterministic_sample(w.keys) + list(solv.sample_points + solv.suite_points)
+    reports = check_local(solv.probe, solved, sample)
     checks.expect(all(r.feasible for r in reports), "probe map locally feasible on the sample")
     bad = WindowedMap(
         w, {k: (SparseVec({E(3): 1}) if k == E(2) else SparseVec()) for k in w.keys}

@@ -50,9 +50,7 @@ from .locality import (
 )
 from .operators import (
     SupportOverflow,
-    ThinLocalDelta,
     ThinNabla,
-    SolvDeltaBar,
     WindowTooSmall,
     materialize,
     window_from_ranges,
@@ -312,12 +310,13 @@ def _serialize_params(params) -> Optional[dict]:
 
 
 def _default_two_local_pairs(alg: AlgebraSpec, w):
-    """The thin grid of criterion 6 when every element of it lies in the
-    input window, else at most 20 consecutive pairs of the window's sample."""
-    if alg == algebras.thin():
-        grid = acceptance.thin_two_local_grid()
-        if all(w.key_set().issuperset(v.support()) for pair in grid for v in pair):
-            return grid
+    """The 2-local grid of the algebra's catalogued counterexample when every
+    element of it lies in the input window, else at most 20 consecutive
+    pairs of the window's sample."""
+    entry = acceptance.COUNTEREXAMPLES.get(alg.name)
+    grid = entry.grid if entry else ()
+    if grid and all(w.key_set().issuperset(v.support()) for pair in grid for v in pair):
+        return grid
     sample = deterministic_sample(w.keys)
     return list(zip(sample[:-1], sample[1:]))[:20]
 
@@ -376,45 +375,33 @@ def _cmd_locality(args) -> int:
 
 def _cmd_counterexamples(args) -> int:
     name = args.algebra or "thin"
-    if name == "thin":
-        alg = algebras.thin()
-        probe = find_violation_witness(alg, ThinLocalDelta(), HALF, acceptance.THIN_PROBE_KEYS)
-        first = find_violation_witness(alg, ThinLocalDelta(), HALF, acceptance.THIN_SCAN_KEYS)
-        x, y = acceptance.THIN_NONADDITIVE_PAIR
-        additivity = certify_nonadditive(ThinNabla(), x, y)
-        results = {
-            "probeWitness": _serialize_witness(probe),
-            "firstWitness": _serialize_witness(first),
-            "nonadditivity": {
-                "x": format_element(x),
-                "y": format_element(y),
-                "nonadditive": additivity.nonadditive,
-                "lhs": format_element(additivity.lhs),
-                "rhs": format_element(additivity.rhs),
-            },
-        }
-        # the feasible half of each counterexample, as criteria 5 and 6 check it
-        w = acceptance.acceptance_window(alg)
-        family = solve_half_derivations(alg, w)
-        grid = acceptance.thin_two_local_grid()
-        reports = check_local(ThinLocalDelta(), family, acceptance.thin_local_sample(w))
-        reports += [two_local_feasible_at(ThinNabla(), *pair, family) for pair in grid]
-        witnessed = probe is not None and first is not None and additivity.nonadditive
-        ok = witnessed and all(r.feasible for r in reports)
-    elif name == "solv":
-        alg = algebras.solv_abelian()
-        witness = find_violation_witness(alg, SolvDeltaBar(), HALF, acceptance.SOLV_SCAN_KEYS)
-        w = acceptance.acceptance_window(alg)
-        family = solve_half_derivations(alg, w)
-        reports = check_local(SolvDeltaBar(), family, deterministic_sample(w.keys))
-        results = {
-            "witness": _serialize_witness(witness),
-            "locallyFeasibleOnSample": all(r.feasible for r in reports),
-            "sampleSize": len(reports),
-        }
-        ok = witness is not None and all(r.feasible for r in reports)
-    else:
+    entry = acceptance.COUNTEREXAMPLES.get(name)
+    if entry is None:
         raise CliError(f"no catalogued counterexamples for algebra {name!r}")
+    alg = entry.algebra
+    witnesses = [find_violation_witness(alg, entry.probe, HALF, keys) for _, keys, _ in entry.scans]
+    results = {field: _serialize_witness(found) for (field, _, _), found in zip(entry.scans, witnesses)}
+    ok = witnesses == [expected for _, _, expected in entry.scans]
+    # the feasible half of the counterexample, as criteria 5-7 check it
+    w = acceptance.acceptance_window(alg)
+    family = solve_half_derivations(alg, w)
+    reports = check_local(entry.probe, family, deterministic_sample(w.keys) + list(entry.sample_points))
+    if entry.nabla is None:  # schema "1" reports the sample's verdict on solv only
+        results["locallyFeasibleOnSample"] = all(r.feasible for r in reports)
+        results["sampleSize"] = len(reports)
+    else:
+        x, y = entry.nonadditive_pair
+        additivity = certify_nonadditive(entry.nabla, x, y)
+        results["nonadditivity"] = {
+            "x": format_element(x),
+            "y": format_element(y),
+            "nonadditive": additivity.nonadditive,
+            "lhs": format_element(additivity.lhs),
+            "rhs": format_element(additivity.rhs),
+        }
+        reports += [two_local_feasible_at(entry.nabla, *pair, family) for pair in entry.grid]
+        ok = ok and additivity.nonadditive
+    ok = ok and all(r.feasible for r in reports)
     _write_report(args, "counterexamples", {"algebra": name}, results)
     print(f"counterexamples[{name}]: confirmed={ok}")
     return 0 if ok else 1

@@ -12,6 +12,7 @@ import pytest
 
 from deltader import acceptance, algebras
 from deltader.algebras import E, F, wab, witt_z
+from deltader.exactlin import SparseVec
 
 
 def _run(criterion):
@@ -60,6 +61,14 @@ def test_criterion_9_separating_point_injectivity():
 
 def test_criterion_10_commutator_quarter_derivations():
     _run(acceptance.criterion_10)
+
+
+def test_criterion_10_reports_a_commutator_that_fails(monkeypatch):
+    violation = [((E(1), E(2)), SparseVec({E(3): 1}))]
+    monkeypatch.setattr(acceptance, "check_delta_derivation", lambda *args: violation)
+    result = acceptance.criterion_10(quick=True)
+    assert not result.passed
+    assert result.details == ("10 seeded commutators pass the quarter-derivation check: FAILED",)
 
 
 def _flip_sign(monkeypatch, alg, pairs):

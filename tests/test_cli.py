@@ -4,6 +4,8 @@ import argparse
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
@@ -13,11 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltader import acceptance, algebras, cli
+from deltader import acceptance, algebras, cli, locality
+from deltader.algebras import E
 from deltader.cli import main
 from deltader.dersolve import FamilyBasis, solve_half_derivations
 from deltader.exactlin import SparseVec
-from deltader.literals import format_element
+from deltader.literals import format_element, format_operator
 from deltader.locality import LocalReport, deterministic_sample
 from deltader.operators import window_from_ranges
 
@@ -298,7 +301,7 @@ class TestCounterexamplesCommand:
         assert results["nonadditivity"]["nonadditive"] is True
         assert results["nonadditivity"]["rhs"] == "2*e2"
         # the command reads the suite's pair, not a copy of it
-        x, y = acceptance.THIN_NONADDITIVE_PAIR
+        x, y = acceptance.COUNTEREXAMPLES["thin"].nonadditive_pair
         assert (results["nonadditivity"]["x"], results["nonadditivity"]["y"]) == (
             format_element(x),
             format_element(y),
@@ -336,13 +339,26 @@ class TestCounterexamplesCommand:
     @pytest.mark.parametrize(
         "algebra, fields", [("thin", ("probeWitness", "firstWitness")), ("solv", ("witness",))]
     )
-    def test_missing_witness_is_a_property_failure(self, tmp_path, monkeypatch, algebra, fields):
-        monkeypatch.setattr(cli, "find_violation_witness", lambda *args: None)
+    def test_missing_witness_is_a_property_failure(
+        self, tmp_path, monkeypatch, capsys, algebra, fields
+    ):
+        # no witness, and a witness other than the catalogued one
+        for witness in (None, ((E(2), E(5)), SparseVec({E(7): 3}))):
+            monkeypatch.setattr(cli, "find_violation_witness", lambda *args: witness)
+            out = tmp_path / "r.json"
+            code = main(["counterexamples", "--algebra", algebra, "--json", str(out)])
+            assert code == 1
+            assert "confirmed=False" in capsys.readouterr().out
+            results = read_json(out)["results"]
+            assert all(results[f] == cli._serialize_witness(witness) for f in fields)
+
+    @pytest.mark.parametrize("algebra", ["wittz", "wittpos", "witt1", "wab"])
+    def test_an_algebra_without_counterexamples_is_a_usage_error(self, tmp_path, capsys, algebra):
         out = tmp_path / "r.json"
-        code = main(["counterexamples", "--algebra", algebra, "--json", str(out)])
-        assert code == 1
-        results = read_json(out)["results"]
-        assert all(results[f] is None for f in fields)
+        assert main(["counterexamples", "--algebra", algebra, "--json", str(out)]) == 2
+        message = f"error: no catalogued counterexamples for algebra {algebra!r}\n"
+        assert capsys.readouterr().err == message
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--a", "--b"])
     def test_wab_parameter_flags_are_usage_errors(self, capsys, flag):
@@ -359,6 +375,68 @@ class TestCounterexamplesCommand:
         assert main(["counterexamples", "--config", str(config), "--json", str(out)]) == 2
         assert capsys.readouterr().err.startswith(f"error: unknown config key {line[0]!r}")
         assert not out.exists()
+
+
+class TestEntryPoints:
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["deltader", "counterexamples", "--algebra", "wittz"])
+        assert main() == 2
+        assert "no catalogued counterexamples" in capsys.readouterr().err
+
+    def test_module_run_exits_with_the_command_code(self):
+        paths = [str(Path(cli.__file__).resolve().parent.parent), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        argv = [sys.executable, "-m", "deltader.cli", "counterexamples", "--algebra", "solv"]
+        run = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout == "counterexamples[solv]: confirmed=True\n"
+
+
+def _record_points(monkeypatch) -> list:
+    """Per call of ``local_feasible_at`` or ``two_local_feasible_at``, made
+    through any module that imports it, its points as element literals."""
+    calls = []
+    for module in (locality, acceptance, cli):
+        for name in ("local_feasible_at", "two_local_feasible_at"):
+            original = getattr(module, name)
+
+            def recording(candidate, *args, original=original):
+                calls.append(tuple(map(format_element, args[:-1])))
+                return original(candidate, *args)
+
+            monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+class TestOneCatalogue:
+    def test_command_and_criteria_ask_the_same_questions(self, monkeypatch):
+        calls = _record_points(monkeypatch)
+        asked = {}
+        for name, criteria in (
+            ("thin", (acceptance.criterion_5, acceptance.criterion_6)),
+            ("solv", (acceptance.criterion_7,)),
+        ):
+            calls.clear()
+            assert main(["counterexamples", "--algebra", name]) == 0
+            command = list(calls)
+            calls.clear()
+            for criterion in criteria:
+                criterion(quick=False)
+            asked[name] = command, list(calls)
+        command, suite = asked["thin"]
+        assert command == suite
+        assert len(command) == 35 + 20  # criterion 5's sample, criterion 6's grid
+        command, suite = asked["solv"]
+        assert set(suite) == set(command) | {("e1+e2+e3",)}
+        assert ("e1+e2+e3",) not in command
+
+    @pytest.mark.parametrize("name", sorted(acceptance.COUNTEREXAMPLES))
+    def test_entries_name_a_catalogued_algebra_and_its_maps(self, name):
+        entry = acceptance.COUNTEREXAMPLES[name]
+        assert name in algebras.ALGEBRA_NAMES
+        assert entry.algebra.name == name
+        maps = [entry.probe] + ([entry.nabla] if entry.nabla else [])
+        assert all(format_operator(m) in entry.algebra.record.heads for m in maps)
 
 
 class TestConfigAndErrors:
@@ -437,6 +515,14 @@ class TestConfigAndErrors:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Is a directory" in err
+
+    def test_output_path_without_write_permission_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        # permission bits do not bind root, so the access check answers no here
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+        out = tmp_path / "r.json"
+        assert main(["solve", "--algebra", "wittz", "--in", "-2..2", "--json", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {out}: Permission denied\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command", [["solve", "--algebra", "wittz", "--in", "-2..2"], ["verify-all", "--quick"]]
@@ -801,10 +887,11 @@ def records_a_failed_property(report):
         return not results["allFeasible"]
     if command == "verify-all":
         return not results["allPassed"]
-    if "probeWitness" in results:  # counterexamples on thin
-        witnesses = (results["probeWitness"], results["firstWitness"])
-        return None in witnesses or not results["nonadditivity"]["nonadditive"]
-    return results["witness"] is None or not results["locallyFeasibleOnSample"]
+    entry = acceptance.COUNTEREXAMPLES[report["inputsEcho"]["algebra"]]
+    wrong = any(results[f] != cli._serialize_witness(first) for f, _, first in entry.scans)
+    if "nonadditivity" in results:  # counterexamples on thin
+        return wrong or not results["nonadditivity"]["nonadditive"]
+    return wrong or not results["locallyFeasibleOnSample"]
 
 
 def run_contract(argv, config=None):

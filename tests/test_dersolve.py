@@ -567,6 +567,21 @@ class TestGradingGuard:
         with pytest.raises(ValueError, match="degree is not a grading of wittz"):
             solve_half_derivations(alg, w)
 
+    def test_the_pair_check_refuses_it_at_delta_zero(self, monkeypatch):
+        # at delta 0 no [phi(x), y] term is read, so only the bracket of a
+        # pair can show the bad degree: [e-1, e1] is a multiple of e0, of
+        # degree 0, not -1 + 2
+        record = witt_z().record
+        monkeypatch.setitem(
+            algebras._RECORDS,
+            record.name,
+            record._replace(degree=lambda key: key.index + (key == E(1))),
+        )
+        alg = witt_z()
+        w = window_from_ranges(alg, (-2, 2), (-4, 4))
+        with pytest.raises(ValueError, match=r"degree is not a grading of wittz at \[e-1, e1\]"):
+            solve_derivations(alg, w, 0)
+
 
 class TestCompareFamilies:
     def test_equal_spans(self):

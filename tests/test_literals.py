@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from deltader import literals
+from deltader.cli import main
 from deltader.algebras import CATALOGUE, E, F, witt_one_sided, witt_pos, witt_z
 from deltader.exactlin import SparseVec
 from deltader.literals import (
@@ -57,6 +58,13 @@ class TestParseElement:
     def test_missing_separator_rejected(self):
         with pytest.raises(ParseError):
             parse_element("e1 e2")
+
+    def test_leading_plus_rejected(self, capsys):
+        with pytest.raises(ParseError, match="leading \\+ not allowed"):
+            parse_element("+e1")
+        argv = ["local", "--algebra", "thin", "--in", "1..6", "--map", "thin-delta", "--x", "+e1"]
+        assert main(argv) == 2
+        assert "leading + not allowed" in capsys.readouterr().err
 
 
 key_st = st.builds(
@@ -175,6 +183,10 @@ class TestOperatorLiterals:
     def test_inadmissible_shift_is_a_parse_error(self):
         with pytest.raises(ParseError):
             parse_operator("shift:t=-1,w=1", witt_pos())
+
+    def test_an_object_without_a_literal_has_no_format(self):
+        with pytest.raises(TypeError, match="no literal form for object"):
+            format_operator(object())
 
     def test_unknown_rejected(self):
         with pytest.raises(ParseError):

@@ -236,6 +236,24 @@ class TestThinNabla:
         assert evaluate(nabla, x + y) != evaluate(nabla, x) + evaluate(nabla, y)
 
 
+@pytest.mark.parametrize(
+    "op, v, message",
+    [
+        (ShiftOp(1, 1, witt_pos()), SparseVec({E(0): 1}), "e0 outside domain of wittpos"),
+        (ThinHalfDer((1,)), SparseVec({E(0): 1}), "e0 outside thin domain"),
+        (SolvHalfDer((1,)), SparseVec({F(1): 1}), "f1 outside solvable domain"),
+        (ThinLocalDelta(), SparseVec({E(-1): 1}), "e-1 outside thin domain"),
+        (SolvDeltaBar(), SparseVec({E(0): 1}), "e0 outside solvable domain"),
+        # a nonzero e1, or thin-nabla returns 0 before it reads any other key
+        (ThinNabla(), SparseVec({E(0): 1, E(1): 1}), "e0 outside thin domain"),
+    ],
+    ids=["shift", "thin-half-der", "solv-half-der", "thin-delta", "solv-deltabar", "thin-nabla"],
+)
+def test_a_key_outside_the_domain_is_refused(op, v, message):
+    with pytest.raises(KeyOutsideWindow, match=f"^{message}$"):
+        evaluate(op, v)
+
+
 class TestComposition:
     def test_commutator_of_thin_maps(self):
         # a: e2 -> e3, e_j -> 2^(2-j) e_(j+1); b: e1 -> e1 + e2, e_j -> (1 - 2^(2-j)) e_j
