@@ -2,10 +2,11 @@
 
 Each criterion function returns a CriterionResult with per-check details;
 ``run_all`` executes all ten inside one ``solve_scope``, so each (algebra,
-window) is solved once per run. Criterion 1 checks antisymmetry and Jacobi
-on the structure constants themselves: on ``algebras.structure_table``, the
-int constants scaled by ``alg.scale`` that the solver reads too, so no
-Jacobi sum runs in ``Fraction``. Each algebra's axiom box, windows and
+window) is solved, and compared with its closed-form family, once per run.
+Criterion 1 checks antisymmetry and Jacobi on the structure constants
+themselves: on ``algebras.structure_table``, the int constants scaled by
+``alg.scale`` that the solver reads too, so no Jacobi sum runs in
+``Fraction``. Each algebra's axiom box, windows and
 interior margin live in its catalogue record (``algebras.AlgebraRecord``);
 those margins and the infeasible scan sets below were computed once with the
 exact solver oracle and are frozen; the suite validates them on every run.
@@ -174,16 +175,15 @@ class _Checks:
             self.ok = False
 
 
-# The solve memo of the running verification, keyed by (algebra, window);
-# None outside a ``solve_scope``.
-_SOLVES: ContextVar[Optional[Dict[Tuple[AlgebraSpec, Window], FamilyBasis]]] = ContextVar(
-    "solves", default=None
-)
+# The memo of the running verification, None outside a ``solve_scope``:
+# solved families keyed by (algebra, window), and ``_certify`` results keyed
+# by ("certify", algebra, window).
+_SOLVES: ContextVar[Optional[Dict[tuple, object]]] = ContextVar("solves", default=None)
 
 
 @contextmanager
 def solve_scope():
-    """Solve each (algebra, window) at most once inside the block.
+    """Solve and certify each (algebra, window) at most once inside the block.
 
     ``run_all`` opens one per run; a scope opened inside another shares the
     outer memo. The memo is dropped when the outermost scope closes, and a
@@ -199,24 +199,34 @@ def solve_scope():
         _SOLVES.reset(token)
 
 
-def _solve(alg: AlgebraSpec, w: Window) -> FamilyBasis:
-    """``solve_half_derivations(alg, w)``, once per solve scope."""
+def _once(key: tuple, compute: Callable[[], object]):
+    """``compute()``, once per solve scope for ``key``."""
     memo = _SOLVES.get()
     if memo is None:
-        return solve_half_derivations(alg, w)
-    family = memo.get((alg, w))
-    if family is None:
-        family = memo[(alg, w)] = solve_half_derivations(alg, w)
-    return family
+        return compute()
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = compute()
+    return value
+
+
+def _solve(alg: AlgebraSpec, w: Window) -> FamilyBasis:
+    """``solve_half_derivations(alg, w)``, once per solve scope."""
+    return _once((alg, w), lambda: solve_half_derivations(alg, w))
 
 
 def _certify(alg: AlgebraSpec, quick: bool) -> tuple:
     """``(w, solved, expected, report)``: the acceptance window, its solved
-    and closed-form families, and their comparison at the frozen margin."""
+    and closed-form families, and their comparison at the frozen margin,
+    once per solve scope."""
     w = acceptance_window(alg, quick)
-    solved = _solve(alg, w)
-    expected = expected_family(alg, w)
-    return w, solved, expected, compare_families(solved, expected, alg.record.margin)
+
+    def certify():
+        solved = _solve(alg, w)
+        expected = expected_family(alg, w)
+        return w, solved, expected, compare_families(solved, expected, alg.record.margin)
+
+    return _once(("certify", alg, w), certify)
 
 
 def _antisymmetric(t12, t21) -> bool:

@@ -164,7 +164,10 @@ def _window_from(args, alg: AlgebraSpec):
 
 def _check_outputs(args) -> None:
     """Raise CliError unless every ``--json``/``--tsv`` path can be written,
-    and no two name one file, before any is: a command exiting 2 writes none."""
+    and no two, nor one and the ``--config`` file, name one file, before any
+    is: a command exiting 2 writes none, and no report replaces its config."""
+    config = getattr(args, "config", None)
+    config = os.path.realpath(config) if config else None
     written = set()
     for flag, dest in (("--json", "json_path"), ("--tsv", "tsv_path")):
         path = getattr(args, dest, None)
@@ -181,9 +184,12 @@ def _check_outputs(args) -> None:
             raise CliError(f"cannot write {path}: No such directory {str(target.parent)!r}")
         if not os.access(target if target.exists() else target.parent, os.W_OK):
             raise CliError(f"cannot write {path}: Permission denied")
-        if os.path.realpath(path) in written:
+        real = os.path.realpath(path)
+        if real == config:
+            raise CliError(f"{flag} and --config both name {path}")
+        if real in written:
             raise CliError(f"--json and --tsv both name {path}")
-        written.add(os.path.realpath(path))
+        written.add(real)
 
 
 def _tsv_text(rows) -> str:

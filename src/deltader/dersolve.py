@@ -386,7 +386,8 @@ def assemble(alg: AlgebraSpec, delta, w: Window) -> ConstraintSystem:
     ``solve_derivations`` builds the same rows of every pair while a block's
     nullity is above ``TESTED_NULLITY`` and, after that, only the rows of the
     rare pairs that cut the null space, which the block's scan finds from
-    the tables, so it never builds this matrix.
+    the tables and which update the null vectors in closed form, so it never
+    builds this matrix.
     ``nullspace(assemble(...).matrix)`` solves it in one plain elimination,
     with no scan, and is its basis. Column ``i`` is the unknown
     ``w.columns()[i]``.
@@ -406,11 +407,12 @@ def solve_derivations(alg: AlgebraSpec, w: Window, delta) -> FamilyBasis:
     The basis is ``nullspace(assemble(alg, delta, w).matrix)``, solved
     without building that matrix: ``exactlin.nullspace_by_blocks`` asks each
     block for the rows of a pair while the block's nullity is above
-    ``TESTED_NULLITY``. After that the block's scan tests the remaining pairs
-    on the block's null vectors, straight from the structure-constant
-    tables, and only the first pair that is nonzero on one of them has its
-    rows built; the scan then goes on from the next pair. The null vectors
-    of the last scan, which found no cut, are the basis.
+    ``TESTED_NULLITY``. After that the block's null vectors are read off
+    once, and its scan tests the remaining pairs on them, straight from the
+    structure-constant tables. Only the first pair that is nonzero on one of
+    them has its rows built, and they update the null vectors in closed
+    form, with no elimination; the scan then goes on from the next pair. The
+    null vectors of the last scan, which found no cut, are the basis.
     """
     equations = _GradedEquations(alg, as_scalar(delta), w)
     return FamilyBasis(w, tuple(nullspace_by_blocks(equations.blocks())))

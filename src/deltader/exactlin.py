@@ -19,19 +19,21 @@ point is used anywhere.
 Elimination is fraction-free: each row enters as a primitive integer row and
 is reduced by integer row operations by one kernel, which serves echelon
 forms, nullspaces, span membership and feasibility alike. Results are read
-off the unreduced echelon form by one integer back-substitution, which
-serves null vectors and solutions alike; ``Fraction`` appears only in its
-last division, once per entry of a null vector or a solution where that
+off the unreduced echelon form by one sparse integer back-substitution,
+which serves null vectors and solutions alike; ``Fraction`` appears only in
+the last division, once per entry of a null vector or a solution where that
 division is not exact. A feasibility system is given as its augmented rows
 ``[A|b]``, and its solution is read off like a null vector.
 
 Two nullspace solvers share that kernel. ``nullspace_by_blocks`` solves a
 block-diagonal system block by block, each block reading its units of rows
-with one cursor; once a block's nullity is small, the block scans on from
-that cursor, testing each unit against its null vectors held as dense
-lists, for the units that cut them (``_block_nullspace``). ``nullspace``
-eliminates every row of one matrix, with no scan: it is the reference the
-block solver is checked against.
+with one cursor. Once a block's nullity is small, its null vectors are read
+off its echelon form once, as dense int lists, and the echelon form is
+dropped; the block scans on from that cursor, testing each unit against
+those vectors for the units that cut them, and each row of a cutting unit
+updates them in closed form (``_cut``), with no elimination
+(``_block_nullspace``). ``nullspace`` eliminates every row of one matrix,
+with no scan: it is the reference the block solver is checked against.
 """
 
 from __future__ import annotations
@@ -253,7 +255,8 @@ def _insert(row: dict, pivots: dict) -> bool:
 
 
 # Once a block's nullity is at most this, each further unit of its rows is
-# tested against the block's null vectors and inserted only if it cuts them.
+# tested against the block's null vectors, and only a unit that cuts them has
+# its rows built, which update them in closed form.
 TESTED_NULLITY = 2
 
 
@@ -271,7 +274,11 @@ def _back_substitute(pivots: dict, free) -> dict:
     v = {free: 1}
     for p in sorted((p for p in pivots if p < free), reverse=True):
         row = pivots[p]
-        s = sum(x * v[c] for c, x in row.items() if c in v)
+        s = 0
+        for c, x in row.items():
+            y = v.get(c)
+            if y is not None:
+                s += x * y
         if s:
             g = gcd(row[p], s)
             if g != row[p]:
@@ -279,6 +286,44 @@ def _back_substitute(pivots: dict, free) -> dict:
                 v = {c: k * x for c, x in v.items()}
             v[p] = -s // g
     return v
+
+
+def _cut(nulls: list, row: dict) -> list:
+    """The null vectors ``nulls``, (free column, dense int list) pairs by
+    increasing free column, of a block's rows so far, updated for one more
+    primitive int row ``row``.
+
+    With ``a_i`` the row's dot product with ``v_i``, a row that meets no
+    vector lies in the span of the rows so far and changes nothing.
+    Otherwise the met vector of least free column, ``v_j``, is dropped: its
+    free column is now a pivot column. Each other met vector becomes
+    ``a_j*v_i - a_i*v_j``, divided by its content, which the row annihilates.
+    It is still zero at every other free column, and its highest entry is
+    still at its own free column, as ``v_j``'s is below it. So every vector
+    keeps the form ``_back_substitute`` gives, and divided by its free entry
+    it is the canonical null vector of the rows so far and ``row``.
+    """
+    dots = []
+    for _, v in nulls:
+        s = 0
+        for c, x in row.items():
+            s += x * v[c]
+        dots.append(s)
+    j = next((i for i, a in enumerate(dots) if a), None)
+    if j is None:
+        return nulls
+    aj, vj = dots[j], nulls[j][1]
+    kept = []
+    for i, ((f, v), a) in enumerate(zip(nulls, dots)):
+        if i == j:
+            continue
+        if a:
+            v = [aj * x - a * y for x, y in zip(v, vj)]
+            g = gcd(*v)
+            if g != 1:
+                v = [x // g for x in v]
+        kept.append((f, v))
+    return kept
 
 
 def _canonical(v: dict, free) -> dict:
@@ -302,44 +347,46 @@ def _block_nullspace(block) -> dict:
     and returns the first unit whose rows are nonzero on some probe, without
     building rows. ``block.rows(unit)`` builds a unit's rows.
 
-    The block keeps one echelon form. While its nullity is above
-    ``TESTED_NULLITY``, checked before each unit is read, every unit's rows
-    enter it. After that the probes are the null vectors of the rows so far,
-    held as dense lists over the ids, and the rest of the units are scanned
-    for the first that cuts them. A unit orthogonal to every probe lies in
-    ``(U^perp)^perp = U``, the span of the rows so far, and is passed over.
-    The cutting unit's rows are inserted like any other, the probes are read
-    again, and the scan goes on from the next unit. Reading stops at full
-    rank. When a scan finds no cut, the echelon form spans all the rows, so
-    the probes are the block's null vectors, and each is divided by its
-    entry at its free column. When the units run out while the nullity is
-    still above ``TESTED_NULLITY``, the null vectors are read off the
-    echelon form once, in the same way.
+    While the block's nullity is above ``TESTED_NULLITY``, checked before
+    each unit is read, every unit's rows enter one echelon form. Once it is
+    not, the null vectors are read off that echelon form once, as dense
+    lists over the ids, and the echelon form is dropped. They are the probes
+    of a scan for the first unit that cuts them. A unit orthogonal to every
+    probe lies in ``(U^perp)^perp = U``, the span of the rows so far, and is
+    passed over. Each row of the cutting unit updates the null vectors in
+    closed form (``_cut``), with no elimination, and the scan goes on from
+    the next unit. Reading stops at full rank. When a scan finds no cut, the
+    probes are the block's null vectors. When the units run out while the
+    nullity is still above ``TESTED_NULLITY``, the null vectors are read off
+    the echelon form once. Either way each is divided by its entry at its
+    free column.
     """
     columns = block.columns
-    size = max(columns, default=-1) + 1
     pivots: dict = {}
-    nulls = None
-    while True:
-        probes = []
-        if len(columns) - len(pivots) <= TESTED_NULLITY:
-            nulls = {f: _back_substitute(pivots, f) for f in columns if f not in pivots}
-            if not nulls:
-                return {}
-            for v in nulls.values():
-                probe = [0] * size
-                for c, x in v.items():
-                    probe[c] = x
-                probes.append(probe)
-        unit = block.next_unit(probes)
+    while len(columns) - len(pivots) > TESTED_NULLITY:
+        unit = block.next_unit()
         if unit is None:
+            nulls = [(f, _back_substitute(pivots, f)) for f in columns if f not in pivots]
             break
         for row in block.rows(unit):
             _insert(_primitive(row), pivots)
-    if nulls is None:
-        nulls = {f: _back_substitute(pivots, f) for f in columns if f not in pivots}
+    else:  # the nullity is at most TESTED_NULLITY: scan
+        size = max(columns, default=-1) + 1
+        nulls = []
+        for f in columns:
+            if f not in pivots:
+                probe = [0] * size
+                for c, x in _back_substitute(pivots, f).items():
+                    probe[c] = x
+                nulls.append((f, probe))
+        del pivots
+        while nulls and (unit := block.next_unit([v for _, v in nulls])) is not None:
+            for row in block.rows(unit):
+                nulls = _cut(nulls, _primitive(row))
+        # entries in decreasing column order, as _back_substitute gives them
+        nulls = [(f, {c: v[c] for c in range(f, -1, -1) if v[c]}) for f, v in nulls]
     return {
-        columns[f]: {columns[c]: x for c, x in _canonical(v, f).items()} for f, v in nulls.items()
+        columns[f]: {columns[c]: x for c, x in _canonical(v, f).items()} for f, v in nulls
     }
 
 
@@ -350,7 +397,9 @@ def nullspace_by_blocks(blocks: Iterable) -> list:
     Vectors are emitted in increasing free-column order; each has entry 1 at
     its free column and 0 at every other, making the basis canonical for a
     fixed column order. The canonical RREF of a block-diagonal matrix is the
-    union of its blocks' RREFs, so each block is solved alone.
+    union of its blocks' RREFs, so each block is solved alone: by
+    elimination while its nullity is above ``TESTED_NULLITY``, and after
+    that by closed-form cuts of its null vectors.
     """
     basis: dict = {}
     for block in blocks:

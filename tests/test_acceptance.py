@@ -159,6 +159,20 @@ def test_run_all_solves_each_window_once_per_run(monkeypatch):
         assert [r.passed for r in results] == [n != 6 for n in range(1, 11)]
 
 
+def test_run_all_certifies_each_window_once_per_run(monkeypatch):
+    # criteria 2, 3, 4 and 7 ask for 18 certifications of 12 distinct windows
+    calls = []
+    original = acceptance.compare_families
+
+    def counted(solved, expected, margin):
+        calls.append(solved)
+        return original(solved, expected, margin)
+
+    monkeypatch.setattr(acceptance, "compare_families", counted)
+    acceptance.run_all()
+    assert len(calls) == len({id(solved) for solved in calls}) == 12
+
+
 def test_criterion_called_alone_is_uncached(monkeypatch):
     calls = _count_solves(monkeypatch)
     with acceptance.solve_scope():

@@ -595,6 +595,31 @@ class TestConfigAndErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "command", [["solve", "--algebra", "wittz", "--in", "-1..1"], ["verify-all", "--quick"]]
+    )
+    @pytest.mark.parametrize("path", ["c.cfg", "./c.cfg", "sub/../c.cfg"])
+    @pytest.mark.parametrize("given", ["--json", "--tsv", "json=", "tsv="])
+    def test_an_output_naming_the_config_file_exits_before_any_work(
+        self, tmp_path, monkeypatch, capsys, command, path, given
+    ):
+        # as a flag or as a key of the config itself, the report would
+        # replace the config it was read from
+        def no_work(*args, **kwargs):
+            pytest.fail("work ran before a usage error")
+
+        monkeypatch.setattr(cli, "solve_half_derivations", no_work)
+        monkeypatch.setattr(cli.acceptance, "run_all", no_work)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        text = f"{given}{path}\n" if given.endswith("=") else ""
+        (tmp_path / "c.cfg").write_text(text)
+        flags = [given, path] if given.startswith("--") else []
+        assert main(command + ["--config", "c.cfg"] + flags) == 2
+        flag = "--" + given.strip("-=")
+        assert capsys.readouterr().err == f"error: {flag} and --config both name {path}\n"
+        assert (tmp_path / "c.cfg").read_text() == text
+
+    @pytest.mark.parametrize(
         "command, text, message",
         [
             ("solve", "in=-1..1\nin=-2..2", "--in twice: 'in', then 'in'"),

@@ -202,10 +202,16 @@ class TestLazySolve:
     @pytest.mark.parametrize(
         "alg, in_range, out_range, dim, counts",
         [
-            (witt_z(), (-16, 16), (-48, 48), 65, {"built": 3287, "tested": 24080, "cut": 191}),
+            (
+                witt_z(), (-16, 16), (-48, 48), 65,
+                {"built": 3287, "tested": 24080, "cut": 191, "_back_substitute": 256, "_insert": 3065},
+            ),
             # two lines: every degree has two coordinates, so a unit has two
             # rows per degree and the cut sums them slot by slot
-            (wab(HALF, -1), (-7, 7), (-14, 14), 30, {"built": 1136, "tested": 4798, "cut": 28}),
+            (
+                wab(HALF, -1), (-7, 7), (-14, 14), 30,
+                {"built": 1136, "tested": 4798, "cut": 28, "_back_substitute": 86, "_insert": 2160},
+            ),
         ],
         ids=["wittz-33", "wab-30"],
     )
@@ -214,8 +220,19 @@ class TestLazySolve:
     ):
         # a unit is built while its block's nullity is above 2, and after that
         # only when it is the first of the scanned units to cut the probes;
-        # a scan tests every unit of its block that it reads from the cursor
-        counted = {"built": 0, "tested": 0, "cut": 0}
+        # a scan tests every unit of its block that it reads from the cursor.
+        # The rank phase's rows are inserted, each block's null vectors are
+        # read off its echelon form once, and a cutting unit's rows update
+        # them in closed form, with neither kernel call.
+        counted = dict.fromkeys(counts, 0)
+        for name in ("_back_substitute", "_insert"):
+            real = getattr(exactlin, name)
+
+            def kernel(*args, real=real, name=name):
+                counted[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(exactlin, name, kernel)
         block = dersolve._Block
         real_init, real_next, real_rows = block.__init__, block.next_unit, block.rows
 

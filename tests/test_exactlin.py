@@ -487,6 +487,50 @@ class TestBlockNullspace:
         assert basis[1] == {1: 1, 0: -2} and type(basis[1][0]) is int
         assert basis[3] == {3: 1, 2: Fraction(-1, 2)}
 
+    def test_a_rational_row_cuts_as_its_primitive_row(self):
+        # the block starts at nullity 2, and its first row meets both null
+        # vectors, which are combined by the row's entries: as ints, since
+        # the content of a list with a Fraction in it has no gcd
+        rows = [{0: 1, 1: Fraction(1, 2)}, {0: 2, 1: 1}]
+        grid = [[row.get(c, 0) for c in range(2)] for row in rows]
+        basis = by_blocks(rows, (((0, 1), 0, 2),))
+        assert basis == reference_nullspace(grid, 2) == [SparseVec({0: Fraction(-1, 2), 1: 1})]
+
+    def test_cuts_update_the_null_vectors_without_elimination(self, monkeypatch):
+        # columns 0..4: three rows leave nullity 2 at free columns 3 and 4;
+        # the scan passes over a row in their span, cuts on {3: 1, 4: 2},
+        # passes over another row in the span and cuts again, to full rank
+        rows = [{0: 1, 2: 1}, {1: 1, 3: -1}, {0: 3, 4: 1}, {0: 1, 1: 1, 2: 1, 3: -1}]
+        rows += [{3: 1, 4: 2}, {0: 3, 3: 1, 4: 3}, {4: 1}]
+        calls, scans = [], []
+        for name in ("_insert", "_back_substitute"):
+            real = getattr(exactlin, name)
+
+            def logged(*args, real=real, name=name):
+                calls.append((name, len(scans)))
+                return real(*args)
+
+            monkeypatch.setattr(exactlin, name, logged)
+
+        class Scanned(Units):
+            def next_unit(self, probes=()):
+                if probes:
+                    scans.append([list(p) for p in probes])
+                return super().next_unit(probes)
+
+        grid = [[row.get(c, 0) for c in range(5)] for row in rows]
+        assert by_blocks(rows, ((range(5), 0, len(rows)),), Scanned) == []
+        assert reference_nullspace(grid, 5) == []
+        # the rank phase inserts three rows and reads two null vectors off
+        # them; after the first probe read the kernel eliminates nothing
+        assert calls == [("_insert", 0)] * 3 + [("_back_substitute", 0)] * 2
+        assert len(scans) == 2 and len(scans[0]) == 2
+        # the one probe of the second scan, cut in closed form, is the null
+        # vector of the five rows before it
+        ((probe,),) = scans[1:]
+        (expected,) = reference_nullspace(grid[:5], 5)
+        assert SparseVec({c: Fraction(x, probe[4]) for c, x in enumerate(probe)}) == expected
+
 
 class TestExactRow:
     def test_rows_are_copied_in_canonical_form(self):
