@@ -473,8 +473,7 @@ def criterion_9(quick: bool = False) -> CriterionResult:
         (algebras.solv_abelian(), E(1)),
     ]
     for alg, k0 in cases:
-        w = acceptance_window(alg, quick)
-        family = expected_family(alg, w)
+        family = _certify(alg, quick)[2]
         values = [m.evaluate(SparseVec({k0: 1})) for m in family.basis]
         checks.expect(
             span_dim(values) == len(family),

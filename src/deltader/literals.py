@@ -6,6 +6,12 @@ and coef a rational written ``p/q`` or an integer. Example: ``3/4*e-1 - f2``.
 Operator literals: ``shift:t=2,w=3/4``, ``thin:a=[1,0,2];b=[0,5]`` (the beta
 list starts at index 2), ``solv:a=[...]``, ``wab:a={-1:2,0:1};b={0:1}``,
 ``thin-delta``, ``solv-deltabar``, ``thin-nabla``.
+
+One scanner reads every literal. Spaces may stand between any two tokens; a
+separator may follow every item of a field list, ``[..]`` list or ``{..}`` map,
+the last included, and an empty item is an error. ``ParseError.position`` is
+the offset of the token rejected (of the bad term, in an element), so
+``0 <= position <= len(text)``.
 """
 
 from __future__ import annotations
@@ -34,66 +40,125 @@ class ParseError(ValueError):
         self.position = position
 
 
-_RATIONAL = re.compile(r"[+-]?\d+(/\d+)?")
-_INTEGER = re.compile(r"[+-]?\d+")
-_TERM = re.compile(
-    r"\s*(?P<sign>[+-])?\s*"
-    r"(?:(?P<coef>\d+(?:/\d+)?)\s*\*?\s*)?"
-    r"(?P<kind>[ef])(?P<index>-?\d+)"
-)
+_TOKEN = re.compile(r"\d+(?:/\d+)?|[ef]-?\d+|[a-z]+(?:-[a-z]+)*|\.\.|\S")
 
 
-def _rational(text: str, position: int) -> Scalar:
-    """The canonical scalar of a ``p/q`` or integer literal; a zero
-    denominator is a ParseError."""
-    try:
-        return as_scalar(text)
-    except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text!r}", position) from None
+class _Scan:
+    """Reads the tokens of ``text`` in order (numbers ``p/q``, keys ``e-1``,
+    names such as ``thin-delta``, ``..``, single other characters): ``token``
+    is the next one, ``''`` at the end, and ``at`` its offset."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self.rest = ((m.group(), m.start()) for m in _TOKEN.finditer(text))
+        self.token, self.at = next(self.rest, ("", len(text)))
+
+    def take(self, *options: str):
+        """Consume and return the next token if it is in ``options`` (any if none); else None."""
+        token = self.token
+        if options and token not in options:
+            return None
+        self.token, self.at = next(self.rest, ("", len(self.text)))
+        return token
+
+    def expect(self, token: str) -> None:
+        if self.take(token) is None:
+            raise ParseError(f"expected {token or 'the end'!r}, got {self.token!r}", self.at)
+
+    def scalar(self, integer: bool = False) -> Scalar:
+        """A signed rational ``p/q`` or integer (only an integer if ``integer``)."""
+        sign = self.take("+", "-") or ""
+        at, number = self.at, self.take()
+        if not (number.isdecimal() if integer else number[:1].isdecimal()):
+            raise ParseError(f"not {'an integer' if integer else 'a rational'}: {number!r}", at)
+        try:
+            return as_scalar(sign + number)
+        except ZeroDivisionError:
+            raise ParseError(f"zero denominator in {sign + number!r}", at) from None
+
+    def integer(self) -> int:
+        return self.scalar(integer=True)
+
+    def items(self, open_: str, sep: str, close: str, read):
+        """``read``'s items from ``open_`` to ``close`` (``''``: the end), each
+        followed by ``sep``, which is optional after the last."""
+        self.expect(open_)
+        while self.take(close) is None:
+            yield read(self)
+            if self.take(sep) is None:
+                self.expect(close)
+                return
+
+    def scalars(self) -> tuple:
+        return tuple(self.items("[", ",", "]", _Scan.scalar))
+
+    def entry(self) -> tuple:
+        at, t = self.at, self.integer()
+        self.expect(":")
+        return at, t, self.scalar()
+
+    def int_map(self) -> dict:
+        start, out = self.at, {}
+        for at, t, v in list(self.items("{", ",", "}", _Scan.entry)):
+            if t in out:
+                raise ParseError(f"repeated key {t} in {self.text[start:self.at].rstrip()!r}", at)
+            out[t] = v
+        return out
+
+    def field(self, read: dict) -> tuple:
+        at, name = self.at, self.take()
+        if name not in read:
+            raise ParseError(f"unknown field {name!r}; expected one of {', '.join(read)}", at)
+        self.expect("=")
+        return at, name, read[name](self)
+
+    def fields(self, sep: str, fields) -> dict:
+        """Constructor arguments from ``:name=value`` items: each name at most
+        once and one of ``fields``, an absent one its default."""
+        read = {name: reader for name, _, reader, _, _ in fields}
+        given = {}
+        for at, name, value in self.items(":", sep, "", lambda s: s.field(read)):
+            if name in given:
+                raise ParseError(f"field {name!r} given twice", at)
+            given[name] = value
+        return {arg: given.get(name, default) for name, arg, _, _, default in fields}
 
 
 def parse_scalar(text: str) -> Scalar:
-    text = text.strip()
-    if not _RATIONAL.fullmatch(text):
-        raise ParseError(f"not a rational: {text!r}", 0)
-    return _rational(text, 0)
+    s = _Scan(text)
+    value = s.scalar()
+    s.expect("")
+    return value
 
 
 def parse_range(text: str) -> Tuple[int, int]:
-    m = re.fullmatch(r"\s*(-?\d+)\.\.(-?\d+)\s*", text)
-    if not m:
-        raise ParseError(f"not an index range lo..hi: {text!r}", 0)
-    return int(m.group(1)), int(m.group(2))
+    s = _Scan(text)
+    lo = s.integer()
+    s.expect("..")
+    hi = s.integer()
+    s.expect("")
+    return lo, hi
 
 
 def parse_element(text: str) -> SparseVec:
     """Parse an element literal into a sparse vector."""
-    pos = 0
+    s = _Scan(text)
     entries = {}
-    first = True
-    n = len(text)
-    while pos < n and text[pos].isspace():
-        pos += 1
-    if pos == n:
-        raise ParseError("empty element", pos)
-    while pos < n:
-        m = _TERM.match(text, pos)
-        if not m:
-            raise ParseError("expected a term like 3/4*e-1", pos)
-        sign = m.group("sign")
-        if first and sign == "+":
-            raise ParseError("leading + not allowed", pos)
-        if not first and sign is None:
-            raise ParseError("missing + or - between terms", pos)
-        coef = _rational(m.group("coef"), m.start("coef")) if m.group("coef") else 1
-        if sign == "-":
-            coef = -coef
-        key = BasisKey(m.group("kind"), int(m.group("index")))
-        entries[key] = entries.get(key, 0) + coef
-        pos = m.end()
-        first = False
-        while pos < n and text[pos].isspace():
-            pos += 1
+    while s.token or not entries:
+        at, coef = s.at, 1
+        sign = s.take("+", "-")
+        if s.token[:1].isdecimal():
+            coef = s.scalar()
+            s.take("*")
+        key = s.take()
+        if not (key[:1] in ("e", "f") and key[-1:].isdecimal()):
+            raise ParseError("expected a term like 3/4*e-1", at)
+        if not entries and sign == "+":
+            raise ParseError("leading + not allowed", at)
+        if entries and sign is None:
+            raise ParseError("missing + or - between terms", at)
+        key = BasisKey(key[0], int(key[1:]))
+        entries[key] = entries.get(key, 0) + (-coef if sign == "-" else coef)
     return SparseVec(entries)
 
 
@@ -115,49 +180,14 @@ def format_element(v: SparseVec) -> str:
     return format_terms((str(key), coef) for key, coef in v.items())
 
 
-def _items(text: str, brackets: str, form: str) -> list:
-    """The comma-separated items between ``brackets``; none when blank."""
-    text = text.strip()
-    if not (text.startswith(brackets[0]) and text.endswith(brackets[1])):
-        raise ParseError(f"expected {form}: {text!r}", 0)
-    body = text[1:-1].strip()
-    return body.split(",") if body else []
-
-
-def _parse_list(text: str) -> tuple:
-    return tuple(parse_scalar(p) for p in _items(text, "[]", "[..] list"))
-
-
-def _parse_int(text: str) -> int:
-    text = text.strip()
-    if not _INTEGER.fullmatch(text):
-        raise ParseError(f"not an integer: {text!r}", 0)
-    return int(text)
-
-
-def _parse_int_map(text: str) -> dict:
-    out = {}
-    for part in _items(text, "{}", "{t:v,..} map"):
-        if ":" not in part:
-            raise ParseError(f"expected t:v entry: {part!r}", 0)
-        t, v = part.split(":", 1)
-        t = _parse_int(t)
-        if t in out:
-            raise ParseError(f"repeated key {t} in {text.strip()!r}", 0)
-        out[t] = parse_scalar(v)
-    return out
-
-
 # Operator head -> (class, field separator, fields). A field is (name in the
-# literal, constructor argument, parser, formatter, default text). A fixed map
-# has no separator and no fields, and is written as the bare head.
-_LIST = (_parse_list, lambda values: f"[{','.join(map(str, values))}]", "[]")
-_MAP = (
-    _parse_int_map, lambda m: "{" + ",".join(f"{t}:{v}" for t, v in sorted(m.items())) + "}", "{}"
-)
+# literal, constructor argument, reader, formatter, default value). A fixed
+# map has no separator and no fields, and is written as the bare head.
+_LIST = (_Scan.scalars, lambda values: f"[{','.join(map(str, values))}]", ())
+_MAP = (_Scan.int_map, lambda m: "{" + ",".join(f"{t}:{v}" for t, v in sorted(m.items())) + "}", {})
 _LITERALS = {
     "shift": (
-        ShiftOp, ",", (("t", "t", _parse_int, str, "0"), ("w", "weight", parse_scalar, str, "1"))
+        ShiftOp, ",", (("t", "t", _Scan.integer, str, 0), ("w", "weight", _Scan.scalar, str, 1))
     ),
     "thin": (ThinHalfDer, ";", (("a", "alpha", *_LIST), ("b", "beta", *_LIST))),
     "solv": (SolvHalfDer, ";", (("a", "alpha", *_LIST),)),
@@ -169,26 +199,6 @@ _LITERALS = {
 _HEAD_OF = {cls: head for head, (cls, _, _) in _LITERALS.items()}
 
 
-def _parse_fields(body: str, sep: str, fields) -> dict:
-    """Constructor arguments from ``name=value`` parts separated by ``sep``:
-    each name at most once and one of ``fields``, an absent one its default."""
-    names = [name for name, *_ in fields]
-    given = {}
-    for part in body.split(sep):
-        if not part:
-            continue
-        if "=" not in part:
-            raise ParseError(f"expected name=value field: {part!r}", 0)
-        name, value = part.split("=", 1)
-        name = name.strip()
-        if name not in names:
-            raise ParseError(f"unknown field {name!r}; expected one of {', '.join(names)}", 0)
-        if name in given:
-            raise ParseError(f"field {name!r} given twice", 0)
-        given[name] = value
-    return {arg: parse(given.get(name, default)) for name, arg, parse, _, default in fields}
-
-
 def parse_operator(text: str, alg: AlgebraSpec = None):
     """Parse an operator literal.
 
@@ -196,26 +206,26 @@ def parse_operator(text: str, alg: AlgebraSpec = None):
     ``record.heads``) is a ParseError, and shift operators are built on that
     algebra.
     """
-    text = text.strip()
-    head, colon, body = text.partition(":")
+    s = _Scan(text)
+    at, head = s.at, s.take()
     allowed = [record.name for record in CATALOGUE if head in record.heads]
     if alg is not None and allowed and head not in alg.record.heads:
         raise ParseError(
-            f"{head} operators are defined on {', '.join(allowed)}, not on {alg.label()}", 0
+            f"{head} operators are defined on {', '.join(allowed)}, not on {alg.label()}", at
         )
     row = _LITERALS.get(head)
-    if not colon and (row is None or row[2]):
-        raise ParseError(f"unknown operator literal: {text!r}", 0)
-    if colon and (row is None or not row[2]):
-        raise ParseError(f"unknown operator kind: {head!r}", 0)
+    if s.token != ":" and (row is None or row[2] or s.token):
+        raise ParseError(f"unknown operator literal: {text.strip()!r}", at)
+    if s.token == ":" and (row is None or not row[2]):
+        raise ParseError(f"unknown operator kind: {head!r}", at)
     cls, sep, fields = row
-    args = _parse_fields(body, sep, fields)
+    args = s.fields(sep, fields) if fields else {}
     if cls is ShiftOp and alg is not None:
         args["algebra"] = alg
     try:
         return cls(**args)
     except ValueError as exc:
-        raise ParseError(str(exc), 0) from None
+        raise ParseError(str(exc), at) from None
 
 
 def format_operator(op) -> str:

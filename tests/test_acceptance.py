@@ -173,6 +173,21 @@ def test_run_all_certifies_each_window_once_per_run(monkeypatch):
     assert len(calls) == len({id(solved) for solved in calls}) == 12
 
 
+def test_run_all_builds_each_expected_family_once_per_run(monkeypatch):
+    # the 12 certified windows, plus criterion 10's two Witt windows;
+    # criterion 9 reads its six families from the certifications
+    calls = []
+    original = acceptance.expected_family
+
+    def counted(alg, w):
+        calls.append((alg, w))
+        return original(alg, w)
+
+    monkeypatch.setattr(acceptance, "expected_family", counted)
+    acceptance.run_all()
+    assert len(calls) == len(set(calls)) == 14
+
+
 def test_criterion_called_alone_is_uncached(monkeypatch):
     calls = _count_solves(monkeypatch)
     with acceptance.solve_scope():

@@ -181,7 +181,9 @@ class TestCheckMapCommand:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "literal", ["shift:t", "shift:t=x", "thin:a", "wab:a={x:1}", "shift:t=1,t=2"]
+        "literal",
+        ["shift:t", "shift:t=x", "thin:a", "wab:a={x:1}", "shift:t=1,t=2", "shift:t=1,,w=2",
+         "shift:,"],
     )
     def test_malformed_operator_is_usage_error(self, literal, capsys):
         code = main(

@@ -1,5 +1,6 @@
 """Element and operator literal parsing and canonical serialization."""
 
+import functools
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,17 @@ from hypothesis import strategies as st
 
 from deltader import literals
 from deltader.cli import main
-from deltader.algebras import CATALOGUE, E, F, witt_one_sided, witt_pos, witt_z
+from deltader.algebras import (
+    CATALOGUE,
+    E,
+    F,
+    solv_abelian,
+    thin,
+    wab,
+    witt_one_sided,
+    witt_pos,
+    witt_z,
+)
 from deltader.exactlin import SparseVec
 from deltader.literals import (
     ParseError,
@@ -153,28 +164,42 @@ class TestOperatorLiterals:
             parse_operator(text, witt_z())
 
     @pytest.mark.parametrize(
-        "text, message",
+        "text, message, position",
         [
-            ("nonsense", "unknown operator literal: 'nonsense'"),
-            ("shift", "unknown operator literal: 'shift'"),
-            ("thin-delta:", "unknown operator kind: 'thin-delta'"),
-            ("bogus:a=[1]", "unknown operator kind: 'bogus'"),
-            ("shift:q=1", "unknown field 'q'; expected one of t, w"),
-            ("shift:t=1,t=2", "field 't' given twice"),
-            ("shift:t=1, t =1", "field 't' given twice"),
-            ("thin:a=[1];a=[2]", "field 'a' given twice"),
-            ("solv:a=[1];a=[1]", "field 'a' given twice"),
-            ("wab:a={1:1,1:2}", "repeated key 1 in '{1:1,1:2}'"),
-            ("wab:b={0:1,+0:1}", "repeated key 0 in '{0:1,+0:1}'"),
+            ("nonsense", "unknown operator literal: 'nonsense'", 0),
+            ("shift", "unknown operator literal: 'shift'", 0),
+            ("thin-delta:", "unknown operator kind: 'thin-delta'", 0),
+            ("bogus:a=[1]", "unknown operator kind: 'bogus'", 0),
+            ("shift:q=1", "unknown field 'q'; expected one of t, w", 6),
+            ("shift:t=1,t=2", "field 't' given twice", 10),
+            ("shift:t=1, t =1", "field 't' given twice", 11),
+            ("thin:a=[1];a=[2]", "field 'a' given twice", 11),
+            ("solv:a=[1];a=[1]", "field 'a' given twice", 11),
+            ("wab:a={1:1,1:2}", "repeated key 1 in '{1:1,1:2}'", 11),
+            ("wab:b={0:1,+0:1}", "repeated key 0 in '{0:1,+0:1}'", 11),
         ],
     )
-    def test_error_messages(self, text, message):
+    def test_error_messages(self, text, message, position):
         with pytest.raises(ParseError) as err:
             parse_operator(text)
-        assert str(err.value) == f"{message} (at position 0)"
+        assert str(err.value) == f"{message} (at position {position})"
 
     def test_the_table_has_a_row_for_every_catalogued_head(self):
         assert set(literals._LITERALS) == {head for record in CATALOGUE for head in record.heads}
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("thin:a=[1,]", ThinHalfDer(alpha=(1,))),
+            ("wab:a={1:1,}", WabHalfDer(alpha={1: 1})),
+            ("shift :t=1", ShiftOp(1, 1, witt_z())),
+            (" thin : a = [ 1 , 2 , ] ; b = [ ] ; ", ThinHalfDer(alpha=(1, 2))),
+            ("shift:t=- 1, w=+ 3/4,", ShiftOp(-1, Fraction(3, 4), witt_z())),
+            ("shift:", ShiftOp(0, 1, witt_z())),
+        ],
+    )
+    def test_separators_may_follow_every_item_and_spaces_stand_anywhere(self, text, expected):
+        assert parse_operator(text, getattr(expected, "algebra", None)) == expected
 
     def test_blank_after_separator_is_accepted(self):
         assert parse_operator("wab:a={1:1};") == WabHalfDer(alpha={1: 1})
@@ -234,3 +259,58 @@ class TestScalarsAndRanges:
         assert parse_range("1..8") == (1, 8)
         with pytest.raises(ParseError):
             parse_range("3")
+
+    def test_spaces_may_stand_between_any_two_tokens(self):
+        assert parse_range(" 1 .. 8 ") == (1, 8)
+        assert parse_scalar("- 3/4") == Fraction(-3, 4)
+        assert parse_scalar("+ 1") == 1
+        assert parse_range("- 3..+3") == (-3, 3)
+
+
+@pytest.mark.parametrize(
+    "parse, text, position",
+    [
+        (parse_operator, "wab:a={1:x}", 9),
+        (parse_operator, "shift:q=1", 6),
+        (parse_operator, "shift:t=1,t=2", 10),
+        (parse_operator, "wab:a={1:1,1:2}", 11),
+        (parse_element, "e1 + 3/0*e2", 5),
+        (parse_element, "e0+", 2),
+        (parse_range, "1..x", 3),
+        (parse_operator, "thin:a=1", 7),
+        (parse_operator, "wab:a={1}", 8),
+        (parse_operator, "shift:t=1/2", 8),
+        (functools.partial(parse_operator, alg=witt_pos()), "  shift:t=-1,w=1", 2),
+        (parse_operator, "thin-delta x", 0),
+        (parse_scalar, "3/4 x", 4),
+        (parse_scalar, "", 0),
+        (parse_element, "  ", 2),
+        (parse_element, "e1 e2", 3),
+        (parse_operator, "shift:t=1,,w=2", 10),
+        (parse_operator, "shift:,", 6),
+        (parse_operator, "thin:;", 5),
+        (parse_operator, "thin:a=[1,,2]", 10),
+        (parse_operator, "thin:a=[,]", 8),
+        (parse_operator, "wab:a={1:1,,}", 11),
+    ],
+)
+def test_a_parse_error_points_at_the_bad_token(parse, text, position):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == position
+
+
+LITERAL_ALPHABET = [*"0123456789ef-+*/.:;,=[]{} abtw", *literals._LITERALS]
+CONTEXTS = [None, witt_z(), witt_pos(), thin(), solv_abelian(), wab(0, -1)]
+
+
+@given(st.lists(st.sampled_from(LITERAL_ALPHABET), max_size=14).map("".join))
+@settings(max_examples=400)
+def test_every_parser_returns_or_raises_a_parse_error_inside_the_text(text):
+    parsers = [parse_scalar, parse_range, parse_element]
+    parsers += [lambda t, alg=alg: parse_operator(t, alg) for alg in CONTEXTS]
+    for parse in parsers:
+        try:
+            parse(text)
+        except ParseError as err:
+            assert 0 <= err.position <= len(text)
