@@ -220,6 +220,17 @@ def _write_report(args, command: str, inputs: dict, results: dict) -> dict:
     return report
 
 
+# Echoed flag -> the canonical text of its value; an operator literal is echoed as typed.
+_ECHOED = {
+    "in_range": lambda text: "{}..{}".format(*parse_range(text)),
+    "out_range": lambda text: "{}..{}".format(*parse_range(text)),
+    "map": str,
+    "x": lambda text: format_element(parse_element(text)),
+    "y": lambda text: format_element(parse_element(text)),
+    "delta": lambda text: str(parse_scalar(text)),
+}
+
+
 def _echo_inputs(args, alg: Optional[AlgebraSpec] = None) -> dict:
     inputs = {}
     if alg is not None:
@@ -227,10 +238,10 @@ def _echo_inputs(args, alg: Optional[AlgebraSpec] = None) -> dict:
         if alg.record.parametric:
             inputs["a"] = str(alg.a)
             inputs["b"] = str(alg.b)
-    for field in ("in_range", "out_range", "map", "x", "y", "delta"):
+    for field, canonical in _ECHOED.items():
         value = getattr(args, field, None)
         if value is not None:
-            inputs[field.replace("_range", "")] = value
+            inputs[field.replace("_range", "")] = canonical(value)
     return inputs
 
 

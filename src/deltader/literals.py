@@ -75,6 +75,8 @@ class _Scan:
             return as_scalar(sign + number)
         except ZeroDivisionError:
             raise ParseError(f"zero denominator in {sign + number!r}", at) from None
+        except ValueError:  # over the interpreter's limit on int digits
+            raise ParseError(f"number too long: {len(number)} characters", at) from None
 
     def integer(self) -> int:
         return self.scalar(integer=True)
@@ -84,6 +86,8 @@ class _Scan:
         followed by ``sep``, which is optional after the last."""
         self.expect(open_)
         while self.take(close) is None:
+            if self.token == sep:
+                raise ParseError("empty item", self.at)
             yield read(self)
             if self.take(sep) is None:
                 self.expect(close)

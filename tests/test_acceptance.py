@@ -6,12 +6,15 @@ criterion is expected red and is not weakened here (see the detail line it
 prints and the failing-check message).
 """
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from deltader import acceptance, algebras
 from deltader.algebras import E, F, wab, witt_z
+from deltader.dersolve import FamilyBasis
 from deltader.exactlin import SparseVec
 
 
@@ -135,6 +138,137 @@ def test_criterion_1_catches_a_broken_jacobi_identity_at_scale_two(monkeypatch):
     assert "wab(a=1/2,b=-1) antisymmetry: ok" in result.details
     assert "wab(a=1/2,b=-1) jacobi: FAILED" in result.details
     assert [d for d in result.details if "FAILED" in d] == ["wab(a=1/2,b=-1) jacobi: FAILED"]
+
+
+JACOBI = acceptance._jacobi_holds
+
+
+def _jacobi_by_triples(inner, outer) -> bool:
+    """The oracle for ``acceptance._jacobi_holds``: one defect dict per
+    unordered triple, summed per key, on the same tables."""
+    for a, b, c in itertools.combinations_with_replacement(range(len(inner)), 3):
+        defect: dict = {}
+        for x, t in ((a, inner[b][c]), (b, inner[c][a]), (c, inner[a][b])):
+            if t is not None:
+                o = outer[x][t[0]]
+                if o is not None:
+                    defect[o[0]] = defect.get(o[0], 0) + t[1] * o[1]
+        if any(defect.values()):
+            return False
+    return True
+
+
+def _axiom_tables(monkeypatch, quick):
+    """The (inner, outer) tables criterion 1 checks Jacobi on, one pair per
+    algebra in catalogue order, and its result."""
+    tables = []
+
+    def record(inner, outer):
+        tables.append((inner, outer))
+        return JACOBI(inner, outer)
+
+    monkeypatch.setattr(acceptance, "_jacobi_holds", record)
+    return tables, acceptance.criterion_1(quick=quick)
+
+
+@pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+def test_the_jacobi_loop_agrees_with_the_triple_oracle_on_every_algebra(monkeypatch, quick):
+    tables, result = _axiom_tables(monkeypatch, quick)
+    assert result.details == CRITERION_1_DETAILS
+    assert len(tables) == 9
+    for inner, outer in tables:
+        assert JACOBI(inner, outer) is _jacobi_by_triples(inner, outer) is True
+
+
+def _negated(inner, outer, cells):
+    """Copies of the tables with the constant at each (row, column) of
+    ``outer`` in ``cells`` negated; a box column's constant is ``inner``'s too."""
+    inner, outer = [list(row) for row in inner], [list(row) for row in outer]
+    for a, col in cells:
+        key, c = outer[a][col]
+        outer[a][col] = key, -c
+        if col < len(inner):
+            inner[a][col] = inner[a][col][0], -c
+    return inner, outer
+
+
+def test_the_jacobi_loop_agrees_with_the_oracle_on_every_sign_flip(monkeypatch):
+    # every single constant of each quick table, and both orders of every
+    # pair of box keys; a flip keeps every term of a triple on one key
+    tables, _ = _axiom_tables(monkeypatch, quick=True)
+    verdicts = set()
+    for inner, outer in tables:
+        n = len(inner)
+        cells = [(a, col) for a, row in enumerate(outer) for col, o in enumerate(row) if o]
+        pairs = [((a, b), (b, a)) for a, b in itertools.combinations(range(n), 2) if outer[a][b]]
+        for flip in [(cell,) for cell in cells] + pairs:
+            mutated = _negated(inner, outer, flip)
+            verdict = JACOBI(*mutated)
+            assert verdict is _jacobi_by_triples(*mutated), flip
+            verdicts.add(verdict)
+    assert verdicts == {False, True}
+
+
+@pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+def test_a_term_moved_to_another_key_fails_jacobi_in_both_loops(monkeypatch, quick):
+    # [e1, e_m] = (m-1) e_{m+2} instead of e_{m+1}, in both orders, for e_m
+    # the first key past the box: only outer terms move. Each triple through
+    # one then has terms on two keys whose values sum to 0, as (e1, e2, e3)
+    # at quick size; only the per-key sum sees the defect.
+    alg = witt_z()
+    record = alg.record
+    original = record.rule
+    m = record.axiom_box[quick][1] + 1
+
+    def moved(spec, k1, k2):
+        term = original(spec, k1, k2)
+        if spec == alg and {k1, k2} == {E(1), E(m)}:
+            return E(m + 2), term[1]
+        return term
+
+    monkeypatch.setitem(algebras._RECORDS, record.name, record._replace(rule=moved))
+    tables, result = _axiom_tables(monkeypatch, quick)
+    assert [d for d in result.details if "FAILED" in d] == ["wittz jacobi: FAILED"]
+    assert _jacobi_by_triples(*tables[0]) is False
+
+
+def _scaled_sum_members(families, count):
+    """``count`` (inner, outer) members as criterion 10 drew them with
+    ``scaled`` and ``+`` on the basis maps: the reference for its sums."""
+    rng = random.Random(20240810)
+
+    def member(fam):
+        total = fam.basis[0].scaled(0)
+        for b in fam.basis:
+            total = total + b.scaled(Fraction(rng.randint(-3, 3), rng.choice([1, 2])))
+        return total
+
+    return [(member(families[0]), member(families[1])) for _ in range(count)]
+
+
+@pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+@pytest.mark.parametrize("scale", [1, Fraction(2, 3)], ids=["int", "fraction"])
+def test_criterion_10_members_are_the_scaled_sums_of_the_basis(monkeypatch, quick, scale):
+    # a scale of 2/3 gives the families Fraction entries
+    families, members = [], []
+    expected_family, commutator = acceptance.expected_family, acceptance.commutator
+
+    def family(alg, w):
+        fam = expected_family(alg, w)
+        families.append(FamilyBasis(w, tuple(v._times(scale) for v in fam.vectors)))
+        return families[-1]
+
+    def recorded(outer, inner):
+        members.append((inner, outer))
+        return commutator(outer, inner)
+
+    monkeypatch.setattr(acceptance, "expected_family", family)
+    monkeypatch.setattr(acceptance, "commutator", recorded)
+    assert acceptance.criterion_10(quick=quick).passed
+    assert members == _scaled_sum_members(families, 10)
+    entries = [x for pair in members for m in pair for v in m.image.values() for x in v._entries.values()]
+    assert all(type(x) is int or x.denominator > 1 for x in entries)
+    assert any(type(x) is Fraction for x in entries)
 
 
 def _count_solves(monkeypatch):

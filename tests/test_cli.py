@@ -663,6 +663,50 @@ class TestConfigAndErrors:
     def test_bad_range(self):
         assert main(["solve", "--algebra", "wittz", "--in", "oops"]) == 2
 
+    @pytest.mark.parametrize(
+        "flags, position",
+        [
+            (["--a", "9" * 5000, "--b", "-1", "--in", "-1..1"], 0),
+            (["--a", "0", "--b", "-1", "--in", "1.." + "9" * 5000], 3),
+        ],
+        ids=["a", "in"],
+    )
+    def test_a_number_over_the_digit_limit_is_usage_error(self, tmp_path, capsys, flags, position):
+        # Python reads at most 4,300 digits into an int
+        out = tmp_path / "r.json"
+        assert main(["solve", "--algebra", "wab", *flags, "--json", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: number too long: 5000 characters (at position {position})\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "typed, canonical",
+        [
+            (
+                ["solve", "--algebra", "wab", "--a", "- 1/2", "--b", "-1", "--in", " -4 .. 4", "--out", "-8 ..+8"],
+                ["solve", "--algebra", "wab", "--a=-1/2", "--b=-1", "--in=-4..4", "--out=-8..8"],
+            ),
+            (
+                ["check-map", "--algebra", "thin", "--in", "1 ..8", "--map", "thin-delta", "--delta", "2/4"],
+                ["check-map", "--algebra", "thin", "--in", "1..8", "--map", "thin-delta", "--delta", "1/2"],
+            ),
+            (
+                ["two-local", "--algebra", "thin", "--in", "1..6", "--out", "1..9", "--map", "thin-nabla",
+                 "--x", "e3 + 1*e1", "--y", "2/2*e2-e2+e4"],
+                ["two-local", "--algebra", "thin", "--in", "1..6", "--out", "1..9", "--map", "thin-nabla",
+                 "--x", "e1+e3", "--y", "e4"],
+            ),
+        ],
+        ids=["solve", "check-map", "two-local"],
+    )
+    def test_two_spellings_of_one_question_give_one_report(self, tmp_path, typed, canonical):
+        reports = []
+        for name, argv in (("typed.json", typed), ("canonical.json", canonical)):
+            assert main([*argv, "--json", str(tmp_path / name)]) in (0, 1)
+            reports.append((tmp_path / name).read_bytes())
+        assert reports[0] == reports[1]
+
     def test_unknown_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

@@ -300,6 +300,35 @@ def test_a_parse_error_points_at_the_bad_token(parse, text, position):
     assert err.value.position == position
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("shift:t=1,,w=2", 10), ("shift:,", 6), ("thin:;", 5), ("thin:a=[1,,2]", 10), ("wab:a={1:1,,}", 11)],
+)
+def test_an_empty_item_is_named_as_such(text, position):
+    with pytest.raises(ParseError) as err:
+        parse_operator(text)
+    assert str(err.value) == f"empty item (at position {position})"
+
+
+@pytest.mark.parametrize(
+    "parse, text, position",
+    [
+        (parse_scalar, "-" + "9" * 5000, 1),
+        (parse_range, "1.." + "9" * 5000, 3),
+        (parse_element, "e1+" + "9" * 5000 + "*e2", 3),
+        (parse_operator, "shift:t=1,w=1/" + "9" * 5000, 12),
+    ],
+    ids=["scalar", "range", "element", "operator"],
+)
+def test_a_number_over_the_digit_limit_is_a_parse_error(parse, text, position):
+    # Python reads at most 4,300 digits into an int; 4,300 pass
+    assert parse_scalar("9" * 4300) == int("9" * 4300)
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == position
+    assert str(err.value).startswith("number too long: ")
+
+
 LITERAL_ALPHABET = [*"0123456789ef-+*/.:;,=[]{} abtw", *literals._LITERALS]
 CONTEXTS = [None, witt_z(), witt_pos(), thin(), solv_abelian(), wab(0, -1)]
 
