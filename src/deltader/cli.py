@@ -32,8 +32,10 @@ from .dersolve import (
 )
 from .literals import (
     ParseError,
+    ResultTooLong,
     format_element,
     format_operator,
+    format_scalar,
     format_terms,
     parse_element,
     parse_operator,
@@ -323,7 +325,7 @@ def _cmd_check_map(args) -> int:
 def _serialize_params(params) -> Optional[dict]:
     if params is None:
         return None
-    return {str(idx): str(coeff) for idx, coeff in params.items()}
+    return {str(idx): format_scalar(coeff) for idx, coeff in params.items()}
 
 
 def _default_two_local_pairs(alg: AlgebraSpec, w):
@@ -557,7 +559,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             _merge_config(args, _read_config(args.config), _subparser(parser, args.command))
         _check_outputs(args)
         code = args.func(args)
-    except (CliError, ParseError, KeyOutOfDomain, WindowTooSmall, OSError) as exc:
+    except (CliError, ParseError, ResultTooLong, KeyOutOfDomain, WindowTooSmall, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed_ms = int((time.monotonic() - started) * 1000)

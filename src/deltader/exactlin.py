@@ -23,7 +23,10 @@ off the unreduced echelon form by one sparse integer back-substitution,
 which serves null vectors and solutions alike; ``Fraction`` appears only in
 the last division, once per entry of a null vector or a solution where that
 division is not exact. A feasibility system is given as its augmented rows
-``[A|b]``, and its solution is read off like a null vector.
+``[A|b]``, and its solution is read off like a null vector. An infeasible
+system keeps its shortest inconsistent row prefix, and its Farkas
+certificate, the solution of that prefix's transposed system, is solved
+only when it is first read.
 
 Two nullspace solvers share that kernel. ``nullspace_by_blocks`` solves a
 block-diagonal system block by block, each block reading its units of rows
@@ -38,8 +41,9 @@ with no scan: it is the reference the block solver is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -426,11 +430,29 @@ class LinearSolveResult:
 
     When infeasible, ``certificate`` is a row combination u (indexed by row)
     with u.A = 0 and u.b = 1, zero past the shortest inconsistent row prefix.
+    It is solved on its first read, from ``_prefix``: that prefix of the
+    augmented rows, and ``ncols``. So the rows are read again then, which is
+    sound because nothing mutates a row once it is built (the kernel works
+    on copies, ``_primitive``). A feasible result reads None.
     """
 
     feasible: bool
     solution: Optional[SparseVec] = None
-    certificate: Optional[SparseVec] = None
+    _prefix: Optional[tuple] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def certificate(self) -> Optional[SparseVec]:
+        if self._prefix is None:
+            return None
+        rows, ncols = self._prefix
+        prefix = len(rows)
+        columns = [{} for _ in range(ncols + 1)]
+        for i, row in enumerate(rows):
+            for c, v in row.items():
+                columns[c][i] = v
+        columns[ncols][prefix] = 1
+        u, _ = _particular_solution(columns, prefix)
+        return SparseVec(u)
 
 
 def _particular_solution(rows: Iterable[Mapping], ncols: int) -> tuple:
@@ -462,18 +484,13 @@ def solve_feasible(rows: Sequence[Mapping], ncols: int) -> LinearSolveResult:
     A feasible system returns its solution with every free unknown at 0.
     Otherwise, by the Fredholm alternative, ``A_p^T u = 0, b_p.u = 1`` is
     feasible for the shortest inconsistent row prefix ``[A_p|b_p]``; its
-    solution, zero on the other rows, is the Farkas certificate.
+    solution, zero on the other rows, is the Farkas certificate. The result
+    keeps that prefix and solves the certificate when it is first read.
     """
     solution, prefix = _particular_solution(rows, ncols)
     if solution is not None:
         return LinearSolveResult(True, solution=SparseVec(solution))
-    columns = [{} for _ in range(ncols + 1)]
-    for i, row in enumerate(rows[:prefix]):
-        for c, v in row.items():
-            columns[c][i] = v
-    columns[ncols][prefix] = 1
-    u, _ = _particular_solution(columns, prefix)
-    return LinearSolveResult(False, certificate=SparseVec(u))
+    return LinearSolveResult(False, _prefix=(rows[:prefix], ncols))
 
 
 class RowSpace:

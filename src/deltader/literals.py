@@ -16,6 +16,7 @@ the offset of the token rejected (of the bad term, in an element), so
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Tuple
 
@@ -166,22 +167,48 @@ def parse_element(text: str) -> SparseVec:
     return SparseVec(entries)
 
 
+class ResultTooLong(ValueError):
+    """An exact value with more digits than the interpreter turns into text."""
+
+
+def _digits(n: int) -> int:
+    """The number of decimal digits of the int ``n`` != 0, without ``str``."""
+    n = abs(n)
+    d = int(math.log10(n)) + 1  # the float logarithm is off by at most one digit
+    return d + 1 if n >= 10**d else d - 1 if n < 10 ** (d - 1) else d
+
+
+def format_scalar(value: Scalar) -> str:
+    """``str`` of the exact scalar ``value``; ResultTooLong, naming its
+    size, when it has more digits than the interpreter converts."""
+    try:
+        return str(value)
+    except ValueError:  # over the interpreter's limit on int digits
+        digits = max(_digits(value.numerator), _digits(value.denominator))
+        raise ResultTooLong(f"result too long to print: a coefficient of {digits} digits") from None
+
+
 def format_terms(terms) -> str:
-    """The canonical text of the sum of ``(label, coef)`` terms, each coef a
-    nonzero canonical scalar, in the order given; ``0*e0`` when there are
-    none."""
-    text = "".join(
-        [
-            ("+" if coef > 0 else "-") + (label if coef in (1, -1) else f"{abs(coef)}*{label}")
-            for label, coef in terms
-        ]
-    )
+    """The canonical text of the sum of the sequence of ``(label, coef)``
+    terms, each coef a nonzero canonical scalar, in the order given;
+    ``0*e0`` when there are none."""
+    try:
+        text = "".join(
+            [
+                ("+" if coef > 0 else "-") + (label if coef in (1, -1) else f"{abs(coef)}*{label}")
+                for label, coef in terms
+            ]
+        )
+    except ValueError:  # a coefficient over the interpreter's limit on int digits
+        for _, coef in terms:
+            format_scalar(coef)
+        raise
     return text.removeprefix("+") or "0*e0"
 
 
 def format_element(v: SparseVec) -> str:
     """Canonical form; round-trips through parse_element."""
-    return format_terms((str(key), coef) for key, coef in v.items())
+    return format_terms([(str(key), coef) for key, coef in v.items()])
 
 
 # Operator head -> (class, field separator, fields). A field is (name in the

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
@@ -24,11 +24,34 @@ from .operators import Window, WindowTooSmall, evaluate
 
 @dataclass(frozen=True)
 class LocalReport:
-    """Feasibility of matching the candidate at all points with one family member."""
+    """Feasibility of matching the candidate at all points with one family member.
+
+    ``_solve`` holds what the certificate is read from: the solve result,
+    the ``(point index, output key)`` label of each row of the solved system
+    in row order, and the scale ``d_j`` of each point's rows (see
+    ``_match``). It takes no part in equality.
+    """
 
     points: Tuple[SparseVec, ...]
     feasible: bool
     params: Optional[SparseVec] = None
+    _solve: Optional[tuple] = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def certificate(self) -> Optional[SparseVec]:
+        """The Farkas certificate u of the unscaled system, keyed by
+        ``(j, o)`` for point j's equation at output key o: u.A = 0 and
+        u.b = 1, zero on every row not solved. Solved on its first read;
+        None on a feasible query."""
+        if self.feasible or self._solve is None:
+            return None
+        result, labels, scales = self._solve
+        labels = list(labels)
+        lifted = {}
+        for r, v in result.certificate._entries.items():
+            j, o = labels[r]
+            lifted[(j, o)] = as_scalar(scales[j] * v)
+        return SparseVec._wrap(lifted)
 
 
 @dataclass(frozen=True)
@@ -42,7 +65,7 @@ def _window_guard(w: Window, *elements: SparseVec) -> None:
     """Raise WindowTooSmall for an element outside the input window ``w``."""
     keys = w.key_set()
     for el in elements:
-        missing = set(el.support()) - keys
+        missing = el._entries.keys() - keys
         if missing:
             raise WindowTooSmall(f"element uses {sorted(missing)} outside the family window")
 
@@ -59,7 +82,14 @@ def _match(family: FamilyBasis, points: Sequence[SparseVec], target_at) -> Local
     z and of its target: c is unchanged, and every entry is an int wherever
     the images are. A Farkas certificate u' is one of the scaled system,
     supported on its inconsistent row prefix; it certifies the unscaled
-    system as u_i = d_j * u'_i on point j's rows.
+    system as u_i = d_j * u'_i on point j's rows. An infeasible report keeps
+    the solve result with the label (j, o) of each row, in row order, and
+    the scales d_j; ``LocalReport.certificate`` solves u' and lifts it by
+    that rule when it is first read, and not before.
+
+    Rows are solved in the order their keys are first met. A row whose
+    entries cancel keeps its place, as ``{}`` or ``{n: b}``; only a row with
+    a zero entry is copied, without it.
 
     Each point's target is compared with ``family.reach`` before its rows are
     built: a target key o that no image reaches at point j makes row (j, o)
@@ -70,14 +100,17 @@ def _match(family: FamilyBasis, points: Sequence[SparseVec], target_at) -> Local
     basis, reach = family.basis, family.reach
     n = len(basis)
     rows: dict = {}
+    scales = []
     for j, (z, target) in enumerate(zip(points, map(target_at, points))):
         d = lcm(*[v.denominator for v in (*z._entries.values(), *target._entries.values())])
+        scales.append(d)
         rhs = {o: v.numerator * (d // v.denominator) for o, v in target._entries.items()}
         reached = set().union(*(reach[key] for key in z._entries))
         for o, b in rhs.items():
             if o not in reached:
                 result = solve_feasible([{n: b}], n)
-                return LocalReport(tuple(points), result.feasible, result.solution)
+                solve = (result, ((j, o),), scales)
+                return LocalReport(tuple(points), result.feasible, None, solve)
         terms = [(key, zc.numerator * (d // zc.denominator)) for key, zc in z._entries.items()]
         for k, m in enumerate(basis):
             image = m.image
@@ -90,8 +123,12 @@ def _match(family: FamilyBasis, points: Sequence[SparseVec], target_at) -> Local
                     row[k] = zc * v if prev is None else prev + zc * v
         for o, b in rhs.items():
             rows[(j, o)][n] = b
-    result = solve_feasible([{k: v for k, v in row.items() if v} for row in rows.values()], n)
-    return LocalReport(tuple(points), result.feasible, result.solution)
+    system = [
+        row if all(row.values()) else {k: v for k, v in row.items() if v} for row in rows.values()
+    ]
+    result = solve_feasible(system, n)
+    solve = (result, rows.keys(), scales)
+    return LocalReport(tuple(points), result.feasible, result.solution, solve)
 
 
 def local_feasible_at(candidate, x: SparseVec, family: FamilyBasis) -> LocalReport:

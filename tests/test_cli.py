@@ -680,6 +680,18 @@ class TestConfigAndErrors:
         assert captured.out == ""
         assert not out.exists()
 
+    def test_a_result_over_the_digit_limit_is_usage_error(self, tmp_path, capsys):
+        # inputs of 4,000 digits, residuals of 8,001: too long for str()
+        out = tmp_path / "r.json"
+        sevens = "7" * 4000
+        argv = ["check-map", "--algebra", "wittz", "--in", "-2..2", "--out", "-9..9"]
+        argv += ["--map", f"shift:t=1,w={sevens}", "--delta", sevens, "--json", str(out)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: result too long to print: a coefficient of 8001 digits\n"
+        assert captured.out == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "typed, canonical",
         [

@@ -124,8 +124,11 @@ class TestSolveFeasible:
 
         monkeypatch.setattr(exactlin, "_particular_solution", recorded)
         res = solve_feasible(rows, 3)
-        assert widths == [3, 2]  # A x = b, then the transposed prefix
+        assert widths == [3]  # A x = b; the certificate waits for a read
         assert res.certificate == SparseVec({0: -1, 1: 1})
+        assert widths == [3, 2]  # then the transposed prefix, once
+        assert res.certificate == SparseVec({0: -1, 1: 1})
+        assert widths == [3, 2]
         assert dot(res.certificate, split(rows, 3)[1]) == 1
 
     def test_a_solution_is_read_off_like_a_null_vector(self):

@@ -329,6 +329,25 @@ def test_a_number_over_the_digit_limit_is_a_parse_error(parse, text, position):
     assert str(err.value).startswith("number too long: ")
 
 
+@pytest.mark.parametrize(
+    "value, digits",
+    [
+        (10**4300, 4301),
+        (-(10**4301) + 1, 4301),
+        (Fraction(3, 10**4400), 4401),
+        (Fraction(7 * 10**4500, 3), 4501),
+    ],
+    ids=["power-of-ten", "negative-nines", "denominator", "numerator"],
+)
+def test_a_value_over_the_digit_limit_is_too_long_to_print(value, digits):
+    message = f"result too long to print: a coefficient of {digits} digits"
+    with pytest.raises(literals.ResultTooLong, match=f"^{message}$"):
+        literals.format_scalar(value)
+    with pytest.raises(literals.ResultTooLong, match=f"^{message}$"):
+        format_element(SparseVec({E(0): 1, E(1): value}))
+    assert literals.format_scalar(10**4299) == "1" + "0" * 4299
+
+
 LITERAL_ALPHABET = [*"0123456789ef-+*/.:;,=[]{} abtw", *literals._LITERALS]
 CONTEXTS = [None, witt_z(), witt_pos(), thin(), solv_abelian(), wab(0, -1)]
 

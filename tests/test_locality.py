@@ -1,5 +1,6 @@
 """Local and 2-local feasibility, propagation scans, counterexamples."""
 
+import dataclasses
 import re
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from deltader import locality
+from deltader import exactlin, locality
+from deltader.acceptance import ZERO_PROPAGATION_INFEASIBLE_C
 from deltader.algebras import E, F, solv_abelian, thin, wab, witt_pos, witt_z
 from deltader.dersolve import expected_family, solve_half_derivations
 from deltader.exactlin import SparseVec, solve_feasible
@@ -406,6 +408,25 @@ class TestUnreachedTargets:
             assert not solve_feasible(full, n).feasible
         assert len(solved_systems) == 2
 
+    def test_the_report_carries_the_one_row_lift(self, wab_family, solved_systems):
+        # the lift of test_one_row_certificate_lifts_to_the_full_system, by hand
+        alg, w, family = wab_family
+        image = {k: SparseVec() for k in w.keys}
+        image[E(1)] = family.basis[0].image[E(1)]
+        image[E(0)] = SparseVec({E(0): 1, F(5): Fraction(3, 4)})
+        candidate = WindowedMap(w, image)
+        x, y = SparseVec({E(1): 1}), SparseVec({E(0): HALF})
+        for points, report in (
+            ((y,), local_feasible_at(candidate, y, family)),
+            ((x, y), two_local_feasible_at(candidate, x, y, family)),
+        ):
+            _, _, result = solved_systems[-1]
+            j, out = len(points) - 1, w.out_keys
+            assert report.certificate == SparseVec({(j, F(5)): 8 * result.certificate.get(0)})
+            row = j * len(out) + out.index(F(5))
+            lifted = {i * len(out) + out.index(o): v for (i, o), v in report.certificate.items()}
+            assert SparseVec(lifted) == SparseVec({row: 8 * result.certificate.get(0)})
+
     @pytest.mark.parametrize(
         "value, params", [({E(3): 1}, None), ({E(4): 1}, {0: 1})], ids=["e3", "e4"]
     )
@@ -461,6 +482,105 @@ class TestMatchesTheFullSystem:
             full = full_system(family, points, [evaluate(candidate, z) for z in points])
             expected = solve_feasible(full, len(family.basis))
             assert (report.feasible, report.params) == (expected.feasible, expected.solution)
+
+    @pytest.mark.parametrize("name", ["thin_family", "solv_family", "wab_family"])
+    @given(data=st.data())
+    @settings(
+        max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    def test_certificates_certify_the_full_system(self, name, request, data):
+        # the carried certificate, keyed (j, o), is one of the unscaled
+        # system; its row (j, o) is row j * len(out) + out.index(o) there
+        alg, w, family = request.getfixturevalue(name)
+        out, n = w.out_keys, len(family.basis)
+
+        def vec(keys):
+            terms = st.dictionaries(st.sampled_from(keys), COEFFS, min_size=1, max_size=3)
+            return SparseVec(data.draw(terms))
+
+        x, y = vec(w.keys), vec(w.keys)
+        mix = data.draw(st.dictionaries(st.integers(0, n - 1), COEFFS, max_size=3))
+        image = {
+            k: sum((family.basis[i].image[k].scaled(c) for i, c in mix.items()), SparseVec())
+            for k in w.keys
+        }
+        # moved off the family anywhere, or where the family never reaches
+        anywhere = data.draw(st.booleans())
+        for k in data.draw(st.lists(st.sampled_from(x.support() + y.support()), max_size=2)):
+            keys = w.out_keys if anywhere else sorted(set(w.out_keys) - family.reach[k])
+            image[k] = image[k] + vec(keys or w.out_keys)
+        candidate = WindowedMap(w, image)
+        for points, report in (
+            ((x,), local_feasible_at(candidate, x, family)),
+            ((x, y), two_local_feasible_at(candidate, x, y, family)),
+        ):
+            if report.feasible:
+                assert report.certificate is None
+                continue
+            full = full_system(family, points, [evaluate(candidate, z) for z in points])
+            a, b = split(full, n)
+            u = SparseVec(
+                {j * len(out) + out.index(o): v for (j, o), v in report.certificate.items()}
+            )
+            for col in range(n):
+                assert sum(u.get(i) * row.get(col, 0) for i, row in enumerate(a.rows)) == 0
+            assert dot(u, b) == 1
+
+
+def _sends_e2_to_e3(w):
+    return WindowedMap(w, {k: SparseVec({E(3): 1}) if k == E(2) else SparseVec() for k in w.keys})
+
+
+class TestCertificateOnFirstRead:
+    """A query eliminates once; its certificate is solved on its first read,
+    and only then."""
+
+    def test_one_elimination_per_query_until_a_certificate_is_read(
+        self, thin_family, solv_family, wab_family, monkeypatch
+    ):
+        _, _, thin_fam = thin_family
+        _, w, solv_fam = solv_family
+        _, _, wab_fam = wab_family
+        wz = witt_z()
+        wz_fam = solve_half_derivations(wz, window_from_ranges(wz, (-6, 6), (-10, 10)))
+        calls = []
+        solve = exactlin._particular_solution
+
+        def counted(rows, ncols):
+            calls.append(ncols)
+            return solve(rows, ncols)
+
+        monkeypatch.setattr(exactlin, "_particular_solution", counted)
+        bad = _sends_e2_to_e3(w)
+        nabla = ThinNabla()
+        e1e2, e2 = SparseVec({E(1): 1, E(2): 1}), SparseVec({E(2): 1})
+        reports = [
+            local_feasible_at(bad, e2, solv_fam),
+            local_feasible_at(SolvDeltaBar(), e1e2, solv_fam),
+            local_feasible_at(nabla, e1e2, thin_fam),
+            two_local_feasible_at(nabla, e1e2, SparseVec({E(1): -1, E(2): 1}), thin_fam),
+            two_local_feasible_at(bad, SparseVec({E(1): 1}), e2, solv_fam),
+            *zero_propagation_scan(SparseVec({E(1): 1}), 0, ZERO_PROPAGATION_INFEASIBLE_C, wz_fam),
+            *zero_propagation_scan(SparseVec(), 0, (1, 2, 3), wz_fam),
+            wab_f_scan(SparseVec({F(1): 1}), 0, wab_fam),
+            wab_f_scan(SparseVec(), 0, wab_fam),
+        ]
+        infeasible = sum(not r.feasible for r in reports)
+        assert (len(reports), infeasible) == (20, 13)
+        assert len(calls) == len(reports)
+        for _ in range(2):  # a second read solves nothing
+            assert [r.certificate is None for r in reports] == [r.feasible for r in reports]
+            assert len(calls) == len(reports) + infeasible
+
+    def test_reports_equal_whatever_their_solve(self, solv_family):
+        _, w, family = solv_family
+        bad = _sends_e2_to_e3(w)
+        report = local_feasible_at(bad, SparseVec({E(2): 1}), family)
+        again = local_feasible_at(bad, SparseVec({E(2): 1}), family)
+        bare = dataclasses.replace(report, _solve=None)
+        assert report == again == bare
+        assert report.certificate == again.certificate is not None
+        assert bare.certificate is None
 
 
 class TestNonadditivity:
