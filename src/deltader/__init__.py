@@ -8,7 +8,6 @@ from .algebras import (
     F,
     KeyOutOfDomain,
     bracket,
-    bracket_vec,
     degree,
     in_domain,
     solv_abelian,

@@ -264,7 +264,8 @@ def bracket_term(alg: AlgebraSpec, k1: BasisKey, k2: BasisKey) -> Term:
 
     Every catalogued bracket of two basis keys is a single monomial, so the
     record's rule is the whole definition of each algebra: this is the rule
-    divided by ``alg.scale``. ``bracket`` and ``bracket_vec`` wrap it.
+    divided by ``alg.scale``. ``bracket`` wraps it, and the delta-derivation
+    check reads it once per image entry.
     Coefficients are ints whenever they are integral. The catalogued
     algebras are closed under bracket, so results never leave the domain;
     out-of-domain inputs raise KeyOutOfDomain.
@@ -299,14 +300,3 @@ def bracket(alg: AlgebraSpec, k1: BasisKey, k2: BasisKey) -> SparseVec:
     key, coeff = term
     return SparseVec({key: coeff})
 
-
-def bracket_vec(alg: AlgebraSpec, v: SparseVec, w: SparseVec) -> SparseVec:
-    """Bilinear extension of ``bracket`` to sparse vectors."""
-    out: dict = {}
-    for k1, c1 in v.items():
-        for k2, c2 in w.items():
-            term = bracket_term(alg, k1, k2)
-            if term is not None:
-                key, coeff = term
-                out[key] = out.get(key, 0) + coeff * c1 * c2
-    return SparseVec(out)

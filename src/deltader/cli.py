@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -153,11 +154,28 @@ def _algebra_from(args) -> AlgebraSpec:
     return AlgebraSpec(name)
 
 
+# The most unknowns, |I|*|O| coefficients, that a command's window may have.
+# ``solve --algebra wittz`` takes 0.10 s at 3,201 unknowns (``-16..16/-48..48``),
+# 0.40 s at 12,545, 1.2 s at 28,033 and 3.1 s at 49,665 (``-64..64/-192..192``)
+# on a 2-vCPU VM under CPython 3.11, growing as about the 1.6th power, so a
+# window at the cap solves in about 10 s. The largest window that the suite or
+# the benchmark ladder solves has 3,201.
+MAX_UNKNOWNS = 100_000
+
+
 def _window_from(args, alg: AlgebraSpec):
+    """The window of ``--in``/``--out``, refused before any key is built when
+    it would have more than ``MAX_UNKNOWNS`` unknowns."""
     if args.in_range is None:
         raise CliError("--in lo..hi is required")
     in_range = parse_range(args.in_range)
     out_range = parse_range(args.out_range) if args.out_range is not None else in_range
+    lines = len(alg.record.lines)
+    unknowns = lines * max(0, in_range[1] - in_range[0] + 1) * lines * max(0, out_range[1] - out_range[0] + 1)
+    if unknowns > MAX_UNKNOWNS:
+        # a bound may have thousands of digits, more than str() prints
+        size = str(unknowns) if unknowns < 10**18 else f"about 10^{int(math.log10(unknowns))}"
+        raise CliError(f"window too large: {size} unknowns (|I|*|O|) over the cap of {MAX_UNKNOWNS}")
     try:
         return window_from_ranges(alg, in_range, out_range)
     except ValueError as exc:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .algebras import AlgebraSpec, BasisKey, Term, bracket, bracket_vec, degree, structure_table
+from .algebras import AlgebraSpec, BasisKey, Term, bracket, bracket_term, degree, structure_table
 from .exactlin import (
     RatMatrix,
     RowSpace,
@@ -142,37 +142,67 @@ def derivation_pairs(alg: AlgebraSpec, in_keys: Sequence[BasisKey]) -> List[Tupl
     return list(_closed_pairs(alg, in_keys))
 
 
-def residual_at(alg, candidate, delta, k1: BasisKey, k2: BasisKey) -> SparseVec:
-    """phi([e_i, e_j]) - delta*([phi(e_i), e_j] + [e_i, phi(e_j)]) for phi = candidate."""
-    bv = bracket(alg, k1, k2)
-    lhs = evaluate(candidate, bv)
-    u1 = SparseVec({k1: 1})
-    u2 = SparseVec({k2: 1})
-    rhs = bracket_vec(alg, evaluate(candidate, u1), u2) + bracket_vec(
-        alg, u1, evaluate(candidate, u2)
-    )
-    return lhs - rhs.scaled(delta)
+def _scaled_residual(alg, image, num: int, den: int, k1: BasisKey, k2: BasisKey) -> dict:
+    """``den`` times the residual of the pair (k1, k2) at ``delta = num/den``,
+    ``den*phi([x, y]) - num*([phi(x), y] + [x, phi(y)])``, as a dict that may
+    hold zeros. ``image(k)`` is the sorted entries of ``phi(e_k)``. The
+    bracket comes first, then ``phi([x, y])``, ``phi(x)`` and ``phi(y)``, and
+    each image's entries are bracketed in key order, so the first error
+    raised is the one the plain evaluation would raise."""
+    out: dict = {}
+    for s, c in bracket(alg, k1, k2)._entries.items():
+        c *= den
+        for o, v in image(s):
+            out[o] = out.get(o, 0) + c * v
+    for o, v in image(k1):
+        term = bracket_term(alg, o, k2)
+        if term is not None:
+            z, c = term
+            out[z] = out.get(z, 0) - num * c * v
+    for o, v in image(k2):
+        term = bracket_term(alg, k1, o)
+        if term is not None:
+            z, c = term
+            out[z] = out.get(z, 0) - num * c * v
+    return out
 
 
 def check_delta_derivation(
     alg: AlgebraSpec,
-    wmap: WindowedMap,
+    candidate,
     delta,
     pairs: Sequence[Tuple[BasisKey, BasisKey]],
 ) -> List[Tuple[Tuple[BasisKey, BasisKey], SparseVec]]:
-    """Residuals of the delta-derivation condition on the given pairs.
+    """Residuals ``phi([x, y]) - delta*([phi(x), y] + [x, phi(y)])`` of the
+    delta-derivation condition on the given pairs, for ``phi = candidate``.
 
-    Empty result means the map satisfies the condition on every tested pair.
-    Raises WindowTooSmall when a needed image is undefined.
+    ``candidate`` is any linear operator that ``operators.evaluate`` accepts:
+    a ``WindowedMap``, or a closed-form probe as ``find_violation_witness``
+    passes. The image of each key is evaluated once per call, at its first
+    use, and each pair's residual is summed on ``den`` times the condition,
+    with ``delta = num/den``, so it is divided once, and only when it is a
+    violation. An empty result means the map satisfies the condition on every
+    tested pair. Raises WindowTooSmall when a needed image is undefined, and
+    TypeError when ``delta`` is not exact.
     """
+    delta = as_scalar(delta)
+    num, den = delta.numerator, delta.denominator
+    images: Dict[BasisKey, list] = {}
+
+    def image(key: BasisKey) -> list:
+        entries = images.get(key)
+        if entries is None:
+            entries = images[key] = evaluate(candidate, SparseVec._wrap({key: 1})).items()
+        return entries
+
     violations = []
     for k1, k2 in pairs:
         try:
-            residual = residual_at(alg, wmap, delta, k1, k2)
+            out = _scaled_residual(alg, image, num, den, k1, k2)
         except KeyOutsideWindow as exc:
             raise WindowTooSmall(f"pair ({k1}, {k2}): {exc}") from None
-        if residual:
-            violations.append(((k1, k2), residual))
+        if any(out.values()):
+            violations.append(((k1, k2), SparseVec(out).scaled(Fraction(1, den))))
     return violations
 
 

@@ -26,7 +26,11 @@ division is not exact. A feasibility system is given as its augmented rows
 ``[A|b]``, and its solution is read off like a null vector. An infeasible
 system keeps its shortest inconsistent row prefix, and its Farkas
 certificate, the solution of that prefix's transposed system, is solved
-only when it is first read.
+only when it is first read. The engine's other exact sums follow the same
+rule, denominators cleared once and one division per result entry:
+``dersolve.check_delta_derivation`` sums each residual times the
+denominator of delta, and ``operators.commutator`` composes two maps over
+the common denominator of each one's entries.
 
 Two nullspace solvers share that kernel. ``nullspace_by_blocks`` solves a
 block-diagonal system block by block, each block reading its units of rows

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Optional, Sequence, Tuple
 
 from .algebras import AlgebraSpec, BasisKey, E, F, in_domain, witt_z
@@ -157,19 +158,45 @@ class WindowedMap:
         return WindowedMap._wrap(self.window, {k: v._times(factor) for k, v in self.image.items()})
 
 
+def _int_images(m: WindowedMap) -> Tuple[dict, int]:
+    """``d`` times every image of ``m`` as an int dict, and ``d``, the lcm of
+    the denominators of all its entries."""
+    d = lcm(*(v.denominator for image in m.image.values() for v in image._entries.values()))
+    return {
+        k: {o: v.numerator * (d // v.denominator) for o, v in image._entries.items()}
+        for k, image in m.image.items()
+    }, d
+
+
 def commutator(a: WindowedMap, b: WindowedMap) -> WindowedMap:
     """a b - b a on the common input keys where both compositions are defined,
-    over the union of the two output windows."""
+    over the union of the two output windows.
+
+    Each map's images are scaled once to ints by the lcm of their entries'
+    denominators, ``d_a`` and ``d_b``; the compositions are summed on ints,
+    and each entry is divided once, by ``d_a*d_b``.
+    """
     a_in, b_in = a.window.key_set(), b.window.key_set()
     keys = tuple(
         k
         for k in a.window.keys
-        if k in b_in and set(b.image[k].support()) <= a_in and set(a.image[k].support()) <= b_in
+        if k in b_in and b.image[k]._entries.keys() <= a_in and a.image[k]._entries.keys() <= b_in
     )
     out = tuple(sorted(a.window.out_key_set() | b.window.out_key_set()))
-    return WindowedMap._wrap(
-        Window(keys, out), {k: a.evaluate(b.image[k]) - b.evaluate(a.image[k]) for k in keys}
-    )
+    int_a, d_a = _int_images(a)
+    int_b, d_b = _int_images(b)
+    d = d_a * d_b
+    image = {}
+    for k in keys:
+        total: dict = {}
+        for j, c in int_b[k].items():
+            for o, v in int_a[j].items():
+                total[o] = total.get(o, 0) + c * v
+        for j, c in int_a[k].items():
+            for o, v in int_b[j].items():
+                total[o] = total.get(o, 0) - c * v
+        image[k] = SparseVec._wrap({o: as_scalar(Fraction(x, d)) for o, x in total.items() if x})
+    return WindowedMap._wrap(Window(keys, out), image)
 
 
 @dataclass(frozen=True)

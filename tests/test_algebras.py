@@ -19,7 +19,6 @@ from deltader.algebras import (
     KeyOutOfDomain,
     bracket,
     bracket_term,
-    bracket_vec,
     degree,
     in_domain,
     solv_abelian,
@@ -34,6 +33,7 @@ from deltader.acceptance import WAB_ACCEPTANCE_PARAMS, acceptance_window
 from deltader.exactlin import SparseVec
 from deltader.literals import ParseError, parse_operator
 from deltader.operators import window_from_ranges
+from residual_oracle import bracket_vec
 
 ALL_PARAMLESS = [witt_z(), witt_pos(), witt_one_sided(), thin(), solv_abelian()]
 WAB_SAMPLES = [wab(0, 0), wab(1, -1), wab(Fraction(1, 2), -1), wab(0, 2)]

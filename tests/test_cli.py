@@ -1151,3 +1151,82 @@ def test_config_files_hold_the_exit_code_contract(argv_and_config):
 def test_verify_all_quick_holds_the_exit_code_contract(tsv, config):
     argv = ["verify-all", "--quick"] + ([] if tsv is None else ["--tsv", tsv])
     run_contract(argv, config)
+
+
+def test_every_window_of_the_suite_the_ladder_and_the_goldens_is_under_the_cap():
+    perfbench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        from workloads import LADDER
+    finally:
+        sys.path.remove(perfbench)
+    windows = [(record.name, *ranges) for record in algebras.CATALOGUE for ranges in record.windows]
+    windows += [(name, cli.parse_range(i), cli.parse_range(o)) for _, name, i, o in LADDER]
+    for path in sorted((Path(__file__).parent / "data").glob("*.json")):
+        echo = read_json(path)["inputsEcho"]
+        if echo.get("in") is not None:
+            windows.append((echo["algebra"], cli.parse_range(echo["in"]), cli.parse_range(echo["out"])))
+    sizes = []
+    for name, in_range, out_range in windows:
+        # wab at a = 0, b = -1: any parameters give its two lines
+        alg = algebras.wab(0, -1) if name == "wab" else algebras.AlgebraSpec(name)
+        w = window_from_ranges(alg, in_range, out_range)
+        sizes.append(len(w.keys) * len(w.out_keys))
+    assert max(sizes) == 33 * 97 <= cli.MAX_UNKNOWNS  # the top ladder rung, wittz -16..16
+
+
+@pytest.mark.parametrize(
+    "ranges, size",
+    [
+        (["--in", "1..99999999999999999999999"], "about 10^46"),
+        (["--in", "-200..200", "--out", "-600..600"], "481601"),
+        (["--in", "1.." + "9" * 4300], "about 10^8600"),
+    ],
+    ids=["huge-in", "wide-in-and-out", "4300-digit-bound"],
+)
+def test_a_window_over_the_cap_exits_two_before_any_key_is_built(
+    tmp_path, monkeypatch, capsys, ranges, size
+):
+    def no_window(*args):
+        pytest.fail("a window over the cap was built")
+
+    monkeypatch.setattr(cli, "window_from_ranges", no_window)
+    out = tmp_path / "r.json"
+    assert main(["solve", "--algebra", "wittz", *ranges, "--json", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: window too large: {size} unknowns (|I|*|O|) over the cap of 100000\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_the_cap_counts_both_lines_of_wab(capsys, monkeypatch):
+    # 2*160 input keys times 2*160 output keys: 102,400 unknowns
+    monkeypatch.setattr(cli, "window_from_ranges", lambda *args: pytest.fail("window built"))
+    argv = ["solve", "--algebra", "wab", "--a", "0", "--b", "-1", "--in", "1..160"]
+    assert main(argv) == 2
+    assert "102400 unknowns" in capsys.readouterr().err
+
+
+@st.composite
+def over_the_cap_argv(draw):
+    """argv for a windowed command whose --in/--out ranges, which may start
+    below the algebra's floor, hold over 100,000 unknowns."""
+    command = draw(st.sampled_from(["solve", "check-map", "local", "two-local"]))
+    algebra = draw(st.sampled_from(["wittz", "wittpos", "witt1", "thin", "solv"]))
+    lo = draw(st.integers(-10**6, 10))
+    width = draw(st.one_of(st.integers(317, 10**6), st.just(10**4300 - 10**6)))
+    argv = [command, "--algebra", algebra, "--in", f"{lo}..{lo + width}"]
+    if draw(st.booleans()):
+        argv += ["--out", f"{lo - draw(st.integers(0, 10))}..{lo + width + draw(st.integers(0, 10))}"]
+    if command != "solve":
+        maps = {"thin": "thin-delta", "solv": "solv-deltabar"}
+        argv += ["--map", maps.get(algebra, "shift:t=1,w=1")]
+    return argv
+
+
+@given(over_the_cap_argv())
+@settings(max_examples=40, deadline=None)
+def test_windows_over_the_cap_hold_the_exit_code_contract(argv):
+    code, err = run_contract(argv)
+    assert code == 2
+    assert err.startswith("error: window too large: ")

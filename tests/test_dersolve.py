@@ -18,7 +18,6 @@ from deltader.dersolve import (
     expected_family,
     find_violation_witness,
     interior_input_keys,
-    residual_at,
     solve_derivations,
     solve_half_derivations,
 )
@@ -38,6 +37,7 @@ from deltader.operators import (
     window_from_ranges,
 )
 
+from residual_oracle import residual_at
 from test_exactlin import pack, reference_nullspace
 from test_operators import identity_map
 

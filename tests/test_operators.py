@@ -276,3 +276,41 @@ class TestComposition:
         b = materialize(ShiftOp(2, 5), window_from_ranges(wz, (-6, 6), (-8, 8)))
         comm = commutator(b, a)
         assert all(comm.image[k].is_zero() for k in comm.window.keys)
+
+
+def reference_commutator(a, b):
+    """The window and images of ``a b - b a`` composed with ``evaluate``, on
+    the keys where both compositions are defined."""
+    a_in, b_in = a.window.key_set(), b.window.key_set()
+    keys = tuple(
+        k
+        for k in a.window.keys
+        if k in b_in and set(b.image[k].support()) <= a_in and set(a.image[k].support()) <= b_in
+    )
+    out = tuple(sorted(a.window.out_key_set() | b.window.out_key_set()))
+    return Window(keys, out), {k: a.evaluate(b.image[k]) - b.evaluate(a.image[k]) for k in keys}
+
+
+@st.composite
+def ranged_maps(draw, alg):
+    """A map with Fraction entries, or the zero map, on a range window of ``alg``."""
+    lo = draw(st.integers(-2, 0))
+    hi = lo + draw(st.integers(1, 4))
+    w = window_from_ranges(alg, (lo, hi), (lo - draw(st.integers(0, 1)), hi + draw(st.integers(0, 1))))
+    entries = st.dictionaries(
+        st.sampled_from(w.out_keys), st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=2
+    )
+    if draw(st.integers(0, 5)) == 0:
+        entries = st.just({})
+    return WindowedMap(w, {k: draw(entries) for k in w.keys})
+
+
+class TestCommutatorOracle:
+    @given(data=st.data(), alg=st.sampled_from([witt_z(), wab(0, -1)]))
+    @settings(max_examples=200, deadline=None)
+    def test_commutator_matches_the_composed_formula(self, data, alg):
+        a, b = data.draw(ranged_maps(alg)), data.draw(ranged_maps(alg))
+        comm = commutator(a, b)
+        assert (comm.window, comm.image) == reference_commutator(a, b)
+        entries = [x for v in comm.image.values() for x in v.entries.values()]
+        assert all(x != 0 and (type(x) is int or x.denominator > 1) for x in entries)
