@@ -51,7 +51,6 @@ from .locality import (
     zero_propagation_scan,
 )
 from .operators import (
-    KeyOutsideWindow,
     ShiftOp,
     SolvDeltaBar,
     SolvHalfDer,

@@ -35,6 +35,7 @@ from . import algebras
 from .algebras import AlgebraSpec, E, F, structure_table
 from .dersolve import (
     HALF,
+    ComparisonReport,
     FamilyBasis,
     check_delta_derivation,
     compare_families,
@@ -283,14 +284,8 @@ def _bracket_axioms(alg: AlgebraSpec, quick: bool) -> Tuple[bool, bool]:
 
 def criterion_1(quick: bool = False) -> CriterionResult:
     checks = _Checks()
-    catalogue = [
-        algebras.witt_z(),
-        algebras.witt_pos(),
-        algebras.witt_one_sided(),
-        algebras.thin(),
-        algebras.solv_abelian(),
-    ] + [algebras.wab(a, b) for a, b in WAB_ACCEPTANCE_PARAMS]
-    for alg in catalogue:
+    specs = [AlgebraSpec(r.name) for r in algebras.CATALOGUE if not r.parametric]
+    for alg in specs + [algebras.wab(a, b) for a, b in WAB_ACCEPTANCE_PARAMS]:
         antisym, jacobi = _bracket_axioms(alg, quick)
         checks.expect(antisym, f"{alg.label()} antisymmetry")
         checks.expect(jacobi, f"{alg.label()} jacobi")
@@ -328,54 +323,37 @@ def criterion_3(quick: bool = False) -> CriterionResult:
     for alg in catalogue:
         report = _certify(alg, quick)[3]
         checks.expect(
-            report.expected_contained and report.solved_interior_contained,
+            report.certified,
             f"{alg.label()} certified at margin {report.interior_margin} "
             f"(dims solved/expected/interior {report.dim_solved}/{report.dim_expected}/{report.dim_interior})",
         )
     return CriterionResult(3, "interior completeness at frozen margins", checks.ok, tuple(checks.details))
 
 
-def wab_dimension_sweep(quick: bool = False) -> List[dict]:
-    """One solve per integer b in -3..3 at a = 0; used by criterion 4 and the TSV sweep."""
-    rows = []
+def wab_dimension_sweep(quick: bool = False) -> List[Tuple[AlgebraSpec, Window, ComparisonReport]]:
+    """``(alg, w, report)`` of ``_certify`` for each integer b in -3..3 at
+    a = 0, in that order; criterion 4 and the TSV sweep read them."""
+    sweep = []
     for b in range(-3, 4):
         alg = algebras.wab(0, b)
         w, _, _, report = _certify(alg, quick)
-        rows.append(
-            {
-                "algebra": "wab",
-                "a": alg.a,
-                "b": alg.b,
-                "in_size": len(w.keys),
-                "out_size": len(w.out_keys),
-                "dim_solved": report.dim_solved,
-                "dim_expected": report.dim_expected,
-                "dim_interior": report.dim_interior,
-                "certified": report.expected_contained and report.solved_interior_contained,
-            }
-        )
-    return rows
+        sweep.append((alg, w, report))
+    return sweep
 
 
 def criterion_4(quick: bool = False) -> CriterionResult:
     checks = _Checks()
-    rows = wab_dimension_sweep(quick)
-    by_b = {row["b"]: row for row in rows}
+    sweep = wab_dimension_sweep(quick)
+    by_b = {alg.b: report for alg, _, report in sweep}
     for b in (0, 1, -2):
-        checks.expect(
-            by_b[b]["dim_interior"] == 1,
-            f"b={b}: interior dimension 1 (identity only)",
-        )
-    family_dim = by_b[-1]["dim_expected"]
+        checks.expect(by_b[b].dim_interior == 1, f"b={b}: interior dimension 1 (identity only)")
+    family_dim = by_b[-1].dim_expected
     checks.expect(
-        by_b[-1]["dim_interior"] == family_dim,
-        f"b=-1: interior dimension equals family dimension {family_dim}",
+        by_b[-1].dim_interior == family_dim, f"b=-1: interior dimension equals family dimension {family_dim}"
     )
-    jump_only_at_minus_one = all(
-        (row["dim_interior"] > 1) == (row["b"] == -1) for row in rows
-    )
+    jump_only_at_minus_one = all((report.dim_interior > 1) == (b == -1) for b, report in by_b.items())
     checks.expect(jump_only_at_minus_one, "sweep over b in -3..3 jumps exactly at b=-1")
-    checks.expect(all(row["certified"] for row in rows), "every sweep point certified")
+    checks.expect(all(report.certified for report in by_b.values()), "every sweep point certified")
     return CriterionResult(4, "W(a,b) dichotomy at b=-1", checks.ok, tuple(checks.details))
 
 
@@ -428,7 +406,7 @@ def criterion_7(quick: bool = False) -> CriterionResult:
     solv = COUNTEREXAMPLES["solv"]
     w, solved, _, report = _certify(solv.algebra, quick)
     checks.expect(
-        report.expected_contained and report.solved_interior_contained,
+        report.certified,
         f"interior comparison certifies the unit-vector family (dim {report.dim_solved})",
     )
     ((_, scan_keys, first),) = solv.scans

@@ -109,9 +109,8 @@ class AlgebraRecord(NamedTuple):
     ``alg.scaled_a`` and ``alg.scaled_b`` on a ``parametric`` algebra and
     assumes both keys lie in the domain. ``bracket_term`` divides it by the
     scale; ``structure_table`` reads it as it is. ``degree(key)`` is the
-    grading.
-    ``least_shift`` bounds the shifts of ``ShiftOp`` and of the Witt expected
-    family from below (None: unbounded). ``heads`` are the operator-literal
+    grading. A shift maps a one-sided domain (``floor`` not None) into itself
+    exactly when it is at least 0. ``heads`` are the operator-literal
     heads defined on the algebra; the first names its closed-form
     half-derivation family. The verification suite's constants are (full,
     quick) pairs indexed by ``quick``: criterion 1's ``axiom_box`` index range
@@ -130,7 +129,6 @@ class AlgebraRecord(NamedTuple):
     lines: Tuple[str, ...] = ("e",)
     parametric: bool = False
     degree: Callable[[BasisKey], int] = attrgetter("index")
-    least_shift: Optional[int] = None
 
 
 CATALOGUE = (
@@ -139,11 +137,11 @@ CATALOGUE = (
         axiom_box=((-8, 8), (-4, 4)), windows=(((-4, 4), (-12, 12)), ((-3, 3), (-8, 8))), margin=0,
     ),
     AlgebraRecord(
-        "wittpos", floor=1, rule=_witt_rule, heads=("shift",), least_shift=0,
+        "wittpos", floor=1, rule=_witt_rule, heads=("shift",),
         axiom_box=((1, 16), (1, 8)), windows=(((1, 9), (1, 17)), ((1, 7), (1, 12))), margin=0,
     ),
     AlgebraRecord(
-        "witt1", floor=-1, rule=_witt_rule, heads=("shift",), least_shift=0,
+        "witt1", floor=-1, rule=_witt_rule, heads=("shift",),
         axiom_box=((-1, 15), (-1, 7)), windows=(((-1, 7), (-1, 15)), ((-1, 5), (-1, 10))), margin=0,
     ),
     AlgebraRecord(
@@ -253,7 +251,8 @@ def degree(alg: AlgebraSpec, key: BasisKey) -> int:
     return alg.record.degree(key)
 
 
-def _require_in_domain(alg: AlgebraSpec, keys: Iterable[BasisKey]) -> None:
+def require_in_domain(alg: AlgebraSpec, keys: Iterable[BasisKey]) -> None:
+    """Raise KeyOutOfDomain, naming the first of ``keys`` that is no basis key of ``alg``."""
     for key in keys:
         if not in_domain(alg, key):
             raise KeyOutOfDomain(f"{key} is not a basis key of {alg.label()}")
@@ -270,7 +269,7 @@ def bracket_term(alg: AlgebraSpec, k1: BasisKey, k2: BasisKey) -> Term:
     algebras are closed under bracket, so results never leave the domain;
     out-of-domain inputs raise KeyOutOfDomain.
     """
-    _require_in_domain(alg, (k1, k2))
+    require_in_domain(alg, (k1, k2))
     term = alg.record.rule(alg, k1, k2)
     if term is None or alg.scale == 1:
         return term
@@ -287,7 +286,7 @@ def structure_table(
     ``alg.scale``: ``(key, c)`` with ``c`` an int, or None. The domain is
     checked once for both key sets, with ``bracket_term``'s error.
     """
-    _require_in_domain(alg, (*left, *right))
+    require_in_domain(alg, (*left, *right))
     rule = alg.record.rule
     return [[rule(alg, k1, k2) for k2 in right] for k1 in left]
 

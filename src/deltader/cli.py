@@ -11,6 +11,7 @@ Exit codes: 0 pass, 1 property failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -53,7 +54,6 @@ from .locality import (
 )
 from .operators import (
     SupportOverflow,
-    ThinNabla,
     WindowTooSmall,
     materialize,
     window_from_ranges,
@@ -145,10 +145,10 @@ def _algebra_from(args) -> AlgebraSpec:
     name = args.algebra
     if name is None:
         raise CliError("--algebra is required")
-    if name == "wab":
+    if algebras.CATALOGUE[algebras.ALGEBRA_NAMES.index(name)].parametric:
         if args.a is None or args.b is None:
-            raise CliError("wab requires --a and --b")
-        return algebras.wab(parse_scalar(args.a), parse_scalar(args.b))
+            raise CliError(f"{name} requires --a and --b")
+        return AlgebraSpec(name, parse_scalar(args.a), parse_scalar(args.b))
     if args.a is not None or args.b is not None:
         raise CliError(f"{name} takes no --a/--b parameters")
     return AlgebraSpec(name)
@@ -210,6 +210,11 @@ def _check_outputs(args) -> None:
         if real in written:
             raise CliError(f"--json and --tsv both name {path}")
         written.add(real)
+
+
+def _tsv_row(alg: AlgebraSpec, w, report) -> tuple:
+    """The dimensions TSV row of a comparison on a window."""
+    return alg.name, alg.a, alg.b, len(w.keys), len(w.out_keys), report.dim_solved, report.dim_interior
 
 
 def _tsv_text(rows) -> str:
@@ -304,14 +309,12 @@ def _cmd_solve(args) -> int:
     }
     _write_report(args, "solve", _echo_inputs(args, alg), results)
     if args.tsv_path is not None:
-        sizes = (len(w.keys), len(w.out_keys), report.dim_solved, report.dim_interior)
-        Path(args.tsv_path).write_text(_tsv_text([(alg.name, alg.a, alg.b, *sizes)]))
-    ok = report.expected_contained and report.solved_interior_contained
+        Path(args.tsv_path).write_text(_tsv_text([_tsv_row(alg, w, report)]))
     print(
         f"{alg.label()}: dimSolved={report.dim_solved} dimExpected={report.dim_expected} "
-        f"dimInterior={report.dim_interior} certified={ok}"
+        f"dimInterior={report.dim_interior} certified={report.certified}"
     )
-    return 0 if ok else 1
+    return 0 if report.certified else 1
 
 
 def _cmd_check_map(args) -> int:
@@ -321,8 +324,8 @@ def _cmd_check_map(args) -> int:
         raise CliError("--map <operator literal> is required")
     op = parse_operator(args.map, alg)
     delta = parse_scalar(args.delta) if args.delta is not None else HALF
-    if isinstance(op, ThinNabla):
-        raise CliError("thin-nabla is nonlinear; use the two-local command")
+    if not hasattr(op, "value_at"):
+        raise CliError(f"{format_operator(op)} is nonlinear; use the two-local command")
     try:
         table = materialize(op, w)
     except SupportOverflow as exc:
@@ -458,21 +461,12 @@ def _cmd_verify_all(args) -> int:
                     print(f"    {d}")
     payload = {
         "quick": args.quick,
-        "criteria": [
-            {
-                "number": r.number,
-                "title": r.title,
-                "passed": r.passed,
-                "details": list(r.details),
-            }
-            for r in results
-        ],
+        "criteria": [dataclasses.asdict(r) for r in results],
         "allPassed": all(r.passed for r in results),
     }
     _write_report(args, "verify-all", {"quick": args.quick}, payload)
     if sweep is not None:
-        columns = ("algebra", "a", "b", "in_size", "out_size", "dim_solved", "dim_interior")
-        Path(args.tsv_path).write_text(_tsv_text([row[c] for c in columns] for row in sweep))
+        Path(args.tsv_path).write_text(_tsv_text(_tsv_row(*entry) for entry in sweep))
     return 0 if payload["allPassed"] else 1
 
 

@@ -41,8 +41,6 @@ from .operators import (
     Window,
     WindowedMap,
     WindowTooSmall,
-    KeyOutsideWindow,
-    evaluate,
     require_inside,
 )
 
@@ -117,6 +115,11 @@ class ComparisonReport:
     dim_expected: int
     dim_interior: int
 
+    @property
+    def certified(self) -> bool:
+        """Both containments hold: the window certifies the closed-form family."""
+        return self.expected_contained and self.solved_interior_contained
+
 
 def _closed_pairs(
     alg: AlgebraSpec, in_keys: Sequence[BasisKey]
@@ -176,15 +179,18 @@ def check_delta_derivation(
     """Residuals ``phi([x, y]) - delta*([phi(x), y] + [x, phi(y)])`` of the
     delta-derivation condition on the given pairs, for ``phi = candidate``.
 
-    ``candidate`` is any linear operator that ``operators.evaluate`` accepts:
-    a ``WindowedMap``, or a closed-form probe as ``find_violation_witness``
-    passes. The image of each key is evaluated once per call, at its first
-    use, and each pair's residual is summed on ``den`` times the condition,
-    with ``delta = num/den``, so it is divided once, and only when it is a
-    violation. An empty result means the map satisfies the condition on every
-    tested pair. Raises WindowTooSmall when a needed image is undefined, and
-    TypeError when ``delta`` is not exact.
+    ``candidate`` is any linear map, one with ``value_at`` (a ``WindowedMap``,
+    or a closed-form probe as ``find_violation_witness`` passes); any other,
+    or an inexact ``delta``, raises TypeError before any pair is read. The
+    image of each key is read once per call, at its first use, and each
+    pair's residual is summed on ``den`` times the condition, with ``delta =
+    num/den``, so it is divided once, and only when it is a violation. An
+    empty result means the map satisfies the condition on every tested pair.
+    Raises WindowTooSmall when a needed image is undefined.
     """
+    value_at = getattr(candidate, "value_at", None)
+    if value_at is None:
+        raise TypeError(f"{type(candidate).__name__} is not linear: it has no value_at")
     delta = as_scalar(delta)
     num, den = delta.numerator, delta.denominator
     images: Dict[BasisKey, list] = {}
@@ -192,14 +198,14 @@ def check_delta_derivation(
     def image(key: BasisKey) -> list:
         entries = images.get(key)
         if entries is None:
-            entries = images[key] = evaluate(candidate, SparseVec._wrap({key: 1})).items()
+            entries = images[key] = value_at(key).items()
         return entries
 
     violations = []
     for k1, k2 in pairs:
         try:
             out = _scaled_residual(alg, image, num, den, k1, k2)
-        except KeyOutsideWindow as exc:
+        except WindowTooSmall as exc:
             raise WindowTooSmall(f"pair ({k1}, {k2}): {exc}") from None
         if any(out.values()):
             violations.append(((k1, k2), SparseVec(out).scaled(Fraction(1, den))))
@@ -463,8 +469,8 @@ def _index_bounds(keys: Sequence[BasisKey], kind: str) -> Optional[Tuple[int, in
 def _shifts(alg: AlgebraSpec, in_e, out_e) -> range:
     """The shifts t that carry the input range into the output range."""
     t_lo = out_e[0] - in_e[0]
-    if alg.record.least_shift is not None:
-        t_lo = max(t_lo, alg.record.least_shift)
+    if alg.record.floor is not None:  # a one-sided domain admits t >= 0 only
+        t_lo = max(t_lo, 0)
     return range(t_lo, out_e[1] - in_e[1] + 1)
 
 
@@ -504,7 +510,7 @@ def expected_family(alg: AlgebraSpec, w: Window) -> FamilyBasis:
     """The closed-form generators that fit the window, without those that
     vanish on it, each written as a column vector from its own ``value_at``.
 
-    Witt family: shifts (t >= the record's ``least_shift``). Thin: unit alpha
+    Witt family: shifts (t >= 0 on a one-sided algebra). Thin: unit alpha
     and beta generators. Solvable: unit alpha generators. W(a, b): shift and
     e->f generators for b = -1, the identity alone otherwise. The generators
     are chosen for an output window whose lines are index ranges; a window's

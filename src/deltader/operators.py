@@ -8,6 +8,10 @@ Two representations coexist:
   ``SolvHalfDer``) and the fixed probe operators (``ThinLocalDelta``,
   ``SolvDeltaBar`` and the nonlinear ``ThinNabla``) evaluate anywhere in the
   algebra and can be truncated onto a window via ``materialize``.
+
+A map is linear exactly when it has ``value_at``; ``ThinNabla`` has none. A
+key that a window lacks raises ``WindowTooSmall``, and one outside the
+algebra's domain the catalogue's ``KeyOutOfDomain``.
 """
 
 from __future__ import annotations
@@ -17,12 +21,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional, Sequence, Tuple
 
-from .algebras import AlgebraSpec, BasisKey, E, F, in_domain, witt_z
+from .algebras import AlgebraSpec, BasisKey, E, F, in_domain, require_in_domain, solv_abelian, thin, witt_z
 from .exactlin import Scalar, SparseVec, as_scalar
-
-
-class KeyOutsideWindow(Exception):
-    """A WindowedMap was evaluated at a key outside its input window."""
 
 
 class SupportOverflow(ValueError):
@@ -30,7 +30,11 @@ class SupportOverflow(ValueError):
 
 
 class WindowTooSmall(Exception):
-    """A check needed an image that the window does not provide."""
+    """A map or a check needed the image of a key that the window lacks."""
+
+
+# The domains of the thin and solvable closed forms.
+_THIN, _SOLV = thin(), solv_abelian()
 
 
 def _half_power(j: int) -> Scalar:
@@ -142,7 +146,7 @@ class WindowedMap:
         try:
             return self.image[key]
         except KeyError:
-            raise KeyOutsideWindow(f"{key} outside input window") from None
+            raise WindowTooSmall(f"{key} outside input window") from None
 
     def evaluate(self, v: SparseVec) -> SparseVec:
         return _extend_linearly(self.value_at, v)
@@ -204,7 +208,7 @@ class ShiftOp:
     """e_i -> weight * e_{i+t} on a Witt-family algebra.
 
     One-sided domains only admit t >= 0 (negative shifts leave the domain),
-    which the constructor enforces from the algebra's ``least_shift``.
+    which the constructor enforces from the algebra's ``floor``.
     """
 
     t: int
@@ -216,12 +220,11 @@ class ShiftOp:
         record = self.algebra.record
         if "shift" not in record.heads:
             raise ValueError("shift operators are defined on the Witt family only")
-        if record.least_shift is not None and self.t < record.least_shift:
+        if record.floor is not None and self.t < 0:
             raise ValueError(f"negative shift t={self.t} not admissible on {self.algebra.name}")
 
     def value_at(self, key: BasisKey) -> SparseVec:
-        if key.kind != "e" or not in_domain(self.algebra, key):
-            raise KeyOutsideWindow(f"{key} outside domain of {self.algebra.label()}")
+        require_in_domain(self.algebra, (key,))
         if not self.weight:
             return SparseVec()
         return SparseVec._wrap({E(key.index + self.t): self.weight})
@@ -253,8 +256,7 @@ class ThinHalfDer:
         return self.beta[i - 2] if 2 <= i <= len(self.beta) + 1 else 0
 
     def value_at(self, key: BasisKey) -> SparseVec:
-        if key.kind != "e" or key.index < 1:
-            raise KeyOutsideWindow(f"{key} outside thin domain")
+        require_in_domain(_THIN, (key,))
         j = key.index
         if j == 1:
             return SparseVec({E(i): a for i, a in enumerate(self.alpha, start=1)})
@@ -306,8 +308,7 @@ class SolvHalfDer:
         object.__setattr__(self, "alpha", tuple(as_scalar(a) for a in self.alpha))
 
     def value_at(self, key: BasisKey) -> SparseVec:
-        if key.kind != "e" or key.index < 1:
-            raise KeyOutsideWindow(f"{key} outside solvable domain")
+        require_in_domain(_SOLV, (key,))
         if key.index == 1:
             return SparseVec({E(i): a for i, a in enumerate(self.alpha, start=1)})
         a1 = self.alpha[0] if self.alpha else 0
@@ -320,8 +321,7 @@ class ThinLocalDelta:
     e_j by (1 - 2^(2-j)) for j >= 3."""
 
     def value_at(self, key: BasisKey) -> SparseVec:
-        if key.kind != "e" or key.index < 1:
-            raise KeyOutsideWindow(f"{key} outside thin domain")
+        require_in_domain(_THIN, (key,))
         j = key.index
         if j <= 2:
             return SparseVec()
@@ -333,8 +333,7 @@ class SolvDeltaBar:
     """Fixed probe map on the solvable algebra: e_1 -> 0, e_k -> e_k (k >= 2)."""
 
     def value_at(self, key: BasisKey) -> SparseVec:
-        if key.kind != "e" or key.index < 1:
-            raise KeyOutsideWindow(f"{key} outside solvable domain")
+        require_in_domain(_SOLV, (key,))
         if key.index == 1:
             return SparseVec()
         return SparseVec({key: 1})
@@ -351,33 +350,28 @@ class ThinNabla:
     def evaluate(self, v: SparseVec) -> SparseVec:
         if not v.get(E(1)):
             return SparseVec()
-        out = {}
-        for k, c in v.items():
-            if k.kind != "e" or k.index < 1:
-                raise KeyOutsideWindow(f"{k} outside thin domain")
-            if k.index >= 2:
-                out[k] = _half_power(k.index) * c
-        return SparseVec(out)
+        require_in_domain(_THIN, v.support())
+        return SparseVec({k: _half_power(k.index) * c for k, c in v.items() if k.index >= 2})
 
 
 def evaluate(op, v: SparseVec) -> SparseVec:
     """Evaluate any operator at a sparse vector.
 
-    Linear operators extend their basis images linearly; ThinNabla applies
-    its case rule to the whole vector.
+    Linear operators extend their basis images linearly; ThinNabla, which
+    has no ``value_at``, applies its case rule to the whole vector.
     """
-    whole = getattr(op, "evaluate", None)
-    if whole is not None:
-        return whole(v)
-    return _extend_linearly(op.value_at, v)
+    if hasattr(op, "value_at"):
+        return _extend_linearly(op.value_at, v)
+    return op.evaluate(v)
 
 
 def materialize(op, w: Window) -> WindowedMap:
     """Tabulate a closed-form operator on a window.
 
-    Raises SupportOverflow when any image escapes the output window, which
-    signals the window is too small for this operator.
+    Raises TypeError for a nonlinear map (one without ``value_at``), and
+    SupportOverflow when any image escapes the output window, which signals
+    the window is too small for this operator.
     """
-    if isinstance(op, ThinNabla):
+    if not hasattr(op, "value_at"):
         raise TypeError("a nonlinear map cannot be tabulated as a WindowedMap")
     return WindowedMap(w, {k: op.value_at(k) for k in w.keys})

@@ -3,8 +3,9 @@
 ``dersolve.check_delta_derivation`` sums each pair's residual on ints from
 the structure constants; this module evaluates the three images of every
 pair, brackets them as vectors and scales by ``delta`` in exact rationals.
-It shares no code with that check beyond ``bracket`` and ``evaluate``, and
-the tests hold the check, and the solver's equations, against it.
+It shares no code with that check beyond ``bracket`` (the check reads
+images with ``value_at``, this module with ``operators.evaluate``), and the
+tests hold the check, and the solver's equations, against it.
 """
 
 from deltader.algebras import BasisKey, bracket, bracket_term

@@ -375,16 +375,23 @@ class TestStructureTable:
 
 
 def _name_dispatch_lines(source):
-    """Lines that compare a ``.name`` (==, !=, in, not in) or subscript by one."""
+    """Lines that compare (==, !=, in, not in) a ``.name`` or an algebra name
+    spelled as a literal, alone or in a tuple, list or set, or subscript by a
+    ``.name``."""
 
     def is_name(node):
         return isinstance(node, ast.Attribute) and node.attr == "name"
+
+    def is_name_literal(node):
+        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+            return any(map(is_name_literal, node.elts))
+        return isinstance(node, ast.Constant) and node.value in ALGEBRA_NAMES
 
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Compare):
             dispatch_ops = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
             if any(isinstance(op, dispatch_ops) for op in node.ops) and any(
-                is_name(x) for x in (node.left, *node.comparators)
+                is_name(x) or is_name_literal(x) for x in (node.left, *node.comparators)
             ):
                 yield node.lineno
         elif isinstance(node, ast.Subscript) and any(is_name(x) for x in ast.walk(node.slice)):
@@ -401,6 +408,12 @@ class TestCatalogueRecords:
             ('ok = "thin" != spec.name', True),
             ('ok = alg.name in ("wittz", "wab")', True),
             ("margin = MARGINS[alg.name]", True),
+            ('if name == "wab": pass', True),
+            ('ok = "thin" != algebra', True),
+            ('ok = name in ("wittz", "wab")', True),
+            ('ok = name not in {"solv"}', True),
+            ('ok = key.kind == "e" or head in ("shift",)', False),
+            ('entry = COUNTEREXAMPLES["thin"]', False),
             ('print(f"{alg.name}: ok", alg.name)', False),
             ('inputs["algebra"] = alg.name', False),
             ("row = [alg.name, str(alg.a)]", False),

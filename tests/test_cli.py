@@ -1,9 +1,12 @@
 """End-to-end CLI behaviour: reports, exit codes, determinism."""
 
 import argparse
+import ast
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import tempfile
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import deltader
 from deltader import acceptance, algebras, cli, locality
 from deltader.algebras import E
 from deltader.cli import main
@@ -22,7 +26,7 @@ from deltader.dersolve import FamilyBasis, solve_half_derivations
 from deltader.exactlin import SparseVec
 from deltader.literals import format_element, format_operator
 from deltader.locality import LocalReport, deterministic_sample
-from deltader.operators import window_from_ranges
+from deltader.operators import SupportOverflow, window_from_ranges
 
 from test_golden import SOLVE_GOLDEN_PATHS, golden_window
 
@@ -901,14 +905,14 @@ class TestVerifyAllCommand:
         assert code == 1
         assert len(calls) == len(set(calls)) == 13
         # the same bytes as the sweep run on its own, outside any solve scope
-        rows = acceptance.wab_dimension_sweep(quick=True)
+        sweep = acceptance.wab_dimension_sweep(quick=True)
         assert len(calls) == 13 + 7
         lines = [cli.TSV_HEADER] + [
             "\t".join(
-                str(row[f])
-                for f in ("algebra", "a", "b", "in_size", "out_size", "dim_solved", "dim_interior")
+                str(f)
+                for f in (alg.name, alg.a, alg.b, len(w.keys), len(w.out_keys), r.dim_solved, r.dim_interior)
             )
-            for row in rows
+            for alg, w, r in sweep
         ]
         assert tsv.read_text() == "\n".join(lines) + "\n"
 
@@ -1230,3 +1234,39 @@ def test_windows_over_the_cap_hold_the_exit_code_contract(argv):
     code, err = run_contract(argv)
     assert code == 2
     assert err.startswith("error: window too large: ")
+
+
+def _engine_exceptions():
+    """Every exception class defined in a submodule of the ``deltader`` package."""
+    found = set()
+    for info in pkgutil.iter_modules(deltader.__path__):
+        module = importlib.import_module(f"deltader.{info.name}")
+        found |= {
+            value
+            for value in vars(module).values()
+            if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == module.__name__
+        }
+    return found
+
+
+def _handled_by_main():
+    """The names in the ``except (...)`` of ``cli.main`` that exits 2."""
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (main_def,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main"]
+    handlers = [n for n in ast.walk(main_def) if isinstance(n, ast.ExceptHandler)]
+    names = set()
+    for handler in handlers:
+        caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+        names |= {node.id for node in caught}
+    return names
+
+
+def test_every_engine_error_exits_2_under_the_cli():
+    # check-map turns SupportOverflow into a CliError; every other error the
+    # engine defines must be in main's handled tuple, or it ends in a traceback
+    exceptions = _engine_exceptions()
+    assert {"CliError", "KeyOutOfDomain", "ParseError", "ResultTooLong", "WindowTooSmall"} <= {
+        e.__name__ for e in exceptions
+    }
+    handled = _handled_by_main()
+    assert sorted(e.__name__ for e in exceptions - {SupportOverflow} if e.__name__ not in handled) == []

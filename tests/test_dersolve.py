@@ -398,7 +398,7 @@ def generate_and_filter(alg, w):
     record = alg.record
     shifts = range(out_lo - in_hi, out_hi - in_lo + 1)
     if record.heads[0] == "shift":
-        least = record.least_shift
+        least = None if record.floor is None else 0  # a one-sided domain admits t >= 0 only
         candidates = [ShiftOp(t, 1, alg) for t in shifts if least is None or t >= least]
     elif record.heads[0] == "wab":
         candidates = (
@@ -480,7 +480,7 @@ class TestExpectedFamily:
             if record.heads[0] == "shift":
                 ts = [op.t for op in ops]
                 beyond.append(ShiftOp(max(ts) + 1, 1, alg))
-                if record.least_shift is None or min(ts) > record.least_shift:
+                if record.floor is None or min(ts) > 0:
                     beyond.append(ShiftOp(min(ts) - 1, 1, alg))
             elif record.heads[0] == "wab" and alg.b == -1:
                 for side in ("alpha", "beta"):

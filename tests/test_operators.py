@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from deltader.algebras import E, F, solv_abelian, thin, wab, witt_pos, witt_z
+from deltader.algebras import E, F, KeyOutOfDomain, solv_abelian, thin, wab, witt_pos, witt_z
 from deltader.dersolve import check_delta_derivation, derivation_pairs
 from deltader.exactlin import SparseVec
 from deltader.operators import (
-    KeyOutsideWindow,
     ShiftOp,
     SolvDeltaBar,
     SolvHalfDer,
@@ -21,6 +20,7 @@ from deltader.operators import (
     WabHalfDer,
     Window,
     WindowedMap,
+    WindowTooSmall,
     commutator,
     evaluate,
     materialize,
@@ -78,7 +78,7 @@ class TestWindowedMap:
     def test_evaluate_off_window(self):
         w = window_from_ranges(witt_z(), (0, 1), (0, 2))
         m = identity_map(w)
-        with pytest.raises(KeyOutsideWindow):
+        with pytest.raises(WindowTooSmall, match="^e7 outside input window$"):
             m.evaluate(SparseVec({E(7): 1}))
 
     def test_linearity(self):
@@ -239,18 +239,18 @@ class TestThinNabla:
 @pytest.mark.parametrize(
     "op, v, message",
     [
-        (ShiftOp(1, 1, witt_pos()), SparseVec({E(0): 1}), "e0 outside domain of wittpos"),
-        (ThinHalfDer((1,)), SparseVec({E(0): 1}), "e0 outside thin domain"),
-        (SolvHalfDer((1,)), SparseVec({F(1): 1}), "f1 outside solvable domain"),
-        (ThinLocalDelta(), SparseVec({E(-1): 1}), "e-1 outside thin domain"),
-        (SolvDeltaBar(), SparseVec({E(0): 1}), "e0 outside solvable domain"),
+        (ShiftOp(1, 1, witt_pos()), SparseVec({E(0): 1}), "e0 is not a basis key of wittpos"),
+        (ThinHalfDer((1,)), SparseVec({E(0): 1}), "e0 is not a basis key of thin"),
+        (SolvHalfDer((1,)), SparseVec({F(1): 1}), "f1 is not a basis key of solv"),
+        (ThinLocalDelta(), SparseVec({E(-1): 1}), "e-1 is not a basis key of thin"),
+        (SolvDeltaBar(), SparseVec({E(0): 1}), "e0 is not a basis key of solv"),
         # a nonzero e1, or thin-nabla returns 0 before it reads any other key
-        (ThinNabla(), SparseVec({E(0): 1, E(1): 1}), "e0 outside thin domain"),
+        (ThinNabla(), SparseVec({E(0): 1, E(1): 1}), "e0 is not a basis key of thin"),
     ],
     ids=["shift", "thin-half-der", "solv-half-der", "thin-delta", "solv-deltabar", "thin-nabla"],
 )
 def test_a_key_outside_the_domain_is_refused(op, v, message):
-    with pytest.raises(KeyOutsideWindow, match=f"^{message}$"):
+    with pytest.raises(KeyOutOfDomain, match=f"^{message}$"):
         evaluate(op, v)
 
 

@@ -19,12 +19,12 @@ from deltader import acceptance, dersolve
 from deltader.algebras import E, F, KeyOutOfDomain, solv_abelian, thin, wab, witt_one_sided, witt_pos, witt_z
 from deltader.dersolve import check_delta_derivation, derivation_pairs, find_violation_witness
 from deltader.operators import (
-    KeyOutsideWindow,
     ShiftOp,
     SolvDeltaBar,
     SolvHalfDer,
     ThinHalfDer,
     ThinLocalDelta,
+    ThinNabla,
     WabHalfDer,
     Window,
     WindowedMap,
@@ -55,7 +55,7 @@ def reference_check(alg, candidate, delta, pairs):
     for k1, k2 in pairs:
         try:
             residual = residual_at(alg, candidate, delta, k1, k2)
-        except KeyOutsideWindow as exc:
+        except WindowTooSmall as exc:
             raise WindowTooSmall(f"pair ({k1}, {k2}): {exc}") from None
         if residual:
             violations.append(((k1, k2), residual))
@@ -165,16 +165,29 @@ def test_a_float_delta_is_refused(pairs):
         check_delta_derivation(alg, materialize(ShiftOp(1, 1), w), 0.5, pairs)
 
 
-def count_calls(monkeypatch, name):
-    """The arguments of every call to ``dersolve.<name>`` from here on."""
+def test_a_nonlinear_map_is_refused():
+    # thin-nabla vanishes on every basis key, so read through unit vectors it
+    # would pass; it is not additive, and has no value_at
+    alg = thin()
+    w = window_from_ranges(alg, (1, 8), (1, 9))
+    with pytest.raises(TypeError, match="^ThinNabla is not linear: it has no value_at$"):
+        check_delta_derivation(alg, ThinNabla(), HALF, derivation_pairs(alg, w.keys))
+    with pytest.raises(TypeError):
+        check_delta_derivation(alg, ThinNabla(), HALF, [])
+    with pytest.raises(TypeError):
+        find_violation_witness(alg, ThinNabla(), HALF, [E(i) for i in range(1, 9)])
+
+
+def count_calls(monkeypatch, owner, name):
+    """The arguments of every call to ``owner.<name>`` from here on."""
     calls = []
-    real = getattr(dersolve, name)
+    real = getattr(owner, name)
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(dersolve, name, counted)
+    monkeypatch.setattr(owner, name, counted)
     return calls
 
 
@@ -183,15 +196,15 @@ def test_each_image_is_evaluated_once_per_call(monkeypatch):
     w = window_from_ranges(alg, (1, 8), (1, 9))
     candidate = materialize(ThinHalfDer(alpha=(1, 2), beta=(HALF, 3)), w)
     pairs = derivation_pairs(alg, w.keys)
-    calls = count_calls(monkeypatch, "evaluate")
+    calls = count_calls(monkeypatch, WindowedMap, "value_at")
     check_delta_derivation(alg, candidate, HALF, pairs)
     needed = {k for pair in pairs for k in pair}
     needed |= {s for k1, k2 in pairs for s in dersolve.bracket(alg, k1, k2).support()}
-    evaluated = [tuple(v.support()) for _, v in calls]
-    assert sorted(evaluated) == sorted((k,) for k in needed)
+    evaluated = [key for _, key in calls]
+    assert sorted(evaluated) == sorted(needed)
     # nothing is kept between calls
     check_delta_derivation(alg, candidate, HALF, pairs)
-    assert [tuple(v.support()) for _, v in calls] == evaluated * 2
+    assert [key for _, key in calls] == evaluated * 2
 
 
 def test_criterion_2_evaluates_each_shift_image_once_and_brackets_each_pair_once(monkeypatch):
@@ -203,8 +216,8 @@ def test_criterion_2_evaluates_each_shift_image_once_and_brackets_each_pair_once
         return check(alg, candidate, delta, checked)
 
     monkeypatch.setattr(acceptance, "check_delta_derivation", recorded)
-    evaluations = count_calls(monkeypatch, "evaluate")
-    brackets = count_calls(monkeypatch, "bracket")
+    evaluations = count_calls(monkeypatch, WindowedMap, "value_at")
+    brackets = count_calls(monkeypatch, dersolve, "bracket")
     assert acceptance.criterion_2(quick=False).passed
     # three images per pair, 2,508, when each pair evaluated its own
     assert len(pairs) == 836
