@@ -43,7 +43,6 @@ from .locality import (
     AdditivityWitness,
     LocalReport,
     certify_nonadditive,
-    check_local,
     deterministic_sample,
     local_feasible_at,
     two_local_feasible_at,

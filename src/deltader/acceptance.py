@@ -10,10 +10,12 @@ themselves: on ``algebras.structure_table``, the int constants scaled by
 axiom box, windows and interior margin live in its catalogue record
 (``algebras.AlgebraRecord``); those margins and the infeasible scan sets
 below were computed once with the exact solver oracle and are frozen; the
-suite validates them on every run. Criteria 5-7 ask the paper's
-counterexamples the questions held in ``COUNTEREXAMPLES``, the table the
-``counterexamples`` command runs too. Criterion 10 sums each random family
-member's column vectors once.
+suite validates them on every run. Each of the paper's two kinds of claim
+is asked in one place, whose answer the CLI prints: ``certify`` compares a
+window's solved family with its closed form (criteria 2-4, 7 and 9, and the
+``solve`` command), and ``confirm`` asks a counterexample of
+``COUNTEREXAMPLES`` its questions (criteria 5-7 and the ``counterexamples``
+command). Criterion 10 sums each random family member's column vectors once.
 
 Criterion 6 pins the non-additivity right-hand side to ``e2``. Exact
 evaluation of the probe map gives ``2*e2``, so that single check reports
@@ -47,7 +49,6 @@ from .dersolve import (
 from .exactlin import SparseVec, as_scalar, span_dim
 from .locality import (
     certify_nonadditive,
-    check_local,
     deterministic_sample,
     local_feasible_at,
     two_local_feasible_at,
@@ -79,7 +80,7 @@ class Counterexample(NamedTuple):
     (report field, scan keys, expected witness): the first pair of scan keys
     where ``probe`` breaks the equation at delta 1/2, with its residual. A
     nonlinear ``nabla`` is nonadditive on ``nonadditive_pair`` and 2-locally
-    feasible at every pair of ``grid``."""
+    feasible at every pair of ``grid``. ``confirm`` asks these questions."""
 
     algebra: AlgebraSpec
     probe: object
@@ -179,8 +180,9 @@ class _Checks:
 
 
 # The memo of the running verification, None outside a ``solve_scope``:
-# solved families keyed by (algebra, window), and ``_certify`` results keyed
-# by ("certify", algebra, window).
+# solved families keyed by (algebra, window), ``certify`` results by
+# ("certify", algebra, window, margin) and ``confirm`` results by
+# ("confirm", algebra, window, suite).
 _SOLVES: ContextVar[Optional[Dict[tuple, object]]] = ContextVar("solves", default=None)
 
 
@@ -218,18 +220,40 @@ def _solve(alg: AlgebraSpec, w: Window) -> FamilyBasis:
     return _once((alg, w), lambda: solve_half_derivations(alg, w))
 
 
-def _certify(alg: AlgebraSpec, quick: bool) -> tuple:
-    """``(w, solved, expected, report)``: the acceptance window, its solved
-    and closed-form families, and their comparison at the frozen margin,
-    once per solve scope."""
-    w = acceptance_window(alg, quick)
+def certify(alg: AlgebraSpec, w: Window, margin: Optional[int] = None) -> tuple:
+    """``(solved, expected, report)``: the solved and closed-form families on
+    ``w`` and their comparison at ``margin``, by default the record's frozen
+    one, once per solve scope."""
+    margin = alg.record.margin if margin is None else margin
 
-    def certify():
+    def compute():
         solved = _solve(alg, w)
         expected = expected_family(alg, w)
-        return w, solved, expected, compare_families(solved, expected, alg.record.margin)
+        return solved, expected, compare_families(solved, expected, margin)
 
-    return _once(("certify", alg, w), certify)
+    return _once(("certify", alg, w, margin), compute)
+
+
+def confirm(entry: Counterexample, w: Window, suite: bool = False) -> tuple:
+    """``(witnesses, local, additivity, two_local)`` of the counterexample
+    ``entry`` on ``w``, once per solve scope: the witness of each scan, the
+    probe's local reports on the window's sample plus the entry's points
+    (with ``suite``, its suite-only points too), and for a ``nabla`` its
+    additivity witness (else None) and its 2-local reports on the grid. The
+    key is the algebra, not the points: a SparseVec is unhashable."""
+    alg = entry.algebra
+
+    def compute():
+        witnesses = [find_violation_witness(alg, entry.probe, HALF, keys) for _, keys, _ in entry.scans]
+        family = _solve(alg, w)
+        points = entry.sample_points + (entry.suite_points if suite else ())
+        local = [local_feasible_at(entry.probe, x, family) for x in deterministic_sample(w.keys) + list(points)]
+        if entry.nabla is None:
+            return witnesses, local, None, []
+        additivity = certify_nonadditive(entry.nabla, *entry.nonadditive_pair)
+        return witnesses, local, additivity, [two_local_feasible_at(entry.nabla, *xy, family) for xy in entry.grid]
+
+    return _once(("confirm", alg, w, suite), compute)
 
 
 def _antisymmetric(t12, t21) -> bool:
@@ -293,7 +317,8 @@ def criterion_1(quick: bool = False) -> CriterionResult:
 
 
 def _shift_containment(alg: AlgebraSpec, quick: bool, checks: _Checks) -> None:
-    w, _, family, report = _certify(alg, quick)
+    w = acceptance_window(alg, quick)
+    _, family, report = certify(alg, w)
     pairs = derivation_pairs(alg, w.keys)
     residuals_clean = all(
         not check_delta_derivation(alg, m, HALF, pairs) for m in family.basis
@@ -321,7 +346,7 @@ def criterion_3(quick: bool = False) -> CriterionResult:
         algebras.solv_abelian(),
     ]
     for alg in catalogue:
-        report = _certify(alg, quick)[3]
+        report = certify(alg, acceptance_window(alg, quick))[2]
         checks.expect(
             report.certified,
             f"{alg.label()} certified at margin {report.interior_margin} "
@@ -331,13 +356,14 @@ def criterion_3(quick: bool = False) -> CriterionResult:
 
 
 def wab_dimension_sweep(quick: bool = False) -> List[Tuple[AlgebraSpec, Window, ComparisonReport]]:
-    """``(alg, w, report)`` of ``_certify`` for each integer b in -3..3 at
-    a = 0, in that order; criterion 4 and the TSV sweep read them."""
+    """``(alg, w, report)`` of ``certify`` on the acceptance window for each
+    integer b in -3..3 at a = 0, in that order; criterion 4 and the TSV
+    sweep read them."""
     sweep = []
     for b in range(-3, 4):
         alg = algebras.wab(0, b)
-        w, _, _, report = _certify(alg, quick)
-        sweep.append((alg, w, report))
+        w = acceptance_window(alg, quick)
+        sweep.append((alg, w, certify(alg, w)[2]))
     return sweep
 
 
@@ -360,31 +386,25 @@ def criterion_4(quick: bool = False) -> CriterionResult:
 def criterion_5(quick: bool = False) -> CriterionResult:
     checks = _Checks()
     thin = COUNTEREXAMPLES["thin"]
-    (_, probe_keys, (probe_pair, probe_residual)), (_, scan_keys, first) = thin.scans
+    (_, _, (probe_pair, probe_residual)), (_, _, first) = thin.scans
+    (witness, early), local, _, _ = confirm(thin, acceptance_window(thin.algebra, quick), suite=True)
     # witness the violation on the canonical probe keys {e1, e3}
-    witness = find_violation_witness(thin.algebra, thin.probe, HALF, probe_keys)
     checks.expect(witness is not None, "violation witness found on probe keys {e1,e3}")
     if witness:
         pair, residual = witness
         checks.expect(pair == probe_pair, f"witness pair is (e1, e3), got {pair}")
         checks.expect(residual == probe_residual, f"witness residual is (1/2)e4, got {residual}")
     # a full scan of e1..e8 sees an even earlier violation at (e1, e2)
-    early = find_violation_witness(thin.algebra, thin.probe, HALF, scan_keys)
     checks.expect(early == first, "full scan of e1..e8 finds the earlier witness (e1,e2) with (1/2)e3")
-    w = acceptance_window(thin.algebra, quick)
-    family = _solve(thin.algebra, w)
-    sample = deterministic_sample(w.keys) + list(thin.sample_points)
-    checks.expect(len(sample) >= 25, f"sample size {len(sample)} >= 25")
-    reports = check_local(thin.probe, family, sample)
-    checks.expect(all(r.feasible for r in reports), "thin probe map locally feasible on the whole sample")
+    checks.expect(len(local) >= 25, f"sample size {len(local)} >= 25")
+    checks.expect(all(r.feasible for r in local), "thin probe map locally feasible on the whole sample")
     return CriterionResult(5, "thin local counterexample", checks.ok, tuple(checks.details))
 
 
 def criterion_6(quick: bool = False) -> CriterionResult:
     checks = _Checks()
     thin = COUNTEREXAMPLES["thin"]
-    nabla = thin.nabla
-    witness = certify_nonadditive(nabla, *thin.nonadditive_pair)
+    _, _, witness, two_local = confirm(thin, acceptance_window(thin.algebra, quick), suite=True)
     checks.expect(witness.nonadditive, "nabla(x+y) != nabla(x)+nabla(y)")
     checks.expect(witness.lhs.is_zero(), f"lhs is 0, got {witness.lhs}")
     # Required reference value: rhs = e2. Exact evaluation of the map as
@@ -393,30 +413,24 @@ def criterion_6(quick: bool = False) -> CriterionResult:
         witness.rhs == SparseVec({E(2): 1}),
         f"rhs is e2 exactly (exact evaluation gives {witness.rhs})",
     )
-    w = acceptance_window(thin.algebra, quick)
-    family = _solve(thin.algebra, w)
     checks.expect(len(thin.grid) >= 20, f"grid size {len(thin.grid)} >= 20")
-    feasible = all(two_local_feasible_at(nabla, gx, gy, family).feasible for gx, gy in thin.grid)
-    checks.expect(feasible, "two-local feasibility across the whole grid")
+    checks.expect(all(r.feasible for r in two_local), "two-local feasibility across the whole grid")
     return CriterionResult(6, "thin 2-local counterexample", checks.ok, tuple(checks.details))
 
 
 def criterion_7(quick: bool = False) -> CriterionResult:
     checks = _Checks()
     solv = COUNTEREXAMPLES["solv"]
-    w, solved, _, report = _certify(solv.algebra, quick)
+    w = acceptance_window(solv.algebra, quick)
+    solved, _, report = certify(solv.algebra, w)
     checks.expect(
         report.certified,
         f"interior comparison certifies the unit-vector family (dim {report.dim_solved})",
     )
-    ((_, scan_keys, first),) = solv.scans
-    checks.expect(
-        find_violation_witness(solv.algebra, solv.probe, HALF, scan_keys) == first,
-        "probe map fails at (e1,e2) with residual (1/2)e2",
-    )
-    sample = deterministic_sample(w.keys) + list(solv.sample_points + solv.suite_points)
-    reports = check_local(solv.probe, solved, sample)
-    checks.expect(all(r.feasible for r in reports), "probe map locally feasible on the sample")
+    ((_, _, first),) = solv.scans
+    (witness,), local, _, _ = confirm(solv, w, suite=True)
+    checks.expect(witness == first, "probe map fails at (e1,e2) with residual (1/2)e2")
+    checks.expect(all(r.feasible for r in local), "probe map locally feasible on the sample")
     bad = WindowedMap(
         w, {k: (SparseVec({E(3): 1}) if k == E(2) else SparseVec()) for k in w.keys}
     )
@@ -461,7 +475,7 @@ def criterion_9(quick: bool = False) -> CriterionResult:
         (algebras.solv_abelian(), E(1)),
     ]
     for alg, k0 in cases:
-        family = _certify(alg, quick)[2]
+        family = certify(alg, acceptance_window(alg, quick))[1]
         values = [m.evaluate(SparseVec({k0: 1})) for m in family.basis]
         checks.expect(
             span_dim(values) == len(family),

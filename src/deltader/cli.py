@@ -23,15 +23,7 @@ from typing import List, Optional
 
 from . import acceptance, algebras
 from .algebras import AlgebraSpec, KeyOutOfDomain
-from .dersolve import (
-    HALF,
-    check_delta_derivation,
-    compare_families,
-    derivation_pairs,
-    expected_family,
-    find_violation_witness,
-    solve_half_derivations,
-)
+from .dersolve import HALF, check_delta_derivation, derivation_pairs, solve_half_derivations
 from .literals import (
     ParseError,
     ResultTooLong,
@@ -44,14 +36,7 @@ from .literals import (
     parse_range,
     parse_scalar,
 )
-from .locality import (
-    _window_guard,
-    certify_nonadditive,
-    check_local,
-    deterministic_sample,
-    local_feasible_at,
-    two_local_feasible_at,
-)
+from .locality import _window_guard, deterministic_sample, local_feasible_at, two_local_feasible_at
 from .operators import (
     SupportOverflow,
     WindowTooSmall,
@@ -290,12 +275,9 @@ def _basis_texts(family) -> list:
 def _cmd_solve(args) -> int:
     alg = _algebra_from(args)
     w = _window_from(args, alg)
-    margin = args.margin if args.margin is not None else alg.record.margin
-    if margin < 0:
-        raise CliError(f"--margin must be >= 0, got {margin}")
-    solved = solve_half_derivations(alg, w)
-    family = expected_family(alg, w)
-    report = compare_families(solved, family, margin)
+    if args.margin is not None and args.margin < 0:
+        raise CliError(f"--margin must be >= 0, got {args.margin}")
+    solved, _, report = acceptance.certify(alg, w, args.margin)
     results = {
         "algebra": alg.label(),
         "window": {"in": [str(k) for k in w.keys], "out": [str(k) for k in w.out_keys]},
@@ -418,20 +400,14 @@ def _cmd_counterexamples(args) -> int:
     entry = acceptance.COUNTEREXAMPLES.get(name)
     if entry is None:
         raise CliError(f"no catalogued counterexamples for algebra {name!r}")
-    alg = entry.algebra
-    witnesses = [find_violation_witness(alg, entry.probe, HALF, keys) for _, keys, _ in entry.scans]
+    w = acceptance.acceptance_window(entry.algebra)
+    witnesses, local, additivity, two_local = acceptance.confirm(entry, w)
     results = {field: _serialize_witness(found) for (field, _, _), found in zip(entry.scans, witnesses)}
-    ok = witnesses == [expected for _, _, expected in entry.scans]
-    # the feasible half of the counterexample, as criteria 5-7 check it
-    w = acceptance.acceptance_window(alg)
-    family = solve_half_derivations(alg, w)
-    reports = check_local(entry.probe, family, deterministic_sample(w.keys) + list(entry.sample_points))
-    if entry.nabla is None:  # schema "1" reports the sample's verdict on solv only
-        results["locallyFeasibleOnSample"] = all(r.feasible for r in reports)
-        results["sampleSize"] = len(reports)
+    if additivity is None:  # schema "1" reports the sample's verdict on solv only
+        results["locallyFeasibleOnSample"] = all(r.feasible for r in local)
+        results["sampleSize"] = len(local)
     else:
         x, y = entry.nonadditive_pair
-        additivity = certify_nonadditive(entry.nabla, x, y)
         results["nonadditivity"] = {
             "x": format_element(x),
             "y": format_element(y),
@@ -439,9 +415,12 @@ def _cmd_counterexamples(args) -> int:
             "lhs": format_element(additivity.lhs),
             "rhs": format_element(additivity.rhs),
         }
-        reports += [two_local_feasible_at(entry.nabla, *pair, family) for pair in entry.grid]
-        ok = ok and additivity.nonadditive
-    ok = ok and all(r.feasible for r in reports)
+    # both halves of the counterexample, as criteria 5-7 check them
+    ok = (
+        witnesses == [expected for _, _, expected in entry.scans]
+        and (additivity is None or additivity.nonadditive)
+        and all(r.feasible for r in local + two_local)
+    )
     _write_report(args, "counterexamples", {"algebra": name}, results)
     print(f"counterexamples[{name}]: confirmed={ok}")
     return 0 if ok else 1

@@ -4,6 +4,8 @@ A candidate is locally consistent at x when some member of the span of the
 family basis agrees with it at x; the 2-local variant demands one member
 matching at two points simultaneously. On a window the family is a finite
 list of maps, so both questions are exact linear feasibility problems.
+Each is asked at one point or pair per call; ``acceptance.confirm`` asks
+them over a counterexample's sample and grid.
 """
 
 from __future__ import annotations
@@ -134,11 +136,6 @@ def _match(family: FamilyBasis, points: Sequence[SparseVec], target_at) -> Local
 def local_feasible_at(candidate, x: SparseVec, family: FamilyBasis) -> LocalReport:
     """Solve sum_k c_k B_k(x) = candidate(x) for the family maps B_k."""
     return _match(family, (x,), partial(evaluate, candidate))
-
-
-def check_local(candidate, family: FamilyBasis, elements: Sequence[SparseVec]) -> List[LocalReport]:
-    """Per-element local feasibility; consistent on the sample iff all feasible."""
-    return [local_feasible_at(candidate, x, family) for x in elements]
 
 
 def two_local_feasible_at(

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Mapping, Optional, Sequence, Tuple
 
-from .algebras import AlgebraSpec, BasisKey, E, F, in_domain, require_in_domain, solv_abelian, thin, witt_z
+from .algebras import AlgebraSpec, BasisKey, E, F, require_in_domain, solv_abelian, thin, witt_z
 from .exactlin import Scalar, SparseVec, as_scalar
 
 
@@ -82,7 +82,8 @@ def window_from_ranges(
     """Build a window from inclusive index ranges.
 
     Every basis line of the algebra gets the range: the e-line, and the
-    f-line on ``wab``. Raises ValueError if a bound leaves the algebra's domain.
+    f-line on ``wab``. Raises ValueError on an empty range, and the
+    catalogue's KeyOutOfDomain if a bound leaves the algebra's domain.
     """
     if out_range is None:
         out_range = in_range
@@ -91,9 +92,7 @@ def window_from_ranges(
         if lo > hi:
             raise ValueError(f"empty index range {lo}..{hi}")
         keys = [BasisKey(kind, i) for kind in alg.record.lines for i in range(lo, hi + 1)]
-        for k in keys:
-            if not in_domain(alg, k):
-                raise ValueError(f"{k} outside the domain of {alg.label()}")
+        require_in_domain(alg, keys)
         return keys
 
     return window(expand(*in_range), expand(*out_range))

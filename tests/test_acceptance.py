@@ -322,6 +322,31 @@ def test_run_all_builds_each_expected_family_once_per_run(monkeypatch):
     assert len(calls) == len(set(calls)) == 14
 
 
+def test_certify_is_memoized_per_margin_in_a_scope(monkeypatch):
+    # None means the record's frozen margin, so both spellings share one comparison
+    calls = []
+    original = acceptance.compare_families
+
+    def counted(solved, expected, margin):
+        calls.append(margin)
+        return original(solved, expected, margin)
+
+    monkeypatch.setattr(acceptance, "compare_families", counted)
+    alg = witt_z()
+    w = acceptance.acceptance_window(alg, quick=True)
+    frozen = alg.record.margin
+    with acceptance.solve_scope():
+        first = acceptance.certify(alg, w)
+        assert acceptance.certify(alg, w, frozen) is first
+        assert calls == [frozen]
+        assert acceptance.certify(alg, w, frozen + 1)[2].interior_margin == frozen + 1
+        assert calls == [frozen, frozen + 1]
+    calls.clear()
+    for margin in (None, frozen, None):
+        acceptance.certify(alg, w, margin)
+    assert calls == [frozen] * 3
+
+
 def test_criterion_called_alone_is_uncached(monkeypatch):
     calls = _count_solves(monkeypatch)
     with acceptance.solve_scope():

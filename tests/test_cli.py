@@ -327,7 +327,7 @@ class TestCounterexamplesCommand:
     @pytest.mark.parametrize(
         "name, infeasible",
         [
-            ("check_local", lambda *args: [LocalReport((), False)]),
+            ("local_feasible_at", lambda *args: LocalReport((), False)),
             ("two_local_feasible_at", lambda *args: LocalReport((), False)),
         ],
         ids=["local", "two-local"],
@@ -336,7 +336,7 @@ class TestCounterexamplesCommand:
         self, tmp_path, monkeypatch, capsys, name, infeasible
     ):
         # the feasible half of each thin counterexample is certified too
-        monkeypatch.setattr(cli, name, infeasible)
+        monkeypatch.setattr(acceptance, name, infeasible)
         out = tmp_path / "r.json"
         assert main(["counterexamples", "--algebra", "thin", "--json", str(out)]) == 1
         assert "confirmed=False" in capsys.readouterr().out
@@ -350,7 +350,7 @@ class TestCounterexamplesCommand:
     ):
         # no witness, and a witness other than the catalogued one
         for witness in (None, ((E(2), E(5)), SparseVec({E(7): 3}))):
-            monkeypatch.setattr(cli, "find_violation_witness", lambda *args: witness)
+            monkeypatch.setattr(acceptance, "find_violation_witness", lambda *args: witness)
             out = tmp_path / "r.json"
             code = main(["counterexamples", "--algebra", algebra, "--json", str(out)])
             assert code == 1
@@ -414,25 +414,41 @@ def _record_points(monkeypatch) -> list:
     return calls
 
 
+def _record_scans(monkeypatch) -> list:
+    """Per call of ``find_violation_witness``, its scan keys as text."""
+    calls = []
+    original = acceptance.find_violation_witness
+
+    def recording(alg, candidate, delta, keys):
+        calls.append(tuple(map(str, keys)))
+        return original(alg, candidate, delta, keys)
+
+    monkeypatch.setattr(acceptance, "find_violation_witness", recording)
+    return calls
+
+
 class TestOneCatalogue:
     def test_command_and_criteria_ask_the_same_questions(self, monkeypatch):
-        calls = _record_points(monkeypatch)
+        points, scans = _record_points(monkeypatch), _record_scans(monkeypatch)
         asked = {}
         for name, criteria in (
             ("thin", (acceptance.criterion_5, acceptance.criterion_6)),
             ("solv", (acceptance.criterion_7,)),
         ):
-            calls.clear()
+            del points[:], scans[:]
             assert main(["counterexamples", "--algebra", name]) == 0
-            command = list(calls)
-            calls.clear()
-            for criterion in criteria:
-                criterion(quick=False)
-            asked[name] = command, list(calls)
-        command, suite = asked["thin"]
+            command = list(scans), list(points)
+            del points[:], scans[:]
+            with acceptance.solve_scope():  # as run_all runs them
+                for criterion in criteria:
+                    criterion(quick=False)
+            asked[name] = command, (list(scans), list(points))
+        (command_scans, command), (suite_scans, suite) = asked["thin"]
+        assert command_scans == suite_scans == [("e1", "e3"), tuple(f"e{i}" for i in range(1, 9))]
         assert command == suite
         assert len(command) == 35 + 20  # criterion 5's sample, criterion 6's grid
-        command, suite = asked["solv"]
+        (command_scans, command), (suite_scans, suite) = asked["solv"]
+        assert command_scans == suite_scans == [("e1", "e2", "e3", "e4")]
         assert set(suite) == set(command) | {("e1+e2+e3",)}
         assert ("e1+e2+e3",) not in command
 
@@ -482,6 +498,15 @@ class TestConfigAndErrors:
             code, out = self._solve_with_config(tmp_path, "margin=-1\n")
         assert code == 2
         assert capsys.readouterr().err == "error: --margin must be >= 0, got -1\n"
+        assert not out.exists()
+
+    def test_a_range_outside_the_domain_names_the_key(self, tmp_path, capsys):
+        # the catalogue's domain error, as every closed form raises it
+        out = tmp_path / "r.json"
+        assert main(["solve", "--algebra", "wittpos", "--in", "0..3", "--json", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: e0 is not a basis key of wittpos\n"
+        assert captured.out == ""
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -574,7 +599,7 @@ class TestConfigAndErrors:
         def no_solve(*args):
             pytest.fail("the family was solved before a usage error")
 
-        monkeypatch.setattr(cli, "solve_half_derivations", no_solve)
+        monkeypatch.setattr(acceptance, "solve_half_derivations", no_solve)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "run.cfg").write_text(f"{key}=a\0b\n")
         code = main(["solve", "--algebra", "wittz", "--in", "-2..2", "--config", "run.cfg"])
@@ -592,8 +617,8 @@ class TestConfigAndErrors:
         def no_work(*args, **kwargs):
             pytest.fail("work ran before a usage error")
 
-        monkeypatch.setattr(cli, "solve_half_derivations", no_work)
-        monkeypatch.setattr(cli.acceptance, "run_all", no_work)
+        monkeypatch.setattr(acceptance, "solve_half_derivations", no_work)
+        monkeypatch.setattr(acceptance, "run_all", no_work)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
         assert main(command + ["--json", "out", "--tsv", tsv]) == 2
@@ -613,8 +638,8 @@ class TestConfigAndErrors:
         def no_work(*args, **kwargs):
             pytest.fail("work ran before a usage error")
 
-        monkeypatch.setattr(cli, "solve_half_derivations", no_work)
-        monkeypatch.setattr(cli.acceptance, "run_all", no_work)
+        monkeypatch.setattr(acceptance, "solve_half_derivations", no_work)
+        monkeypatch.setattr(acceptance, "run_all", no_work)
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
         text = f"{given}{path}\n" if given.endswith("=") else ""

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from deltader import cli
+from deltader import acceptance
 from deltader.algebras import AlgebraSpec, wab
 from deltader.cli import main
 from deltader.dersolve import HALF, derivation_pairs
@@ -46,13 +46,13 @@ SOLVE_GOLDENS = [
 @pytest.mark.parametrize("name, argv", SOLVE_GOLDENS, ids=[n for n, _ in SOLVE_GOLDENS])
 def test_solve_report_matches_golden(tmp_path, monkeypatch, name, argv):
     families = []
-    real_solve = cli.solve_half_derivations
+    real_solve = acceptance.solve_half_derivations
 
     def solve(alg, w):
         families.append(real_solve(alg, w))
         return families[-1]
 
-    monkeypatch.setattr(cli, "solve_half_derivations", solve)
+    monkeypatch.setattr(acceptance, "solve_half_derivations", solve)
     code, got = run_to_bytes(tmp_path, ["solve", *argv])
     assert code == 0
     assert got == (DATA / name).read_bytes()

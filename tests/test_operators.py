@@ -46,7 +46,7 @@ class TestWindow:
     def test_ranges_constructor(self):
         w = window_from_ranges(wab(0, 0), (-1, 1), (-2, 2))
         assert len(w.keys) == 6 and len(w.out_keys) == 10
-        with pytest.raises(ValueError):
+        with pytest.raises(KeyOutOfDomain, match="e0 is not a basis key of thin"):
             window_from_ranges(thin(), (0, 3))
         for in_range, out_range in (((2, 1), None), ((0, 1), (3, 2))):
             with pytest.raises(ValueError, match="empty index range"):
