@@ -112,19 +112,19 @@ class AlgebraRecord(NamedTuple):
     grading. A shift maps a one-sided domain (``floor`` not None) into itself
     exactly when it is at least 0. ``heads`` are the operator-literal
     heads defined on the algebra; the first names its closed-form
-    half-derivation family. The verification suite's constants are (full,
-    quick) pairs indexed by ``quick``: criterion 1's ``axiom_box`` index range
-    and the (input, output) index ranges of the ``windows``. ``margin`` is
-    the interior margin criterion 3 certifies on those windows, computed once
-    with the exact solver oracle and frozen; change it only with the windows.
+    half-derivation family. The verification suite's constants are
+    criterion 1's ``axiom_box`` index range, the (input, output) index
+    ranges of the acceptance ``window`` and the interior ``margin``
+    criterion 3 certifies on that window, computed once with the exact
+    solver oracle and frozen; change it only with the window.
     """
 
     name: str
     floor: Optional[int]
     rule: Callable[["AlgebraSpec", BasisKey, BasisKey], Term]
     heads: Tuple[str, ...]
-    axiom_box: Tuple[Range, Range]
-    windows: Tuple[Tuple[Range, Range], Tuple[Range, Range]]
+    axiom_box: Range
+    window: Tuple[Range, Range]
     margin: int
     lines: Tuple[str, ...] = ("e",)
     parametric: bool = False
@@ -134,27 +134,27 @@ class AlgebraRecord(NamedTuple):
 CATALOGUE = (
     AlgebraRecord(
         "wittz", floor=None, rule=_witt_rule, heads=("shift",),
-        axiom_box=((-8, 8), (-4, 4)), windows=(((-4, 4), (-12, 12)), ((-3, 3), (-8, 8))), margin=0,
+        axiom_box=(-8, 8), window=((-4, 4), (-12, 12)), margin=0,
     ),
     AlgebraRecord(
         "wittpos", floor=1, rule=_witt_rule, heads=("shift",),
-        axiom_box=((1, 16), (1, 8)), windows=(((1, 9), (1, 17)), ((1, 7), (1, 12))), margin=0,
+        axiom_box=(1, 16), window=((1, 9), (1, 17)), margin=0,
     ),
     AlgebraRecord(
         "witt1", floor=-1, rule=_witt_rule, heads=("shift",),
-        axiom_box=((-1, 15), (-1, 7)), windows=(((-1, 7), (-1, 15)), ((-1, 5), (-1, 10))), margin=0,
+        axiom_box=(-1, 15), window=((-1, 7), (-1, 15)), margin=0,
     ),
     AlgebraRecord(
         "wab", floor=None, lines=("e", "f"), parametric=True, rule=_wab_rule, heads=("wab",),
-        axiom_box=((-8, 8), (-4, 4)), windows=(((-3, 3), (-6, 6)), ((-2, 2), (-4, 4))), margin=0,
+        axiom_box=(-8, 8), window=((-3, 3), (-6, 6)), margin=0,
     ),
     AlgebraRecord(
         "thin", floor=1, rule=_thin_rule, heads=("thin", "thin-delta", "thin-nabla"),
-        axiom_box=((1, 16), (1, 8)), windows=(((1, 10), (1, 14)), ((1, 10), (1, 12))), margin=0,
+        axiom_box=(1, 16), window=((1, 10), (1, 14)), margin=0,
     ),
     AlgebraRecord(
         "solv", floor=1, rule=_solv_rule, degree=_solv_degree, heads=("solv", "solv-deltabar"),
-        axiom_box=((1, 16), (1, 8)), windows=(((1, 8), (1, 8)), ((1, 6), (1, 6))), margin=0,
+        axiom_box=(1, 16), window=((1, 8), (1, 8)), margin=0,
     ),
 )
 

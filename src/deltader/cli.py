@@ -21,8 +21,8 @@ from functools import cache, partial
 from pathlib import Path
 from typing import List, Optional
 
-from . import acceptance, algebras
-from .algebras import AlgebraSpec, KeyOutOfDomain
+from . import acceptance, algebras, dersolve
+from .algebras import AlgebraSpec, KeyOutOfDomain, require_in_domain
 from .dersolve import HALF, check_delta_derivation, derivation_pairs, solve_half_derivations
 from .literals import (
     ParseError,
@@ -70,9 +70,6 @@ def _read_config(path: str) -> list:
     return config
 
 
-_SWITCH_VALUES = {"true": True, "false": False}
-
-
 def _config_actions(parser: argparse.ArgumentParser) -> dict:
     """Config key -> argparse action of a subcommand.
 
@@ -108,12 +105,6 @@ def _merge_config(args: argparse.Namespace, config: list, parser: argparse.Argum
             first = given[action.dest]
             raise CliError(f"config sets {action.option_strings[0]} twice: {first!r}, then {key!r}")
         given[action.dest] = key
-        if action.nargs == 0:  # a switch such as --quick
-            on = _SWITCH_VALUES.get(text.lower())
-            if on is None:
-                raise CliError(f"config key {key!r}: expected true or false, got {text!r}")
-            setattr(args, action.dest, getattr(args, action.dest) or on)
-            continue
         try:
             value = action.type(text) if action.type else text
         except (TypeError, ValueError, argparse.ArgumentTypeError):
@@ -277,6 +268,10 @@ def _cmd_solve(args) -> int:
     w = _window_from(args, alg)
     if args.margin is not None and args.margin < 0:
         raise CliError(f"--margin must be >= 0, got {args.margin}")
+    if args.margin is not None and not dersolve.interior_input_keys(w, args.margin):
+        # an empty interior would certify whatever was solved
+        in_range = "{}..{}".format(*parse_range(args.in_range))
+        raise CliError(f"--margin {args.margin} leaves no interior input key in --in {in_range}")
     solved, _, report = acceptance.certify(alg, w, args.margin)
     results = {
         "algebra": alg.label(),
@@ -372,6 +367,7 @@ def _cmd_locality(args) -> int:
         points = default_points(alg, w)
     else:
         points = [tuple(parse_element(text) for text in given)]
+        require_in_domain(alg, (key for point in points[0] for key in point.support()))
         _window_guard(w, *points[0])
     family = solve_half_derivations(alg, w)
     feasible_at = local_feasible_at if len(given) == 1 else two_local_feasible_at
@@ -430,20 +426,22 @@ def _cmd_verify_all(args) -> int:
     # One solve scope for the suite and the TSV sweep: the sweep reuses the
     # suite's wab solves.
     with acceptance.solve_scope():
-        results = acceptance.run_all(quick=args.quick)
-        sweep = acceptance.wab_dimension_sweep(args.quick) if args.tsv_path is not None else None
+        results = acceptance.run_all()
+        sweep = acceptance.wab_dimension_sweep() if args.tsv_path is not None else None
     for r in results:
         print(r.line())
         if not r.passed:
             for d in r.details:
                 if "FAILED" in d:
                     print(f"    {d}")
+    # Schema "1" echoes the retired --quick flag as a constant false, here and
+    # in inputsEcho, until the schema "2" bump drops it.
     payload = {
-        "quick": args.quick,
+        "quick": False,
         "criteria": [dataclasses.asdict(r) for r in results],
         "allPassed": all(r.passed for r in results),
     }
-    _write_report(args, "verify-all", {"quick": args.quick}, payload)
+    _write_report(args, "verify-all", {"quick": False}, payload)
     if sweep is not None:
         Path(args.tsv_path).write_text(_tsv_text(_tsv_row(*entry) for entry in sweep))
     return 0 if payload["allPassed"] else 1
@@ -502,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_counterexamples)
 
     p = add_parser("verify-all", help="run the bundled verification suite")
-    p.add_argument("--quick", action="store_true", help="smaller windows")
     p.add_argument("--config", help="flat key=value config file; flags override")
     p.add_argument("--json", dest="json_path", help="write the JSON report here")
     p.add_argument("--tsv", dest="tsv_path", help="write the b-sweep dimensions TSV here")

@@ -16,10 +16,11 @@ from deltader import acceptance, algebras
 from deltader.algebras import E, F, wab, witt_z
 from deltader.dersolve import FamilyBasis
 from deltader.exactlin import SparseVec
+from deltader.operators import window_from_ranges
 
 
 def _run(criterion):
-    result = criterion(quick=False)
+    result = criterion()
     print(result.line())
     for detail in result.details:
         print(f"    {detail}")
@@ -66,10 +67,27 @@ def test_criterion_10_commutator_quarter_derivations():
     _run(acceptance.criterion_10)
 
 
+# Small fixtures for the catch tests, the sizes of the retired quick suite:
+# criterion 1's axiom box per algebra and criterion 10's (inner, outer) windows.
+SMALL_AXIOM_BOXES = {
+    "wittz": (-4, 4), "wittpos": (1, 8), "witt1": (-1, 7), "wab": (-4, 4), "thin": (1, 8), "solv": (1, 8),
+}
+SMALL_COMMUTATOR_WINDOWS = (((-3, 3), (-6, 6)), ((-6, 6), (-9, 9)))
+
+
+def _small_boxes(monkeypatch):
+    """Criterion 1 checks each algebra on its ``SMALL_AXIOM_BOXES`` box."""
+    original = acceptance._bracket_axioms
+    monkeypatch.setattr(
+        acceptance, "_bracket_axioms", lambda alg, box: original(alg, SMALL_AXIOM_BOXES[alg.name])
+    )
+
+
 def test_criterion_10_reports_a_commutator_that_fails(monkeypatch):
     violation = [((E(1), E(2)), SparseVec({E(3): 1}))]
     monkeypatch.setattr(acceptance, "check_delta_derivation", lambda *args: violation)
-    result = acceptance.criterion_10(quick=True)
+    monkeypatch.setattr(acceptance, "COMMUTATOR_WINDOWS", SMALL_COMMUTATOR_WINDOWS)
+    result = acceptance.criterion_10()
     assert not result.passed
     assert result.details == ("10 seeded commutators pass the quarter-derivation check: FAILED",)
 
@@ -103,16 +121,19 @@ CRITERION_1_DETAILS = tuple(
 )
 
 
-@pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
-def test_criterion_1_reports_every_algebra_and_axiom_in_order(quick):
-    result = acceptance.criterion_1(quick=quick)
+@pytest.mark.parametrize("small", [False, True], ids=["full", "small"])
+def test_criterion_1_reports_every_algebra_and_axiom_in_order(monkeypatch, small):
+    if small:
+        _small_boxes(monkeypatch)
+    result = acceptance.criterion_1()
     assert result.details == CRITERION_1_DETAILS
     assert result.passed
 
 
 def test_criterion_1_catches_a_broken_antisymmetry(monkeypatch):
     _flip_sign(monkeypatch, witt_z(), {(E(1), E(2))})
-    result = acceptance.criterion_1(quick=True)
+    _small_boxes(monkeypatch)
+    result = acceptance.criterion_1()
     assert not result.passed
     assert "wittz antisymmetry: FAILED" in result.details
     assert "wittpos antisymmetry: ok" in result.details
@@ -121,7 +142,8 @@ def test_criterion_1_catches_a_broken_antisymmetry(monkeypatch):
 def test_criterion_1_catches_a_broken_jacobi_identity(monkeypatch):
     # negating both orders keeps antisymmetry; Jacobi fails at (e1, e2, e-3)
     _flip_sign(monkeypatch, witt_z(), {(E(1), E(2)), (E(2), E(1))})
-    result = acceptance.criterion_1(quick=True)
+    _small_boxes(monkeypatch)
+    result = acceptance.criterion_1()
     assert not result.passed
     assert "wittz antisymmetry: ok" in result.details
     assert "wittz jacobi: FAILED" in result.details
@@ -133,7 +155,8 @@ def test_criterion_1_catches_a_broken_jacobi_identity_at_scale_two(monkeypatch):
     alg = wab(Fraction(1, 2), -1)
     assert alg.scale == 2
     _flip_sign(monkeypatch, alg, {(E(1), F(2)), (F(2), E(1))})
-    result = acceptance.criterion_1(quick=True)
+    _small_boxes(monkeypatch)
+    result = acceptance.criterion_1()
     assert not result.passed
     assert "wab(a=1/2,b=-1) antisymmetry: ok" in result.details
     assert "wab(a=1/2,b=-1) jacobi: FAILED" in result.details
@@ -158,22 +181,25 @@ def _jacobi_by_triples(inner, outer) -> bool:
     return True
 
 
-def _axiom_tables(monkeypatch, quick):
+def _axiom_tables(monkeypatch, small):
     """The (inner, outer) tables criterion 1 checks Jacobi on, one pair per
-    algebra in catalogue order, and its result."""
+    algebra in catalogue order, and its result; with ``small``, on the
+    ``SMALL_AXIOM_BOXES``."""
     tables = []
+    if small:
+        _small_boxes(monkeypatch)
 
     def record(inner, outer):
         tables.append((inner, outer))
         return JACOBI(inner, outer)
 
     monkeypatch.setattr(acceptance, "_jacobi_holds", record)
-    return tables, acceptance.criterion_1(quick=quick)
+    return tables, acceptance.criterion_1()
 
 
-@pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
-def test_the_jacobi_loop_agrees_with_the_triple_oracle_on_every_algebra(monkeypatch, quick):
-    tables, result = _axiom_tables(monkeypatch, quick)
+@pytest.mark.parametrize("small", [False, True], ids=["full", "small"])
+def test_the_jacobi_loop_agrees_with_the_triple_oracle_on_every_algebra(monkeypatch, small):
+    tables, result = _axiom_tables(monkeypatch, small)
     assert result.details == CRITERION_1_DETAILS
     assert len(tables) == 9
     for inner, outer in tables:
@@ -193,9 +219,9 @@ def _negated(inner, outer, cells):
 
 
 def test_the_jacobi_loop_agrees_with_the_oracle_on_every_sign_flip(monkeypatch):
-    # every single constant of each quick table, and both orders of every
+    # every single constant of each small table, and both orders of every
     # pair of box keys; a flip keeps every term of a triple on one key
-    tables, _ = _axiom_tables(monkeypatch, quick=True)
+    tables, _ = _axiom_tables(monkeypatch, small=True)
     verdicts = set()
     for inner, outer in tables:
         n = len(inner)
@@ -209,16 +235,16 @@ def test_the_jacobi_loop_agrees_with_the_oracle_on_every_sign_flip(monkeypatch):
     assert verdicts == {False, True}
 
 
-@pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
-def test_a_term_moved_to_another_key_fails_jacobi_in_both_loops(monkeypatch, quick):
+@pytest.mark.parametrize("small", [False, True], ids=["full", "small"])
+def test_a_term_moved_to_another_key_fails_jacobi_in_both_loops(monkeypatch, small):
     # [e1, e_m] = (m-1) e_{m+2} instead of e_{m+1}, in both orders, for e_m
     # the first key past the box: only outer terms move. Each triple through
     # one then has terms on two keys whose values sum to 0, as (e1, e2, e3)
-    # at quick size; only the per-key sum sees the defect.
+    # on the small box; only the per-key sum sees the defect.
     alg = witt_z()
     record = alg.record
     original = record.rule
-    m = record.axiom_box[quick][1] + 1
+    m = (SMALL_AXIOM_BOXES["wittz"] if small else record.axiom_box)[1] + 1
 
     def moved(spec, k1, k2):
         term = original(spec, k1, k2)
@@ -227,7 +253,7 @@ def test_a_term_moved_to_another_key_fails_jacobi_in_both_loops(monkeypatch, qui
         return term
 
     monkeypatch.setitem(algebras._RECORDS, record.name, record._replace(rule=moved))
-    tables, result = _axiom_tables(monkeypatch, quick)
+    tables, result = _axiom_tables(monkeypatch, small)
     assert [d for d in result.details if "FAILED" in d] == ["wittz jacobi: FAILED"]
     assert _jacobi_by_triples(*tables[0]) is False
 
@@ -246,10 +272,12 @@ def _scaled_sum_members(families, count):
     return [(member(families[0]), member(families[1])) for _ in range(count)]
 
 
-@pytest.mark.parametrize("quick", [False, True], ids=["full", "quick"])
+@pytest.mark.parametrize("small", [False, True], ids=["full", "small"])
 @pytest.mark.parametrize("scale", [1, Fraction(2, 3)], ids=["int", "fraction"])
-def test_criterion_10_members_are_the_scaled_sums_of_the_basis(monkeypatch, quick, scale):
+def test_criterion_10_members_are_the_scaled_sums_of_the_basis(monkeypatch, small, scale):
     # a scale of 2/3 gives the families Fraction entries
+    if small:
+        monkeypatch.setattr(acceptance, "COMMUTATOR_WINDOWS", SMALL_COMMUTATOR_WINDOWS)
     families, members = [], []
     expected_family, commutator = acceptance.expected_family, acceptance.commutator
 
@@ -264,7 +292,7 @@ def test_criterion_10_members_are_the_scaled_sums_of_the_basis(monkeypatch, quic
 
     monkeypatch.setattr(acceptance, "expected_family", family)
     monkeypatch.setattr(acceptance, "commutator", recorded)
-    assert acceptance.criterion_10(quick=quick).passed
+    assert acceptance.criterion_10().passed
     assert members == _scaled_sum_members(families, 10)
     entries = [x for pair in members for m in pair for v in m.image.values() for x in v._entries.values()]
     assert all(type(x) is int or x.denominator > 1 for x in entries)
@@ -333,7 +361,7 @@ def test_certify_is_memoized_per_margin_in_a_scope(monkeypatch):
 
     monkeypatch.setattr(acceptance, "compare_families", counted)
     alg = witt_z()
-    w = acceptance.acceptance_window(alg, quick=True)
+    w = window_from_ranges(alg, (-3, 3), (-8, 8))
     frozen = alg.record.margin
     with acceptance.solve_scope():
         first = acceptance.certify(alg, w)

@@ -322,27 +322,22 @@ class TestBracketTerm:
 
 
 def _assert_table_is_scaled_definition(alg):
-    """On the axiom box and the acceptance window of both modes, every entry
-    of ``structure_table`` is an int constant equal to ``bracket_term``
-    times ``alg.scale``, square tables and mixed ones alike."""
-    record = alg.record
-    for quick in (False, True):
-        key_sets = (
-            window_from_ranges(alg, record.axiom_box[quick]).keys,
-            acceptance_window(alg, quick).out_keys,
-        )
-        for left, right in itertools.product(key_sets, repeat=2):
-            table = structure_table(alg, left, right)
-            assert [len(row) for row in table] == [len(right)] * len(left)
-            for k1, row in zip(left, table):
-                for k2, entry in zip(right, row):
-                    term = bracket_term(alg, k1, k2)
-                    if entry is None:
-                        assert term is None
-                        continue
-                    key, c = entry
-                    assert type(c) is int and c != 0
-                    assert term == (key, Fraction(c, alg.scale))
+    """On the axiom box and the acceptance window, every entry of
+    ``structure_table`` is an int constant equal to ``bracket_term`` times
+    ``alg.scale``, square tables and mixed ones alike."""
+    key_sets = (window_from_ranges(alg, alg.record.axiom_box).keys, acceptance_window(alg).out_keys)
+    for left, right in itertools.product(key_sets, repeat=2):
+        table = structure_table(alg, left, right)
+        assert [len(row) for row in table] == [len(right)] * len(left)
+        for k1, row in zip(left, table):
+            for k2, entry in zip(right, row):
+                term = bracket_term(alg, k1, k2)
+                if entry is None:
+                    assert term is None
+                    continue
+                key, c = entry
+                assert type(c) is int and c != 0
+                assert term == (key, Fraction(c, alg.scale))
 
 
 class TestStructureTable:
@@ -440,9 +435,8 @@ class TestCatalogueRecords:
     def test_suite_windows_and_axiom_box_lie_in_the_domain(self, alg):
         reference = set(box_keys(alg, radius=20))
         record = alg.record
-        for quick in (False, True):
-            assert set(acceptance_window(alg, quick).out_keys) <= reference
-            assert set(window_from_ranges(alg, record.axiom_box[quick]).keys) <= reference
+        assert set(acceptance_window(alg).out_keys) <= reference
+        assert set(window_from_ranges(alg, record.axiom_box).keys) <= reference
         assert record.margin >= 0
 
     @pytest.mark.parametrize("alg", ONE_PER_RECORD, ids=lambda a: a.name)

@@ -279,12 +279,14 @@ class TestLocalCommands:
             ),
             (
                 ["two-local", "--map", "thin-nabla", "--x", "e1", "--y", "f2"],
-                "element uses [f2] outside the family window",
+                "f2 is not a basis key of thin",
             ),
+            (["local", "--map", "thin-delta", "--x", "e0"], "e0 is not a basis key of thin"),
+            (["two-local", "--map", "thin-nabla", "--x", "e0+e30", "--y", "e1"], "e0 is not a basis key of thin"),
         ],
         ids=[
             "x-without-y", "y-without-x", "two-local-bad-x", "local-bad-x",
-            "y-past-window", "y-f-key",
+            "y-past-window", "y-f-key", "x-outside-domain", "domain-before-window",
         ],
     )
     def test_usage_errors_come_before_the_solve(self, monkeypatch, capsys, argv, message):
@@ -441,7 +443,7 @@ class TestOneCatalogue:
             del points[:], scans[:]
             with acceptance.solve_scope():  # as run_all runs them
                 for criterion in criteria:
-                    criterion(quick=False)
+                    criterion()
             asked[name] = command, (list(scans), list(points))
         (command_scans, command), (suite_scans, suite) = asked["thin"]
         assert command_scans == suite_scans == [("e1", "e3"), tuple(f"e{i}" for i in range(1, 9))]
@@ -500,6 +502,32 @@ class TestConfigAndErrors:
         assert capsys.readouterr().err == "error: --margin must be >= 0, got -1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_a_margin_that_leaves_no_interior_is_usage_error(self, tmp_path, monkeypatch, capsys, source):
+        # margin 4 on 3..9 keeps no input key, and an empty interior would
+        # certify any solve; margin 3 keeps e6 and reads as a verdict
+        def no_solve(*args):
+            pytest.fail("the family was solved before a usage error")
+
+        monkeypatch.setattr(acceptance, "solve_half_derivations", no_solve)
+        config = tmp_path / "run.cfg"
+        config.write_text("margin=4\n" if source == "config" else "")
+        out = tmp_path / "r.json"
+        argv = ["solve", "--algebra", "wittpos", "--in", "3..9", "--out", "1..17", "--json", str(out)]
+        argv += ["--config", str(config)] + (["--margin", "4"] if source == "flag" else [])
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --margin 4 leaves no interior input key in --in 3..9\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("margin", [0, 3])
+    def test_a_margin_that_leaves_an_interior_gives_a_verdict(self, capsys, margin):
+        # the window lacks e1 and e2, so no margin that keeps a key certifies it
+        argv = ["solve", "--algebra", "wittpos", "--in", "3..9", "--out", "1..17", "--margin", str(margin)]
+        assert main(argv) == 1
+        assert "certified=False" in capsys.readouterr().out
+
     def test_a_range_outside_the_domain_names_the_key(self, tmp_path, capsys):
         # the catalogue's domain error, as every closed form raises it
         out = tmp_path / "r.json"
@@ -529,13 +557,18 @@ class TestConfigAndErrors:
         assert main(["solve", "--config", str(config)]) == 2
         assert "'algebra'" in capsys.readouterr().err
 
-    def test_config_switch(self, tmp_path):
-        parser = cli.build_parser()
-        args = parser.parse_args(["verify-all"])
-        cli._merge_config(args, [("quick", "true")], cli._subparser(parser, "verify-all"))
-        assert args.quick is True
-        with pytest.raises(cli.CliError):
-            cli._merge_config(args, [("quick", "maybe")], cli._subparser(parser, "verify-all"))
+    def test_the_retired_quick_switch_is_a_usage_error(self, tmp_path, capsys):
+        # verify-all runs one suite size: --quick and its config key are unknown
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-all", "--quick"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: --quick\n")
+        config = tmp_path / "run.cfg"
+        config.write_text("quick=true\n")
+        out = tmp_path / "r.json"
+        assert main(["verify-all", "--config", str(config), "--json", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown config key 'quick' for verify-all; ")
+        assert not out.exists()
 
     def test_unreadable_config_is_usage_error(self, tmp_path):
         assert main(["solve", "--config", str(tmp_path)]) == 2
@@ -556,7 +589,7 @@ class TestConfigAndErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command", [["solve", "--algebra", "wittz", "--in", "-2..2"], ["verify-all", "--quick"]]
+        "command", [["solve", "--algebra", "wittz", "--in", "-2..2"], ["verify-all"]]
     )
     @pytest.mark.parametrize("bad", [".", "missing/dims.tsv", "dims\0.tsv"])
     def test_usage_error_leaves_no_report(self, tmp_path, capsys, command, bad):
@@ -608,7 +641,7 @@ class TestConfigAndErrors:
         assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
     @pytest.mark.parametrize(
-        "command", [["solve", "--algebra", "wittz", "--in", "-1..1"], ["verify-all", "--quick"]]
+        "command", [["solve", "--algebra", "wittz", "--in", "-1..1"], ["verify-all"]]
     )
     @pytest.mark.parametrize("tsv", ["out", "./out", "sub/../out"])
     def test_json_and_tsv_naming_one_file_exit_before_any_work(
@@ -626,7 +659,7 @@ class TestConfigAndErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "command", [["solve", "--algebra", "wittz", "--in", "-1..1"], ["verify-all", "--quick"]]
+        "command", [["solve", "--algebra", "wittz", "--in", "-1..1"], ["verify-all"]]
     )
     @pytest.mark.parametrize("path", ["c.cfg", "./c.cfg", "sub/../c.cfg"])
     @pytest.mark.parametrize("given", ["--json", "--tsv", "json=", "tsv="])
@@ -656,9 +689,9 @@ class TestConfigAndErrors:
             ("solve", "in=-1..1\nin=-2..2", "--in twice: 'in', then 'in'"),
             ("solve", "in=-1..1\nin_range=-2..2", "--in twice: 'in', then 'in_range'"),
             ("solve", "a=1\na=2", "--a twice: 'a', then 'a'"),
-            ("verify-all", "quick=true\nquick=false", "--quick twice: 'quick', then 'quick'"),
+            ("verify-all", "tsv=a.tsv\ntsv_path=b.tsv", "--tsv twice: 'tsv', then 'tsv_path'"),
         ],
-        ids=["same-key", "alias", "one-letter-key", "switch"],
+        ids=["same-key", "alias", "one-letter-key", "verify-all"],
     )
     def test_an_option_set_twice_in_a_config_is_usage_error(
         self, tmp_path, monkeypatch, capsys, command, text, message
@@ -755,7 +788,7 @@ class TestConfigAndErrors:
 
 
 # A run of each subcommand that sets every option taking a value, except
-# --config and --json, which the tests add; --quick is added to verify-all.
+# --config and --json, which the tests add.
 WAB_RUN = {"algebra": "wab", "a": "0", "b": "-1", "in": "-2..2", "out": "-4..4"}
 VALID_RUNS = {
     "solve": {**WAB_RUN, "margin": "1", "tsv": "dims.tsv"},
@@ -778,7 +811,7 @@ def run_with(tmp_path, monkeypatch, command, flags, config=None):
     """Exit code of ``command`` run in ``tmp_path`` with ``--name value`` for
     each of ``flags`` and, when given, a ``--config`` file of ``config``."""
     monkeypatch.chdir(tmp_path)
-    argv = [command] + (["--quick"] if command == "verify-all" else [])
+    argv = [command]
     for name, value in flags.items():
         argv += [f"--{name}", value]
     if config is not None:
@@ -867,7 +900,7 @@ class TestFlagSpelling:
     @pytest.mark.parametrize(
         "argv, option",
         [
-            (["verify-all", "--json", "--quick"], "--json"),
+            (["verify-all", "--json", "--tsv", "d.tsv"], "--json"),
             (["verify-all", "--tsv", "--config=run.cfg"], "--tsv"),
             (["solve", "--algebra", "wittz", "--in", "0..1", "--json", "--tsv", "d.tsv"], "--json"),
             (["solve", "--algebra", "--in", "0..1"], "--algebra"),
@@ -900,10 +933,10 @@ class TestFlagSpelling:
 
 
 class TestVerifyAllCommand:
-    def test_quick_run_reports_known_red_criterion(self, tmp_path, capsys):
+    def test_run_reports_known_red_criterion(self, tmp_path, capsys):
         out = tmp_path / "verify.json"
         tsv = tmp_path / "sweep.tsv"
-        code = main(["verify-all", "--quick", "--json", str(out), "--tsv", str(tsv)])
+        code = main(["verify-all", "--json", str(out), "--tsv", str(tsv)])
         # criterion 6 pins rhs = e2 while exact evaluation yields 2*e2, so the
         # suite reports one red criterion and exits 1
         assert code == 1
@@ -926,11 +959,11 @@ class TestVerifyAllCommand:
 
         monkeypatch.setattr(acceptance, "solve_half_derivations", counted)
         tsv = tmp_path / "sweep.tsv"
-        code = main(["verify-all", "--quick", "--tsv", str(tsv)])
+        code = main(["verify-all", "--tsv", str(tsv)])
         assert code == 1
         assert len(calls) == len(set(calls)) == 13
         # the same bytes as the sweep run on its own, outside any solve scope
-        sweep = acceptance.wab_dimension_sweep(quick=True)
+        sweep = acceptance.wab_dimension_sweep()
         assert len(calls) == 13 + 7
         lines = [cli.TSV_HEADER] + [
             "\t".join(
@@ -1177,8 +1210,8 @@ def test_config_files_hold_the_exit_code_contract(argv_and_config):
 
 @given(tsv=st.one_of(st.none(), PATH_TEXT), config=st.one_of(st.none(), config_text("verify-all")))
 @settings(max_examples=5, deadline=None)
-def test_verify_all_quick_holds_the_exit_code_contract(tsv, config):
-    argv = ["verify-all", "--quick"] + ([] if tsv is None else ["--tsv", tsv])
+def test_verify_all_holds_the_exit_code_contract(tsv, config):
+    argv = ["verify-all"] + ([] if tsv is None else ["--tsv", tsv])
     run_contract(argv, config)
 
 
@@ -1189,7 +1222,7 @@ def test_every_window_of_the_suite_the_ladder_and_the_goldens_is_under_the_cap()
         from workloads import LADDER
     finally:
         sys.path.remove(perfbench)
-    windows = [(record.name, *ranges) for record in algebras.CATALOGUE for ranges in record.windows]
+    windows = [(record.name, *record.window) for record in algebras.CATALOGUE]
     windows += [(name, cli.parse_range(i), cli.parse_range(o)) for _, name, i, o in LADDER]
     for path in sorted((Path(__file__).parent / "data").glob("*.json")):
         echo = read_json(path)["inputsEcho"]

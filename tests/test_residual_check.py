@@ -218,7 +218,7 @@ def test_criterion_2_evaluates_each_shift_image_once_and_brackets_each_pair_once
     monkeypatch.setattr(acceptance, "check_delta_derivation", recorded)
     evaluations = count_calls(monkeypatch, WindowedMap, "value_at")
     brackets = count_calls(monkeypatch, dersolve, "bracket")
-    assert acceptance.criterion_2(quick=False).passed
+    assert acceptance.criterion_2().passed
     # three images per pair, 2,508, when each pair evaluated its own
     assert len(pairs) == 836
     assert len(evaluations) == 315
