@@ -3,7 +3,7 @@
 Each algebra is one ``AlgebraRecord``: its index domain, its structure
 constant rule for brackets of basis elements e_i (and f_i for the semidirect
 product family), its grading, the operator literals defined on it and the
-verification suite's frozen windows and margin. Supported algebras:
+verification suite's frozen box and window. Supported algebras:
 
 * ``wittz``     two-sided Witt algebra, [e_i, e_j] = (j - i) e_{i+j}, i in Z
 * ``wittpos``   positive Witt subalgebra, indices i >= 1
@@ -113,10 +113,9 @@ class AlgebraRecord(NamedTuple):
     exactly when it is at least 0. ``heads`` are the operator-literal
     heads defined on the algebra; the first names its closed-form
     half-derivation family. The verification suite's constants are
-    criterion 1's ``axiom_box`` index range, the (input, output) index
-    ranges of the acceptance ``window`` and the interior ``margin``
-    criterion 3 certifies on that window, computed once with the exact
-    solver oracle and frozen; change it only with the window.
+    criterion 1's ``axiom_box`` index range and the (input, output) index
+    ranges of the acceptance ``window``, which criterion 3 certifies at the
+    one frozen ``acceptance.INTERIOR_MARGIN``.
     """
 
     name: str
@@ -125,7 +124,6 @@ class AlgebraRecord(NamedTuple):
     heads: Tuple[str, ...]
     axiom_box: Range
     window: Tuple[Range, Range]
-    margin: int
     lines: Tuple[str, ...] = ("e",)
     parametric: bool = False
     degree: Callable[[BasisKey], int] = attrgetter("index")
@@ -134,27 +132,27 @@ class AlgebraRecord(NamedTuple):
 CATALOGUE = (
     AlgebraRecord(
         "wittz", floor=None, rule=_witt_rule, heads=("shift",),
-        axiom_box=(-8, 8), window=((-4, 4), (-12, 12)), margin=0,
+        axiom_box=(-8, 8), window=((-4, 4), (-12, 12)),
     ),
     AlgebraRecord(
         "wittpos", floor=1, rule=_witt_rule, heads=("shift",),
-        axiom_box=(1, 16), window=((1, 9), (1, 17)), margin=0,
+        axiom_box=(1, 16), window=((1, 9), (1, 17)),
     ),
     AlgebraRecord(
         "witt1", floor=-1, rule=_witt_rule, heads=("shift",),
-        axiom_box=(-1, 15), window=((-1, 7), (-1, 15)), margin=0,
+        axiom_box=(-1, 15), window=((-1, 7), (-1, 15)),
     ),
     AlgebraRecord(
         "wab", floor=None, lines=("e", "f"), parametric=True, rule=_wab_rule, heads=("wab",),
-        axiom_box=(-8, 8), window=((-3, 3), (-6, 6)), margin=0,
+        axiom_box=(-8, 8), window=((-3, 3), (-6, 6)),
     ),
     AlgebraRecord(
         "thin", floor=1, rule=_thin_rule, heads=("thin", "thin-delta", "thin-nabla"),
-        axiom_box=(1, 16), window=((1, 10), (1, 14)), margin=0,
+        axiom_box=(1, 16), window=((1, 10), (1, 14)),
     ),
     AlgebraRecord(
         "solv", floor=1, rule=_solv_rule, degree=_solv_degree, heads=("solv", "solv-deltabar"),
-        axiom_box=(1, 16), window=((1, 8), (1, 8)), margin=0,
+        axiom_box=(1, 16), window=((1, 8), (1, 8)),
     ),
 )
 

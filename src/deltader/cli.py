@@ -472,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_parser("solve", help="solve the windowed half-derivation space")
     _add_common(p)
-    p.add_argument("--margin", type=int, help="interior margin (default: frozen per-algebra value)")
+    p.add_argument("--margin", type=int, help=f"interior margin (default {acceptance.INTERIOR_MARGIN}, frozen)")
     p.add_argument("--tsv", dest="tsv_path", help="write a dimensions TSV row here")
     p.set_defaults(func=_cmd_solve)
 

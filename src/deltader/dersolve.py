@@ -117,8 +117,12 @@ class ComparisonReport:
 
     @property
     def certified(self) -> bool:
-        """Both containments hold: the window certifies the closed-form family."""
-        return self.expected_contained and self.solved_interior_contained
+        """Both containments hold on a nonempty interior: the window
+        certifies the closed-form family. The identity lies in every solved
+        family, so ``dim_interior`` is 0 exactly when no input key is
+        interior, and an empty interior, which contains anything, certifies
+        nothing."""
+        return self.expected_contained and self.solved_interior_contained and self.dim_interior > 0
 
 
 def _closed_pairs(

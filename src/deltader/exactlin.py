@@ -34,13 +34,15 @@ the common denominator of each one's entries.
 
 Two nullspace solvers share that kernel. ``nullspace_by_blocks`` solves a
 block-diagonal system block by block, each block reading its units of rows
-with one cursor. Once a block's nullity is small, its null vectors are read
-off its echelon form once, as dense int lists, and the echelon form is
-dropped; the block scans on from that cursor, testing each unit against
-those vectors for the units that cut them, and each row of a cutting unit
-updates them in closed form (``_cut``), with no elimination
-(``_block_nullspace``). ``nullspace`` eliminates every row of one matrix,
-with no scan: it is the reference the block solver is checked against.
+with one cursor. Once a block's nullity is small, or its units run out, its
+null vectors are read off its echelon form once, as dense int lists, and the
+echelon form is dropped; the block scans on from that cursor, testing each
+unit against those vectors for the units that cut them, and each row of a
+cutting unit updates them in closed form (``_cut``), with no elimination.
+Every block leaves through that scan, and its null vectors are the probes
+of its last one (``_block_nullspace``). ``nullspace`` eliminates every row
+of one matrix, with no scan: it is the reference the block solver is
+checked against.
 """
 
 from __future__ import annotations
@@ -357,42 +359,37 @@ def _block_nullspace(block) -> dict:
 
     While the block's nullity is above ``TESTED_NULLITY``, checked before
     each unit is read, every unit's rows enter one echelon form. Once it is
-    not, the null vectors are read off that echelon form once, as dense
-    lists over the ids, and the echelon form is dropped. They are the probes
-    of a scan for the first unit that cuts them. A unit orthogonal to every
-    probe lies in ``(U^perp)^perp = U``, the span of the rows so far, and is
-    passed over. Each row of the cutting unit updates the null vectors in
-    closed form (``_cut``), with no elimination, and the scan goes on from
-    the next unit. Reading stops at full rank. When a scan finds no cut, the
-    probes are the block's null vectors. When the units run out while the
-    nullity is still above ``TESTED_NULLITY``, the null vectors are read off
-    the echelon form once. Either way each is divided by its entry at its
-    free column.
+    not, or once the units run out, the null vectors are read off that
+    echelon form once, as dense lists over the ids, and the echelon form is
+    dropped. They are the probes of a scan for the first unit that cuts
+    them; on a block whose units ran out the scan ends at once, as the
+    cursor is spent. A unit orthogonal to every probe lies in
+    ``(U^perp)^perp = U``, the span of the rows so far, and is passed over.
+    Each row of the cutting unit updates the null vectors in closed form
+    (``_cut``), with no elimination, and the scan goes on from the next
+    unit. Reading stops at full rank. When a scan finds no cut, the probes
+    are the block's null vectors, each divided by its entry at its free
+    column.
     """
     columns = block.columns
     pivots: dict = {}
-    while len(columns) - len(pivots) > TESTED_NULLITY:
-        unit = block.next_unit()
-        if unit is None:
-            nulls = [(f, _back_substitute(pivots, f)) for f in columns if f not in pivots]
-            break
+    while len(columns) - len(pivots) > TESTED_NULLITY and (unit := block.next_unit()) is not None:
         for row in block.rows(unit):
             _insert(_primitive(row), pivots)
-    else:  # the nullity is at most TESTED_NULLITY: scan
-        size = max(columns, default=-1) + 1
-        nulls = []
-        for f in columns:
-            if f not in pivots:
-                probe = [0] * size
-                for c, x in _back_substitute(pivots, f).items():
-                    probe[c] = x
-                nulls.append((f, probe))
-        del pivots
-        while nulls and (unit := block.next_unit([v for _, v in nulls])) is not None:
-            for row in block.rows(unit):
-                nulls = _cut(nulls, _primitive(row))
-        # entries in decreasing column order, as _back_substitute gives them
-        nulls = [(f, {c: v[c] for c in range(f, -1, -1) if v[c]}) for f, v in nulls]
+    size = max(columns, default=-1) + 1
+    nulls = []
+    for f in columns:
+        if f not in pivots:
+            probe = [0] * size
+            for c, x in _back_substitute(pivots, f).items():
+                probe[c] = x
+            nulls.append((f, probe))
+    del pivots
+    while nulls and (unit := block.next_unit([v for _, v in nulls])) is not None:
+        for row in block.rows(unit):
+            nulls = _cut(nulls, _primitive(row))
+    # entries in decreasing column order, as _back_substitute gives them
+    nulls = [(f, {c: v[c] for c in range(f, -1, -1) if v[c]}) for f, v in nulls]
     return {
         columns[f]: {columns[c]: x for c, x in _canonical(v, f).items()} for f, v in nulls
     }

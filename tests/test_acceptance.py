@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from deltader import acceptance, algebras
-from deltader.algebras import E, F, wab, witt_z
+from deltader.algebras import E, F, wab, witt_pos, witt_z
 from deltader.dersolve import FamilyBasis
 from deltader.exactlin import SparseVec
 from deltader.operators import window_from_ranges
@@ -362,7 +362,7 @@ def test_certify_is_memoized_per_margin_in_a_scope(monkeypatch):
     monkeypatch.setattr(acceptance, "compare_families", counted)
     alg = witt_z()
     w = window_from_ranges(alg, (-3, 3), (-8, 8))
-    frozen = alg.record.margin
+    frozen = acceptance.INTERIOR_MARGIN
     with acceptance.solve_scope():
         first = acceptance.certify(alg, w)
         assert acceptance.certify(alg, w, frozen) is first
@@ -373,6 +373,17 @@ def test_certify_is_memoized_per_margin_in_a_scope(monkeypatch):
     for margin in (None, frozen, None):
         acceptance.certify(alg, w, margin)
     assert calls == [frozen] * 3
+
+
+def test_an_empty_interior_certifies_nothing():
+    # wittpos 3..9/1..17 lacks e1 and e2, so no margin certifies it; at margin
+    # 4 no input key is interior, and both containments hold vacuously there
+    alg = witt_pos()
+    w = window_from_ranges(alg, (3, 9), (1, 17))
+    reports = [acceptance.certify(alg, w, margin)[2] for margin in range(6)]
+    assert [r.certified for r in reports] == [False] * 6
+    assert [r.dim_interior for r in reports] == [39, 39, 39, 15, 0, 0]
+    assert reports[4].expected_contained and reports[4].solved_interior_contained
 
 
 def test_criterion_called_alone_is_uncached(monkeypatch):

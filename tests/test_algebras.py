@@ -29,7 +29,7 @@ from deltader.algebras import (
     witt_pos,
     witt_z,
 )
-from deltader.acceptance import WAB_ACCEPTANCE_PARAMS, acceptance_window
+from deltader.acceptance import INTERIOR_MARGIN, WAB_ACCEPTANCE_PARAMS, acceptance_window
 from deltader.exactlin import SparseVec
 from deltader.literals import ParseError, parse_operator
 from deltader.operators import window_from_ranges
@@ -437,7 +437,7 @@ class TestCatalogueRecords:
         record = alg.record
         assert set(acceptance_window(alg).out_keys) <= reference
         assert set(window_from_ranges(alg, record.axiom_box).keys) <= reference
-        assert record.margin >= 0
+        assert INTERIOR_MARGIN >= 0
 
     @pytest.mark.parametrize("alg", ONE_PER_RECORD, ids=lambda a: a.name)
     def test_operator_heads_parse_on_their_algebra_only(self, alg):

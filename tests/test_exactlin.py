@@ -475,14 +475,15 @@ class TestBlockNullspace:
             return real_back(pivots, free)
 
         monkeypatch.setattr(exactlin, "_back_substitute", counting_back)
-        # block 0..4 ends its rows at nullity 3: it is never scanned, and each
-        # null vector is read off once; block 5..7 reaches nullity 2, and its
-        # one scan finds no cut, so the probes it was given are its basis
+        # block 0..4 ends its rows at nullity 3: each null vector is read off
+        # once, and its scan of the spent cursor tests no row; block 5..7
+        # reaches nullity 2, and its one scan finds no cut. Either way the
+        # probes a block's last scan was given are its basis
         rows = [{0: 3, 1: 6}, {2: 2, 3: 1, 4: -4}, {5: 1, 6: 1}, {5: -2, 6: -2}]
         blocks = ((tuple(range(5)), 0, 2), ((5, 6, 7), 2, 4))
         grid = [[row.get(c, 0) for c in range(8)] for row in rows]
         assert counting.by_blocks(rows, blocks) == reference_nullspace(grid, 8)
-        assert counting.scans == [2]
+        assert counting.scans == [3, 2]
         assert substituted == [1, 3, 4, 6, 7]
         assert counting.built == rows[:3] and counting.tested == rows[3:]
         # an entry is an int where the division by the free entry is exact

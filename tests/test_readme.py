@@ -1,17 +1,23 @@
-"""The README's command-line block against the parser it documents.
+"""The README against the code it documents.
 
-Every subcommand appears in the block, and every ``--flag`` on a line is an
-option of that line's subcommand, so a flag that the parser drops or renames
-fails here before a reader types it.
+Every subcommand appears in the command-line block, and every ``--flag`` on
+a line is an option of that line's subcommand, so a flag that the parser
+drops or renames fails here before a reader types it. The library example
+runs as written. And the README states no measured time: a time depends on
+the host and goes stale with the code, so timings live in ``CHANGES.md``.
 """
 
 import re
 from pathlib import Path
 
+import pytest
+
 from deltader import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 FLAG = re.compile(r"(?<![\w-])--[a-z][a-z-]*")
+# A number, or a range of two, followed by a unit of time: ``0.10 s``, ``3–4 s``, ``12ms``.
+TIME = re.compile(r"(?<![\w.])\d[\d.,]*(?:[–-]\d[\d.,]*)?\s?(?:[mµun]?s|sec|seconds?|min|minutes?)\b")
 
 
 def _command_lines():
@@ -47,3 +53,27 @@ def test_the_command_line_block_matches_the_parser():
 def test_a_stale_flag_is_reported():
     line = "deltader verify-all [--quick] [--json out.json] [--tsv sweep.tsv]"
     assert _unknown_flags([line]) == ([(line, "--quick")], {"verify-all"})
+
+
+def test_the_library_example_runs():
+    text = README.read_text()
+    section = text[text.index("## Library layout\n"):]
+    block = section[section.index("```python\n") + len("```python\n"):]
+    exec(compile(block[: block.index("```")], "README.md", "exec"), {})
+
+
+def test_the_readme_states_no_measured_time():
+    assert TIME.findall(README.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "text, found",
+    [
+        ("takes 0.10 s at 3,201 unknowns", ["0.10 s"]),
+        ("differed by 3–4 s on a VM", ["3–4 s"]),
+        ("a p50 of 12ms", ["12ms"]),
+        ("--in 3..9 --margin 4 exits 2; e1s and 10 shifts", []),
+    ],
+)
+def test_a_measured_time_is_found(text, found):
+    assert TIME.findall(text) == found
