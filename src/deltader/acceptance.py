@@ -1,8 +1,11 @@
 """Bundled verification suite.
 
-Each criterion function returns a CriterionResult with per-check details;
-``run_all`` executes all ten inside one ``solve_scope``, so each (algebra,
-window) is solved, and compared with its closed-form family, once per run.
+Each criterion is a generator of ``(condition, label)`` checks, declared
+with ``@_criterion(number, title)``, which registers it in ``CRITERIA`` and
+reports its checks as a CriterionResult with one ``label: ok|FAILED``
+detail each; ``run_all`` executes all ten inside one ``solve_scope``, so
+each (algebra, window) is solved, and compared with its closed-form family,
+once per run.
 Criterion 1 checks antisymmetry and Jacobi on the structure constants
 themselves: on ``algebras.structure_table``, the int constants scaled by
 ``alg.scale`` that the solver reads too, so no Jacobi sum runs in
@@ -26,13 +29,14 @@ it. All other checks are expected green.
 
 from __future__ import annotations
 
+import functools
 import random
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from . import algebras
 from .algebras import AlgebraSpec, E, F, structure_table
@@ -169,19 +173,39 @@ class CriterionResult:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} criterion {self.number}: {self.title}"
 
+    @property
+    def failed(self) -> Tuple[str, ...]:
+        """The details of the checks that failed, in order."""
+        return tuple(d for d in self.details if d.endswith(": FAILED"))
 
-class _Checks:
-    """Accumulates named boolean checks for one criterion."""
 
-    def __init__(self):
-        self.details: List[str] = []
-        self.ok = True
+# The registered criteria in number order. ``run_all`` reads the list when it
+# runs, so perfbench can swap its entries for timed wrappers.
+CRITERIA: List[Callable[..., CriterionResult]] = []
 
-    def expect(self, condition: bool, label: str) -> None:
-        mark = "ok" if condition else "FAILED"
-        self.details.append(f"{label}: {mark}")
-        if not condition:
-            self.ok = False
+# A criterion's checks: (condition, label) pairs, in report order.
+Checks = Iterator[Tuple[bool, str]]
+
+
+def _criterion(number: int, title: str):
+    """Register a generator of checks as criterion ``number``. The function
+    registered and returned runs every check; its result passes iff at least
+    one check ran and none failed."""
+
+    def register(checks: Callable[[], Checks]):
+        # The one optional argument is ignored: perfbench/workloads.py calls
+        # each criterion as ``fn(quick)``, a flag of the retired smaller suite
+        # size. The argument goes with that call; ``run_all`` passes none.
+        @functools.wraps(checks)
+        def run(_=None) -> CriterionResult:
+            marks = [(label, "ok" if condition else "FAILED") for condition, label in checks()]
+            passed = bool(marks) and all(mark == "ok" for _, mark in marks)
+            return CriterionResult(number, title, passed, tuple(f"{label}: {mark}" for label, mark in marks))
+
+        CRITERIA.append(run)
+        return run
+
+    return register
 
 
 # The memo of the running verification, None outside a ``solve_scope``:
@@ -312,36 +336,34 @@ def _bracket_axioms(alg: AlgebraSpec, box: Tuple[int, int]) -> Tuple[bool, bool]
     return antisym, _jacobi_holds(inner, outer)
 
 
-def criterion_1(_=None) -> CriterionResult:
-    checks = _Checks()
+@_criterion(1, "bracket axioms (antisymmetry and Jacobi)")
+def criterion_1() -> Checks:
     specs = [AlgebraSpec(r.name) for r in algebras.CATALOGUE if not r.parametric]
     for alg in specs + [algebras.wab(a, b) for a, b in WAB_ACCEPTANCE_PARAMS]:
         antisym, jacobi = _bracket_axioms(alg, alg.record.axiom_box)
-        checks.expect(antisym, f"{alg.label()} antisymmetry")
-        checks.expect(jacobi, f"{alg.label()} jacobi")
-    return CriterionResult(1, "bracket axioms (antisymmetry and Jacobi)", checks.ok, tuple(checks.details))
+        yield antisym, f"{alg.label()} antisymmetry"
+        yield jacobi, f"{alg.label()} jacobi"
 
 
-def _shift_containment(alg: AlgebraSpec, checks: _Checks) -> None:
+def _shift_containment(alg: AlgebraSpec) -> Checks:
     w = acceptance_window(alg)
     _, family, report = certify(alg, w)
     pairs = derivation_pairs(alg, w.keys)
     residuals_clean = all(
         not check_delta_derivation(alg, m, HALF, pairs) for m in family.basis
     )
-    checks.expect(residuals_clean, f"{alg.label()} all shifts zero residual ({len(family)} shifts)")
-    checks.expect(report.expected_contained, f"{alg.label()} all shifts inside the solved span")
+    yield residuals_clean, f"{alg.label()} all shifts zero residual ({len(family)} shifts)"
+    yield report.expected_contained, f"{alg.label()} all shifts inside the solved span"
 
 
-def criterion_2(_=None) -> CriterionResult:
-    checks = _Checks()
+@_criterion(2, "shift containment on Witt-family windows")
+def criterion_2() -> Checks:
     for alg in (algebras.witt_z(), algebras.witt_pos(), algebras.witt_one_sided()):
-        _shift_containment(alg, checks)
-    return CriterionResult(2, "shift containment on Witt-family windows", checks.ok, tuple(checks.details))
+        yield from _shift_containment(alg)
 
 
-def criterion_3(_=None) -> CriterionResult:
-    checks = _Checks()
+@_criterion(3, "interior completeness at frozen margins")
+def criterion_3() -> Checks:
     catalogue = [
         algebras.witt_z(),
         algebras.witt_pos(),
@@ -353,12 +375,11 @@ def criterion_3(_=None) -> CriterionResult:
     ]
     for alg in catalogue:
         report = certify(alg, acceptance_window(alg))[2]
-        checks.expect(
+        yield (
             report.certified,
             f"{alg.label()} certified at margin {report.interior_margin} "
             f"(dims solved/expected/interior {report.dim_solved}/{report.dim_expected}/{report.dim_interior})",
         )
-    return CriterionResult(3, "interior completeness at frozen margins", checks.ok, tuple(checks.details))
 
 
 def wab_dimension_sweep() -> List[Tuple[AlgebraSpec, Window, ComparisonReport]]:
@@ -373,106 +394,101 @@ def wab_dimension_sweep() -> List[Tuple[AlgebraSpec, Window, ComparisonReport]]:
     return sweep
 
 
-def criterion_4(_=None) -> CriterionResult:
-    checks = _Checks()
+@_criterion(4, "W(a,b) dichotomy at b=-1")
+def criterion_4() -> Checks:
     sweep = wab_dimension_sweep()
     by_b = {alg.b: report for alg, _, report in sweep}
     for b in (0, 1, -2):
-        checks.expect(by_b[b].dim_interior == 1, f"b={b}: interior dimension 1 (identity only)")
+        yield by_b[b].dim_interior == 1, f"b={b}: interior dimension 1 (identity only)"
     family_dim = by_b[-1].dim_expected
-    checks.expect(
+    yield (
         by_b[-1].dim_interior == family_dim, f"b=-1: interior dimension equals family dimension {family_dim}"
     )
     jump_only_at_minus_one = all((report.dim_interior > 1) == (b == -1) for b, report in by_b.items())
-    checks.expect(jump_only_at_minus_one, "sweep over b in -3..3 jumps exactly at b=-1")
-    checks.expect(all(report.certified for report in by_b.values()), "every sweep point certified")
-    return CriterionResult(4, "W(a,b) dichotomy at b=-1", checks.ok, tuple(checks.details))
+    yield jump_only_at_minus_one, "sweep over b in -3..3 jumps exactly at b=-1"
+    yield all(report.certified for report in by_b.values()), "every sweep point certified"
 
 
-def criterion_5(_=None) -> CriterionResult:
-    checks = _Checks()
+@_criterion(5, "thin local counterexample")
+def criterion_5() -> Checks:
     thin = COUNTEREXAMPLES["thin"]
     (_, _, (probe_pair, probe_residual)), (_, _, first) = thin.scans
     (witness, early), local, _, _ = confirm(thin, acceptance_window(thin.algebra))
     # witness the violation on the canonical probe keys {e1, e3}
-    checks.expect(witness is not None, "violation witness found on probe keys {e1,e3}")
+    yield witness is not None, "violation witness found on probe keys {e1,e3}"
     if witness:
         pair, residual = witness
-        checks.expect(pair == probe_pair, f"witness pair is (e1, e3), got {pair}")
-        checks.expect(residual == probe_residual, f"witness residual is (1/2)e4, got {residual}")
+        yield pair == probe_pair, f"witness pair is (e1, e3), got {pair}"
+        yield residual == probe_residual, f"witness residual is (1/2)e4, got {residual}"
     # a full scan of e1..e8 sees an even earlier violation at (e1, e2)
-    checks.expect(early == first, "full scan of e1..e8 finds the earlier witness (e1,e2) with (1/2)e3")
-    checks.expect(len(local) >= 25, f"sample size {len(local)} >= 25")
-    checks.expect(all(r.feasible for r in local), "thin probe map locally feasible on the whole sample")
-    return CriterionResult(5, "thin local counterexample", checks.ok, tuple(checks.details))
+    yield early == first, "full scan of e1..e8 finds the earlier witness (e1,e2) with (1/2)e3"
+    yield len(local) >= 25, f"sample size {len(local)} >= 25"
+    yield all(r.feasible for r in local), "thin probe map locally feasible on the whole sample"
 
 
-def criterion_6(_=None) -> CriterionResult:
-    checks = _Checks()
+@_criterion(6, "thin 2-local counterexample")
+def criterion_6() -> Checks:
     thin = COUNTEREXAMPLES["thin"]
     _, _, witness, two_local = confirm(thin, acceptance_window(thin.algebra))
-    checks.expect(witness.nonadditive, "nabla(x+y) != nabla(x)+nabla(y)")
-    checks.expect(witness.lhs.is_zero(), f"lhs is 0, got {witness.lhs}")
+    yield witness.nonadditive, "nabla(x+y) != nabla(x)+nabla(y)"
+    yield witness.lhs.is_zero(), f"lhs is 0, got {witness.lhs}"
     # Required reference value: rhs = e2. Exact evaluation of the map as
     # defined gives 2*e2; the check states the required value unchanged.
-    checks.expect(
+    yield (
         witness.rhs == SparseVec({E(2): 1}),
         f"rhs is e2 exactly (exact evaluation gives {witness.rhs})",
     )
-    checks.expect(len(thin.grid) >= 20, f"grid size {len(thin.grid)} >= 20")
-    checks.expect(all(r.feasible for r in two_local), "two-local feasibility across the whole grid")
-    return CriterionResult(6, "thin 2-local counterexample", checks.ok, tuple(checks.details))
+    yield len(thin.grid) >= 20, f"grid size {len(thin.grid)} >= 20"
+    yield all(r.feasible for r in two_local), "two-local feasibility across the whole grid"
 
 
-def criterion_7(_=None) -> CriterionResult:
-    checks = _Checks()
+@_criterion(7, "solvable algebra: family, probe map, infeasible candidate")
+def criterion_7() -> Checks:
     solv = COUNTEREXAMPLES["solv"]
     w = acceptance_window(solv.algebra)
     solved, _, report = certify(solv.algebra, w)
-    checks.expect(
+    yield (
         report.certified,
         f"interior comparison certifies the unit-vector family (dim {report.dim_solved})",
     )
     ((_, _, first),) = solv.scans
     (witness,), local, _, _ = confirm(solv, w)
-    checks.expect(witness == first, "probe map fails at (e1,e2) with residual (1/2)e2")
+    yield witness == first, "probe map fails at (e1,e2) with residual (1/2)e2"
     # e1+e2+e3 is checked here, not in the shared sample, whose size the solv report prints
     extra = local_feasible_at(solv.probe, SparseVec({E(1): 1, E(2): 1, E(3): 1}), solved)
-    checks.expect(all(r.feasible for r in local) and extra.feasible, "probe map locally feasible on the sample")
+    yield all(r.feasible for r in local) and extra.feasible, "probe map locally feasible on the sample"
     bad = WindowedMap(
         w, {k: (SparseVec({E(3): 1}) if k == E(2) else SparseVec()) for k in w.keys}
     )
     rb = local_feasible_at(bad, SparseVec({E(2): 1}), solved)
-    checks.expect(not rb.feasible, "candidate sending e2 to e3 is infeasible at e2")
-    return CriterionResult(7, "solvable algebra: family, probe map, infeasible candidate", checks.ok, tuple(checks.details))
+    yield not rb.feasible, "candidate sending e2 to e3 is infeasible at e2"
 
 
-def criterion_8(_=None) -> CriterionResult:
-    checks = _Checks()
+@_criterion(8, "zero-propagation and f-line scans")
+def criterion_8() -> Checks:
     wz = algebras.witt_z()
     w = window_from_ranges(wz, (-6, 6), (-10, 10))
     family = _solve(wz, w)
     reports = zero_propagation_scan(SparseVec({E(1): 1}), 0, ZERO_PROPAGATION_INFEASIBLE_C, family)
     infeasible = tuple(c for c, r in zip(ZERO_PROPAGATION_INFEASIBLE_C, reports) if not r.feasible)
-    checks.expect(
+    yield (
         infeasible == ZERO_PROPAGATION_INFEASIBLE_C,
         f"infeasible c-set is the frozen 1..10, got {infeasible}",
     )
-    checks.expect(len(infeasible) > 0, "infeasible c-set nonempty")
+    yield len(infeasible) > 0, "infeasible c-set nonempty"
     zero_reports = zero_propagation_scan(SparseVec(), 0, (1, 2, 3), family)
-    checks.expect(all(r.feasible for r in zero_reports), "value 0 feasible for every c")
+    yield all(r.feasible for r in zero_reports), "value 0 feasible for every c"
     wa = algebras.wab(0, -1)
     ww = acceptance_window(wa)
     wfam = _solve(wa, ww)
     scan = wab_f_scan(SparseVec({F(1): 1}), 0, wfam)
-    checks.expect(not scan.feasible, "f-line probe with value f_{m+1} infeasible")
+    yield not scan.feasible, "f-line probe with value f_{m+1} infeasible"
     zero_scan = wab_f_scan(SparseVec(), 0, wfam)
-    checks.expect(zero_scan.feasible, "f-line probe with value 0 feasible")
-    return CriterionResult(8, "zero-propagation and f-line scans", checks.ok, tuple(checks.details))
+    yield zero_scan.feasible, "f-line probe with value 0 feasible"
 
 
-def criterion_9(_=None) -> CriterionResult:
-    checks = _Checks()
+@_criterion(9, "separating-point injectivity")
+def criterion_9() -> Checks:
     cases = [
         (algebras.witt_z(), E(0)),
         (algebras.witt_pos(), E(1)),
@@ -484,15 +500,14 @@ def criterion_9(_=None) -> CriterionResult:
     for alg, k0 in cases:
         family = certify(alg, acceptance_window(alg))[1]
         values = [m.evaluate(SparseVec({k0: 1})) for m in family.basis]
-        checks.expect(
+        yield (
             span_dim(values) == len(family),
             f"{alg.label()}: evaluation at {k0} injective on the family (dim {len(family)})",
         )
-    return CriterionResult(9, "separating-point injectivity", checks.ok, tuple(checks.details))
 
 
-def criterion_10(_=None) -> CriterionResult:
-    checks = _Checks()
+@_criterion(10, "commutators are quarter-derivations")
+def criterion_10() -> Checks:
     wz = algebras.witt_z()
     rng = random.Random(20240810)
     inner_family, outer_family = (expected_family(wz, window_from_ranges(wz, *r)) for r in COMMUTATOR_WINDOWS)
@@ -516,25 +531,7 @@ def criterion_10(_=None) -> CriterionResult:
         pairs = derivation_pairs(wz, comm.window.keys)
         if check_delta_derivation(wz, comm, QUARTER, pairs):
             all_clean = False
-    checks.expect(all_clean, "10 seeded commutators pass the quarter-derivation check")
-    return CriterionResult(10, "commutators are quarter-derivations", checks.ok, tuple(checks.details))
-
-
-# Each criterion ignores its one optional argument: perfbench/workloads.py calls
-# its wrapped criteria as ``fn(quick)``, a flag of the retired smaller suite
-# size. The argument goes with that call; ``run_all`` passes none.
-CRITERIA: List[Callable[..., CriterionResult]] = [
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-]
+    yield all_clean, "10 seeded commutators pass the quarter-derivation check"
 
 
 def run_all() -> List[CriterionResult]:

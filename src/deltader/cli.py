@@ -430,10 +430,8 @@ def _cmd_verify_all(args) -> int:
         sweep = acceptance.wab_dimension_sweep() if args.tsv_path is not None else None
     for r in results:
         print(r.line())
-        if not r.passed:
-            for d in r.details:
-                if "FAILED" in d:
-                    print(f"    {d}")
+        for d in r.failed:
+            print(f"    {d}")
     # Schema "1" echoes the retired --quick flag as a constant false, here and
     # in inputsEcho, until the schema "2" bump drops it.
     payload = {

@@ -1,5 +1,6 @@
 """No helper that nothing calls: every function and method defined in
-``src/deltader`` is referred to by some module there, or is one that the
+``src/deltader`` is referred to by some module there, or is decorated by a
+function defined there (which may register it), or is one that the
 benchmark binds by name (``perfbench/tracing.py``'s ``TRACED``), or is read
 from outside ``src`` for a reason listed in ``READ_OUTSIDE_SRC``. Code that
 only tests use lives in the tests. And no import that nothing uses: every
@@ -17,14 +18,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "deltader"
 
 
 def _definitions(body, owner=""):
-    """(qualified name, bare name) of every non-dunder function, methods as
-    ``Class.method``, nested functions by their own name."""
+    """(qualified name, bare name, node) of every non-dunder function,
+    methods as ``Class.method``, nested functions by their own name."""
     for node in body:
         if isinstance(node, ast.ClassDef):
             yield from _definitions(node.body, f"{node.name}.")
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             if not (node.name.startswith("__") and node.name.endswith("__")):
-                yield owner + node.name, node.name
+                yield owner + node.name, node.name, node
             yield from _definitions(node.body)
         else:
             for child in ast.iter_child_nodes(node):
@@ -108,7 +109,10 @@ def unreferenced(sources):
     a name or an attribute. A method ``C.m`` is used through an attribute
     ``m`` whose receiver's class is known to be ``C``; a receiver whose class
     is not known (a duck-typed ``op``, an unpacked result) may be any class
-    that defines ``m``, so it uses each of them but the method it sits in."""
+    that defines ``m``, so it uses each of them but the method it sits in.
+    A function decorated with a function of ``sources`` (``@register`` or
+    ``@register(...)``) is used: the decorator may register it. Decorators
+    from elsewhere (``property``, ``cache``) do not count."""
     trees = [ast.parse(text) for text in sources.values()]
     classes = {node.name for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)}
     references = _References(classes)
@@ -117,14 +121,19 @@ def unreferenced(sources):
     attributes = {attr for _, attr, _ in references.attributes}
     known = {(cls, attr) for cls, attr, _ in references.attributes if cls}
     unknown = {(attr, holder) for cls, attr, holder in references.attributes if not cls}
+    definitions = [d for tree in trees for d in _definitions(tree.body)]
+    functions = {name for _, name, _ in definitions}
 
-    def used(qual, name):
+    def used(qual, name, node):
+        decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+        if any(isinstance(d, ast.Name) and d.id in functions for d in decorators):
+            return True
         owner, _, method = qual.rpartition(".")
         if not owner:
             return name in references.names or name in attributes
         return (owner, method) in known or any(a == method and h != qual for a, h in unknown)
 
-    return {qual for tree in trees for qual, name in _definitions(tree.body) if not used(qual, name)}
+    return {qual for qual, name, node in definitions if not used(qual, name, node)}
 
 
 def unused_imports(source):
@@ -158,6 +167,12 @@ TWO_F = "class A:\n    def f(self): pass\nclass B:\n    def f(self): pass\n"
         (TWO_F + "def g(x): x.f()\ng(A())\n", set()),
         # a method's own body does not use it
         ("class A:\n    def f(self, x): return x.f()\nclass B:\n    def f(self): pass\n", {"A.f"}),
+        # a decorator defined here may register what it decorates; property does not
+        (
+            "def register(n):\n    return lambda f: f\ndef mark(f): return f\n@register(1)\ndef rule(): pass\n"
+            "@mark\ndef other(): pass\nclass A:\n    @property\n    def p(self): pass\n",
+            {"A.p"},
+        ),
     ],
 )
 def test_the_guard_sees_unused_definitions(source, dead):

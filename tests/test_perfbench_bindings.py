@@ -3,13 +3,16 @@
 ``perfbench/tracing.py`` lists every traced function (``TRACED``) and every
 counted one (``COUNTED``) under a ``module.function`` name. A refactor that
 deletes or renames one of them, or changes what one returns under the
-tracer's observers, breaks the benchmark; these tests fail first.
+tracer's observers, breaks the benchmark; these tests fail first. The
+verify-all workload (``perfbench/workloads.py``) times each criterion through
+a wrapper that calls it as ``fn(quick)``; a test runs one pass of it.
 """
 
 import importlib
 import sys
 from pathlib import Path
 
+from deltader import acceptance
 from deltader.algebras import witt_z
 from deltader.dersolve import HALF, assemble
 from deltader.exactlin import nullspace
@@ -18,12 +21,16 @@ from deltader.operators import window_from_ranges
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _tracing():
+def _perfbench(name):
     sys.path.insert(0, str(PERFBENCH))
     try:
-        return importlib.import_module("tracing")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+def _tracing():
+    return _perfbench("tracing")
 
 
 def test_traced_and_counted_functions_are_callable():
@@ -51,3 +58,14 @@ def test_observers_read_what_the_bound_functions_return():
     assert phase.counts["exactlin.nullspace.rank"] == system.matrix.ncols - len(basis)
     assert len(basis) == 5  # the shifts -2..2
     assert phase.max_bits >= 1
+
+
+def test_verify_all_workload_calls_each_criterion_with_its_one_argument(tmp_path):
+    workloads = _perfbench("workloads")
+    verify_all = workloads.VerifyAll(0, tmp_path, workloads.load_reference())
+    intervals, output = verify_all.run_pass(0)
+    assert len(intervals) == 10
+    assert all(end > start for start, end in intervals)
+    assert verify_all.check(output) == [True] * 10
+    for fn in acceptance.CRITERIA:
+        assert fn(False) == fn()
