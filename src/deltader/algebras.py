@@ -95,6 +95,7 @@ def _solv_rule(alg: "AlgebraSpec", k1: BasisKey, k2: BasisKey) -> Term:
     return None
 
 
+# [e_1, e_i] = e_i forces degree 0 at e_1 and degree 1 on the abelian radical.
 def _solv_degree(key: BasisKey) -> int:
     return 0 if key.index == 1 else 1
 
@@ -238,15 +239,6 @@ def in_domain(alg: AlgebraSpec, key: BasisKey) -> bool:
     """True iff key is a basis key of the algebra."""
     record = alg.record
     return key.kind in record.lines and (record.floor is None or key.index >= record.floor)
-
-
-def degree(alg: AlgebraSpec, key: BasisKey) -> int:
-    """Degree of a basis key in the algebra's grading, deg [x, y] = deg x + deg y.
-
-    The index on every algebra but ``solv``, where [e_1, e_i] = e_i forces
-    degree 0 at e_1 and degree 1 on the abelian radical.
-    """
-    return alg.record.degree(key)
 
 
 def require_in_domain(alg: AlgebraSpec, keys: Iterable[BasisKey]) -> None:

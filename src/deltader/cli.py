@@ -37,12 +37,7 @@ from .literals import (
     parse_scalar,
 )
 from .locality import _window_guard, deterministic_sample, local_feasible_at, two_local_feasible_at
-from .operators import (
-    SupportOverflow,
-    WindowTooSmall,
-    materialize,
-    window_from_ranges,
-)
+from .operators import WindowTooSmall, materialize, window_from_ranges
 
 TSV_HEADER = "algebra\ta\tb\t|I|\t|O|\tdimSolved\tdimInterior"
 
@@ -118,16 +113,13 @@ def _merge_config(args: argparse.Namespace, config: list, parser: argparse.Argum
 
 
 def _algebra_from(args) -> AlgebraSpec:
-    name = args.algebra
-    if name is None:
+    if args.algebra is None:
         raise CliError("--algebra is required")
-    if algebras.CATALOGUE[algebras.ALGEBRA_NAMES.index(name)].parametric:
-        if args.a is None or args.b is None:
-            raise CliError(f"{name} requires --a and --b")
-        return AlgebraSpec(name, parse_scalar(args.a), parse_scalar(args.b))
-    if args.a is not None or args.b is not None:
-        raise CliError(f"{name} takes no --a/--b parameters")
-    return AlgebraSpec(name)
+    a, b = (None if text is None else parse_scalar(text) for text in (args.a, args.b))
+    try:
+        return AlgebraSpec(args.algebra, a, b)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 # The most unknowns, |I|*|O| coefficients, that a command's window may have.
@@ -303,11 +295,11 @@ def _cmd_check_map(args) -> int:
     delta = parse_scalar(args.delta) if args.delta is not None else HALF
     if not hasattr(op, "value_at"):
         raise CliError(f"{format_operator(op)} is nonlinear; use the two-local command")
-    try:
-        table = materialize(op, w)
-    except SupportOverflow as exc:
-        raise CliError(f"window too small for {args.map}: {exc}") from None
+    table = materialize(op, w)
     pairs = derivation_pairs(alg, w.keys)
+    if not pairs:  # a check over no pair would pass whatever the map
+        in_range = "{}..{}".format(*parse_range(args.in_range))
+        raise CliError(f"--in {in_range} has no pair of keys whose bracket stays inside it")
     violations = check_delta_derivation(alg, table, delta, pairs)
     results = {
         "operator": format_operator(op),

@@ -21,9 +21,9 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .algebras import AlgebraSpec, BasisKey, Term, bracket, bracket_term, degree, structure_table
+from .algebras import AlgebraSpec, BasisKey, Term, bracket, bracket_term, structure_table
 from .exactlin import (
     RatMatrix,
     RowSpace,
@@ -31,7 +31,6 @@ from .exactlin import (
     SparseVec,
     as_scalar,
     nullspace_by_blocks,
-    span_dim,
 )
 from .operators import (
     ShiftOp,
@@ -125,10 +124,15 @@ class ComparisonReport:
         return self.expected_contained and self.solved_interior_contained and self.dim_interior > 0
 
 
-def _closed_pairs(
+def derivation_pairs(
     alg: AlgebraSpec, in_keys: Sequence[BasisKey]
 ) -> Dict[Tuple[BasisKey, BasisKey], Term]:
-    """``derivation_pairs``, each mapped to its scaled term from ``structure_table``."""
+    """Unordered pairs of distinct input keys whose bracket stays inside I,
+    each mapped to its scaled term from ``structure_table``.
+
+    Zero brackets are trivially inside, so commuting pairs are included; they
+    still constrain the right-hand side of the derivation condition.
+    """
     keys = sorted(set(in_keys))
     key_set = set(keys)
     table = structure_table(alg, keys, keys)
@@ -138,15 +142,6 @@ def _closed_pairs(
         if term is None or term[0] in key_set:
             pairs[keys[a], keys[b]] = term
     return pairs
-
-
-def derivation_pairs(alg: AlgebraSpec, in_keys: Sequence[BasisKey]) -> List[Tuple[BasisKey, BasisKey]]:
-    """Unordered pairs of distinct input keys whose bracket stays inside I.
-
-    Zero brackets are trivially inside, so commuting pairs are included; they
-    still constrain the right-hand side of the derivation condition.
-    """
-    return list(_closed_pairs(alg, in_keys))
 
 
 def _scaled_residual(alg, image, num: int, den: int, k1: BasisKey, k2: BasisKey) -> dict:
@@ -178,7 +173,7 @@ def check_delta_derivation(
     alg: AlgebraSpec,
     candidate,
     delta,
-    pairs: Sequence[Tuple[BasisKey, BasisKey]],
+    pairs: Iterable[Tuple[BasisKey, BasisKey]],
 ) -> List[Tuple[Tuple[BasisKey, BasisKey], SparseVec]]:
     """Residuals ``phi([x, y]) - delta*([phi(x), y] + [x, phi(y)])`` of the
     delta-derivation condition on the given pairs, for ``phi = candidate``.
@@ -265,7 +260,7 @@ class _GradedEquations:
     def __init__(self, alg: AlgebraSpec, delta: Scalar, w: Window):
         num, den = delta.numerator, delta.denominator
         out_keys = w.out_keys
-        brackets = _closed_pairs(alg, w.keys)
+        brackets = derivation_pairs(alg, w.keys)
         self.pair_list = tuple(brackets)
         # [phi(x), y] puts -num*[o, y] in column (x, o) and [x, phi(y)]
         # puts -num*[x, o] in column (y, o), for every output key o.
@@ -278,7 +273,7 @@ class _GradedEquations:
 
         # Coordinates of each degree, the ``slot`` of each among them.
         coordinates = sorted(set(out_keys).union(z for z, _ in terms))
-        deg = {z: degree(alg, z) for z in coordinates}
+        deg = {z: alg.record.degree(z) for z in coordinates}
         slot: Dict[BasisKey, int] = {}
         width: Dict[int, int] = {}
         for z in coordinates:
@@ -519,7 +514,7 @@ def expected_family(alg: AlgebraSpec, w: Window) -> FamilyBasis:
     e->f generators for b = -1, the identity alone otherwise. The generators
     are chosen for an output window whose lines are index ranges; a window's
     input lies inside its output, so those are all the range windows. On an
-    output window with a gap, a generator that escapes raises SupportOverflow.
+    output window with a gap, a generator that escapes raises WindowTooSmall.
     """
     generators = _GENERATORS[alg.record.heads[0]]
     candidates = generators(alg, _index_bounds(w.keys, "e"), _index_bounds(w.out_keys, "e"))
@@ -586,6 +581,6 @@ def compare_families(
         ),
         interior_margin=interior_margin,
         dim_solved=len(solved),
-        dim_expected=span_dim(expected.vectors),
-        dim_interior=span_dim(restricted_vecs),
+        dim_expected=RowSpace(expected.vectors).dim,
+        dim_interior=RowSpace(restricted_vecs).dim,
     )

@@ -124,9 +124,6 @@ class SparseVec:
     def items(self) -> list:
         return sorted(self._entries.items())
 
-    def is_zero(self) -> bool:
-        return not self._entries
-
     def __bool__(self) -> bool:
         return bool(self._entries)
 
@@ -512,8 +509,4 @@ class RowSpace:
 
     def contains(self, v: SparseVec) -> bool:
         return not v or not _reduce(_primitive(v._entries), self._pivots)
-
-
-def span_dim(vectors: Iterable[SparseVec]) -> int:
-    return RowSpace(vectors).dim
 

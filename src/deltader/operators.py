@@ -10,8 +10,9 @@ Two representations coexist:
   algebra and can be truncated onto a window via ``materialize``.
 
 A map is linear exactly when it has ``value_at``; ``ThinNabla`` has none. A
-key that a window lacks raises ``WindowTooSmall``, and one outside the
-algebra's domain the catalogue's ``KeyOutOfDomain``.
+key that a window lacks, or an image that leaves it, raises
+``WindowTooSmall``, and a key outside the algebra's domain the catalogue's
+``KeyOutOfDomain``.
 """
 
 from __future__ import annotations
@@ -19,18 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Tuple
 
 from .algebras import AlgebraSpec, BasisKey, E, F, require_in_domain, solv_abelian, thin, witt_z
 from .exactlin import Scalar, SparseVec, as_scalar
 
 
-class SupportOverflow(ValueError):
-    """A WindowedMap was given an image outside its output window."""
-
-
 class WindowTooSmall(Exception):
-    """A map or a check needed the image of a key that the window lacks."""
+    """A map or a check needed the image of a key that the input window
+    lacks, or an image left the output window."""
 
 
 # The domains of the thin and solvable closed forms.
@@ -70,10 +68,6 @@ class Window:
         return [(i, k) for i in self.keys for k in self.out_keys]
 
 
-def window(in_keys: Sequence[BasisKey], out_keys: Sequence[BasisKey]) -> Window:
-    return Window(tuple(sorted(set(in_keys))), tuple(sorted(set(out_keys))))
-
-
 def window_from_ranges(
     alg: AlgebraSpec,
     in_range: Tuple[int, int],
@@ -88,21 +82,23 @@ def window_from_ranges(
     if out_range is None:
         out_range = in_range
 
-    def expand(lo: int, hi: int) -> list:
+    def expand(lo: int, hi: int) -> tuple:
         if lo > hi:
             raise ValueError(f"empty index range {lo}..{hi}")
-        keys = [BasisKey(kind, i) for kind in alg.record.lines for i in range(lo, hi + 1)]
+        keys = tuple(BasisKey(kind, i) for kind in alg.record.lines for i in range(lo, hi + 1))
         require_in_domain(alg, keys)
         return keys
 
-    return window(expand(*in_range), expand(*out_range))
+    return Window(expand(*in_range), expand(*out_range))
 
 
 def require_inside(key: BasisKey, image: Mapping, out_keys) -> None:
-    """Raise SupportOverflow when the image of ``key`` has a key outside ``out_keys``."""
+    """Raise WindowTooSmall when the image of ``key`` has a key outside ``out_keys``."""
     escaped = image.keys() - out_keys
     if escaped:
-        raise SupportOverflow(f"image of {key} reaches {sorted(escaped)} outside the output window")
+        raise WindowTooSmall(
+            f"window too small: image of {key} reaches {sorted(escaped)} outside the output window"
+        )
 
 
 def _extend_linearly(value_at, v: SparseVec) -> SparseVec:
@@ -248,12 +244,6 @@ class ThinHalfDer:
         object.__setattr__(self, "alpha", tuple(as_scalar(a) for a in self.alpha))
         object.__setattr__(self, "beta", tuple(as_scalar(b) for b in self.beta))
 
-    def alpha_at(self, i: int) -> Scalar:
-        return self.alpha[i - 1] if 1 <= i <= len(self.alpha) else 0
-
-    def beta_at(self, i: int) -> Scalar:
-        return self.beta[i - 2] if 2 <= i <= len(self.beta) + 1 else 0
-
     def value_at(self, key: BasisKey) -> SparseVec:
         require_in_domain(_THIN, (key,))
         j = key.index
@@ -262,7 +252,8 @@ class ThinHalfDer:
         if j == 2:
             return SparseVec({E(i): b for i, b in enumerate(self.beta, start=2)})
         p = _half_power(j)
-        a1, b2 = self.alpha_at(1), self.beta_at(2)
+        a1 = self.alpha[0] if self.alpha else 0
+        b2 = self.beta[0] if self.beta else 0
         out = {E(j): (1 - p) * a1 + p * b2} if a1 or b2 else {}
         for i, b in enumerate(self.beta[1:], start=3):
             if b:
@@ -368,8 +359,7 @@ def materialize(op, w: Window) -> WindowedMap:
     """Tabulate a closed-form operator on a window.
 
     Raises TypeError for a nonlinear map (one without ``value_at``), and
-    SupportOverflow when any image escapes the output window, which signals
-    the window is too small for this operator.
+    WindowTooSmall when any image escapes the output window.
     """
     if not hasattr(op, "value_at"):
         raise TypeError("a nonlinear map cannot be tabulated as a WindowedMap")

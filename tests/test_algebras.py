@@ -19,7 +19,6 @@ from deltader.algebras import (
     KeyOutOfDomain,
     bracket,
     bracket_term,
-    degree,
     in_domain,
     solv_abelian,
     structure_table,
@@ -89,31 +88,31 @@ class TestBracketRules:
     def test_witt_rule(self):
         assert bracket(witt_z(), E(2), E(3)) == SparseVec({E(5): 1})
         assert bracket(witt_z(), E(3), E(2)) == SparseVec({E(5): -1})
-        assert bracket(witt_z(), E(1), E(1)).is_zero()
+        assert not bracket(witt_z(), E(1), E(1))
 
     def test_wab_e_f_rule(self):
         # [e_i, f_j] = -(j + a + b*i) f_{i+j}; at a=b=0 and (i,j)=(1,2) this is -2 f_3
         assert bracket(wab(0, 0), E(1), F(2)) == SparseVec({F(3): -2})
         assert bracket(wab(1, -1), E(2), F(3)) == SparseVec({F(5): -2})
-        assert bracket(wab(0, 0), F(2), F(5)).is_zero()
+        assert not bracket(wab(0, 0), F(2), F(5))
 
     def test_wab_e_e_rule(self):
         assert bracket(wab(0, 0), E(1), E(2)) == SparseVec({E(3): -1})
 
     def test_thin_rule(self):
-        assert bracket(thin(), E(2), E(3)).is_zero()
+        assert not bracket(thin(), E(2), E(3))
         assert bracket(thin(), E(1), E(2)) == SparseVec({E(3): 1})
         assert bracket(thin(), E(5), E(1)) == SparseVec({E(6): -1})
 
     def test_solv_rule(self):
         assert bracket(solv_abelian(), E(1), E(7)) == SparseVec({E(7): 1})
-        assert bracket(solv_abelian(), E(2), E(7)).is_zero()
+        assert not bracket(solv_abelian(), E(2), E(7))
 
     def test_self_bracket_vanishes_everywhere(self):
         for alg in ALL_PARAMLESS + WAB_SAMPLES:
             keys = [E(3)] + ([F(2)] if alg.name == "wab" else [])
             for k in keys:
-                assert bracket(alg, k, k).is_zero()
+                assert not bracket(alg, k, k)
 
 
 def box_keys(alg, radius=6):
@@ -142,14 +141,14 @@ def jacobi_defect(alg, k1, k2, k3):
 def test_antisymmetry_box(alg):
     keys = box_keys(alg, radius=5)
     for k1, k2 in itertools.product(keys, repeat=2):
-        assert (bracket(alg, k1, k2) + bracket(alg, k2, k1)).is_zero()
+        assert not (bracket(alg, k1, k2) + bracket(alg, k2, k1))
 
 
 @pytest.mark.parametrize("alg", ALL_PARAMLESS + WAB_SAMPLES, ids=lambda a: a.label())
 def test_jacobi_box(alg):
     keys = box_keys(alg, radius=4)
     for trip in itertools.combinations_with_replacement(keys, 3):
-        assert jacobi_defect(alg, *trip).is_zero()
+        assert not jacobi_defect(alg, *trip)
 
 
 @given(
@@ -162,8 +161,8 @@ def test_jacobi_box(alg):
 @settings(max_examples=80)
 def test_wab_jacobi_generic_parameters(a, b, i, j, k):
     alg = wab(a, b)
-    assert jacobi_defect(alg, E(i), E(j), F(k)).is_zero()
-    assert jacobi_defect(alg, E(i), F(j), F(k)).is_zero()
+    assert not jacobi_defect(alg, E(i), E(j), F(k))
+    assert not jacobi_defect(alg, E(i), F(j), F(k))
 
 
 class TestGrading:
@@ -180,11 +179,11 @@ class TestGrading:
 
 
     def test_degrees(self):
-        assert degree(witt_z(), E(-3)) == -3
-        assert degree(wab(0, 1), F(4)) == 4
-        assert degree(thin(), E(7)) == 7
+        assert witt_z().record.degree(E(-3)) == -3
+        assert wab(0, 1).record.degree(F(4)) == 4
+        assert thin().record.degree(E(7)) == 7
         # [e1, e_i] = e_i: the index is no grading of solv
-        assert [degree(solv_abelian(), E(i)) for i in (1, 2, 9)] == [0, 1, 1]
+        assert [solv_abelian().record.degree(E(i)) for i in (1, 2, 9)] == [0, 1, 1]
 
     @given(
         alg=st.one_of(
@@ -203,7 +202,7 @@ class TestGrading:
         k1, k2 = _domain_key(alg, *k1), _domain_key(alg, *k2)
         term = bracket_term(alg, k1, k2)
         if term is not None:
-            assert degree(alg, term[0]) == degree(alg, k1) + degree(alg, k2)
+            assert alg.record.degree(term[0]) == alg.record.degree(k1) + alg.record.degree(k2)
 
 
 class TestBracketVec:
@@ -215,8 +214,8 @@ class TestBracketVec:
 
     def test_alternating_and_zero(self):
         v = SparseVec({E(1): 2, E(3): -1})
-        assert bracket_vec(witt_z(), v, v).is_zero()
-        assert bracket_vec(witt_z(), SparseVec(), v).is_zero()
+        assert not bracket_vec(witt_z(), v, v)
+        assert not bracket_vec(witt_z(), SparseVec(), v)
 
 
 class TestSpecValidation:
@@ -285,7 +284,7 @@ class TestBracketTerm:
         k1, k2 = _domain_key(alg, *k1), _domain_key(alg, *k2)
         term = bracket_term(alg, k1, k2)
         if term is None:
-            assert bracket(alg, k1, k2).is_zero()
+            assert not bracket(alg, k1, k2)
         else:
             key, coeff = term
             assert coeff != 0

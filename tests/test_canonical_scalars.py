@@ -42,10 +42,10 @@ from deltader.locality import local_feasible_at, two_local_feasible_at
 from deltader.operators import (
     ShiftOp,
     SolvHalfDer,
-    SupportOverflow,
     ThinHalfDer,
     ThinLocalDelta,
     WabHalfDer,
+    WindowTooSmall,
     WindowedMap,
     commutator,
     materialize,
@@ -155,7 +155,7 @@ class TestParametersAndFields:
     def test_thin_and_solv_coefficients(self, alpha, beta):
         op = ThinHalfDer(alpha=alpha, beta=beta)
         assert all(map(is_canonical, op.alpha + op.beta))
-        assert is_canonical(op.alpha_at(1)) and is_canonical(op.beta_at(2))
+        assert is_canonical(op.alpha[0] if op.alpha else 0) and is_canonical(op.beta[0] if op.beta else 0)
         solv = SolvHalfDer(alpha=alpha)
         assert all(map(is_canonical, solv.alpha))
 
@@ -263,7 +263,7 @@ class TestSolvers:
         assert all(is_canonical(v) for row in matrix.rows for v in row.values())
         for v in nullspace(matrix):
             assert canonical(v)
-            assert apply(matrix, v).is_zero()
+            assert not apply(matrix, v)
 
     @given(
         st.lists(st.lists(SCALARS, min_size=3, max_size=3), min_size=1, max_size=4),
@@ -392,7 +392,7 @@ class TestTrustedResults:
         # e4 -> e6, e4 -> e6 and e1 -> e6: each leaves the output window
         escaping = (ShiftOp(2, 1, witt_pos()), ThinHalfDer(beta=(0, 0, 1)), SolvHalfDer((0,) * 5 + (1,)))
         for op in escaping:
-            with pytest.raises(SupportOverflow):
+            with pytest.raises(WindowTooSmall, match="outside the output window$"):
                 materialize(op, w)
 
 

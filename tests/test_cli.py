@@ -26,7 +26,7 @@ from deltader.dersolve import FamilyBasis, solve_half_derivations
 from deltader.exactlin import SparseVec
 from deltader.literals import format_element, format_operator
 from deltader.locality import LocalReport, deterministic_sample
-from deltader.operators import SupportOverflow, window_from_ranges
+from deltader.operators import window_from_ranges
 
 from test_golden import SOLVE_GOLDEN_PATHS, golden_window
 
@@ -183,6 +183,29 @@ class TestCheckMapCommand:
              "--map", "shift:t=2,w=1"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("in_range", ["5..6", "5..5"])
+    def test_a_window_without_a_pair_is_usage_error(self, tmp_path, capsys, in_range):
+        # [e5, e6] = e11 leaves --in 5..6, and one key makes no pair: no equation to check
+        out = tmp_path / "r.json"
+        code = main(
+            ["check-map", "--algebra", "wittz", "--in", in_range, "--out", "5..12",
+             "--map", "shift:t=1", "--json", str(out)]
+        )
+        assert code == 2
+        expected = f"error: --in {in_range} has no pair of keys whose bracket stays inside it\n"
+        assert capsys.readouterr().err == expected
+        assert not out.exists()
+
+    def test_a_one_key_wab_window_checks_its_commuting_pair(self, tmp_path):
+        # [e0, f0] = -a*f0 = 0 at a = 0 stays inside, so (e0, f0) is a pair
+        out = tmp_path / "r.json"
+        code = main(
+            ["check-map", "--algebra", "wab", "--a", "0", "--b", "-1", "--in", "0..0",
+             "--map", "wab:a={0:1}", "--json", str(out)]
+        )
+        assert code == 0
+        assert read_json(out)["results"]["pairsChecked"] == 1
 
     @pytest.mark.parametrize(
         "literal",
@@ -707,6 +730,22 @@ class TestConfigAndErrors:
 
     def test_wab_without_parameters(self):
         assert main(["solve", "--algebra", "wab", "--in", "-2..2"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--algebra", "wab", "--in", "-1..1"], "wab requires parameters a and b"),
+            (["solve", "--algebra", "thin", "--a", "1", "--in", "1..3"], "thin takes no parameters"),
+            (
+                ["check-map", "--algebra", "wittz", "--in", "-2..2", "--map", "shift:t=1"],
+                "window too small: image of e2 reaches [e3] outside the output window",
+            ),
+        ],
+        ids=["wab-without-parameters", "thin-with-a-parameter", "image-leaves-the-window"],
+    )
+    def test_an_engine_rule_is_reported_in_the_engine_words(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_bad_element_literal(self):
         code = main(
@@ -1331,11 +1370,11 @@ def _handled_by_main():
 
 
 def test_every_engine_error_exits_2_under_the_cli():
-    # check-map turns SupportOverflow into a CliError; every other error the
-    # engine defines must be in main's handled tuple, or it ends in a traceback
+    # every error the engine defines must be in main's handled tuple, or it
+    # ends in a traceback
     exceptions = _engine_exceptions()
     assert {"CliError", "KeyOutOfDomain", "ParseError", "ResultTooLong", "WindowTooSmall"} <= {
         e.__name__ for e in exceptions
     }
     handled = _handled_by_main()
-    assert sorted(e.__name__ for e in exceptions - {SupportOverflow} if e.__name__ not in handled) == []
+    assert sorted(e.__name__ for e in exceptions if e.__name__ not in handled) == []

@@ -14,7 +14,6 @@ from deltader.exactlin import (
     nullspace,
     nullspace_by_blocks,
     solve_feasible,
-    span_dim,
 )
 
 
@@ -69,10 +68,10 @@ class TestNullspace:
     @settings(max_examples=60)
     def test_rank_nullity_and_membership(self, m):
         vs = nullspace(m)
-        assert span_dim(SparseVec(row) for row in m.rows) + len(vs) == m.ncols
+        assert RowSpace(SparseVec(row) for row in m.rows).dim + len(vs) == m.ncols
         for v in vs:
-            assert apply(m, v).is_zero()
-        assert span_dim(vs) == len(vs)
+            assert not apply(m, v)
+        assert RowSpace(vs).dim == len(vs)
 
 
 def augmented(grid, rhs):
@@ -237,7 +236,7 @@ class TestKernelAgainstDenseReference:
         grid, ncols = case
         matrix = from_grid(grid, ncols)
         _, ref_pivots = gauss_jordan(grid, ncols)
-        assert span_dim(SparseVec(row) for row in matrix.rows) == len(ref_pivots)
+        assert RowSpace(SparseVec(row) for row in matrix.rows).dim == len(ref_pivots)
 
         basis = nullspace(matrix)
         assert basis == reference_nullspace(grid, ncols)
@@ -558,8 +557,8 @@ class TestSparseVec:
         v = SparseVec({0: 1, 1: 2})
         w = SparseVec({1: -2, 2: 5})
         assert (v + w) == SparseVec({0: 1, 2: 5})
-        assert (v - v).is_zero()
-        assert v.scaled(0).is_zero()
+        assert not (v - v)
+        assert not v.scaled(0)
 
     def test_equality_with_another_type_is_left_to_it(self):
         v = SparseVec({0: 1})
@@ -570,4 +569,4 @@ class TestSparseVec:
     def test_negation_roundtrip(self, entries):
         v = SparseVec(entries)
         assert -(-v) == v
-        assert (v + (-v)).is_zero()
+        assert not (v + (-v))

@@ -13,7 +13,6 @@ from deltader.operators import (
     ShiftOp,
     SolvDeltaBar,
     SolvHalfDer,
-    SupportOverflow,
     ThinHalfDer,
     ThinLocalDelta,
     ThinNabla,
@@ -66,7 +65,7 @@ class TestWindowedMap:
 
     def test_rejects_escaping_support(self):
         w = window_from_ranges(witt_z(), (0, 1), (0, 2))
-        with pytest.raises(ValueError):
+        with pytest.raises(WindowTooSmall, match="outside the output window$"):
             WindowedMap(w, {E(0): SparseVec({E(5): 1}), E(1): SparseVec()})
 
     def test_sum_needs_one_window(self):
@@ -108,7 +107,7 @@ class TestShiftOp:
 
     def test_materialize_overflow(self):
         w = window_from_ranges(witt_z(), (-2, 2), (-4, 4))
-        with pytest.raises(SupportOverflow):
+        with pytest.raises(WindowTooSmall, match="outside the output window$"):
             materialize(ShiftOp(5, 1), w)
 
 
@@ -122,7 +121,7 @@ class TestThinHalfDer:
         # e_j -> 2^(2-j) e_{j+1} for j >= 3
         assert op.value_at(E(4)) == SparseVec({E(5): Fraction(1, 4)})
         assert op.value_at(E(2)) == SparseVec({E(3): 1})
-        assert op.value_at(E(1)).is_zero()
+        assert not op.value_at(E(1))
 
     def test_is_half_derivation_on_window(self):
         alg = thin()
@@ -164,7 +163,7 @@ class TestSolvOperators:
 
     def test_delta_bar_values(self):
         op = SolvDeltaBar()
-        assert op.value_at(E(1)).is_zero()
+        assert not op.value_at(E(1))
         assert op.value_at(E(4)) == SparseVec({E(4): 1})
 
 
@@ -193,8 +192,8 @@ class TestWabHalfDer:
 class TestThinLocalDelta:
     def test_values(self):
         op = ThinLocalDelta()
-        assert op.value_at(E(1)).is_zero()
-        assert op.value_at(E(2)).is_zero()
+        assert not op.value_at(E(1))
+        assert not op.value_at(E(2))
         assert op.value_at(E(3)) == SparseVec({E(3): HALF})
         assert op.value_at(E(5)) == SparseVec({E(5): Fraction(7, 8)})
 
@@ -211,7 +210,7 @@ class TestThinNabla:
     def test_case_split(self):
         nabla = ThinNabla()
         assert evaluate(nabla, SparseVec({E(1): 1, E(2): 1})) == SparseVec({E(2): 1})
-        assert evaluate(nabla, SparseVec({E(2): 2})).is_zero()
+        assert not evaluate(nabla, SparseVec({E(2): 2}))
         assert evaluate(nabla, SparseVec({E(1): 1, E(4): 8})) == SparseVec({E(4): 2})
 
     def test_not_materializable(self):
@@ -275,7 +274,7 @@ class TestComposition:
         a = materialize(ShiftOp(1, 1), window_from_ranges(wz, (-4, 4), (-6, 6)))
         b = materialize(ShiftOp(2, 5), window_from_ranges(wz, (-6, 6), (-8, 8)))
         comm = commutator(b, a)
-        assert all(comm.image[k].is_zero() for k in comm.window.keys)
+        assert all(not comm.image[k] for k in comm.window.keys)
 
 
 def reference_commutator(a, b):

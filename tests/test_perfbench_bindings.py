@@ -69,3 +69,19 @@ def test_verify_all_workload_calls_each_criterion_with_its_one_argument(tmp_path
     assert verify_all.check(output) == [True] * 10
     for fn in acceptance.CRITERIA:
         assert fn(False) == fn()
+
+
+def test_every_ladder_report_matches_the_benchmark_reference(tmp_path):
+    # the solve-ladder workload fails a rung whose report bytes or dimensions
+    # differ from the recorded ones; replay every rung at every recorded a
+    workloads = _perfbench("workloads")
+    reference = workloads.load_reference()["solve"]
+    rungs = [rung[0] for rung in workloads.LADDER]
+    assert set(reference) == {
+        workloads.solve_reference_key(label, a) for label in rungs for a in workloads.A_VALUES
+    }
+    path = tmp_path / "report.json"
+    for key, expected in reference.items():
+        label, _, a = key.partition("@a=")
+        code = workloads.quiet_main(workloads.solve_argv(label, a, path))
+        assert workloads.solve_summary(code, path.read_bytes()) == expected, key

@@ -96,7 +96,7 @@ def windowed_cases(draw):
         k: draw(st.dictionaries(st.sampled_from(w.out_keys), FRACTIONS, max_size=3)) for k in w.keys
     }
     if draw(st.booleans()):
-        pairs = derivation_pairs(alg, w.keys)
+        pairs = list(derivation_pairs(alg, w.keys))
     else:
         keys = list(w.keys) + draw(st.sampled_from([[], [E(hi + 1)]]))
         pairs = list(itertools.combinations(keys, 2))
