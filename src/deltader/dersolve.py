@@ -251,10 +251,13 @@ class _GradedEquations:
     degree, so an equation is one slot of three tables, and where a degree
     has one coordinate its value is one scalar sum.
 
-    A block numbers its unknown (k, o) ``i*W + slot of o``, with ``i`` the
-    index of k and ``W`` the most output keys of one degree, so a unit's
-    entries are found from the tables without a look-up by column; its
-    ``columns`` map those ids to the window's columns.
+    A block numbers its unknown (k, o) ``N - 1 - (i*W + slot of o)``, with
+    ``i`` the index of k, ``W`` the most output keys of one degree and ``N =
+    len(keys)*W``, so a unit's entries are found from the tables without a
+    look-up by column; its ``columns`` map those ids to the window's
+    columns. The kernel pivots a row on its least id, so on its highest
+    column, and in the unit order each new equation brings in its highest
+    unknown: its row mostly enters the echelon form with no elimination.
     """
 
     def __init__(self, alg: AlgebraSpec, delta: Scalar, w: Window):
@@ -314,15 +317,16 @@ class _GradedEquations:
         for do, so in zip(out_deg, out_slot):
             out_at.setdefault(do, no_entries[do].copy())[so] = (so,)
         n, most = len(out_keys), 1 + max(out_slot, default=0)
-        # Block t's id of (k, o) -> its column i*n + j, in increasing order.
+        # The id of k's unknown at slot 0; the one at slot j is base[k] - j.
+        base = {k: (len(w.keys) - i) * most - 1 for i, k in enumerate(w.keys)}
+        # Block t's id of (k, o) -> its column i*n + j.
         columns: Dict[int, dict] = defaultdict(dict)
         for i, k in enumerate(w.keys):
-            dk, first = deg[k], i * most
+            dk, first = deg[k], base[k]
             for j, (do, so) in enumerate(zip(out_deg, out_slot), start=i * n):
-                columns[do - dk][first + so] = j
+                columns[do - dk][first - so] = j
         self.columns = dict(sorted(columns.items()))
 
-        base = {k: i * most for i, k in enumerate(w.keys)}
         self.units = []
         for k1, k2 in sorted(self.pair_list, key=lambda p: min(abs(deg[p[0]]), abs(deg[p[1]]))):
             d1, d2 = deg[k1], deg[k2]
@@ -349,8 +353,8 @@ class _Block:
     base1, base2, s_base, cs)``, with ``out``, ``group1`` and ``group2`` the
     entries of phi([x, y]), [phi(x), y] and [x, phi(y)] at the coordinates of
     degree ``t + deg x + deg y``, slot by slot, and each ``base`` the id of
-    the first unknown of its key. A unit is in the block when one of the
-    three is there.
+    its key's unknown at slot 0, less ``j`` at slot ``j``. A unit is in the
+    block when one of the three is there.
     """
 
     def __init__(self, equations: _GradedEquations, t: int):
@@ -377,11 +381,11 @@ class _Block:
                 for p in probes:
                     value = 0
                     for j in at:
-                        value += cs * p[s_base + j]
+                        value += cs * p[s_base - j]
                     for j, c in at1:
-                        value += c * p[base1 + j]
+                        value += c * p[base1 - j]
                     for j, c in at2:
-                        value += c * p[base2 + j]
+                        value += c * p[base2 - j]
                     if value:
                         return out, group1, group2, base1, base2, s_base, cs
         return None
@@ -395,11 +399,11 @@ class _Block:
         for at, at1, at2 in zip(out, group1, group2):
             row = {}
             for j in at:
-                row[s_base + j] = cs
+                row[s_base - j] = cs
             for j, c in at1:
-                row[base1 + j] = row.get(base1 + j, 0) + c
+                row[base1 - j] = row.get(base1 - j, 0) + c
             for j, c in at2:
-                row[base2 + j] = row.get(base2 + j, 0) + c
+                row[base2 - j] = row.get(base2 - j, 0) + c
             if not all(row.values()):
                 row = {col: v for col, v in row.items() if v}
             if row:

@@ -34,15 +34,17 @@ the common denominator of each one's entries.
 
 Two nullspace solvers share that kernel. ``nullspace_by_blocks`` solves a
 block-diagonal system block by block, each block reading its units of rows
-with one cursor. Once a block's nullity is small, or its units run out, its
-null vectors are read off its echelon form once, as dense int lists, and the
-echelon form is dropped; the block scans on from that cursor, testing each
-unit against those vectors for the units that cut them, and each row of a
-cutting unit updates them in closed form (``_cut``), with no elimination.
-Every block leaves through that scan, and its null vectors are the probes
-of its last one (``_block_nullspace``). ``nullspace`` eliminates every row
-of one matrix, with no scan: it is the reference the block solver is
-checked against.
+with one cursor and pivoting each row on the least of its own ids. Once a
+block's nullity is small, or its units run out, its null vectors are read
+off its echelon form once, as dense int lists, and the echelon form is
+dropped; the block scans on from that cursor, testing each unit against
+those vectors for the units that cut them, and each row of a cutting unit
+updates them in closed form (``_cut``), with no elimination. Every block
+leaves through that scan, whose probes may be any basis of its null space;
+the canonical one is read off them once (``_block_nullspace``).
+``nullspace`` eliminates every row of one matrix, with no scan, pivoting on
+each row's least column: it is the reference the block solver is checked
+against.
 """
 
 from __future__ import annotations
@@ -296,22 +298,18 @@ def _back_substitute(pivots: dict, free) -> dict:
 
 
 def _cut(nulls: list, row: dict) -> list:
-    """The null vectors ``nulls``, (free column, dense int list) pairs by
-    increasing free column, of a block's rows so far, updated for one more
-    primitive int row ``row``.
+    """The basis ``nulls``, dense int lists, of the null space of a block's
+    rows so far, updated for one more primitive int row ``row``.
 
     With ``a_i`` the row's dot product with ``v_i``, a row that meets no
     vector lies in the span of the rows so far and changes nothing.
-    Otherwise the met vector of least free column, ``v_j``, is dropped: its
-    free column is now a pivot column. Each other met vector becomes
-    ``a_j*v_i - a_i*v_j``, divided by its content, which the row annihilates.
-    It is still zero at every other free column, and its highest entry is
-    still at its own free column, as ``v_j``'s is below it. So every vector
-    keeps the form ``_back_substitute`` gives, and divided by its free entry
-    it is the canonical null vector of the rows so far and ``row``.
+    Otherwise the first met vector, ``v_j``, is dropped, and each other met
+    vector becomes ``a_j*v_i - a_i*v_j``, divided by its content, which the
+    row annihilates. They stay independent: a basis, if not the canonical
+    one, of the null space of the rows so far and ``row``.
     """
     dots = []
-    for _, v in nulls:
+    for v in nulls:
         s = 0
         for c, x in row.items():
             s += x * v[c]
@@ -319,9 +317,9 @@ def _cut(nulls: list, row: dict) -> list:
     j = next((i for i, a in enumerate(dots) if a), None)
     if j is None:
         return nulls
-    aj, vj = dots[j], nulls[j][1]
+    aj, vj = dots[j], nulls[j]
     kept = []
-    for i, ((f, v), a) in enumerate(zip(nulls, dots)):
+    for i, (v, a) in enumerate(zip(nulls, dots)):
         if i == j:
             continue
         if a:
@@ -329,7 +327,7 @@ def _cut(nulls: list, row: dict) -> list:
             g = gcd(*v)
             if g != 1:
                 v = [x // g for x in v]
-        kept.append((f, v))
+        kept.append(v)
     return kept
 
 
@@ -347,12 +345,13 @@ def _block_nullspace(block) -> dict:
     other) of the rows of one block, as columns of the whole system.
 
     ``block.columns`` maps the ids that the block's rows use to the columns
-    of the whole system, in increasing order of both, so the block's
-    canonical basis is the same in either. The rows come in units, read once
-    each with one cursor: ``block.next_unit()`` returns the next unit, or
-    None once there are no more, and ``block.next_unit(probes)`` reads on
-    and returns the first unit whose rows are nonzero on some probe, without
-    building rows. ``block.rows(unit)`` builds a unit's rows.
+    of the whole system, in any order: the kernel pivots each row on its
+    least id, so the ids choose the pivot order, and the result does not
+    depend on them. The rows come in units, read once each with one cursor:
+    ``block.next_unit()`` returns the next unit, or None once there are no
+    more, and ``block.next_unit(probes)`` reads on and returns the first
+    unit whose rows are nonzero on some probe, without building rows.
+    ``block.rows(unit)`` builds a unit's rows.
 
     While the block's nullity is above ``TESTED_NULLITY``, checked before
     each unit is read, every unit's rows enter one echelon form. Once it is
@@ -364,9 +363,13 @@ def _block_nullspace(block) -> dict:
     ``(U^perp)^perp = U``, the span of the rows so far, and is passed over.
     Each row of the cutting unit updates the null vectors in closed form
     (``_cut``), with no elimination, and the scan goes on from the next
-    unit. Reading stops at full rank. When a scan finds no cut, the probes
-    are the block's null vectors, each divided by its entry at its free
-    column.
+    unit. Reading stops at full rank. When a scan finds no cut, its probes
+    are some basis of the block's null space. The canonical one depends on
+    the null space alone: each vector's highest column is its own, where it
+    is 1, and it is 0 at every other's. It is read off the last probes once,
+    in the system's columns: each is cleared at the vectors read before it,
+    which are cleared at its highest column (``_eliminate``), and divided
+    there, with entries in decreasing column order, as ``nullspace`` has.
     """
     columns = block.columns
     pivots: dict = {}
@@ -380,16 +383,24 @@ def _block_nullspace(block) -> dict:
             probe = [0] * size
             for c, x in _back_substitute(pivots, f).items():
                 probe[c] = x
-            nulls.append((f, probe))
+            nulls.append(probe)
     del pivots
-    while nulls and (unit := block.next_unit([v for _, v in nulls])) is not None:
+    while nulls and (unit := block.next_unit(nulls)) is not None:
         for row in block.rows(unit):
             nulls = _cut(nulls, _primitive(row))
-    # entries in decreasing column order, as _back_substitute gives them
-    nulls = [(f, {c: v[c] for c in range(f, -1, -1) if v[c]}) for f, v in nulls]
-    return {
-        columns[f]: {columns[c]: x for c, x in _canonical(v, f).items()} for f, v in nulls
-    }
+    # the canonical basis, in the system's columns
+    basis: dict = {}
+    for probe in nulls:
+        v = {columns[c]: x for c in columns if (x := probe[c])}
+        for p, u in basis.items():
+            if p in v:
+                v = _eliminate(v, u, p)
+        top = max(v)
+        for p, u in basis.items():
+            if top in u:
+                basis[p] = _eliminate(u, v, top)
+        basis[top] = v
+    return {p: dict(sorted(_canonical(v, p).items(), reverse=True)) for p, v in basis.items()}
 
 
 def nullspace_by_blocks(blocks: Iterable) -> list:
@@ -399,9 +410,10 @@ def nullspace_by_blocks(blocks: Iterable) -> list:
     Vectors are emitted in increasing free-column order; each has entry 1 at
     its free column and 0 at every other, making the basis canonical for a
     fixed column order. The canonical RREF of a block-diagonal matrix is the
-    union of its blocks' RREFs, so each block is solved alone: by
-    elimination while its nullity is above ``TESTED_NULLITY``, and after
-    that by closed-form cuts of its null vectors.
+    union of its blocks' RREFs, so each block is solved alone, in the pivot
+    order its ids choose: by elimination while its nullity is above
+    ``TESTED_NULLITY``, and after that by closed-form cuts of its null
+    vectors, whose canonical basis is read off once at the end.
     """
     basis: dict = {}
     for block in blocks:

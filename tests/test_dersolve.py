@@ -203,13 +203,19 @@ class TestLazySolve:
         [
             (
                 witt_z(), (-16, 16), (-48, 48), 65,
-                {"built": 3287, "tested": 24080, "cut": 191, "_back_substitute": 256, "_insert": 3065},
+                {
+                    "built": 3287, "tested": 24080, "cut": 191,
+                    "_back_substitute": 256, "_insert": 3065, "_eliminate": 1438,
+                },
             ),
             # two lines: every degree has two coordinates, so a unit has two
             # rows per degree and the cut sums them slot by slot
             (
                 wab(HALF, -1), (-7, 7), (-14, 14), 30,
-                {"built": 1136, "tested": 4798, "cut": 28, "_back_substitute": 86, "_insert": 2160},
+                {
+                    "built": 1136, "tested": 4798, "cut": 28,
+                    "_back_substitute": 86, "_insert": 2160, "_eliminate": 1799,
+                },
             ),
         ],
         ids=["wittz-33", "wab-30"],
@@ -222,9 +228,11 @@ class TestLazySolve:
         # a scan tests every unit of its block that it reads from the cursor.
         # The rank phase's rows are inserted, each block's null vectors are
         # read off its echelon form once, and a cutting unit's rows update
-        # them in closed form, with neither kernel call.
+        # them in closed form, with neither kernel call. The rank phase
+        # pivots each row on its highest column, where a new equation brings
+        # in its highest unknown, so few inserted rows need an elimination.
         counted = dict.fromkeys(counts, 0)
-        for name in ("_back_substitute", "_insert"):
+        for name in ("_back_substitute", "_insert", "_eliminate"):
             real = getattr(exactlin, name)
 
             def kernel(*args, real=real, name=name):

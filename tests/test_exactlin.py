@@ -365,6 +365,17 @@ class Units:
         return (row,) if row else ()
 
 
+class Relabelled(Units):
+    """``Units`` whose ids are not the block's columns: ``number(n)`` gives
+    the ids of its ``n`` columns, in increasing column order, as an
+    ordering of ``range(n)``, and the rows are moved onto them."""
+
+    def __init__(self, number, columns, rows):
+        ids = dict(zip(columns, number(len(columns))))
+        super().__init__((), [{ids[c]: v for c, v in row.items()} for row in rows])
+        self.columns = {i: c for c, i in ids.items()}
+
+
 def by_blocks(rows, blocks, block=Units):
     """``nullspace_by_blocks`` of the packed ``rows`` in the given blocks,
     each row a unit of its own."""
@@ -404,15 +415,27 @@ class Counting:
 
 
 class TestBlockNullspace:
-    @given(block_diagonal_matrices())
+    @given(block_diagonal_matrices(), st.randoms(use_true_random=False))
     @settings(max_examples=300)
-    def test_matches_dense_reference(self, case):
+    def test_matches_dense_reference(self, case, rng):
         rows, ncols, blocks = case
         grid = [[row.get(c, 0) for c in range(ncols)] for row in rows]
         expected = reference_nullspace(grid, ncols)
         matrix = pack(rows, ncols)
-        assert by_blocks(matrix.rows, blocks) == expected
         assert nullspace(matrix) == expected
+        # the ids choose the pivot order alone: the columns themselves, ids
+        # against the columns, as dersolve numbers them, or a seeded random
+        # order give the one canonical basis
+        for block in (
+            Units,
+            partial(Relabelled, lambda n: range(n - 1, -1, -1)),
+            partial(Relabelled, lambda n: rng.sample(range(n), n)),
+        ):
+            basis = by_blocks(matrix.rows, blocks, block)
+            assert basis == expected
+            # entries by decreasing column: locality._match builds its rows
+            # in that order
+            assert all(list(v._entries) == sorted(v._entries, reverse=True) for v in basis)
 
     def test_independent_rows_after_nullity_two(self):
         # columns 0..4: three rows leave nullity 2, then each independent row

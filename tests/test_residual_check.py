@@ -46,7 +46,20 @@ ALGEBRAS = [
     wab(Fraction(1, 2), Fraction(-1, 3)),
     wab(Fraction(2, 3), 2),
 ]
-FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# One image of a windowed map: up to three (index, coefficient) entries, the
+# index standing for ``out_keys[index % len(out_keys)]``, so two entries may
+# name one key and the later one is kept. 18 is the most output keys a case
+# has (two lines of nine). A coefficient is any of the 37 fractions in
+# [-3, 3] with denominator at most 4, simplest first. Both are built once:
+# a strategy built inside each draw, as ``st.fractions`` builds one for its
+# numerator, costs more than the draw.
+FRACTIONS = st.sampled_from(
+    sorted(
+        {Fraction(n, d) for d in range(1, 5) for n in range(-3 * d, 3 * d + 1)},
+        key=lambda x: (x.denominator, abs(x), x < 0),
+    )
+)
+IMAGE = st.lists(st.tuples(st.integers(0, 17), FRACTIONS), max_size=3)
 
 
 def reference_check(alg, candidate, delta, pairs):
@@ -92,9 +105,8 @@ def windowed_cases(draw):
     if floor is not None:
         out_lo = max(out_lo, floor)
     w = window_from_ranges(alg, (lo, hi), (out_lo, hi + draw(st.integers(0, 3))))
-    images = {
-        k: draw(st.dictionaries(st.sampled_from(w.out_keys), FRACTIONS, max_size=3)) for k in w.keys
-    }
+    out_keys = w.out_keys
+    images = {k: {out_keys[i % len(out_keys)]: c for i, c in draw(IMAGE)} for k in w.keys}
     if draw(st.booleans()):
         pairs = list(derivation_pairs(alg, w.keys))
     else:
